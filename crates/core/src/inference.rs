@@ -146,6 +146,11 @@ pub struct BatchReport {
     pub shared: bool,
     /// Union candidates scored by the fused path (0 when not shared).
     pub candidates: usize,
+    /// `(example, candidate)` pairs the fused path reads back: the sum
+    /// of every example's own candidate count (0 when not shared). The
+    /// fused pass scores `candidates × batch` pairs, so this over that is
+    /// the share of scoring work an answer actually uses.
+    pub own_pairs: usize,
     /// Examples whose own candidate set was the entire output layer
     /// (retrieval fell back to dense scoring). On the shared path these
     /// are scored per example so they cannot multiply the union's cost
@@ -258,6 +263,7 @@ impl Network {
             return BatchReport {
                 shared: true,
                 candidates: 0,
+                own_pairs: 0,
                 dense_examples: 0,
             };
         }
@@ -410,6 +416,7 @@ impl Network {
         BatchReport {
             shared: true,
             candidates: scratch.union.len(),
+            own_pairs: scratch.cands.len(),
             dense_examples: scratch.dense.len(),
         }
     }
@@ -460,6 +467,7 @@ impl Network {
         BatchReport {
             shared: false,
             candidates: 0,
+            own_pairs: 0,
             dense_examples,
         }
     }
@@ -470,17 +478,47 @@ impl Network {
 /// Fill with [`TopK::offer`] while scanning an active set, then
 /// [`TopK::finish`] to sort. Reused across examples: [`TopK::reset`]
 /// keeps the allocation. Ordering is score-descending with ties broken by
-/// ascending class id, matching `slide_data::metrics`' determinism.
-#[derive(Debug, Clone, PartialEq)]
+/// ascending class id, matching `slide_data::metrics`' determinism; a NaN
+/// score ranks below every number.
+#[derive(Debug, Clone)]
 pub struct TopK {
     items: Vec<(u32, f32)>,
     k: usize,
+    /// Index of the worst kept item, valid once `items.len() == k`: a
+    /// candidate that does not beat it is rejected with one comparison.
+    worst: usize,
+}
+
+/// Equality is the kept items and `k`; the cached worst index is a
+/// function of the items.
+impl PartialEq for TopK {
+    fn eq(&self, other: &Self) -> bool {
+        self.k == other.k && self.items == other.items
+    }
 }
 
 /// `(id, score)` ordering: higher score wins, ties go to the smaller id.
+/// NaN ranks below every number (±inf included) and NaNs tie among
+/// themselves, broken by id — a strict total order on distinct ids, so
+/// the reduction is insensitive to offer order and the sort in
+/// [`TopK::finish`] always sees a consistent comparator.
 #[inline]
 fn beats(a: (u32, f32), b: (u32, f32)) -> bool {
-    a.1 > b.1 || (a.1 == b.1 && a.0 < b.0)
+    if a.1 > b.1 {
+        return true;
+    }
+    if a.1 == b.1 {
+        return a.0 < b.0;
+    }
+    if a.1 < b.1 {
+        return false;
+    }
+    // Unordered: at least one side is NaN.
+    match (a.1.is_nan(), b.1.is_nan()) {
+        (false, _) => true,
+        (true, false) => false,
+        (true, true) => a.0 < b.0,
+    }
 }
 
 impl TopK {
@@ -494,6 +532,7 @@ impl TopK {
         Self {
             items: Vec::with_capacity(k),
             k,
+            worst: 0,
         }
     }
 
@@ -509,25 +548,33 @@ impl TopK {
         self.items.clear();
         self.items.reserve(k);
         self.k = k;
+        self.worst = 0;
     }
 
     /// Offers one candidate; kept iff it beats the current k-th best.
+    /// O(1) when it does not; a replacement rescans the k kept items.
     #[inline]
     pub fn offer(&mut self, id: u32, score: f32) {
         if self.items.len() < self.k {
             self.items.push((id, score));
-            return;
+            if self.items.len() == self.k {
+                self.worst = self.find_worst();
+            }
+        } else if beats((id, score), self.items[self.worst]) {
+            self.items[self.worst] = (id, score);
+            self.worst = self.find_worst();
         }
-        // Replace the current worst if the candidate beats it.
+    }
+
+    /// Index of the worst kept item (the last one, among equals).
+    fn find_worst(&self) -> usize {
         let mut worst = 0;
         for (i, &it) in self.items.iter().enumerate().skip(1) {
             if beats(self.items[worst], it) {
                 worst = i;
             }
         }
-        if beats((id, score), self.items[worst]) {
-            self.items[worst] = (id, score);
-        }
+        worst
     }
 
     /// Sorts the kept items best-first. Call once after the offer loop.
@@ -535,10 +582,15 @@ impl TopK {
         self.items.sort_unstable_by(|&a, &b| {
             if beats(a, b) {
                 std::cmp::Ordering::Less
-            } else {
+            } else if beats(b, a) {
                 std::cmp::Ordering::Greater
+            } else {
+                std::cmp::Ordering::Equal
             }
         });
+        if self.items.len() == self.k {
+            self.worst = self.find_worst();
+        }
     }
 
     /// The kept `(class, score)` pairs (best-first after [`TopK::finish`]).
@@ -566,6 +618,7 @@ impl TopK {
     /// layer maps its local ids into the global class space before its
     /// results leave the process.
     pub fn offset_ids(&mut self, offset: u32) {
+        // A uniform shift keeps every id comparison, so `worst` holds.
         for item in &mut self.items {
             item.0 += offset;
         }
@@ -657,7 +710,132 @@ mod tests {
         assert_eq!(t.items(), &[(103, 0.9), (100, 0.5)]);
     }
 
+    /// Sort-then-truncate reference over a std `Ordering`: scores
+    /// descending, ties by ascending id, every NaN after every number.
+    fn reference_topk(items: &[(u32, f32)], k: usize) -> Vec<(u32, u32)> {
+        let mut sorted = items.to_vec();
+        sorted.sort_by(|a, b| match (a.1.is_nan(), b.1.is_nan()) {
+            (false, false) => b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)),
+            (nan_a, nan_b) => nan_a.cmp(&nan_b).then(a.0.cmp(&b.0)),
+        });
+        sorted.truncate(k);
+        sorted
+            .into_iter()
+            .map(|(id, s)| (id, s.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn topk_ranks_nan_last_and_never_panics() {
+        // k = 64 mixes of finite, infinite and NaN scores (both NaN
+        // signs): `finish` must sort them without a comparator panic and
+        // keep exactly the reference's items.
+        use slide_data::rng::{Rng, Xoshiro256PlusPlus};
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(64);
+        let palette = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+        ];
+        for _ in 0..2_000 {
+            let n = rng.gen_range(64, 128);
+            let mut ids: Vec<u32> = (0..n as u32 * 2).collect();
+            rng.shuffle(&mut ids);
+            let items: Vec<(u32, f32)> = ids[..n]
+                .iter()
+                .map(|&id| {
+                    let s = match rng.gen_range(0, 4) {
+                        0 => palette[rng.gen_range(0, palette.len())],
+                        _ => rng.gen_range(0, 16) as f32 - 8.0,
+                    };
+                    (id, s)
+                })
+                .collect();
+            let mut t = TopK::new(64);
+            for &(id, s) in &items {
+                t.offer(id, s);
+            }
+            t.finish();
+            assert_eq!(t.to_bits(), reference_topk(&items, 64));
+        }
+        let mut t = TopK::new(3);
+        for (id, s) in [
+            (4u32, f32::NAN),
+            (1, -1.0),
+            (2, f32::NAN),
+            (3, f32::NEG_INFINITY),
+        ] {
+            t.offer(id, s);
+        }
+        t.finish();
+        let ids: Vec<u32> = t.items().iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, vec![1, 3, 2], "numbers first, then NaNs by id");
+    }
+
+    #[test]
+    fn batch_report_counts_own_candidate_pairs() {
+        use crate::config::{LshLayerConfig, NetworkConfig};
+        use slide_data::synth::{generate, SyntheticConfig};
+        let data = generate(&SyntheticConfig::tiny().with_seed(3));
+        let config = NetworkConfig::builder(data.train.feature_dim(), data.train.label_dim())
+            .hidden(16)
+            .output_lsh(LshLayerConfig::simhash(3, 8))
+            .seed(2)
+            .build()
+            .unwrap();
+        let net = Network::new(config).unwrap();
+        let selector = InferenceSelector::new(QueryBudget::all().with_min_collisions(2))
+            .with_dense_fallback(false);
+        let mut ws = net.workspace(1);
+        let batch: Vec<_> = data.test.iter().take(12).map(|ex| &ex.features).collect();
+        let mut own = 0;
+        let mut single = TopK::new(3);
+        for &x in &batch {
+            net.predict_topk(&selector, &mut ws, x, &mut single);
+            own += ws.active_set(net.layers().len() - 1).len();
+        }
+        let mut outs = vec![TopK::new(3); batch.len()];
+        let report = net.predict_topk_batch(
+            &selector,
+            &mut ws,
+            &mut BatchScratch::default(),
+            &batch,
+            &mut outs,
+        );
+        assert!(report.shared);
+        assert_eq!(report.own_pairs, own);
+        assert!(report.candidates <= report.own_pairs);
+        assert!(report.own_pairs <= report.candidates * batch.len());
+    }
+
     use proptest::prelude::*;
+
+    proptest! {
+        /// `TopK` (O(1) rejects against a cached worst) equals sorting
+        /// everything and truncating, for any k and any offer order, with
+        /// heavy ties, ±0, ±inf and NaN in the mix.
+        #[test]
+        fn prop_topk_equals_sort_then_truncate(
+            k in 1usize..12,
+            items in proptest::collection::btree_map(0u32..48, 0u32..9, 0..40),
+            rotate in 0usize..40,
+        ) {
+            let levels = [f32::NAN, f32::NEG_INFINITY, -1.0, -0.0, 0.0, 0.5, 1.0, f32::MAX, f32::INFINITY];
+            let mut items: Vec<(u32, f32)> =
+                items.into_iter().map(|(id, l)| (id, levels[l as usize])).collect();
+            let rotate = rotate % items.len().max(1);
+            items.rotate_left(rotate);
+            let mut t = TopK::new(k);
+            for &(id, s) in &items {
+                t.offer(id, s);
+            }
+            t.finish();
+            prop_assert_eq!(t.to_bits(), reference_topk(&items, k));
+        }
+    }
 
     proptest! {
         /// The scatter-gather reduction's load-bearing invariant: for ANY

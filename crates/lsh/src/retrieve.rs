@@ -10,9 +10,11 @@
 //! the distinct neuron ids, and stops early once a [`QueryBudget`] is
 //! exhausted.
 //!
-//! The same [`SamplerScratch`] used for training-time sampling provides
-//! the O(1)-reset deduplication, so a workspace that trains can serve
-//! without growing new buffers.
+//! Retrieval is one branch-free counting pass over the probed buckets
+//! plus a second walk that zeroes exactly the counters it bumped, so a
+//! query costs O(ids visited) — never O(layer width) — and the same
+//! [`SamplerScratch`] used for training-time sampling carries the
+//! counters, so a workspace that trains can serve without new buffers.
 
 use crate::sampling::SamplerScratch;
 use crate::table::LshTables;
@@ -114,12 +116,25 @@ impl QueryBudget {
 }
 
 /// Deterministic bucket-union retrieval: probes tables `0..min(L, budget)`
-/// in order and appends each distinct stored id to `out` (cleared first),
-/// stopping as soon as the candidate cap is reached.
+/// in order and writes to `out` (cleared first) every stored id whose
+/// bucket-hit count reaches `min_collisions`, keeping the first
+/// `max_candidates` of them.
 ///
-/// Unlike [`crate::sampling::sample`] there is no RNG and no
-/// label-frequency weighting — two calls against the same table state and
-/// codes return the same ids in the same order.
+/// **Emission order** is the contract the serving path's bit-identity
+/// rests on: an id is emitted once, at the visit where its count first
+/// equals the threshold, so ids appear in order of threshold crossing,
+/// tables in order `0..`, slots in bucket order within a table. Unlike
+/// [`crate::sampling::sample`] there is no RNG and no label-frequency
+/// weighting — two calls against the same table state and codes return
+/// the same ids in the same order.
+///
+/// **Cost** is O(ids visited): each visit bumps a counter and writes the
+/// id at the output cursor, which advances only on a crossing — no
+/// data-dependent branch. The candidate cap is checked once per table
+/// (the table that reaches it is finished, then the output truncated),
+/// and a second walk over the probed buckets zeroes the counters.
+/// Counters are `u16` and saturate, as the sampler's do; thresholds
+/// above `u16::MAX` act as `u16::MAX`.
 ///
 /// # Panics
 ///
@@ -132,7 +147,6 @@ pub fn retrieve_union(
     out: &mut Vec<u32>,
 ) {
     out.clear();
-    scratch.begin();
     let l = tables.num_tables();
     let probe = if budget.max_tables == 0 {
         l
@@ -144,17 +158,28 @@ pub fn retrieve_union(
     } else {
         budget.max_candidates
     };
-    let threshold = budget.min_collisions.max(1) as u16;
-    for t in 0..probe {
+    let threshold = u16::try_from(budget.min_collisions.max(1)).unwrap_or(u16::MAX);
+    let hits = scratch.hits();
+    let mut n = 0;
+    let mut probed = 0;
+    while probed < probe && n < cap {
+        let bucket = tables.bucket(probed, codes);
+        probed += 1;
+        // `out[n..]` is scratch space: a table emits at most its length.
+        if out.len() < n + bucket.len() {
+            out.resize(n + bucket.len(), 0);
+        }
+        for &id in bucket {
+            let c = &mut hits[id as usize];
+            *c = c.saturating_add(1);
+            out[n] = id;
+            n += usize::from(*c == threshold);
+        }
+    }
+    out.truncate(n.min(cap));
+    for t in 0..probed {
         for &id in tables.bucket(t, codes) {
-            // Emit exactly when the count crosses the threshold so each
-            // qualifying neuron appears once.
-            if scratch.bump(id) == threshold {
-                out.push(id);
-                if out.len() >= cap {
-                    return;
-                }
-            }
+            hits[id as usize] = 0;
         }
     }
 }
@@ -306,6 +331,107 @@ mod tests {
         for i in 0..50 {
             retrieve_union(&tables, &codes, QueryBudget::all(), &mut scratch, &mut out);
             assert_eq!(out.len(), 3, "query {i} leaked dedup state");
+        }
+    }
+
+    #[test]
+    fn training_sampling_between_queries_does_not_leak_into_retrieval() {
+        // One scratch serves both paths (a training workspace can serve):
+        // the sampler's stamped counts must not bleed into retrieval's.
+        let (tables, codes) = tables_with_multiplicity(&[4, 3, 1], 4);
+        let mut scratch = SamplerScratch::new(3);
+        let mut out = Vec::new();
+        let budget = QueryBudget::all().with_min_collisions(2);
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
+        for _ in 0..3 {
+            retrieve_union(&tables, &codes, budget, &mut scratch, &mut out);
+            assert_eq!(out, vec![0, 1]);
+            let strategy = crate::sampling::SamplingStrategy::HardThreshold { min_count: 2 };
+            crate::sampling::sample(&tables, &codes, strategy, &mut scratch, &mut rng, &mut out);
+        }
+    }
+
+    /// The pre-existing semantics, written for clarity over speed: counts
+    /// in a map, emit on the visit whose count first equals the
+    /// threshold, stop at the candidate cap.
+    fn reference_union(tables: &LshTables, codes: &[u32], budget: QueryBudget) -> Vec<u32> {
+        let l = tables.num_tables();
+        let probe = match budget.max_tables {
+            0 => l,
+            m => m.min(l),
+        };
+        let cap = match budget.max_candidates {
+            0 => usize::MAX,
+            c => c,
+        };
+        let threshold = budget.min_collisions.max(1);
+        let mut counts = std::collections::BTreeMap::new();
+        let mut out = Vec::new();
+        for t in 0..probe {
+            for &id in tables.bucket(t, codes) {
+                let c = counts.entry(id).or_insert(0usize);
+                *c += 1;
+                if *c == threshold && out.len() < cap {
+                    out.push(id);
+                }
+            }
+        }
+        out
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// `retrieve_union` equals the reference on arbitrary bucket
+        /// contents — duplicate ids inside a bucket, FIFO evictions, two
+        /// queries sharing one scratch — under every threshold from 1 to
+        /// L + 1 and random table/candidate caps. Each emitted id is
+        /// distinct, has really reached the threshold, and the counters
+        /// are all zero afterwards.
+        #[test]
+        fn prop_retrieve_union_matches_reference(
+            l in 1usize..6,
+            inserts in proptest::collection::vec((0u32..12, 0u32..10), 0..80),
+            caps in (0usize..7, 0usize..12),
+            m in 0usize..64,
+        ) {
+            let k = 2;
+            let config = TableConfig::new(k, l)
+                .with_table_bits(4)
+                .with_bucket_capacity(8)
+                .with_policy(InsertionPolicy::Fifo);
+            let mut tables = LshTables::new(config);
+            let queries = [vec![1u32; k * l], vec![2u32; k * l]];
+            let mut rng = Xoshiro256PlusPlus::seed_from_u64(3);
+            // `slot` picks the table and which query's bucket; a small id
+            // range makes duplicates and multi-table hits the norm.
+            for &(slot, id) in &inserts {
+                let (t, q) = (slot as usize % l, slot as usize / 6 % 2);
+                let group = &queries[q][t * k..(t + 1) * k];
+                tables.tables_mut()[t].insert(id, group, InsertionPolicy::Fifo, &mut rng);
+            }
+            let budget = QueryBudget {
+                max_tables: caps.0,
+                max_candidates: caps.1,
+                min_collisions: 1 + m % (l + 1),
+            };
+            let mut scratch = SamplerScratch::new(10);
+            let mut out = Vec::new();
+            for codes in queries.iter().chain(queries.iter()) {
+                retrieve_union(&tables, codes, budget, &mut scratch, &mut out);
+                let want = reference_union(&tables, codes, budget);
+                prop_assert_eq!(&out, &want);
+                let distinct: std::collections::BTreeSet<_> = out.iter().collect();
+                prop_assert_eq!(distinct.len(), out.len());
+                let probe = if caps.0 == 0 { l } else { caps.0.min(l) };
+                for &id in &out {
+                    let hits: usize = (0..probe)
+                        .map(|t| tables.bucket(t, codes).iter().filter(|&&x| x == id).count())
+                        .sum();
+                    prop_assert!(hits >= budget.min_collisions, "id {} hit {} times", id, hits);
+                }
+                prop_assert!(scratch.hits().iter().all(|&h| h == 0), "counters left dirty");
+            }
         }
     }
 }

@@ -97,6 +97,11 @@ pub struct SamplerScratch {
     /// Table visit order (for vanilla's random probing).
     table_order: Vec<u32>,
     epoch: u32,
+    /// Per-neuron bucket hits for [`crate::retrieve::retrieve_union`]:
+    /// all zero between calls (each call re-zeroes exactly the entries it
+    /// bumped), sized on first use so training-only scratch never pays.
+    /// `u16` like `counts`: half the cache footprint of `u32`.
+    hits: Vec<u16>,
 }
 
 impl SamplerScratch {
@@ -108,6 +113,7 @@ impl SamplerScratch {
             touched: Vec::new(),
             table_order: Vec::new(),
             epoch: 0,
+            hits: Vec::new(),
         }
     }
 
@@ -139,6 +145,14 @@ impl SamplerScratch {
             self.counts[i] = self.counts[i].saturating_add(1);
             self.counts[i]
         }
+    }
+
+    /// The all-zero hit counters, one per neuron.
+    pub(crate) fn hits(&mut self) -> &mut [u16] {
+        if self.hits.len() < self.stamp.len() {
+            self.hits.resize(self.stamp.len(), 0);
+        }
+        &mut self.hits
     }
 }
 

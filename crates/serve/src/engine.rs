@@ -898,6 +898,36 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_input_does_not_disturb_its_batch_neighbours() {
+        // The wire accepts any finite value up to f32::MAX; such inputs
+        // overflow hidden sums to ±inf and logits to NaN. Their batch
+        // must still answer, every neighbour bit-identically to its solo
+        // answer, with no panic in the top-k sort.
+        let (engine, data) = tiny_engine(ServeOptions::default().with_top_k(5));
+        let dim = engine.input_dim() as u32;
+        let huge = SparseVector::from_pairs((0..dim).step_by(3).map(|i| (i, f32::MAX)));
+        let mut features: Vec<_> = data
+            .test
+            .iter()
+            .take(8)
+            .map(|ex| ex.features.clone())
+            .collect();
+        features.insert(3, huge);
+        let solo = engine
+            .predict_batch_k(&features[3..4], engine.output_dim())
+            .unwrap();
+        assert!(
+            solo[0].topk.items().iter().any(|&(_, s)| s.is_nan()),
+            "the huge input must actually produce NaN logits"
+        );
+        let batched = engine.predict_batch(&features).unwrap();
+        for (f, b) in features.iter().zip(&batched) {
+            let single = engine.predict(f).unwrap();
+            assert_eq!(b.topk.to_bits(), single.topk.to_bits());
+        }
+    }
+
+    #[test]
     fn concurrent_predicts_are_safe() {
         let (engine, data) = tiny_engine(ServeOptions::default());
         let engine = std::sync::Arc::new(engine);

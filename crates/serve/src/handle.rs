@@ -199,8 +199,8 @@ impl EngineHandle {
     }
 
     /// Starts a background thread that polls `path`'s metadata every
-    /// `interval` and hot-reloads when the file's modification time or
-    /// size changes. Publishers are expected to use the atomic
+    /// `interval` and hot-reloads when the file's modification time,
+    /// size or inode changes. Publishers are expected to use the atomic
     /// tmp+fsync+rename writer (`slide_core::snapshot::publish_bytes`),
     /// so a poll can never observe a torn file.
     ///
@@ -223,7 +223,7 @@ impl EngineHandle {
         // that lands between this call returning and the thread first
         // being scheduled would be fingerprinted as "already attempted"
         // and silently never loaded.
-        let baseline: Option<(SystemTime, u64)> = fingerprint(&path);
+        let baseline = fingerprint(&path);
         let thread = std::thread::spawn(move || {
             // The fingerprint of the last load *attempt*, successful or
             // not — a failed file is not retried until it changes or its
@@ -286,9 +286,23 @@ impl EngineHandle {
 /// file that repeatedly failed to load and could not be quarantined.
 pub const MAX_WATCHER_BACKOFF_TICKS: u32 = 32;
 
-fn fingerprint(path: &Path) -> Option<(SystemTime, u64)> {
+/// What the watcher compares between polls: modification time, length
+/// and — on Unix — the file's `(dev, ino)` identity. `publish_bytes`
+/// renames a fresh inode into place, so two same-length publishes inside
+/// one mtime tick still differ; without the inode they alias and the
+/// second is never loaded.
+type Fingerprint = (SystemTime, u64, u64, u64);
+
+fn fingerprint(path: &Path) -> Option<Fingerprint> {
     let meta = std::fs::metadata(path).ok()?;
-    Some((meta.modified().ok()?, meta.len()))
+    #[cfg(unix)]
+    let (dev, ino) = {
+        use std::os::unix::fs::MetadataExt;
+        (meta.dev(), meta.ino())
+    };
+    #[cfg(not(unix))]
+    let (dev, ino) = (0, 0);
+    Some((meta.modified().ok()?, meta.len(), dev, ino))
 }
 
 /// Guard for a running snapshot watcher thread; stops and joins it on
@@ -549,10 +563,6 @@ mod tests {
         let handle =
             Arc::new(EngineHandle::from_snapshot_file(&path, ServeOptions::default()).unwrap());
         let watcher = handle.spawn_watcher(path.clone(), Duration::from_millis(20));
-
-        // Same-config snapshots have identical length, so the sleep
-        // guarantees the rewrite lands with a distinct mtime.
-        std::thread::sleep(Duration::from_millis(60));
         b.save_snapshot(&path).unwrap();
 
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -562,6 +572,59 @@ mod tests {
         watcher.stop();
         std::fs::remove_file(&path).ok();
         assert!(handle.epoch() >= 2, "watcher never picked up the rewrite");
+    }
+
+    /// Regression: two same-length publishes inside one mtime tick. The
+    /// replacement is renamed into place with its mtime forced equal to
+    /// the file it replaces, so only the inode tells them apart — a
+    /// `(mtime, len)` fingerprint never loads it. A corrupt publish must
+    /// still be attempted and quarantined, and the good one after it
+    /// (same mtime again) must load.
+    #[test]
+    fn watcher_sees_same_length_publishes_within_one_mtime_tick() {
+        let (a, _) = tiny_network(8);
+        let (b, _) = tiny_network(9);
+        let dir = std::env::temp_dir().join(format!("slide_same_tick_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.slidesnap");
+        a.save_snapshot(&path).unwrap();
+        let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
+        let good = b.to_snapshot_bytes();
+        let mut corrupt = a.to_snapshot_bytes();
+        assert_eq!(good.len(), corrupt.len(), "same-config snapshots");
+        let mid = corrupt.len() / 2;
+        corrupt[mid] ^= 0xFF;
+        let publish_with_mtime = |bytes: &[u8]| {
+            let tmp = dir.join("model.tmp");
+            std::fs::write(&tmp, bytes).unwrap();
+            let f = std::fs::File::options().write(true).open(&tmp).unwrap();
+            f.set_modified(mtime).unwrap();
+            drop(f);
+            std::fs::rename(&tmp, &path).unwrap();
+            assert_eq!(std::fs::metadata(&path).unwrap().modified().unwrap(), mtime);
+        };
+
+        let handle =
+            Arc::new(EngineHandle::from_snapshot_file(&path, ServeOptions::default()).unwrap());
+        let watcher = handle.spawn_watcher(path.clone(), Duration::from_millis(5));
+        let wait = |done: &dyn Fn() -> bool| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while !done() && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            done()
+        };
+
+        publish_with_mtime(&corrupt);
+        assert!(
+            wait(&|| handle.quarantined() == 1),
+            "corrupt publish never attempted"
+        );
+        assert_eq!(handle.epoch(), 1);
+        publish_with_mtime(&good);
+        assert!(wait(&|| handle.epoch() == 2), "good publish never loaded");
+        watcher.stop();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Regression: the baseline fingerprint must be taken synchronously
