@@ -68,6 +68,11 @@ pub const RULES: &[(&str, &str)] = &[
          crates/data/src/source.rs, the designated OS-binding modules",
     ),
     (
+        "one-transport",
+        "`TcpListener` outside `#[cfg(test)]` only in crates/serve/src/http.rs, \
+         the one event-loop transport every server (single box or router) runs on",
+    ),
+    (
         "no-panic-paths",
         "no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` \
          in serve request-handling modules (batch/http/conn/engine/wire), where \
@@ -89,6 +94,9 @@ const HOGWILD_FILES: &[&str] = &["crates/core/src/hogwild.rs", "crates/kernels/s
 
 /// Files where `extern "C"` declarations may appear.
 const FFI_FILES: &[&str] = &["crates/serve/src/net.rs", "crates/data/src/source.rs"];
+
+/// Files where a `TcpListener` may be bound outside tests.
+const TRANSPORT_FILES: &[&str] = &["crates/serve/src/http.rs"];
 
 /// Serve request-path modules where panicking is a whole-drain outage.
 const PANIC_FREE_FILES: &[&str] = &[
@@ -127,7 +135,8 @@ struct FileMap {
     attr_start: Vec<bool>,
     /// First line of the file's `#[cfg(test)]` region, if any. Test
     /// modules sit at the bottom of every file in this workspace, so
-    /// everything from here down is exempt from `no-panic-paths`.
+    /// everything from here down is exempt from `no-panic-paths` and
+    /// `one-transport`.
     cfg_test_line: Option<usize>,
 }
 
@@ -165,20 +174,23 @@ impl FileMap {
             }
         }
 
-        // First `#[cfg(test)]` attribute: tokens `# [ cfg ( test ) ]`.
-        let mut cfg_test_line = None;
-        for w in tokens.windows(6) {
-            if w[0].kind == TokenKind::Punct('#')
-                && w[1].kind == TokenKind::Punct('[')
-                && w[2].ident() == Some("cfg")
-                && w[3].kind == TokenKind::Punct('(')
-                && w[4].ident() == Some("test")
-                && w[5].kind == TokenKind::Punct(')')
-            {
-                cfg_test_line = Some(w[0].line);
-                break;
-            }
-        }
+        // First `#[cfg(test)]` or `#[cfg(all(test, …))]` attribute.
+        let cfg_test_line = tokens
+            .windows(7)
+            .find(|w| {
+                w[0].kind == TokenKind::Punct('#')
+                    && w[1].kind == TokenKind::Punct('[')
+                    && w[2].ident() == Some("cfg")
+                    && w[3].kind == TokenKind::Punct('(')
+                    && match w[4].ident() {
+                        Some("test") => w[5].kind == TokenKind::Punct(')'),
+                        Some("all") => {
+                            w[5].kind == TokenKind::Punct('(') && w[6].ident() == Some("test")
+                        }
+                        _ => false,
+                    }
+            })
+            .map(|w| w[0].line);
 
         Self {
             has_code,
@@ -303,6 +315,7 @@ pub fn lint_file(path: &str, src: &str) -> Vec<Diagnostic> {
     unsafe_needs_safety(path, &tokens, &map, &mut diags);
     hogwild_confinement(path, &tokens, &mut diags);
     ffi_confinement(path, &tokens, &mut diags);
+    one_transport(path, &tokens, &map, &mut diags);
     no_panic_paths(path, &tokens, &map, &mut diags);
 
     diags.retain(|d| d.rule == "allow-syntax" || !allows.allowed(d.rule, d.line));
@@ -414,6 +427,29 @@ fn ffi_confinement(path: &str, tokens: &[Token], diags: &mut Vec<Diagnostic>) {
                 message: "`extern \"C\"` outside the designated binding modules \
                           (crates/serve/src/net.rs, crates/data/src/source.rs); \
                           add the binding there behind a safe wrapper"
+                    .into(),
+            });
+        }
+    }
+}
+
+/// Rule `one-transport`: `TcpListener` only in the event-loop transport
+/// module. A listener elsewhere is a second HTTP stack, with its own
+/// parser, limits and timeouts drifting from the one clients were
+/// promised; tests may still bind throwaway listeners.
+fn one_transport(path: &str, tokens: &[Token], map: &FileMap, diags: &mut Vec<Diagnostic>) {
+    if path_is(path, TRANSPORT_FILES) {
+        return;
+    }
+    for t in tokens {
+        if t.ident() == Some("TcpListener") && !map.in_test_region(t.line) {
+            diags.push(Diagnostic {
+                rule: "one-transport",
+                file: path.to_string(),
+                line: t.line,
+                message: "`TcpListener` outside crates/serve/src/http.rs; serve \
+                          through its event-loop transport as another back-end \
+                          instead of a second HTTP stack"
                     .into(),
             });
         }
@@ -628,6 +664,16 @@ let r = r#"unsafe fn f()"#;
         let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { x().unwrap(); panic!(\"in tests\"); }\n}";
         assert_eq!(
             rules_hit("crates/serve/src/http.rs", src),
+            Vec::<&str>::new()
+        );
+        // A platform-gated test module is a test region too.
+        let gated = "fn f() {}\n#[cfg(all(test, unix))]\nmod tests {\n  use std::net::TcpListener;\n  fn t() { x().unwrap(); }\n}";
+        assert_eq!(
+            rules_hit("crates/serve/src/http.rs", gated),
+            Vec::<&str>::new()
+        );
+        assert_eq!(
+            rules_hit("crates/serve/src/net.rs", gated),
             Vec::<&str>::new()
         );
     }

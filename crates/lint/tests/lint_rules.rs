@@ -13,6 +13,8 @@ const HOGWILD_BAD: &str = include_str!("../fixtures/hogwild_bad.rs");
 const HOGWILD_CLEAN: &str = include_str!("../fixtures/hogwild_clean.rs");
 const FFI_BAD: &str = include_str!("../fixtures/ffi_bad.rs");
 const FFI_CLEAN: &str = include_str!("../fixtures/ffi_clean.rs");
+const TRANSPORT_BAD: &str = include_str!("../fixtures/transport_bad.rs");
+const TRANSPORT_CLEAN: &str = include_str!("../fixtures/transport_clean.rs");
 const PANIC_BAD: &str = include_str!("../fixtures/panic_bad.rs");
 const PANIC_CLEAN: &str = include_str!("../fixtures/panic_clean.rs");
 const ALLOW_BAD: &str = include_str!("../fixtures/allow_bad.rs");
@@ -62,6 +64,20 @@ fn ffi_bad_is_caught_outside_the_binding_modules() {
     assert_eq!(lint_file("crates/serve/src/net.rs", FFI_BAD), []);
     assert_eq!(lint_file("crates/data/src/source.rs", FFI_BAD), []);
     assert_eq!(lint_file(NEUTRAL, FFI_CLEAN), [], "clean twin");
+}
+
+#[test]
+fn transport_bad_is_caught_outside_the_transport_module() {
+    let bad = lint_file("crates/serve/src/router.rs", TRANSPORT_BAD);
+    assert_eq!(
+        rules_of(&bad),
+        ["one-transport", "one-transport"],
+        "import + bind: {bad:?}"
+    );
+    // Same source is legal in the transport module itself.
+    assert_eq!(lint_file("crates/serve/src/http.rs", TRANSPORT_BAD), []);
+    // Test modules may bind throwaway listeners.
+    assert_eq!(lint_file(NEUTRAL, TRANSPORT_CLEAN), [], "clean twin");
 }
 
 #[test]

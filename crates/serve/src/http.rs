@@ -38,6 +38,11 @@
 //! * `POST /v1/reload`  — `{"path": "..."}`: load a snapshot file and
 //!   atomically swap it in (operator-trusted, like the rest of the
 //!   unauthenticated API).
+//!
+//! The same transport core — acceptor, event loops, parser, sweeps,
+//! drain — also fronts the scatter-gather [`crate::router::Router`]:
+//! only the route table behind it differs, so a router enforces exactly
+//! the limits, timeouts and error answers of a single box.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -56,6 +61,7 @@ use crate::fault::FaultPlan;
 use crate::handle::EngineHandle;
 use crate::json;
 use crate::net::{raw_fd, Event, Poller, WakeReceiver, Waker};
+use crate::router::Fleet;
 use crate::wire;
 
 /// Transport limits and timeouts for an [`HttpServer`].
@@ -162,11 +168,46 @@ struct Counters {
     timeouts: AtomicU64,
 }
 
+/// What answers the requests a transport parses.
+pub(crate) enum Backend {
+    /// One engine behind the shared micro-batching admission queue.
+    Engine {
+        handle: Arc<EngineHandle>,
+        batch: Arc<BatchServer>,
+    },
+    /// A scatter-gather front over shard servers.
+    Router(Arc<Fleet>),
+}
+
+/// A router's answer to one request.
+pub(crate) enum Answer {
+    /// Answered on the event loop.
+    Now(u16, String),
+    /// Blocking work, run on a one-off thread (see [`Conn::defer`]).
+    Later(Box<dyn FnOnce() -> (u16, String) + Send>),
+}
+
 struct Shared {
-    handle: Arc<EngineHandle>,
+    backend: Backend,
     options: HttpOptions,
     shutdown: AtomicBool,
     counters: Counters,
+}
+
+impl Shared {
+    fn stats(&self) -> HttpStats {
+        let c = &self.counters;
+        HttpStats {
+            connections: c.connections.load(Ordering::Relaxed),
+            current_connections: c.current_connections.load(Ordering::Relaxed),
+            requests: c.requests.load(Ordering::Relaxed),
+            responses_2xx: c.responses_2xx.load(Ordering::Relaxed),
+            responses_4xx: c.responses_4xx.load(Ordering::Relaxed),
+            responses_5xx: c.responses_5xx.load(Ordering::Relaxed),
+            responses_429: c.responses_429.load(Ordering::Relaxed),
+            timeouts: c.timeouts.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// A message posted into an event loop's inbox from another thread.
@@ -181,11 +222,12 @@ enum Msg {
         result: Box<Result<Prediction, ServeError>>,
         epoch: u64,
     },
-    /// A reload finished on its one-off thread.
-    ReloadDone {
+    /// A deferred answer finished on its one-off thread.
+    Deferred {
         conn: u64,
         req: u64,
-        result: Result<u64, ServeError>,
+        status: u16,
+        body: String,
     },
 }
 
@@ -209,7 +251,6 @@ impl Inbox {
 /// Everything an event loop (and its connections) needs to dispatch.
 struct LoopCtx {
     shared: Arc<Shared>,
-    batch: Arc<BatchServer>,
     inbox: Arc<Inbox>,
 }
 
@@ -218,18 +259,17 @@ struct LoopCtx {
 /// [`HttpServer::shutdown`] (or drop) stops accepting, drains in-flight
 /// requests, and joins all of it.
 pub struct HttpServer {
-    shared: Arc<Shared>,
-    addr: SocketAddr,
-    accept: Option<std::thread::JoinHandle<()>>,
-    loops: Vec<std::thread::JoinHandle<()>>,
-    inboxes: Vec<Arc<Inbox>>,
-    batch: Option<Arc<BatchServer>>,
+    // Declared first so it drops first: the event loops are joined
+    // before the last `batch` reference (below) joins the worker pool.
+    transport: Transport,
+    handle: Arc<EngineHandle>,
+    batch: Arc<BatchServer>,
 }
 
 impl std::fmt::Debug for HttpServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HttpServer")
-            .field("addr", &self.addr)
+            .field("addr", &self.local_addr())
             .finish()
     }
 }
@@ -272,12 +312,6 @@ impl HttpServer {
         options: HttpOptions,
         faults: Option<Arc<FaultPlan>>,
     ) -> std::io::Result<Self> {
-        assert!(options.event_loops > 0, "event_loops must be positive");
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        // Best-effort: the 10K-connection target needs the fd budget.
-        // The listener + loops + wakers cost a handful on top.
-        crate::net::raise_nofile_limit(options.max_connections as u64 + 64).ok();
         let batch_options = BatchOptions::default()
             .with_workers(options.workers)
             .with_max_batch(options.max_batch)
@@ -289,8 +323,73 @@ impl HttpServer {
             }
             None => BatchServer::over_handle(Arc::clone(&handle), batch_options),
         });
-        let shared = Arc::new(Shared {
+        let backend = Backend::Engine {
+            handle: Arc::clone(&handle),
+            batch: Arc::clone(&batch),
+        };
+        Ok(Self {
+            transport: Transport::start(addr, options, backend)?,
             handle,
+            batch,
+        })
+    }
+
+    /// The bound address (resolves the actual ephemeral port).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.transport.local_addr()
+    }
+
+    /// The engine handle this server fronts.
+    pub fn handle(&self) -> &Arc<EngineHandle> {
+        &self.handle
+    }
+
+    /// A snapshot of the transport counters.
+    pub fn stats(&self) -> HttpStats {
+        self.transport.stats()
+    }
+
+    /// A snapshot of the shared admission queue's batching statistics
+    /// (coalesced batch sizes, queue depth, rejections).
+    pub fn batch_stats(&self) -> ServerStats {
+        self.batch.stats()
+    }
+
+    /// Stops accepting, drains in-flight requests (bounded by
+    /// [`HttpOptions::drain_timeout`]), closes connections, and joins
+    /// every thread.
+    pub fn shutdown(mut self) {
+        self.transport.stop();
+    }
+}
+
+/// The one transport core behind [`HttpServer`] and
+/// [`crate::router::Router`]: an acceptor thread and `event_loops`
+/// readiness-loop threads serving one [`Backend`]. Dropping it stops
+/// accepting, drains in-flight requests and joins every thread.
+pub(crate) struct Transport {
+    shared: Arc<Shared>,
+    addr: SocketAddr,
+    accept: Option<std::thread::JoinHandle<()>>,
+    loops: Vec<std::thread::JoinHandle<()>>,
+    inboxes: Vec<Arc<Inbox>>,
+}
+
+impl Transport {
+    /// Binds `addr` and starts serving `backend` in background threads.
+    pub(crate) fn start<A: ToSocketAddrs>(
+        addr: A,
+        options: HttpOptions,
+        backend: Backend,
+    ) -> std::io::Result<Self> {
+        assert!(options.event_loops > 0, "event_loops must be positive");
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        // Best-effort: the 10K-connection target needs the fd budget.
+        // The listener + loops + wakers cost a handful on top.
+        crate::net::raise_nofile_limit(options.max_connections as u64 + 64).ok();
+        let shared = Arc::new(Shared {
+            backend,
             options,
             shutdown: AtomicBool::new(false),
             counters: Counters::default(),
@@ -312,7 +411,6 @@ impl HttpServer {
             });
             let ctx = LoopCtx {
                 shared: Arc::clone(&shared),
-                batch: Arc::clone(&batch),
                 inbox: Arc::clone(&inbox),
             };
             loops.push(std::thread::spawn(move || {
@@ -330,49 +428,21 @@ impl HttpServer {
             accept: Some(accept),
             loops,
             inboxes,
-            batch: Some(batch),
         })
     }
 
-    /// The bound address (resolves the actual ephemeral port).
-    pub fn local_addr(&self) -> SocketAddr {
+    pub(crate) fn local_addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// The engine handle this server fronts.
-    pub fn handle(&self) -> &Arc<EngineHandle> {
-        &self.shared.handle
-    }
-
-    /// A snapshot of the transport counters.
-    pub fn stats(&self) -> HttpStats {
-        let c = &self.shared.counters;
-        HttpStats {
-            connections: c.connections.load(Ordering::Relaxed),
-            current_connections: c.current_connections.load(Ordering::Relaxed),
-            requests: c.requests.load(Ordering::Relaxed),
-            responses_2xx: c.responses_2xx.load(Ordering::Relaxed),
-            responses_4xx: c.responses_4xx.load(Ordering::Relaxed),
-            responses_5xx: c.responses_5xx.load(Ordering::Relaxed),
-            responses_429: c.responses_429.load(Ordering::Relaxed),
-            timeouts: c.timeouts.load(Ordering::Relaxed),
-        }
-    }
-
-    /// A snapshot of the shared admission queue's batching statistics
-    /// (coalesced batch sizes, queue depth, rejections).
-    pub fn batch_stats(&self) -> ServerStats {
-        self.batch.as_ref().map(|b| b.stats()).unwrap_or_default()
+    pub(crate) fn stats(&self) -> HttpStats {
+        self.shared.stats()
     }
 
     /// Stops accepting, drains in-flight requests (bounded by
-    /// [`HttpOptions::drain_timeout`]), closes connections, and joins
-    /// every thread.
-    pub fn shutdown(mut self) {
-        self.begin_shutdown();
-    }
-
-    fn begin_shutdown(&mut self) {
+    /// [`HttpOptions::drain_timeout`]), closes connections, and joins the
+    /// acceptor and the event loops. Idempotent.
+    pub(crate) fn stop(&mut self) {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
@@ -398,19 +468,12 @@ impl HttpServer {
         for t in self.loops.drain(..) {
             t.join().ok();
         }
-        // Only after the loops are gone (no more completion callbacks
-        // needed) may the worker pool go down.
-        if let Some(batch) = self.batch.take() {
-            if let Ok(b) = Arc::try_unwrap(batch) {
-                b.shutdown();
-            }
-        }
     }
 }
 
-impl Drop for HttpServer {
+impl Drop for Transport {
     fn drop(&mut self) {
-        self.begin_shutdown();
+        self.stop();
     }
 }
 
@@ -508,7 +571,8 @@ fn event_loop(ctx: &LoopCtx, mut poller: Poller, receiver: &WakeReceiver) {
                             .fetch_sub(1, Ordering::Relaxed);
                         continue; // dropped: accept-level failure
                     }
-                    conns.insert(token, Conn::new(stream, token));
+                    let parser = RequestParser::new(ctx.shared.options.max_body_bytes);
+                    conns.insert(token, Conn::new(stream, token, parser));
                 }
                 Msg::Done {
                     conn,
@@ -524,9 +588,14 @@ fn event_loop(ctx: &LoopCtx, mut poller: Poller, receiver: &WakeReceiver) {
                         settle(&mut poller, &mut conns, &ctx.shared, conn, keep);
                     }
                 }
-                Msg::ReloadDone { conn, req, result } => {
+                Msg::Deferred {
+                    conn,
+                    req,
+                    status,
+                    body,
+                } => {
                     if let Some(c) = conns.get_mut(&conn) {
-                        let keep = c.apply_reload_done(req, result, ctx);
+                        let keep = c.apply_deferred(req, status, &body, ctx);
                         settle(&mut poller, &mut conns, &ctx.shared, conn, keep);
                     }
                 }
@@ -625,8 +694,9 @@ enum Slot {
     /// A predict request waiting for its jobs to come back from the
     /// admission queue.
     Predict(PredictSlot),
-    /// A reload running on its one-off thread.
-    Reload { req: u64, keep_alive: bool },
+    /// A deferred answer (a reload, a router fan-out) being computed on
+    /// its one-off thread.
+    Deferred { req: u64, keep_alive: bool },
     /// A rendered response ready to write.
     Ready {
         bytes: Vec<u8>,
@@ -682,11 +752,11 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, token: u64) -> Self {
+    fn new(stream: TcpStream, token: u64, parser: RequestParser) -> Self {
         Self {
             stream,
             token,
-            parser: RequestParser::new(0), // replaced per server below
+            parser,
             inbuf: Vec::new(),
             out: Vec::new(),
             out_pos: 0,
@@ -737,11 +807,6 @@ impl Conn {
         if self.stop_reading || self.read_closed {
             // A level-triggered event raced an interest change; ignore.
             return true;
-        }
-        // The parser was constructed before the options were known; size
-        // it on first contact.
-        if self.next_req == 0 && self.parser.is_idle() && self.inbuf.is_empty() {
-            self.parser = RequestParser::new(ctx.shared.options.max_body_bytes);
         }
         let mut buf = [0u8; 16 << 10];
         loop {
@@ -875,33 +940,28 @@ impl Conn {
     /// Queues a normal (route-level) response; route errors keep the
     /// connection alive — only transport-level failures close it.
     fn push_response(&mut self, ctx: &LoopCtx, status: u16, body: &str, keep_alive: bool) {
-        let bytes = render_response(&ctx.shared.counters, status, body, keep_alive, None, 0);
-        self.pending.push_back(Slot::Ready {
-            bytes,
-            keep_alive,
-            error_close: false,
-        });
+        let slot = ready_slot(ctx, status, body, keep_alive, None, 0);
+        self.pending.push_back(slot);
     }
 
     fn push_err(&mut self, ctx: &LoopCtx, e: &ServeError, keep_alive: bool) {
-        let bytes = render_response(
-            &ctx.shared.counters,
-            e.http_status(),
-            &wire::encode_error_body(e),
-            keep_alive,
-            retry_after(e),
-            0,
-        );
-        self.pending.push_back(Slot::Ready {
-            bytes,
-            keep_alive,
-            error_close: false,
-        });
+        let body = wire::encode_error_body(e);
+        let slot = ready_slot(ctx, e.http_status(), &body, keep_alive, retry_after(e), 0);
+        self.pending.push_back(slot);
     }
 
     fn dispatch(&mut self, req: ParsedRequest, ctx: &LoopCtx) {
         ctx.shared.counters.requests.fetch_add(1, Ordering::Relaxed);
         let keep_alive = req.keep_alive && !ctx.shared.shutdown.load(Ordering::SeqCst);
+        let (handle, batch) = match &ctx.shared.backend {
+            Backend::Engine { handle, batch } => (handle, batch),
+            Backend::Router(fleet) => {
+                return match fleet.route(&req.method, &req.path, req.body, || ctx.shared.stats()) {
+                    Answer::Now(status, body) => self.push_response(ctx, status, &body, keep_alive),
+                    Answer::Later(work) => self.defer(ctx, keep_alive, work),
+                };
+            }
+        };
         // Probes and load balancers append query strings
         // (`/healthz?t=1`); routing matches on the path alone.
         let path = req.path.split('?').next().unwrap_or("");
@@ -910,7 +970,7 @@ impl Conn {
                 let body = format!(
                     "{{\"api_version\":{},\"status\":\"ok\",\"epoch\":{}}}",
                     wire::API_VERSION,
-                    ctx.shared.handle.epoch()
+                    handle.epoch()
                 );
                 self.push_response(ctx, 200, &body, keep_alive);
             }
@@ -920,7 +980,7 @@ impl Conn {
                 // source keeps failing both still *answer* (last-good
                 // engine), but should stop receiving new traffic.
                 let draining = ctx.shared.shutdown.load(Ordering::SeqCst);
-                let failures = ctx.shared.handle.consecutive_reload_failures();
+                let failures = handle.consecutive_reload_failures();
                 let reason = if draining {
                     Some("draining")
                 } else if failures >= READY_MAX_RELOAD_FAILURES {
@@ -934,7 +994,7 @@ impl Conn {
                      \"consecutive_reload_failures\":{}{}}}",
                     wire::API_VERSION,
                     ready,
-                    ctx.shared.handle.epoch(),
+                    handle.epoch(),
                     failures,
                     reason
                         .map(|r| format!(",\"reason\":\"{r}\""))
@@ -943,11 +1003,21 @@ impl Conn {
                 self.push_response(ctx, if ready { 200 } else { 503 }, &body, keep_alive);
             }
             ("GET", "/v1/stats") => {
-                let body = stats_body(&ctx.shared, &ctx.batch);
+                let body = stats_body(&ctx.shared, handle, batch);
                 self.push_response(ctx, 200, &body, keep_alive);
             }
-            ("POST", "/v1/predict") => self.dispatch_predict(&req.body, keep_alive, ctx),
-            ("POST", "/v1/reload") => self.dispatch_reload(&req.body, keep_alive, ctx),
+            ("POST", "/v1/predict") => {
+                self.dispatch_predict(&req.body, keep_alive, handle, batch, ctx)
+            }
+            // Reloads are deferred: snapshot IO + table builds take an
+            // event loop's eternity.
+            ("POST", "/v1/reload") => match reload_path(&req.body) {
+                Ok(path) => {
+                    let handle = Arc::clone(handle);
+                    self.defer(ctx, keep_alive, move || reload(&handle, &path));
+                }
+                Err(e) => self.push_err(ctx, &e, keep_alive),
+            },
             (_, "/healthz" | "/readyz" | "/v1/stats" | "/v1/predict" | "/v1/reload") => self
                 .push_err(
                     ctx,
@@ -970,12 +1040,19 @@ impl Conn {
     /// same fused batch passes (and HTTP batches don't bypass the
     /// queue). Validation runs here, before enqueue — a malformed
     /// request answers immediately and costs no queue slot.
-    fn dispatch_predict(&mut self, body: &str, keep_alive: bool, ctx: &LoopCtx) {
+    fn dispatch_predict(
+        &mut self,
+        body: &str,
+        keep_alive: bool,
+        handle: &EngineHandle,
+        batch: &BatchServer,
+        ctx: &LoopCtx,
+    ) {
         let wreq = match wire::decode_predict_request(body) {
             Ok(r) => r,
             Err(e) => return self.push_err(ctx, &e, keep_alive),
         };
-        let engine = ctx.shared.handle.engine();
+        let engine = handle.engine();
         let k = wreq.top_k.unwrap_or_else(|| engine.default_top_k());
         for f in &wreq.inputs {
             if let Err(e) = engine.validate_request(f, k) {
@@ -1004,7 +1081,7 @@ impl Conn {
                 (f, k, cb)
             })
             .collect();
-        match ctx.batch.submit_callbacks(jobs) {
+        match batch.submit_callbacks(jobs) {
             Ok(()) => self.pending.push_back(Slot::Predict(PredictSlot {
                 req,
                 expected,
@@ -1020,43 +1097,42 @@ impl Conn {
         }
     }
 
-    /// Reloads run on a one-off thread (snapshot IO + table builds take
-    /// an event loop's eternity) and post back through the inbox.
-    fn dispatch_reload(&mut self, body: &str, keep_alive: bool, ctx: &LoopCtx) {
-        let parsed = json::parse(body).map_err(|e| ServeError::BadRequest {
-            message: format!("invalid json: {e}"),
-        });
-        let path = match parsed.as_ref().map(|v| {
-            v.get("path")
-                .and_then(json::Json::as_str)
-                .map(str::to_string)
-        }) {
-            Ok(Some(p)) => p,
-            Ok(None) => {
-                return self.push_err(
-                    ctx,
-                    &ServeError::BadRequest {
-                        message: "reload body needs a \"path\" string".into(),
-                    },
-                    keep_alive,
-                )
-            }
-            Err(e) => return self.push_err(ctx, e, keep_alive),
-        };
+    /// Runs blocking `work` on a one-off thread and queues its slot; the
+    /// finished `(status, body)` posts back through the inbox (see
+    /// [`Conn::apply_deferred`]). A panic in `work` answers a typed
+    /// `500` rather than leaving the slot unanswered, and a thread that
+    /// cannot be spawned answers `429`.
+    fn defer<F>(&mut self, ctx: &LoopCtx, keep_alive: bool, work: F)
+    where
+        F: FnOnce() -> (u16, String) + Send + 'static,
+    {
         let req = self.next_req;
         self.next_req += 1;
-        let token = self.token;
+        let conn = self.token;
         let inbox = Arc::clone(&ctx.inbox);
-        let handle = Arc::clone(&ctx.shared.handle);
-        std::thread::spawn(move || {
-            let result = handle.reload_from_file(&path);
-            inbox.post(Msg::ReloadDone {
-                conn: token,
+        let spawned = std::thread::Builder::new().spawn(move || {
+            let (status, body) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(work))
+                .unwrap_or_else(|_| {
+                    let e = ServeError::WorkerPanicked;
+                    (e.http_status(), wire::encode_error_body(&e))
+                });
+            inbox.post(Msg::Deferred {
+                conn,
                 req,
-                result,
+                status,
+                body,
             });
         });
-        self.pending.push_back(Slot::Reload { req, keep_alive });
+        match spawned {
+            Ok(_) => self.pending.push_back(Slot::Deferred { req, keep_alive }),
+            Err(_) => self.push_err(
+                ctx,
+                &ServeError::Overloaded {
+                    retry_after_secs: RETRY_AFTER_SECS,
+                },
+                keep_alive,
+            ),
+        }
     }
 
     /// One predict job came back; when the whole request's jobs are in,
@@ -1069,37 +1145,22 @@ impl Conn {
         epoch: u64,
         ctx: &LoopCtx,
     ) -> bool {
-        let mut complete_at = None;
-        for (i, s) in self.pending.iter_mut().enumerate() {
-            if let Slot::Predict(p) = s {
-                if p.req == req {
-                    p.got += 1;
-                    p.epoch = p.epoch.max(epoch);
-                    match result {
-                        Ok(pr) => p.predictions[index] = Some(pr),
-                        Err(e) => {
-                            if p.error.is_none() {
-                                p.error = Some(e);
-                            }
-                        }
-                    }
-                    if p.got == p.expected {
-                        complete_at = Some(i);
-                    }
-                    break;
+        for slot in &mut self.pending {
+            let Slot::Predict(p) = slot else { continue };
+            if p.req != req {
+                continue;
+            }
+            p.got += 1;
+            p.epoch = p.epoch.max(epoch);
+            match result {
+                Ok(pr) => p.predictions[index] = Some(pr),
+                Err(e) => {
+                    p.error.get_or_insert(e);
                 }
             }
-        }
-        if let Some(i) = complete_at {
-            let Slot::Predict(p) = &mut self.pending[i] else {
-                // lint:allow(no-panic-paths): complete_at was set inside a
-                // Slot::Predict match just above; this re-match exists only
-                // for the borrow checker.
-                unreachable!("complete_at points at the matched predict slot");
-            };
-            // Re-check shutdown: a response finishing during drain
-            // closes its connection.
-            let keep_alive = p.keep_alive && !ctx.shared.shutdown.load(Ordering::SeqCst);
+            if p.got < p.expected {
+                break;
+            }
             let (status, body) = match p.error.take() {
                 Some(e) => (e.http_status(), wire::encode_error_body(&e)),
                 None => {
@@ -1107,7 +1168,7 @@ impl Conn {
                     // filled; if one is missing anyway, answer a typed
                     // 500 rather than panic the event loop.
                     let predictions: Option<Vec<Prediction>> =
-                        p.predictions.iter_mut().map(|slot| slot.take()).collect();
+                        p.predictions.iter_mut().map(Option::take).collect();
                     match predictions {
                         Some(predictions) => (
                             200,
@@ -1125,62 +1186,25 @@ impl Conn {
             };
             // Advisory header: the level *now*, which is the level that
             // answered (or raced within one drain of it).
-            let bytes = render_response(
-                &ctx.shared.counters,
-                status,
-                &body,
-                keep_alive,
-                None,
-                ctx.batch.degradation_level(),
-            );
-            self.pending[i] = Slot::Ready {
-                bytes,
-                keep_alive,
-                error_close: false,
+            let degraded = match &ctx.shared.backend {
+                Backend::Engine { batch, .. } => batch.degradation_level(),
+                Backend::Router(_) => 0,
             };
+            *slot = ready_slot(ctx, status, &body, p.keep_alive, None, degraded);
+            break;
         }
         self.try_flush(ctx)
     }
 
-    fn apply_reload_done(
-        &mut self,
-        req: u64,
-        result: Result<u64, ServeError>,
-        ctx: &LoopCtx,
-    ) -> bool {
-        let mut complete_at = None;
-        for (i, s) in self.pending.iter_mut().enumerate() {
-            if let Slot::Reload { req: r, .. } = s {
-                if *r == req {
-                    complete_at = Some(i);
+    /// A deferred answer came back: its slot renders to a response.
+    fn apply_deferred(&mut self, req: u64, status: u16, body: &str, ctx: &LoopCtx) -> bool {
+        for slot in &mut self.pending {
+            if let Slot::Deferred { req: r, keep_alive } = *slot {
+                if r == req {
+                    *slot = ready_slot(ctx, status, body, keep_alive, None, 0);
                     break;
                 }
             }
-        }
-        if let Some(i) = complete_at {
-            let Slot::Reload { keep_alive, .. } = self.pending[i] else {
-                // lint:allow(no-panic-paths): complete_at was set inside a
-                // Slot::Reload match just above; this re-match exists only
-                // for the borrow checker.
-                unreachable!("complete_at points at the matched reload slot");
-            };
-            let keep_alive = keep_alive && !ctx.shared.shutdown.load(Ordering::SeqCst);
-            let (status, body) = match result {
-                Ok(epoch) => (
-                    200,
-                    format!(
-                        "{{\"api_version\":{},\"epoch\":{epoch}}}",
-                        wire::API_VERSION
-                    ),
-                ),
-                Err(e) => (e.http_status(), wire::encode_error_body(&e)),
-            };
-            let bytes = render_response(&ctx.shared.counters, status, &body, keep_alive, None, 0);
-            self.pending[i] = Slot::Ready {
-                bytes,
-                keep_alive,
-                error_close: false,
-            };
         }
         self.try_flush(ctx)
     }
@@ -1220,22 +1244,17 @@ impl Conn {
                     return false;
                 }
             }
-            if matches!(self.pending.front(), Some(Slot::Ready { .. })) {
-                let Some(Slot::Ready {
-                    bytes,
-                    keep_alive,
-                    error_close,
-                }) = self.pending.pop_front()
-                else {
-                    // lint:allow(no-panic-paths): the matches! guard on the
-                    // front slot succeeded one line up; pop_front returns
-                    // that same slot.
-                    unreachable!("front matched Ready");
-                };
-                self.out = bytes;
+            if let Some(Slot::Ready {
+                bytes,
+                keep_alive,
+                error_close,
+            }) = self.pending.front_mut()
+            {
+                self.out = std::mem::take(bytes);
                 self.out_pos = 0;
-                self.close_after_flush = !keep_alive;
-                self.error_close = error_close;
+                self.close_after_flush = !*keep_alive;
+                self.error_close = *error_close;
+                self.pending.pop_front();
                 continue;
             }
             // Responses freed pipeline slots: buffered bytes may hold
@@ -1303,6 +1322,30 @@ impl Conn {
 // ---------------------------------------------------------------------
 // Response rendering.
 
+/// The snapshot path a `POST /v1/reload` body names.
+fn reload_path(body: &str) -> Result<String, ServeError> {
+    let bad = |message: String| ServeError::BadRequest { message };
+    let v = json::parse(body).map_err(|e| bad(format!("invalid json: {e}")))?;
+    v.get("path")
+        .and_then(json::Json::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| bad("reload body needs a \"path\" string".into()))
+}
+
+/// Loads the snapshot at `path` and swaps it in.
+fn reload(handle: &EngineHandle, path: &str) -> (u16, String) {
+    match handle.reload_from_file(path) {
+        Ok(epoch) => (
+            200,
+            format!(
+                "{{\"api_version\":{},\"epoch\":{epoch}}}",
+                wire::API_VERSION
+            ),
+        ),
+        Err(e) => (e.http_status(), wire::encode_error_body(&e)),
+    }
+}
+
 fn retry_after(e: &ServeError) -> Option<u64> {
     match e {
         ServeError::Overloaded { retry_after_secs } => Some(*retry_after_secs),
@@ -1310,7 +1353,34 @@ fn retry_after(e: &ServeError) -> Option<u64> {
     }
 }
 
-pub(crate) fn reason(status: u16) -> &'static str {
+/// A rendered answer that keeps the connection open when `keep_alive`
+/// asks for it — unless shutdown began since: a response finishing
+/// during drain closes its connection.
+fn ready_slot(
+    ctx: &LoopCtx,
+    status: u16,
+    body: &str,
+    keep_alive: bool,
+    retry_after_secs: Option<u64>,
+    degraded: u32,
+) -> Slot {
+    let keep_alive = keep_alive && !ctx.shared.shutdown.load(Ordering::SeqCst);
+    let bytes = render_response(
+        &ctx.shared.counters,
+        status,
+        body,
+        keep_alive,
+        retry_after_secs,
+        degraded,
+    );
+    Slot::Ready {
+        bytes,
+        keep_alive,
+        error_close: false,
+    }
+}
+
+fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -1364,8 +1434,8 @@ fn render_response(
     response.into_bytes()
 }
 
-fn stats_body(shared: &Shared, batch: &BatchServer) -> String {
-    let (engine, epoch) = shared.handle.current();
+fn stats_body(shared: &Shared, handle: &EngineHandle, batch: &BatchServer) -> String {
+    let (engine, epoch) = handle.current();
     let e = engine.stats();
     let b = batch.stats();
     let c = &shared.counters;
@@ -1396,11 +1466,11 @@ fn stats_body(shared: &Shared, batch: &BatchServer) -> String {
         ),
         wire::API_VERSION,
         epoch,
-        shared.handle.reloads(),
-        shared.handle.reload_failures(),
-        shared.handle.last_good_epoch(),
-        shared.handle.consecutive_reload_failures(),
-        shared.handle.quarantined(),
+        handle.reloads(),
+        handle.reload_failures(),
+        handle.last_good_epoch(),
+        handle.consecutive_reload_failures(),
+        handle.quarantined(),
         e.requests,
         e.mean_latency().as_secs_f64() * 1e6,
         Duration::from_nanos(e.max_latency_ns).as_secs_f64() * 1e6,
@@ -1431,7 +1501,7 @@ fn stats_body(shared: &Shared, batch: &BatchServer) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::client::Client;
     use crate::engine::{ServeOptions, ServingEngine};
@@ -1464,7 +1534,7 @@ mod tests {
 
     /// Reads one full HTTP response off a raw socket: status, headers,
     /// Content-Length-bounded body.
-    fn read_response(
+    pub(crate) fn read_response(
         reader: &mut std::io::BufReader<TcpStream>,
     ) -> Option<(u16, Vec<String>, String)> {
         let mut line = String::new();

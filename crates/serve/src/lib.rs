@@ -37,7 +37,8 @@
 //!   `POST /v1/predict` across the fleet and merges the per-shard top-k
 //!   lists into an answer bit-identical to one full box's, failing
 //!   typed (`503 shard_unavailable` / `504 merge_timeout`) rather than
-//!   merging partially;
+//!   merging partially. It is a second back-end of the same event-loop
+//!   transport, so it enforces the single box's limits and timeouts;
 //! * [`fault`] — a runtime fault-injection switchboard ([`FaultPlan`])
 //!   the chaos drills use to prove the recovery paths: panic-isolated
 //!   supervised workers, snapshot quarantine + last-good rollback, and

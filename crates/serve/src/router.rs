@@ -11,6 +11,13 @@
 //! tie-breaking matches to the bit), and the merged answer equals the
 //! single full engine's — classes *and* score bits.
 //!
+//! The router owns no transport of its own: it is a second back-end of
+//! [`crate::http`]'s event-loop server, so its limits, timeouts,
+//! pipelining and transport-level errors (`400`, `413`, `429`) are the
+//! single box's with [`HttpOptions::default`]. What lives here is only
+//! the route table, the all-or-nothing scatter over shard [`Client`]s,
+//! and the [`TopK`] merge.
+//!
 //! Failure policy is all-or-nothing: a partial merge would silently
 //! drop one shard's classes, so an unreachable (or 5xx) shard turns the
 //! whole request into a typed `503 shard_unavailable`, and a shard
@@ -25,19 +32,18 @@
 //! (ready only when *every* shard is), `GET /v1/stats` (router-role
 //! counters). [`crate::client::Client`] speaks to a router unchanged.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 use slide_core::TopK;
 
 use crate::client::{Client, ClientError};
 use crate::engine::ServeOptions;
 use crate::error::ServeError;
-use crate::http::reason;
-use crate::wire::{self, PredictResponse, WirePrediction};
+use crate::http::{Answer, Backend, HttpOptions, HttpStats, Transport};
+use crate::wire::{self, PredictRequest, PredictResponse, WirePrediction};
 
 /// Tuning for a [`Router`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,11 +56,6 @@ pub struct RouterOptions {
     /// Scatter is parallel, so the slowest shard bounds the merge; past
     /// this the request fails typed `504 merge_timeout`.
     pub merge_timeout: Duration,
-    /// Idle keep-alive window per client connection before the router
-    /// closes it.
-    pub idle_timeout: Duration,
-    /// Largest accepted request body, bytes (`413` past it).
-    pub max_body_bytes: usize,
 }
 
 impl Default for RouterOptions {
@@ -62,8 +63,6 @@ impl Default for RouterOptions {
         Self {
             top_k: ServeOptions::default().top_k,
             merge_timeout: Duration::from_secs(5),
-            idle_timeout: Duration::from_secs(30),
-            max_body_bytes: 4 << 20,
         }
     }
 }
@@ -80,23 +79,6 @@ impl RouterOptions {
         self.merge_timeout = timeout;
         self
     }
-
-    /// Sets the idle keep-alive window (builder style).
-    pub fn with_idle_timeout(mut self, timeout: Duration) -> Self {
-        self.idle_timeout = timeout;
-        self
-    }
-}
-
-/// Monotonic counters a router exports through `GET /v1/stats`.
-#[derive(Debug, Default)]
-struct Counters {
-    requests: AtomicU64,
-    merged: AtomicU64,
-    shard_errors: AtomicU64,
-    responses_2xx: AtomicU64,
-    responses_4xx: AtomicU64,
-    responses_5xx: AtomicU64,
 }
 
 /// A point-in-time copy of a router's counters.
@@ -117,29 +99,44 @@ pub struct RouterStats {
     pub responses_5xx: u64,
 }
 
-struct Shared {
+/// A set of keep-alive shard clients: slot `i` talks to shard `i` and
+/// is dialed on first use.
+type ShardSet = Vec<Option<Client>>;
+
+/// How long a shard set may sit idle and still be reused: half a
+/// shard's default idle sweep ([`HttpOptions::read_timeout`]), so a
+/// reused connection has not been closed under the router.
+const SHARD_SET_MAX_IDLE: Duration = Duration::from_secs(15);
+
+/// The router's back-end state, shared by the transport's event loops
+/// and the one-off threads that run fan-outs.
+pub(crate) struct Fleet {
     shards: Vec<SocketAddr>,
     options: RouterOptions,
-    shutdown: AtomicBool,
-    counters: Counters,
+    /// Shard sets between requests, each stamped with when it came back.
+    /// A stack: the newest set is reused first, so a steady load keeps
+    /// re-using warm sockets and the stamps ascend bottom to top.
+    idle: Mutex<Vec<(Instant, ShardSet)>>,
+    merged: AtomicU64,
+    shard_errors: AtomicU64,
 }
 
 /// The scatter-gather front door over a fleet of shard servers.
 ///
-/// Accepts on a bound address, one blocking handler thread per client
-/// connection; each handler keeps its own pool of keep-alive shard
-/// connections, so a busy client re-uses warm sockets end to end.
+/// Served by the same event-loop transport as [`crate::http::HttpServer`];
+/// each blocking fan-out runs on a one-off thread, through a keep-alive
+/// shard connection set taken from a shared idle stack, so busy traffic
+/// re-uses warm sockets end to end.
 pub struct Router {
-    local_addr: SocketAddr,
-    shared: Arc<Shared>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    transport: Transport,
+    fleet: Arc<Fleet>,
 }
 
 impl std::fmt::Debug for Router {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Router")
-            .field("local_addr", &self.local_addr)
-            .field("shards", &self.shared.shards)
+            .field("local_addr", &self.local_addr())
+            .field("shards", &self.fleet.shards)
             .finish()
     }
 }
@@ -163,284 +160,292 @@ impl Router {
                 "router needs at least one shard",
             ));
         }
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
+        let fleet = Arc::new(Fleet {
             shards,
             options,
-            shutdown: AtomicBool::new(false),
-            counters: Counters::default(),
+            idle: Mutex::new(Vec::new()),
+            merged: AtomicU64::new(0),
+            shard_errors: AtomicU64::new(0),
         });
-        let accept_shared = Arc::clone(&shared);
-        let accept_thread = std::thread::Builder::new()
-            .name("slide-router-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_shared))?;
+        let backend = Backend::Router(Arc::clone(&fleet));
         Ok(Self {
-            local_addr,
-            shared,
-            accept_thread: Some(accept_thread),
+            transport: Transport::start(addr, HttpOptions::default(), backend)?,
+            fleet,
         })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.transport.local_addr()
     }
 
     /// The shard back-ends this router fans over.
     pub fn shards(&self) -> &[SocketAddr] {
-        &self.shared.shards
+        &self.fleet.shards
     }
 
     /// A snapshot of the router's counters.
     pub fn stats(&self) -> RouterStats {
-        let c = &self.shared.counters;
-        RouterStats {
-            requests: c.requests.load(Ordering::Relaxed),
-            merged: c.merged.load(Ordering::Relaxed),
-            shard_errors: c.shard_errors.load(Ordering::Relaxed),
-            responses_2xx: c.responses_2xx.load(Ordering::Relaxed),
-            responses_4xx: c.responses_4xx.load(Ordering::Relaxed),
-            responses_5xx: c.responses_5xx.load(Ordering::Relaxed),
-        }
+        self.fleet.stats(&self.transport.stats())
     }
 
-    /// Stops accepting and joins the accept thread. Handler threads for
-    /// already-open connections finish their in-flight request and exit
-    /// when the client disconnects or the idle window lapses.
+    /// Stops accepting, drains in-flight requests, closes every client
+    /// connection, and joins the transport's threads.
     pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept() with a throwaway dial.
-        TcpStream::connect(self.local_addr).ok();
-        if let Some(t) = self.accept_thread.take() {
-            t.join().ok();
-        }
+        self.transport.stop();
     }
 }
 
-impl Drop for Router {
-    fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            self.stop();
-        }
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
+impl Fleet {
+    /// The router's route table. Fan-outs block on shard round trips, so
+    /// they come back as [`Answer::Later`] for the transport to run off
+    /// its event loop; everything else answers at once. `http` reads the
+    /// transport's counters for `/v1/stats`.
+    pub(crate) fn route(
+        self: &Arc<Self>,
+        method: &str,
+        path: &str,
+        body: String,
+        http: impl FnOnce() -> HttpStats,
+    ) -> Answer {
+        let fleet = Arc::clone(self);
+        match (method, path.split('?').next().unwrap_or("")) {
+            // Decode locally first so malformed bodies die here with the
+            // same typed 400 a single box gives, without burning a
+            // fan-out.
+            ("POST", "/v1/predict") => match wire::decode_predict_request(&body) {
+                Ok(req) => Answer::Later(Box::new(move || fleet.predict(&req, &body))),
+                Err(e) => self.error_answer(&e),
+            },
+            ("GET", "/healthz") => Answer::Later(Box::new(move || fleet.healthz())),
+            ("GET", "/readyz") => Answer::Later(Box::new(move || fleet.readyz())),
+            ("GET", "/v1/stats") => Answer::Now(200, self.stats_body(&http())),
+            (_, "/healthz" | "/readyz" | "/v1/stats" | "/v1/predict") => {
+                self.error_answer(&ServeError::MethodNotAllowed {
+                    method: method.to_string(),
+                    path: path.to_string(),
+                })
             }
-            continue;
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
+            _ => self.error_answer(&ServeError::UnknownRoute {
+                path: path.to_string(),
+            }),
         }
-        let conn_shared = Arc::clone(shared);
-        std::thread::Builder::new()
-            .name("slide-router-conn".into())
-            .spawn(move || handle_connection(stream, &conn_shared))
-            .ok();
     }
-}
 
-// ---------------------------------------------------------------------
-// Per-connection request loop.
+    fn error_answer(&self, e: &ServeError) -> Answer {
+        let (status, body) = self.error_response(e);
+        Answer::Now(status, body)
+    }
 
-struct ParsedReq {
-    method: String,
-    path: String,
-    body: String,
-    keep_alive: bool,
-}
+    fn error_response(&self, e: &ServeError) -> (u16, String) {
+        if matches!(
+            e,
+            ServeError::ShardUnavailable { .. } | ServeError::MergeTimeout
+        ) {
+            self.shard_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        (e.http_status(), wire::encode_error_body(e))
+    }
 
-enum ReadOutcome {
-    /// Clean close, garbage head, or idle timeout: drop the connection.
-    Closed,
-    /// A parsed request.
-    Req(ParsedReq),
-    /// Head declared a body past the limit.
-    TooLarge,
-}
+    fn stats(&self, http: &HttpStats) -> RouterStats {
+        RouterStats {
+            requests: http.requests,
+            merged: self.merged.load(Ordering::Relaxed),
+            shard_errors: self.shard_errors.load(Ordering::Relaxed),
+            responses_2xx: http.responses_2xx,
+            responses_4xx: http.responses_4xx,
+            responses_5xx: http.responses_5xx,
+        }
+    }
 
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    stream.set_nodelay(true).ok();
-    stream
-        .set_read_timeout(Some(shared.options.idle_timeout))
-        .ok();
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    // Lazily dialed, per-connection keep-alive shard clients: slot `i`
-    // talks to shard `i` and survives across this connection's requests.
-    let mut clients: Vec<Option<Client>> = shared.shards.iter().map(|_| None).collect();
-    loop {
-        match read_request(&mut reader, shared.options.max_body_bytes) {
-            ReadOutcome::Closed => return,
-            ReadOutcome::TooLarge => {
-                let e = ServeError::PayloadTooLarge {
-                    limit: shared.options.max_body_bytes,
-                };
-                respond(
-                    shared,
-                    &mut writer,
-                    e.http_status(),
-                    &wire::encode_error_body(&e),
-                    false,
-                );
-                return;
+    fn stats_body(&self, http: &HttpStats) -> String {
+        let s = self.stats(http);
+        format!(
+            "{{\"api_version\":{},\"role\":\"router\",\"shards\":{},\"requests\":{},\
+             \"merged\":{},\"shard_errors\":{},\"responses_2xx\":{},\"responses_4xx\":{},\
+             \"responses_5xx\":{}}}",
+            wire::API_VERSION,
+            self.shards.len(),
+            s.requests,
+            s.merged,
+            s.shard_errors,
+            s.responses_2xx,
+            s.responses_4xx,
+            s.responses_5xx,
+        )
+    }
+
+    // -----------------------------------------------------------------
+    // Shard fan-out.
+
+    /// The newest idle shard set, or an undialed one. A stale top means
+    /// every set is stale (the stamps ascend), so all of them go.
+    fn checkout(&self) -> ShardSet {
+        let mut idle = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
+        match idle.pop() {
+            Some((returned, set)) if returned.elapsed() < SHARD_SET_MAX_IDLE => set,
+            stale => {
+                if stale.is_some() {
+                    idle.clear();
+                }
+                self.shards.iter().map(|_| None).collect()
             }
-            ReadOutcome::Req(req) => {
-                let keep_alive = req.keep_alive && !shared.shutdown.load(Ordering::SeqCst);
-                let (status, body) = dispatch(shared, &mut clients, &req);
-                if !respond(shared, &mut writer, status, &body, keep_alive) || !keep_alive {
-                    return;
+        }
+    }
+
+    fn checkin(&self, set: ShardSet) {
+        self.idle
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push((Instant::now(), set));
+    }
+
+    /// Fans one request over every shard in parallel and collects the
+    /// replies in shard order. The calling thread runs shard 0's round
+    /// trip itself; every other shard gets one scoped thread.
+    fn scatter(&self, method: &str, path: &str, body: Option<&str>) -> Vec<ShardReply> {
+        let timeout = self.options.merge_timeout;
+        let mut set = self.checkout();
+        let replies = std::thread::scope(|s| {
+            let mut slots = set.iter_mut().zip(&self.shards);
+            let first = slots.next();
+            let handles: Vec<_> = slots
+                .map(|(slot, &addr)| {
+                    s.spawn(move || shard_roundtrip(slot, addr, timeout, method, path, body))
+                })
+                .collect();
+            let mut replies = Vec::with_capacity(self.shards.len());
+            if let Some((slot, &addr)) = first {
+                replies.push(shard_roundtrip(slot, addr, timeout, method, path, body));
+            }
+            replies.extend(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or(ShardReply::Unreachable)),
+            );
+            replies
+        });
+        // Back on the stack before the answer posts, so a client's next
+        // request finds these warm sockets.
+        self.checkin(set);
+        replies
+    }
+
+    // -----------------------------------------------------------------
+    // Endpoints.
+
+    fn predict(&self, req: &PredictRequest, body: &str) -> (u16, String) {
+        let replies = self.scatter("POST", "/v1/predict", Some(body));
+        // All-or-nothing gather: relay a shard's own 4xx verbatim (its
+        // validation is the full model's), refuse to merge around any
+        // missing or failed shard.
+        let mut bodies: Vec<&str> = Vec::with_capacity(replies.len());
+        for (i, reply) in replies.iter().enumerate() {
+            match reply {
+                ShardReply::Answer(status, shard_body) => {
+                    if (400..500).contains(status) {
+                        return (*status, shard_body.clone());
+                    }
+                    if !(200..300).contains(status) {
+                        return self.error_response(&ServeError::ShardUnavailable { shard: i });
+                    }
+                    bodies.push(shard_body);
+                }
+                ShardReply::TimedOut => return self.error_response(&ServeError::MergeTimeout),
+                ShardReply::Unreachable => {
+                    return self.error_response(&ServeError::ShardUnavailable { shard: i })
                 }
             }
         }
-    }
-}
-
-fn read_request(reader: &mut BufReader<TcpStream>, max_body: usize) -> ReadOutcome {
-    let Some(request_line) = read_line(reader) else {
-        return ReadOutcome::Closed;
-    };
-    let mut parts = request_line.split_whitespace();
-    let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
-    else {
-        return ReadOutcome::Closed;
-    };
-    if !version.starts_with("HTTP/1.") {
-        return ReadOutcome::Closed;
-    }
-    let mut content_length = 0usize;
-    let mut keep_alive = true;
-    loop {
-        let Some(header) = read_line(reader) else {
-            return ReadOutcome::Closed;
-        };
-        if header.is_empty() {
-            break;
-        }
-        let Some((name, value)) = header.split_once(':') else {
-            return ReadOutcome::Closed;
-        };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        match name.as_str() {
-            "content-length" => {
-                let Ok(n) = value.parse::<usize>() else {
-                    return ReadOutcome::Closed;
-                };
-                content_length = n;
+        let mut shard_resps: Vec<PredictResponse> = Vec::with_capacity(bodies.len());
+        for (i, b) in bodies.iter().enumerate() {
+            match wire::decode_predict_response(b) {
+                Ok(r) if r.predictions.len() == req.inputs.len() => shard_resps.push(r),
+                // A 2xx that does not parse (or answers the wrong batch
+                // size) is a broken shard, not a client error.
+                _ => return self.error_response(&ServeError::ShardUnavailable { shard: i }),
             }
-            "connection" if value.eq_ignore_ascii_case("close") => keep_alive = false,
-            _ => {}
         }
-    }
-    if content_length > max_body {
-        return ReadOutcome::TooLarge;
-    }
-    let mut body = vec![0u8; content_length];
-    if reader.read_exact(&mut body).is_err() {
-        return ReadOutcome::Closed;
-    }
-    let Ok(body) = String::from_utf8(body) else {
-        return ReadOutcome::Closed;
-    };
-    ReadOutcome::Req(ParsedReq {
-        method: method.to_string(),
-        path: path.to_string(),
-        body,
-        keep_alive,
-    })
-}
-
-fn read_line(reader: &mut BufReader<TcpStream>) -> Option<String> {
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) | Err(_) => None,
-        Ok(_) => {
-            while line.ends_with('\n') || line.ends_with('\r') {
-                line.pop();
+        // Every shard accepted the request, so `k` passed the full-width
+        // validation and bounds this preallocation.
+        let k = req.top_k.unwrap_or(self.options.top_k);
+        let mut epoch = u64::MAX;
+        let mut merged: Vec<TopK> = req.inputs.iter().map(|_| TopK::new(k)).collect();
+        let mut latencies = vec![0u64; req.inputs.len()];
+        for resp in &shard_resps {
+            epoch = epoch.min(resp.epoch);
+            for (j, p) in resp.predictions.iter().enumerate() {
+                for (&class, &score) in p.classes.iter().zip(&p.scores) {
+                    merged[j].offer(class, score);
+                }
+                // The fan-out's critical path is its slowest shard.
+                latencies[j] = latencies[j].max(p.latency_us);
             }
-            Some(line)
         }
+        let predictions = merged
+            .iter_mut()
+            .zip(&latencies)
+            .map(|(t, &latency_us)| {
+                t.finish();
+                let items = t.items();
+                WirePrediction {
+                    classes: items.iter().map(|&(c, _)| c).collect(),
+                    scores: items.iter().map(|&(_, s)| s).collect(),
+                    latency_us,
+                }
+            })
+            .collect();
+        self.merged.fetch_add(1, Ordering::Relaxed);
+        let resp = PredictResponse { epoch, predictions };
+        (200, wire::encode_predict_response(&resp))
+    }
+
+    fn healthz(&self) -> (u16, String) {
+        // Liveness: the router itself answers as long as it runs; the
+        // epoch reported is the fleet's trailing edge (the smallest epoch
+        // any reachable shard serves), 0 when no shard is reachable.
+        let replies = self.scatter("GET", "/healthz", None);
+        let mut epoch: Option<u64> = None;
+        for reply in &replies {
+            if let ShardReply::Answer(status, body) = reply {
+                if (200..300).contains(status) {
+                    if let Ok(v) = crate::json::parse(body) {
+                        if let Some(e) = v.get("epoch").and_then(crate::json::Json::as_u64) {
+                            epoch = Some(epoch.map_or(e, |cur| cur.min(e)));
+                        }
+                    }
+                }
+            }
+        }
+        let body = format!(
+            "{{\"api_version\":{},\"status\":\"ok\",\"epoch\":{}}}",
+            wire::API_VERSION,
+            epoch.unwrap_or(0)
+        );
+        (200, body)
+    }
+
+    fn readyz(&self) -> (u16, String) {
+        // Readiness is strict: a merged answer needs EVERY shard, so one
+        // not-ready (or unreachable) shard makes the whole router not
+        // ready, typed with the shard index so operators know where to
+        // look.
+        let replies = self.scatter("GET", "/readyz", None);
+        for (i, reply) in replies.iter().enumerate() {
+            let ready =
+                matches!(reply, ShardReply::Answer(status, _) if (200..300).contains(status));
+            if !ready {
+                return self.error_response(&ServeError::ShardUnavailable { shard: i });
+            }
+        }
+        let body = format!(
+            "{{\"api_version\":{},\"ready\":true,\"shards\":{}}}",
+            wire::API_VERSION,
+            self.shards.len()
+        );
+        (200, body)
     }
 }
-
-/// Writes one response; `false` means the socket broke.
-fn respond(
-    shared: &Shared,
-    writer: &mut TcpStream,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-) -> bool {
-    match status / 100 {
-        2 => &shared.counters.responses_2xx,
-        4 => &shared.counters.responses_4xx,
-        _ => &shared.counters.responses_5xx,
-    }
-    .fetch_add(1, Ordering::Relaxed);
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-        status,
-        reason(status),
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" }
-    );
-    writer.write_all(head.as_bytes()).is_ok()
-        && writer.write_all(body.as_bytes()).is_ok()
-        && writer.flush().is_ok()
-}
-
-// ---------------------------------------------------------------------
-// Routing.
-
-fn dispatch(shared: &Shared, clients: &mut [Option<Client>], req: &ParsedReq) -> (u16, String) {
-    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-    let path = req.path.split('?').next().unwrap_or("");
-    match (req.method.as_str(), path) {
-        ("POST", "/v1/predict") => predict(shared, clients, &req.body),
-        ("GET", "/healthz") => healthz(shared, clients),
-        ("GET", "/readyz") => readyz(shared, clients),
-        ("GET", "/v1/stats") => (200, stats_body(shared)),
-        (_, "/healthz" | "/readyz" | "/v1/stats" | "/v1/predict") => error_response(
-            shared,
-            &ServeError::MethodNotAllowed {
-                method: req.method.clone(),
-                path: req.path.clone(),
-            },
-        ),
-        _ => error_response(
-            shared,
-            &ServeError::UnknownRoute {
-                path: req.path.clone(),
-            },
-        ),
-    }
-}
-
-fn error_response(shared: &Shared, e: &ServeError) -> (u16, String) {
-    if matches!(
-        e,
-        ServeError::ShardUnavailable { .. } | ServeError::MergeTimeout
-    ) {
-        shared.counters.shard_errors.fetch_add(1, Ordering::Relaxed);
-    }
-    (e.http_status(), wire::encode_error_body(e))
-}
-
-// ---------------------------------------------------------------------
-// Shard fan-out.
 
 enum ShardReply {
     Answer(u16, String),
@@ -448,9 +453,9 @@ enum ShardReply {
     Unreachable,
 }
 
-/// One blocking shard round-trip through this connection's keep-alive
-/// slot, dialing on first use (and re-dialing after a transport error,
-/// which `Client` surfaces by dropping its broken connection).
+/// One blocking shard round-trip through a keep-alive slot, dialing on
+/// first use (and re-dialing after a transport error, which `Client`
+/// surfaces by dropping its broken connection).
 fn shard_roundtrip(
     slot: &mut Option<Client>,
     addr: SocketAddr,
@@ -488,179 +493,20 @@ fn shard_roundtrip(
     }
 }
 
-/// Fans one request over every shard in parallel (one scoped thread per
-/// shard, each through its own keep-alive slot) and collects the
-/// replies in shard order.
-fn scatter(
-    shared: &Shared,
-    clients: &mut [Option<Client>],
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> Vec<ShardReply> {
-    let timeout = shared.options.merge_timeout;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .zip(&shared.shards)
-            .map(|(slot, &addr)| {
-                s.spawn(move || shard_roundtrip(slot, addr, timeout, method, path, body))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or(ShardReply::Unreachable))
-            .collect()
-    })
-}
-
-// ---------------------------------------------------------------------
-// Endpoints.
-
-fn predict(shared: &Shared, clients: &mut [Option<Client>], body: &str) -> (u16, String) {
-    // Decode locally first so malformed bodies die here with the same
-    // typed 400 a single box gives, without burning a fan-out.
-    let req = match wire::decode_predict_request(body) {
-        Ok(r) => r,
-        Err(e) => return error_response(shared, &e),
-    };
-    let replies = scatter(shared, clients, "POST", "/v1/predict", Some(body));
-    // All-or-nothing gather: relay a shard's own 4xx verbatim (its
-    // validation is the full model's), refuse to merge around any
-    // missing or failed shard.
-    let mut bodies: Vec<&str> = Vec::with_capacity(replies.len());
-    for (i, reply) in replies.iter().enumerate() {
-        match reply {
-            ShardReply::Answer(status, shard_body) => {
-                if (400..500).contains(status) {
-                    return (*status, shard_body.clone());
-                }
-                if !(200..300).contains(status) {
-                    return error_response(shared, &ServeError::ShardUnavailable { shard: i });
-                }
-                bodies.push(shard_body);
-            }
-            ShardReply::TimedOut => return error_response(shared, &ServeError::MergeTimeout),
-            ShardReply::Unreachable => {
-                return error_response(shared, &ServeError::ShardUnavailable { shard: i })
-            }
-        }
-    }
-    let mut shard_resps: Vec<PredictResponse> = Vec::with_capacity(bodies.len());
-    for (i, b) in bodies.iter().enumerate() {
-        match wire::decode_predict_response(b) {
-            Ok(r) if r.predictions.len() == req.inputs.len() => shard_resps.push(r),
-            // A 2xx that does not parse (or answers the wrong batch
-            // size) is a broken shard, not a client error.
-            _ => return error_response(shared, &ServeError::ShardUnavailable { shard: i }),
-        }
-    }
-    // Every shard accepted the request, so `k` passed the full-width
-    // validation and bounds this preallocation.
-    let k = req.top_k.unwrap_or(shared.options.top_k);
-    let mut epoch = u64::MAX;
-    let mut merged: Vec<TopK> = req.inputs.iter().map(|_| TopK::new(k)).collect();
-    let mut latencies = vec![0u64; req.inputs.len()];
-    for resp in &shard_resps {
-        epoch = epoch.min(resp.epoch);
-        for (j, p) in resp.predictions.iter().enumerate() {
-            for (&class, &score) in p.classes.iter().zip(&p.scores) {
-                merged[j].offer(class, score);
-            }
-            // The fan-out's critical path is its slowest shard.
-            latencies[j] = latencies[j].max(p.latency_us);
-        }
-    }
-    let predictions = merged
-        .iter_mut()
-        .zip(&latencies)
-        .map(|(t, &latency_us)| {
-            t.finish();
-            let items = t.items();
-            WirePrediction {
-                classes: items.iter().map(|&(c, _)| c).collect(),
-                scores: items.iter().map(|&(_, s)| s).collect(),
-                latency_us,
-            }
-        })
-        .collect();
-    shared.counters.merged.fetch_add(1, Ordering::Relaxed);
-    let resp = PredictResponse { epoch, predictions };
-    (200, wire::encode_predict_response(&resp))
-}
-
-fn healthz(shared: &Shared, clients: &mut [Option<Client>]) -> (u16, String) {
-    // Liveness: the router itself answers as long as it runs; the epoch
-    // reported is the fleet's trailing edge (the smallest epoch any
-    // reachable shard serves), 0 when no shard is reachable.
-    let replies = scatter(shared, clients, "GET", "/healthz", None);
-    let mut epoch: Option<u64> = None;
-    for reply in &replies {
-        if let ShardReply::Answer(status, body) = reply {
-            if (200..300).contains(status) {
-                if let Ok(v) = crate::json::parse(body) {
-                    if let Some(e) = v.get("epoch").and_then(crate::json::Json::as_u64) {
-                        epoch = Some(epoch.map_or(e, |cur| cur.min(e)));
-                    }
-                }
-            }
-        }
-    }
-    let body = format!(
-        "{{\"api_version\":{},\"status\":\"ok\",\"epoch\":{}}}",
-        wire::API_VERSION,
-        epoch.unwrap_or(0)
-    );
-    (200, body)
-}
-
-fn readyz(shared: &Shared, clients: &mut [Option<Client>]) -> (u16, String) {
-    // Readiness is strict: a merged answer needs EVERY shard, so one
-    // not-ready (or unreachable) shard makes the whole router not
-    // ready, typed with the shard index so operators know where to
-    // look.
-    let replies = scatter(shared, clients, "GET", "/readyz", None);
-    for (i, reply) in replies.iter().enumerate() {
-        let ready = matches!(reply, ShardReply::Answer(status, _) if (200..300).contains(status));
-        if !ready {
-            return error_response(shared, &ServeError::ShardUnavailable { shard: i });
-        }
-    }
-    let body = format!(
-        "{{\"api_version\":{},\"ready\":true,\"shards\":{}}}",
-        wire::API_VERSION,
-        shared.shards.len()
-    );
-    (200, body)
-}
-
-fn stats_body(shared: &Shared) -> String {
-    let c = &shared.counters;
-    format!(
-        "{{\"api_version\":{},\"role\":\"router\",\"shards\":{},\"requests\":{},\
-         \"merged\":{},\"shard_errors\":{},\"responses_2xx\":{},\"responses_4xx\":{},\
-         \"responses_5xx\":{}}}",
-        wire::API_VERSION,
-        shared.shards.len(),
-        c.requests.load(Ordering::Relaxed),
-        c.merged.load(Ordering::Relaxed),
-        c.shard_errors.load(Ordering::Relaxed),
-        c.responses_2xx.load(Ordering::Relaxed),
-        c.responses_4xx.load(Ordering::Relaxed),
-        c.responses_5xx.load(Ordering::Relaxed),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufReader, Read, Write};
+    use std::net::{TcpListener, TcpStream};
     use std::sync::Arc;
 
     use slide_core::config::{LshLayerConfig, NetworkConfig};
     use slide_core::Network;
     use slide_data::synth::{generate, SyntheticConfig, SyntheticData};
 
-    use crate::http::{HttpOptions, HttpServer};
+    use crate::conn::MAX_LINE_BYTES;
+    use crate::http::tests::read_response;
+    use crate::http::HttpServer;
     use crate::{EngineHandle, ServingEngine};
 
     fn tiny_snapshot() -> (Vec<u8>, SyntheticData) {
@@ -770,6 +616,11 @@ mod tests {
         let (status, body) = client.request("DELETE", "/v1/predict", None).unwrap();
         assert_eq!(status, 405);
         assert_eq!(wire::decode_error_body(&body).0, "method_not_allowed");
+        // The router exposes no reload: shards reload individually.
+        let (status, _) = client
+            .request("POST", "/v1/reload", Some("{\"path\":\"x\"}"))
+            .unwrap();
+        assert_eq!(status, 404);
         drop(client);
         router.shutdown();
         for s in servers {
@@ -797,6 +648,80 @@ mod tests {
         assert!(router.stats().shard_errors >= 1);
         drop(client);
         router.shutdown();
+        for s in servers {
+            s.shutdown();
+        }
+    }
+
+    /// The router answers transport faults exactly like a single box:
+    /// each raw request below gets its typed error and then a close.
+    #[test]
+    fn router_transport_matches_the_single_box() {
+        let (bytes, _) = tiny_snapshot();
+        let (servers, router) = cluster(&bytes, 2);
+        let limit = HttpOptions::default().max_body_bytes;
+        let cases: [(&str, String, u16, &str, String); 3] = [
+            (
+                "garbage request line",
+                "GARBAGE\r\n\r\n".into(),
+                400,
+                "bad_request",
+                String::new(),
+            ),
+            (
+                "header line past MAX_LINE_BYTES",
+                format!(
+                    "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+                    "a".repeat(MAX_LINE_BYTES)
+                ),
+                400,
+                "bad_request",
+                String::new(),
+            ),
+            (
+                "declared body past the transport limit",
+                format!(
+                    "POST /v1/predict HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+                    limit + 1
+                ),
+                413,
+                "payload_too_large",
+                limit.to_string(),
+            ),
+        ];
+        for (name, request, want_status, want_code, want_in_message) in cases {
+            let stream = TcpStream::connect(router.local_addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            writer.write_all(request.as_bytes()).unwrap();
+            let (status, _, body) =
+                read_response(&mut reader).unwrap_or_else(|| panic!("{name}: no answer"));
+            let (code, message) = wire::decode_error_body(&body);
+            assert_eq!((status, code.as_str()), (want_status, want_code), "{name}");
+            assert!(message.contains(&want_in_message), "{name}: {message}");
+            let mut rest = Vec::new();
+            reader.read_to_end(&mut rest).unwrap();
+            assert!(rest.is_empty(), "{name}: error answers close");
+        }
+
+        // Shutdown closes an idle keep-alive client and frees the port.
+        let addr = router.local_addr();
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        writer.write_all(b"GET /v1/stats HTTP/1.1\r\n\r\n").unwrap();
+        assert_eq!(read_response(&mut reader).unwrap().0, 200);
+        router.shutdown();
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "shutdown closes the idle connection");
+        assert!(TcpListener::bind(addr).is_ok());
         for s in servers {
             s.shutdown();
         }
