@@ -1,4 +1,4 @@
-//! Ablation bench (DESIGN.md §5): HOGWILD racy accumulation vs lossless
+//! Ablation bench: HOGWILD racy accumulation vs lossless
 //! CAS accumulation, single-threaded cost and multi-threaded sparse
 //! scatter (the pattern SLIDE actually produces).
 

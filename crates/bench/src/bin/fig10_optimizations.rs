@@ -1,6 +1,6 @@
 //! **Figure 10** — impact of the platform optimizations: vectorized
 //! kernels + cache-line-aligned data (our stand-in for the paper's
-//! Hugepages + AVX work, see DESIGN.md substitution #6) against plain
+//! Hugepages + AVX work) against plain
 //! scalar SLIDE. The hugepage side of the paper's optimization is
 //! quantified separately by `table4_hugepages` through the simulator.
 //!

@@ -5,7 +5,7 @@
 //! (adaptive sampling does not hurt optimization); per *second* SLIDE
 //! reaches any accuracy first because each iteration computes <1% of the
 //! output layer. (The paper's TF-GPU line is substituted by the dense
-//! CPU baseline; see DESIGN.md substitution #2.)
+//! CPU baseline.)
 //!
 //! ```sh
 //! cargo run -p slide-bench --release --bin fig5_time_accuracy [-- smoke|medium|full] [--csv]

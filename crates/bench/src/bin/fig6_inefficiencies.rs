@@ -5,7 +5,7 @@
 //! for both systems; the dense system's memory-bound fraction *rises*
 //! with cores while SLIDE's *falls*.
 //!
-//! Substitution (DESIGN.md #3/#4): we harvest the output-layer rows each
+//! Substitution for VTune: we harvest the output-layer rows each
 //! system actually touches per example — SLIDE's from real LSH active
 //! sets after a short training run (so they carry the real Zipf reuse
 //! structure), the dense baseline's being every row — and replay each

@@ -106,5 +106,5 @@ fn main() {
     println!("than SLIDE despite sampling 40x more neurons. NOTE: at this harness's reduced");
     println!("label-space scale the static baseline is competitive — the coverage failure that");
     println!("cripples static sampling needs a label space orders of magnitude larger than the");
-    println!("sample. See EXPERIMENTS.md for the detailed discussion.");
+    println!("sample.");
 }

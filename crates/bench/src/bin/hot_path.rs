@@ -12,15 +12,12 @@
 //! sampling) sub-phases, since the SIMD hash kernel moves only the
 //! former — forward is the remainder of the forward call, backward and
 //! scheduled table rebuilds are timed at their call sites. The first
-//! epoch of each mode is warmup and is excluded from the timings.
-//!
-//! Emits a machine-readable `BENCH_hot_path.json` (override with
-//! `--out PATH`) seeding the repo's perf trajectory; each mode records
-//! the ISA its kernels actually dispatched to (`scalar`, `avx2+fma`, or
-//! `portable-unrolled`).
+//! epoch of each mode is warmup and is excluded from the timings. Each
+//! mode's row names the ISA its kernels actually dispatched to
+//! (`scalar`, `avx2+fma`, or `portable-unrolled`).
 //!
 //! ```sh
-//! cargo run -p slide-bench --release --bin hot_path -- [smoke|medium|full] [--csv] [--out PATH] [--check]
+//! cargo run -p slide-bench --release --bin hot_path -- [smoke|medium|full] [--csv] [--check]
 //! # CI regression tripwire (fails if vectorized epoch throughput or the
 //! # select phase is >10% behind scalar):
 //! cargo run -p slide-bench --release --bin hot_path -- --smoke --check
@@ -29,7 +26,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use slide_bench::{Scale, TablePrinter};
+use slide_bench::{ExpArgs, Scale, TablePrinter};
 use slide_core::selector::{ActiveSet, NeuronSelector, SelectionContext};
 use slide_core::{hash_layer_input, probe_tables, Network, NetworkConfig, RebuildSchedule};
 use slide_data::synth::{generate, SyntheticConfig};
@@ -253,84 +250,10 @@ fn run_mode(bench: &BenchConfig, train: &Dataset, mode: KernelMode) -> ModeResul
     }
 }
 
-fn json_escape_free(s: &str) -> &str {
-    // All emitted strings are known identifiers; assert rather than escape.
-    assert!(
-        !s.contains(['"', '\\']) && !s.chars().any(|c| c.is_control()),
-        "string needs escaping: {s:?}"
-    );
-    s
-}
-
-fn emit_json(path: &str, bench: &BenchConfig, results: &[ModeResult], speedup: f64) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"hot_path\",\n");
-    out.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        json_escape_free(&bench.scale.to_string())
-    ));
-    out.push_str("  \"threads\": 1,\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"features\": {}, \"labels\": {}, \"hidden\": {}, \"train_size\": {}, \"batch_size\": {}, \"timed_epochs\": {}}},\n",
-        bench.features, bench.labels, bench.hidden, bench.train_size, bench.batch_size, bench.timed_epochs
-    ));
-    out.push_str("  \"modes\": {\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{\"isa\": \"{}\", \"examples_per_s\": {:.1}, \"us_per_example\": {:.2}, \"mean_loss\": {:.4}, \"wall_seconds\": {:.3}, \"phase_seconds\": {{\"select\": {:.3}, \"hash\": {:.3}, \"probe\": {:.3}, \"forward\": {:.3}, \"backward\": {:.3}, \"rebuild\": {:.3}}}}}{}\n",
-            json_escape_free(&r.mode.to_string()),
-            json_escape_free(dispatched_isa(r.mode)),
-            r.examples_per_s(),
-            r.wall_s * 1e6 / r.examples.max(1) as f64,
-            r.mean_loss,
-            r.wall_s,
-            r.phases.select_s(),
-            r.phases.hash_s,
-            r.phases.probe_s,
-            r.phases.forward_s,
-            r.phases.backward_s,
-            r.phases.rebuild_s,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  },\n");
-    let select_speedup = results[0].phases.select_s() / results[1].phases.select_s().max(1e-12);
-    out.push_str(&format!(
-        "  \"speedup_vectorized_over_scalar\": {speedup:.3},\n"
-    ));
-    out.push_str(&format!(
-        "  \"select_speedup_vectorized_over_scalar\": {select_speedup:.3}\n"
-    ));
-    out.push_str("}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("wrote {path}");
-}
-
 fn main() {
-    let mut scale = Scale::Smoke;
-    let mut csv = false;
-    let mut check = false;
-    let mut out_path = String::from("BENCH_hot_path.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--csv" => csv = true,
-            "--smoke" => scale = Scale::Smoke,
-            "--check" => check = true,
-            "--out" => {
-                out_path = args.next().expect("--out requires a path");
-            }
-            other => {
-                scale = Scale::parse(other).unwrap_or_else(|| {
-                    panic!(
-                        "unknown argument {other:?}; expected smoke|medium|full, --smoke, --csv, --check, --out PATH"
-                    )
-                });
-            }
-        }
-    }
-
+    let ExpArgs {
+        scale, csv, check, ..
+    } = ExpArgs::parse_gate();
     let bench = BenchConfig::for_scale(scale);
     eprintln!(
         "hot_path {scale}: {} classes x {} features, hidden {}, {} examples, {}+{} epochs per mode",
@@ -384,7 +307,6 @@ fn main() {
     let select_speedup = results[0].phases.select_s() / results[1].phases.select_s().max(1e-12);
     println!("speedup vectorized/scalar: {speedup:.3}x");
     println!("select speedup vectorized/scalar: {select_speedup:.3}x");
-    emit_json(&out_path, &bench, &results, speedup);
 
     if check {
         let mut failed = false;

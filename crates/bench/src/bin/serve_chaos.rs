@@ -18,23 +18,24 @@
 //!    hot-load the following good publish;
 //! 3. **degrade** — the same closed-loop overload is driven as an
 //!    interleaved best-of-3 A/B: plain (degradation off) vs pinned at
-//!    the configured operating level. Degraded p99 must come in under
-//!    the plain p99, and the shrunken budget's engine-side P@1 may
-//!    trail the full budget by at most 0.02 (level 1 — half the
-//!    tables, with the collision threshold scaled down in proportion —
-//!    holds both; deeper levels buy more latency at real accuracy cost
-//!    and are an operator's call);
+//!    the configured operating level, both on the default
+//!    [`ServeOptions`] budget. Degradation must engage with zero failed
+//!    requests; both p99s are printed but not gated, because on a small
+//!    box they move with scheduler noise. The gate is the deterministic
+//!    half of the trade, over the same inputs: the operating level must
+//!    score strictly fewer (input, candidate) pairs than the full
+//!    budget, and its P@1 may trail the full budget's by at most 0.02.
+//!    Level 1 — the first three quarters of each retrieval — holds both;
+//!    deeper levels cut more work at real accuracy cost and are an
+//!    operator's call;
 //! 4. **chaos transport** — slow-loris writers and mid-request
 //!    disconnectors share the server with well-behaved clients (opt-in
 //!    [`RetryPolicy`] armed). The well-behaved traffic must see zero
 //!    failures and bit-identical answers while the transport sweeps the
 //!    abusers.
 //!
-//! Emits machine-readable `BENCH_serve_chaos.json` (override with
-//! `--out PATH`).
-//!
 //! ```sh
-//! cargo run -p slide-bench --release --bin serve_chaos -- [smoke|medium|full] [--csv] [--out PATH] [--check]
+//! cargo run -p slide-bench --release --bin serve_chaos -- [smoke|medium|full] [--csv] [--check]
 //! # CI smoke drill:
 //! cargo run -p slide-bench --release --bin serve_chaos -- --smoke --check
 //! ```
@@ -44,11 +45,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use slide_bench::{Scale, TablePrinter};
+use slide_bench::{ExpArgs, Scale, TablePrinter};
 use slide_core::config::{LshLayerConfig, NetworkConfig};
+use slide_core::inference::{BatchScratch, TopK};
 use slide_core::trainer::{SlideTrainer, TrainOptions};
 use slide_data::synth::{generate, SyntheticConfig};
-use slide_data::SparseVector;
+use slide_data::{Dataset, SparseVector};
 use slide_serve::http::{HttpOptions, HttpServer};
 use slide_serve::{
     Client, ClientError, DegradeOptions, EngineHandle, FaultPlan, RetryPolicy, ServeOptions,
@@ -56,7 +58,6 @@ use slide_serve::{
 };
 
 struct BenchConfig {
-    scale: Scale,
     features: usize,
     labels: usize,
     hidden: usize,
@@ -93,7 +94,6 @@ impl BenchConfig {
     fn for_scale(scale: Scale) -> Self {
         match scale {
             Scale::Smoke => Self {
-                scale,
                 features: 300,
                 labels: 400,
                 hidden: 32,
@@ -115,7 +115,6 @@ impl BenchConfig {
                 disconnect_conns: 4,
             },
             Scale::Medium => Self {
-                scale,
                 features: 600,
                 labels: 1_000,
                 hidden: 64,
@@ -137,7 +136,6 @@ impl BenchConfig {
                 disconnect_conns: 8,
             },
             Scale::Full => Self {
-                scale,
                 features: 2_000,
                 labels: 10_000,
                 hidden: 128,
@@ -213,7 +211,6 @@ struct PanicPhase {
     recovery_requests: u64,
     recovery_failures: u64,
     wrong_answers: u64,
-    worker_panics: u64,
     worker_respawns: u64,
 }
 
@@ -267,7 +264,6 @@ fn run_panics(
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let b = server.batch_stats();
-        phase.worker_panics = b.worker_panics;
         phase.worker_respawns = b.worker_respawns;
         if b.worker_respawns >= cfg.injected_panics || Instant::now() >= deadline {
             break;
@@ -376,6 +372,10 @@ struct DegradePhase {
     /// budget (from its own counters).
     degraded_answers: u64,
     failures: u64,
+    /// Scored pairs (see [`score_level`]) at full budget and at the
+    /// operating level.
+    pairs_full: usize,
+    pairs_degraded: usize,
     p_at_1_full: f64,
     p_at_1_degraded: f64,
 }
@@ -425,9 +425,34 @@ fn drive_overload(
     (requests.load(Ordering::Relaxed), percentile(&lat, 0.99))
 }
 
+/// Scores `test` in `batch`-sized chunks through `engine`'s selector for
+/// degradation `level`. Returns the (input, candidate) pairs the answers
+/// were reduced over — `BatchReport::own_pairs`, plus the whole output
+/// layer for each input whose retrieval fell back to dense scoring, so a
+/// level cannot look cheaper by emptying its retrievals — and P@1.
+fn score_level(engine: &ServingEngine, test: &Dataset, level: u32, batch: usize) -> (usize, f64) {
+    let net = engine.network();
+    let selector = engine.degraded_selector(level);
+    let mut ws = net.workspace(0);
+    let mut scratch = BatchScratch::default();
+    let (mut pairs, mut hits) = (0usize, 0usize);
+    for chunk in test.examples().chunks(batch) {
+        let features: Vec<&SparseVector> = chunk.iter().map(|ex| &ex.features).collect();
+        let mut outs = vec![TopK::new(engine.default_top_k()); chunk.len()];
+        let report = net.predict_topk_batch(&selector, &mut ws, &mut scratch, &features, &mut outs);
+        pairs += report.own_pairs + report.dense_examples * engine.output_dim();
+        for (out, ex) in outs.iter().zip(chunk) {
+            hits += out
+                .top1()
+                .is_some_and(|t| ex.labels.binary_search(&t).is_ok()) as usize;
+        }
+    }
+    (pairs, hits as f64 / test.len().max(1) as f64)
+}
+
 fn run_degrade(
     bytes: &[u8],
-    test: &slide_data::Dataset,
+    test: &Dataset,
     inputs: &Arc<Vec<SparseVector>>,
     options: ServeOptions,
     cfg: &BenchConfig,
@@ -442,12 +467,11 @@ fn run_degrade(
         ..HttpOptions::default()
     };
 
-    // Interleaved best-of-3 (the ingest bench's idiom): each round runs
-    // the plain control and the pinned-degraded server back to back, so
-    // transient machine noise hits both arms, and each arm keeps its
-    // best p99. Degraded: zero watermarks + 1-drain streak pin the
-    // level at the configured operating step for the whole burst — the
-    // clean A/B for "does the shrunken budget actually buy latency".
+    // Interleaved best-of-3: each round runs the plain control and the
+    // pinned-degraded server back to back, so transient machine noise
+    // hits both arms, and each arm keeps its best p99. Degraded: zero
+    // watermarks + 1-drain streak pin the level at the configured
+    // operating step for the whole burst.
     let degrade = DegradeOptions::default()
         .with_enabled(true)
         .with_watermarks(Duration::ZERO, Duration::ZERO)
@@ -489,25 +513,13 @@ fn run_degrade(
     }
     phase.failures = failures.load(Ordering::Relaxed);
 
-    // Engine-side accuracy of the same budget shrink, over the test set.
-    let full = ServingEngine::from_snapshot_bytes(bytes, options).expect("engine");
-    let degraded_budget =
-        options
-            .budget
-            .degraded(cfg.degrade_level, full.output_tables(), full.output_dim());
-    let shrunk = ServingEngine::from_snapshot_bytes(bytes, options.with_budget(degraded_budget))
-        .expect("engine");
-    let p_at_1 = |engine: &ServingEngine| -> f64 {
-        let mut hits = 0usize;
-        for ex in test.iter() {
-            if let Some(t) = engine.predict(&ex.features).expect("predict").topk.top1() {
-                hits += ex.labels.binary_search(&t).is_ok() as usize;
-            }
-        }
-        hits as f64 / test.len().max(1) as f64
-    };
-    phase.p_at_1_full = p_at_1(&full);
-    phase.p_at_1_degraded = p_at_1(&shrunk);
+    // The deterministic half of the trade, engine-side over the same
+    // inputs: the scoring work the budget shrink saves, and what it
+    // costs in accuracy.
+    let engine = ServingEngine::from_snapshot_bytes(bytes, options).expect("engine");
+    (phase.pairs_full, phase.p_at_1_full) = score_level(&engine, test, 0, cfg.degrade_batch);
+    (phase.pairs_degraded, phase.p_at_1_degraded) =
+        score_level(&engine, test, cfg.degrade_level, cfg.degrade_batch);
     phase
 }
 
@@ -520,8 +532,6 @@ struct ChaosPhase {
     normal_failures: u64,
     wrong_answers: u64,
     retries: u64,
-    loris_conns: u64,
-    disconnect_conns: u64,
     timeouts: u64,
 }
 
@@ -532,11 +542,7 @@ fn run_chaos_transport(
     options: ServeOptions,
     cfg: &BenchConfig,
 ) -> ChaosPhase {
-    let mut phase = ChaosPhase {
-        loris_conns: cfg.loris_conns as u64,
-        disconnect_conns: cfg.disconnect_conns as u64,
-        ..ChaosPhase::default()
-    };
+    let mut phase = ChaosPhase::default();
     let handle = Arc::new(EngineHandle::new(
         ServingEngine::from_snapshot_bytes(bytes, options).expect("engine"),
     ));
@@ -633,103 +639,10 @@ fn run_chaos_transport(
     phase
 }
 
-// ---------------------------------------------------------------------
-// Reporting.
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.2}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn emit_json(
-    path: &str,
-    cfg: &BenchConfig,
-    panics: &PanicPhase,
-    rollback: &RollbackPhase,
-    degrade: &DegradePhase,
-    chaos: &ChaosPhase,
-) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"serve_chaos\",\n");
-    out.push_str(&format!("  \"scale\": \"{}\",\n", cfg.scale));
-    out.push_str("  \"api_version\": 1,\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"features\": {}, \"labels\": {}, \"hidden\": {}, \"degrade_level\": {}}},\n",
-        cfg.features, cfg.labels, cfg.hidden, cfg.degrade_level
-    ));
-    out.push_str(&format!(
-        "  \"panics\": {{\"injected\": {}, \"typed_500s\": {}, \"other_failures\": {}, \"recovery_requests\": {}, \"recovery_failures\": {}, \"wrong_answers\": {}, \"worker_panics\": {}, \"worker_respawns\": {}}},\n",
-        panics.injected,
-        panics.typed_500s,
-        panics.other_failures,
-        panics.recovery_requests,
-        panics.recovery_failures,
-        panics.wrong_answers,
-        panics.worker_panics,
-        panics.worker_respawns,
-    ));
-    out.push_str(&format!(
-        "  \"rollback\": {{\"requests\": {}, \"wrong_answers\": {}, \"reload_failures\": {}, \"quarantined\": {}, \"bad_installs\": {}, \"rollback_polls\": {}, \"recovered_epoch\": {}}},\n",
-        rollback.requests,
-        rollback.wrong_answers,
-        rollback.reload_failures,
-        rollback.quarantined,
-        rollback.bad_installs,
-        json_num(rollback.rollback_polls),
-        rollback.recovered_epoch,
-    ));
-    out.push_str(&format!(
-        "  \"degrade\": {{\"plain\": {{\"requests\": {}, \"p99_us\": {}}}, \"degraded\": {{\"requests\": {}, \"p99_us\": {}, \"degraded_answers\": {}}}, \"failures\": {}, \"p_at_1_full\": {:.4}, \"p_at_1_degraded\": {:.4}, \"p_at_1_delta\": {:.4}}},\n",
-        degrade.plain_requests,
-        json_num(degrade.plain_p99_us),
-        degrade.degraded_requests,
-        json_num(degrade.degraded_p99_us),
-        degrade.degraded_answers,
-        degrade.failures,
-        degrade.p_at_1_full,
-        degrade.p_at_1_degraded,
-        degrade.p_at_1_degraded - degrade.p_at_1_full,
-    ));
-    out.push_str(&format!(
-        "  \"chaos\": {{\"normal_requests\": {}, \"normal_failures\": {}, \"wrong_answers\": {}, \"retries\": {}, \"loris_conns\": {}, \"disconnect_conns\": {}, \"timeouts\": {}}}\n",
-        chaos.normal_requests,
-        chaos.normal_failures,
-        chaos.wrong_answers,
-        chaos.retries,
-        chaos.loris_conns,
-        chaos.disconnect_conns,
-        chaos.timeouts,
-    ));
-    out.push_str("}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("wrote {path}");
-}
-
 fn main() {
-    let mut scale = Scale::Smoke;
-    let mut csv = false;
-    let mut check = false;
-    let mut out_path = String::from("BENCH_serve_chaos.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--csv" => csv = true,
-            "--smoke" => scale = Scale::Smoke,
-            "--check" => check = true,
-            "--out" => out_path = args.next().expect("--out requires a path"),
-            other => {
-                scale = Scale::parse(other).unwrap_or_else(|| {
-                    panic!(
-                        "unknown argument {other:?}; expected smoke|medium|full, --smoke, --csv, --check, --out PATH"
-                    )
-                });
-            }
-        }
-    }
+    let ExpArgs {
+        scale, csv, check, ..
+    } = ExpArgs::parse_gate();
     let cfg = BenchConfig::for_scale(scale);
     eprintln!(
         "serve_chaos {scale}: {} classes x {} features, {} injected panics, degrade level {}",
@@ -751,13 +664,21 @@ fn main() {
         .seed(0xFA11)
         .build()
         .expect("valid config");
+    // One thread: HOGWILD races would make the model, and with it the
+    // degrade phase's P@1 gate, vary from run to run.
     let mut trainer = SlideTrainer::new(net_config).expect("valid network");
     trainer.train(
         &data.train,
-        &TrainOptions::new(cfg.epochs).batch_size(64).seed(7),
+        &TrainOptions::new(cfg.epochs)
+            .batch_size(64)
+            .threads(1)
+            .seed(7),
     );
     let bytes_a = trainer.network().to_snapshot_bytes();
-    trainer.train(&data.train, &TrainOptions::new(1).batch_size(64).seed(8));
+    trainer.train(
+        &data.train,
+        &TrainOptions::new(1).batch_size(64).threads(1).seed(8),
+    );
     let bytes_b = trainer.network().to_snapshot_bytes();
 
     let inputs: Arc<Vec<SparseVector>> = Arc::new(
@@ -855,18 +776,19 @@ fn main() {
         rollback.rollback_polls, rollback.bad_installs, rollback.recovered_epoch
     );
     println!(
-        "degrade: p99 {:.0}us (level {}) vs {:.0}us (full), P@1 {:.4} vs {:.4}",
-        degrade.degraded_p99_us,
+        "degrade: level {} vs full: scored pairs {} vs {}, P@1 {:.4} vs {:.4}, p99 {:.0}us vs {:.0}us",
         cfg.degrade_level,
-        degrade.plain_p99_us,
+        degrade.pairs_degraded,
+        degrade.pairs_full,
         degrade.p_at_1_degraded,
-        degrade.p_at_1_full
+        degrade.p_at_1_full,
+        degrade.degraded_p99_us,
+        degrade.plain_p99_us,
     );
     println!(
         "chaos: {} well-behaved requests, {} failures, {} wrong answers, {} server timeouts",
         chaos.normal_requests, chaos.normal_failures, chaos.wrong_answers, chaos.timeouts
     );
-    emit_json(&out_path, &cfg, &panics, &rollback, &degrade, &chaos);
 
     if check {
         let mut failed = false;
@@ -921,10 +843,10 @@ fn main() {
             eprintln!("FAIL: degradation never engaged under overload");
             failed = true;
         }
-        if degrade.degraded_p99_us >= degrade.plain_p99_us {
+        if degrade.pairs_degraded >= degrade.pairs_full {
             eprintln!(
-                "FAIL: degraded p99 {:.0}us did not beat plain p99 {:.0}us",
-                degrade.degraded_p99_us, degrade.plain_p99_us
+                "FAIL: level {} scored {} pairs, not fewer than the full budget's {}",
+                cfg.degrade_level, degrade.pairs_degraded, degrade.pairs_full
             );
             failed = true;
         }
@@ -951,11 +873,11 @@ fn main() {
         }
         eprintln!(
             "check passed: zero wrong answers, pool recovered from {} panics, corrupt publish \
-             quarantined in {:.1} polls, degraded p99 {:.0}us < plain {:.0}us (P@1 delta {:+.4})",
+             quarantined in {:.1} polls, degraded pairs {} < full {} (P@1 delta {:+.4})",
             panics.typed_500s,
             rollback.rollback_polls,
-            degrade.degraded_p99_us,
-            degrade.plain_p99_us,
+            degrade.pairs_degraded,
+            degrade.pairs_full,
             degrade.p_at_1_degraded - degrade.p_at_1_full
         );
     }

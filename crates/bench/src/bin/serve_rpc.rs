@@ -1,75 +1,44 @@
-//! **Service API benchmark**: end-to-end latency and throughput of the
-//! `std::net` HTTP front-end (`POST /v1/predict` over the versioned
-//! wire protocol), plus a hot-reload drill that swaps snapshots under
-//! concurrent keep-alive load and fails (`--check`) on any non-2xx
-//! response or wrong-epoch answer.
+//! **Connection-fleet drill**: the event-loop HTTP front-end under
+//! cross-connection load, failing (`--check`) on any failed request or
+//! any sign that singles from different connections stop coalescing.
 //!
-//! Three phases over a trained, snapshot-frozen model:
+//! Two phases over a trained model frozen as an i16-quantized (`q16`)
+//! snapshot:
 //!
-//! 1. **single** — one keep-alive client, sequential requests:
-//!    client-observed latency distribution (mean/p50/p99) and req/s;
-//! 2. **batched** — concurrent clients sending wire batches: examples/s
-//!    through the fused shared-union scoring path;
-//! 3. **reload** — concurrent single-request clients while the model is
-//!    hot-swapped via `POST /v1/reload`: every response must be 2xx,
-//!    epochs must be monotone per connection, and every request issued
-//!    after the reload acknowledgment must be answered by the new epoch;
-//! 4. **quantized** — the same trained model frozen twice, as an f32 and
-//!    as an i16 fixed-point (`q16`) snapshot, scored engine-to-engine
-//!    (no socket in the way): batched examples/s and P@1 for both, plus
-//!    the snapshot byte sizes. `--check` fails if the quantized path is
-//!    inactive or its P@1 falls materially below f32;
-//! 5. **coalesced** — the event-loop front-end under cross-connection
-//!    load: hundreds of simultaneous keep-alive connections each issuing
-//!    *single* predicts in bursts against a quantized snapshot. The
-//!    admission queue must fuse those singles from different connections
-//!    into multi-row batch passes; `--check` fails if the mean coalesced
-//!    batch stays ≤ 1 or any request fails. This is the throughput row:
-//!    coalesced singles must beat the single-connection path;
-//! 6. **sustained** (medium/full only) — the connection-scaling drill:
+//! 1. **coalesced** — hundreds of simultaneous keep-alive connections
+//!    each issuing *single* predicts in bursts. The admission queue must
+//!    fuse those singles from different connections into multi-row batch
+//!    passes; `--check` fails if the mean coalesced batch stays ≤ 1 or
+//!    any request fails;
+//! 2. **sustained** (medium/full only) — the connection-scaling drill:
 //!    10K simultaneous keep-alive connections against the same server,
 //!    proving the readiness loop holds a five-digit fleet without a
 //!    thread per connection. Throughput is reported but not the point —
 //!    `--check` fails on any failed request or dropped connection.
 //!
-//! Emits machine-readable `BENCH_serve_rpc.json` (override with
-//! `--out PATH`).
-//!
 //! ```sh
-//! cargo run -p slide-bench --release --bin serve_rpc -- [smoke|medium|full] [--csv] [--out PATH] [--check]
+//! cargo run -p slide-bench --release --bin serve_rpc -- [smoke|medium|full] [--csv] [--check]
 //! # CI smoke drill:
 //! cargo run -p slide-bench --release --bin serve_rpc -- --smoke --check
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use slide_bench::{Scale, TablePrinter};
+use slide_bench::{ExpArgs, Scale, TablePrinter};
 use slide_core::config::{LshLayerConfig, NetworkConfig};
 use slide_core::trainer::{SlideTrainer, TrainOptions};
 use slide_data::synth::{generate, SyntheticConfig};
 use slide_data::SparseVector;
 use slide_serve::http::{HttpOptions, HttpServer};
-use slide_serve::{Client, EngineHandle, ServeOptions};
+use slide_serve::{EngineHandle, ServeOptions};
 
 struct BenchConfig {
-    scale: Scale,
     features: usize,
     labels: usize,
     hidden: usize,
     train_size: usize,
     epochs: usize,
-    /// Sequential requests in the single-latency phase.
-    single_requests: usize,
-    /// Concurrent clients in the batched and reload phases.
-    clients: usize,
-    /// Wire batch size in the batched phase.
-    batch: usize,
-    /// Batch requests per client in the batched phase.
-    batch_rounds: usize,
-    /// Post-reload answers each client must observe in the drill.
-    post_reload_per_client: u64,
     /// Simultaneous keep-alive connections in the coalesced phase.
     coalesce_conns: usize,
     /// Client threads multiplexing those connections.
@@ -91,17 +60,11 @@ impl BenchConfig {
     fn for_scale(scale: Scale) -> Self {
         match scale {
             Scale::Smoke => Self {
-                scale,
                 features: 200,
                 labels: 100,
                 hidden: 24,
                 train_size: 600,
                 epochs: 1,
-                single_requests: 200,
-                clients: 4,
-                batch: 16,
-                batch_rounds: 25,
-                post_reload_per_client: 25,
                 coalesce_conns: 300,
                 coalesce_threads: 6,
                 coalesce_rounds: 8,
@@ -110,17 +73,11 @@ impl BenchConfig {
                 sustain_rounds: 0,
             },
             Scale::Medium => Self {
-                scale,
                 features: 600,
                 labels: 1_000,
                 hidden: 64,
                 train_size: 2_000,
                 epochs: 2,
-                single_requests: 1_000,
-                clients: 6,
-                batch: 32,
-                batch_rounds: 60,
-                post_reload_per_client: 100,
                 coalesce_conns: 512,
                 coalesce_threads: 4,
                 coalesce_rounds: 40,
@@ -129,17 +86,11 @@ impl BenchConfig {
                 sustain_rounds: 4,
             },
             Scale::Full => Self {
-                scale,
                 features: 2_000,
                 labels: 10_000,
                 hidden: 128,
                 train_size: 8_000,
                 epochs: 3,
-                single_requests: 4_000,
-                clients: 8,
-                batch: 64,
-                batch_rounds: 120,
-                post_reload_per_client: 250,
                 coalesce_conns: 512,
                 coalesce_threads: 8,
                 coalesce_rounds: 80,
@@ -151,192 +102,12 @@ impl BenchConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct SinglePhase {
-    requests: u64,
-    wall_s: f64,
-    mean_us: f64,
-    p50_us: f64,
-    p99_us: f64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct BatchedPhase {
-    requests: u64,
-    examples: u64,
-    wall_s: f64,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct ReloadPhase {
-    requests: u64,
-    pre_reload: u64,
-    post_reload: u64,
-    failures: u64,
-    wrong_epoch: u64,
-    reload_ack_epoch: u64,
-}
-
 fn percentile(sorted_us: &[f64], p: f64) -> f64 {
     if sorted_us.is_empty() {
         return 0.0;
     }
     let idx = ((sorted_us.len() - 1) as f64 * p).round() as usize;
     sorted_us[idx]
-}
-
-fn run_single(addr: std::net::SocketAddr, inputs: &[SparseVector], n: usize) -> SinglePhase {
-    let mut client = Client::connect(addr).expect("connect");
-    let mut lat_us: Vec<f64> = Vec::with_capacity(n);
-    let t0 = Instant::now();
-    for i in 0..n {
-        let features = &inputs[i % inputs.len()];
-        let r0 = Instant::now();
-        let resp = client.predict(features, None).expect("single predict");
-        lat_us.push(r0.elapsed().as_secs_f64() * 1e6);
-        assert!(!resp.predictions.is_empty());
-    }
-    let wall_s = t0.elapsed().as_secs_f64();
-    lat_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    SinglePhase {
-        requests: n as u64,
-        wall_s,
-        mean_us: lat_us.iter().sum::<f64>() / lat_us.len().max(1) as f64,
-        p50_us: percentile(&lat_us, 0.50),
-        p99_us: percentile(&lat_us, 0.99),
-    }
-}
-
-fn run_batched(
-    addr: std::net::SocketAddr,
-    inputs: &Arc<Vec<SparseVector>>,
-    cfg: &BenchConfig,
-) -> BatchedPhase {
-    let t0 = Instant::now();
-    let threads: Vec<_> = (0..cfg.clients)
-        .map(|t| {
-            let inputs = Arc::clone(inputs);
-            let batch = cfg.batch;
-            let rounds = cfg.batch_rounds;
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                let mut served = 0u64;
-                for r in 0..rounds {
-                    let start = (t * 31 + r * batch) % inputs.len();
-                    let mut chunk: Vec<SparseVector> = Vec::with_capacity(batch);
-                    for j in 0..batch {
-                        chunk.push(inputs[(start + j) % inputs.len()].clone());
-                    }
-                    let resp = client.predict_batch(&chunk, None).expect("batch predict");
-                    assert_eq!(resp.predictions.len(), batch);
-                    served += batch as u64;
-                }
-                served
-            })
-        })
-        .collect();
-    let examples: u64 = threads.into_iter().map(|t| t.join().unwrap()).sum();
-    BatchedPhase {
-        requests: (cfg.clients * cfg.batch_rounds) as u64,
-        examples,
-        wall_s: t0.elapsed().as_secs_f64(),
-    }
-}
-
-fn run_reload_drill(
-    addr: std::net::SocketAddr,
-    inputs: &Arc<Vec<SparseVector>>,
-    cfg: &BenchConfig,
-    snapshot_b: &std::path::Path,
-    server: &HttpServer,
-) -> ReloadPhase {
-    let reload_acked = Arc::new(AtomicBool::new(false));
-    let failures = Arc::new(AtomicU64::new(0));
-    let wrong_epoch = Arc::new(AtomicU64::new(0));
-    let pre = Arc::new(AtomicU64::new(0));
-    let post = Arc::new(AtomicU64::new(0));
-    let base_epoch = server.handle().epoch();
-
-    let threads: Vec<_> = (0..cfg.clients)
-        .map(|t| {
-            let inputs = Arc::clone(inputs);
-            let reload_acked = Arc::clone(&reload_acked);
-            let failures = Arc::clone(&failures);
-            let wrong_epoch = Arc::clone(&wrong_epoch);
-            let pre = Arc::clone(&pre);
-            let post = Arc::clone(&post);
-            let need = cfg.post_reload_per_client;
-            std::thread::spawn(move || {
-                let mut client = match Client::connect(addr) {
-                    Ok(c) => c,
-                    Err(_) => {
-                        failures.fetch_add(1, Ordering::Relaxed);
-                        return 0u64;
-                    }
-                };
-                let deadline = Instant::now() + Duration::from_secs(120);
-                let mut last_epoch = 0u64;
-                let mut requests = 0u64;
-                let mut post_seen = 0u64;
-                let mut i = t * 17;
-                while post_seen < need && Instant::now() < deadline {
-                    let issued_after_ack = reload_acked.load(Ordering::SeqCst);
-                    match client.predict(&inputs[i % inputs.len()], None) {
-                        Ok(resp) => {
-                            requests += 1;
-                            if resp.epoch < last_epoch
-                                || (issued_after_ack && resp.epoch == base_epoch)
-                            {
-                                wrong_epoch.fetch_add(1, Ordering::Relaxed);
-                            }
-                            last_epoch = resp.epoch;
-                            if resp.epoch > base_epoch {
-                                post_seen += 1;
-                                post.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                pre.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Err(_) => {
-                            failures.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    i += 1;
-                }
-                if post_seen < need {
-                    // Deadline hit: count it as a failure so --check trips.
-                    failures.fetch_add(1, Ordering::Relaxed);
-                }
-                requests
-            })
-        })
-        .collect();
-
-    // Let traffic build on the old epoch, then hot-swap through the
-    // public endpoint. The wait is bounded so dead client threads fail
-    // the drill instead of hanging it.
-    let mut ops = Client::connect(addr).expect("ops connect");
-    let wait_deadline = Instant::now() + Duration::from_secs(60);
-    while pre.load(Ordering::Relaxed) < (cfg.clients * 3) as u64
-        && failures.load(Ordering::Relaxed) == 0
-        && Instant::now() < wait_deadline
-    {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let ack_epoch = ops
-        .reload(snapshot_b.to_str().expect("utf-8 path"))
-        .expect("reload accepted");
-    reload_acked.store(true, Ordering::SeqCst);
-
-    let requests: u64 = threads.into_iter().map(|t| t.join().unwrap()).sum();
-    ReloadPhase {
-        requests,
-        pre_reload: pre.load(Ordering::Relaxed),
-        post_reload: post.load(Ordering::Relaxed),
-        failures: failures.load(Ordering::Relaxed),
-        wrong_epoch: wrong_epoch.load(Ordering::Relaxed),
-        reload_ack_epoch: ack_epoch,
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -600,159 +371,6 @@ fn run_coalesced(
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct QuantizedPhase {
-    f32_examples_per_s: f64,
-    q16_examples_per_s: f64,
-    f32_p_at_1: f64,
-    q16_p_at_1: f64,
-    f32_snapshot_bytes: usize,
-    q16_snapshot_bytes: usize,
-    q16_active: bool,
-}
-
-/// Engine-level f32-vs-quantized comparison over the same trained model:
-/// identical requests through `ServingEngine::predict_batch`, one engine
-/// per encoding. Engine-to-engine (no HTTP) so the measured delta is the
-/// scoring path, not socket overhead.
-fn run_quantized(
-    f32_bytes: &[u8],
-    q16_bytes: &[u8],
-    test: &slide_data::Dataset,
-    cfg: &BenchConfig,
-) -> QuantizedPhase {
-    use slide_serve::ServingEngine;
-    let options = ServeOptions::default().with_top_k(5);
-    let f_engine = ServingEngine::from_snapshot_bytes(f32_bytes, options).expect("f32 engine");
-    let q_engine = ServingEngine::from_snapshot_bytes(q16_bytes, options).expect("q16 engine");
-    let features: Vec<SparseVector> = test.iter().map(|ex| ex.features.clone()).collect();
-
-    let measure = |engine: &ServingEngine| -> (f64, f64) {
-        let mut hits = 0usize;
-        // Accuracy pass (also warms the engine's thread-local scratch).
-        for (chunk, exs) in features
-            .chunks(cfg.batch)
-            .zip(test.examples().chunks(cfg.batch))
-        {
-            for (p, ex) in engine.predict_batch(chunk).expect("batch").iter().zip(exs) {
-                if let Some(t) = p.topk.top1() {
-                    hits += ex.labels.binary_search(&t).is_ok() as usize;
-                }
-            }
-        }
-        let p_at_1 = hits as f64 / features.len() as f64;
-        // Throughput passes.
-        let mut examples = 0u64;
-        let t0 = Instant::now();
-        for _ in 0..cfg.batch_rounds {
-            for chunk in features.chunks(cfg.batch) {
-                engine.predict_batch(chunk).expect("batch");
-                examples += chunk.len() as u64;
-            }
-        }
-        (
-            examples as f64 / t0.elapsed().as_secs_f64().max(1e-12),
-            p_at_1,
-        )
-    };
-    let (f_eps, f_p1) = measure(&f_engine);
-    let (q_eps, q_p1) = measure(&q_engine);
-    QuantizedPhase {
-        f32_examples_per_s: f_eps,
-        q16_examples_per_s: q_eps,
-        f32_p_at_1: f_p1,
-        q16_p_at_1: q_p1,
-        f32_snapshot_bytes: f32_bytes.len(),
-        q16_snapshot_bytes: q16_bytes.len(),
-        q16_active: q_engine.quantized_active(),
-    }
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.2}")
-    } else {
-        "null".to_string()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn emit_json(
-    path: &str,
-    cfg: &BenchConfig,
-    single: &SinglePhase,
-    batched: &BatchedPhase,
-    reload: &ReloadPhase,
-    quant: &QuantizedPhase,
-    coalesced: &CoalescedPhase,
-    sustained: Option<&CoalescedPhase>,
-) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"serve_rpc\",\n");
-    out.push_str(&format!("  \"scale\": \"{}\",\n", cfg.scale));
-    out.push_str("  \"api_version\": 1,\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"features\": {}, \"labels\": {}, \"hidden\": {}, \"clients\": {}, \"batch\": {}}},\n",
-        cfg.features, cfg.labels, cfg.hidden, cfg.clients, cfg.batch
-    ));
-    out.push_str(&format!(
-        "  \"single\": {{\"requests\": {}, \"requests_per_s\": {}, \"mean_us\": {}, \"p50_us\": {}, \"p99_us\": {}}},\n",
-        single.requests,
-        json_num(single.requests as f64 / single.wall_s.max(1e-12)),
-        json_num(single.mean_us),
-        json_num(single.p50_us),
-        json_num(single.p99_us),
-    ));
-    out.push_str(&format!(
-        "  \"batched\": {{\"requests\": {}, \"examples\": {}, \"examples_per_s\": {}}},\n",
-        batched.requests,
-        batched.examples,
-        json_num(batched.examples as f64 / batched.wall_s.max(1e-12)),
-    ));
-    out.push_str(&format!(
-        "  \"reload\": {{\"requests\": {}, \"pre_reload\": {}, \"post_reload\": {}, \"failures\": {}, \"wrong_epoch\": {}, \"ack_epoch\": {}}},\n",
-        reload.requests,
-        reload.pre_reload,
-        reload.post_reload,
-        reload.failures,
-        reload.wrong_epoch,
-        reload.reload_ack_epoch,
-    ));
-    let fleet_row = |p: &CoalescedPhase| {
-        format!(
-            "{{\"connections\": {}, \"requests\": {}, \"failures\": {}, \"requests_per_s\": {}, \"p50_us\": {}, \"p99_us\": {}, \"mean_coalesced_batch\": {:.3}, \"largest_batch\": {}}}",
-            p.connections,
-            p.requests,
-            p.failures,
-            json_num(p.requests as f64 / p.wall_s.max(1e-12)),
-            json_num(p.p50_us),
-            json_num(p.p99_us),
-            p.mean_coalesced_batch,
-            p.largest_batch,
-        )
-    };
-    out.push_str(&format!("  \"coalesced\": {},\n", fleet_row(coalesced)));
-    out.push_str(&format!(
-        "  \"sustained\": {},\n",
-        sustained.map_or("null".to_string(), fleet_row)
-    ));
-    out.push_str(&format!(
-        "  \"quantized\": {{\"active\": {}, \"f32\": {{\"examples_per_s\": {}, \"p_at_1\": {:.4}, \"snapshot_bytes\": {}}}, \"q16\": {{\"examples_per_s\": {}, \"p_at_1\": {:.4}, \"snapshot_bytes\": {}}}, \"p_at_1_delta\": {:.4}}}\n",
-        quant.q16_active,
-        json_num(quant.f32_examples_per_s),
-        quant.f32_p_at_1,
-        quant.f32_snapshot_bytes,
-        json_num(quant.q16_examples_per_s),
-        quant.q16_p_at_1,
-        quant.q16_snapshot_bytes,
-        quant.q16_p_at_1 - quant.f32_p_at_1,
-    ));
-    out.push_str("}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("wrote {path}");
-}
-
 fn main() {
     // Hidden child mode for the coalescing drill (see
     // `coalesce_client_main`); never part of the public CLI surface.
@@ -760,34 +378,15 @@ fn main() {
     if raw_args.first().map(String::as_str) == Some("--coalesce-client") {
         coalesce_client_main(&raw_args[1..]);
     }
-    let mut scale = Scale::Smoke;
-    let mut csv = false;
-    let mut check = false;
-    let mut out_path = String::from("BENCH_serve_rpc.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--csv" => csv = true,
-            "--smoke" => scale = Scale::Smoke,
-            "--check" => check = true,
-            "--out" => out_path = args.next().expect("--out requires a path"),
-            other => {
-                scale = Scale::parse(other).unwrap_or_else(|| {
-                    panic!(
-                        "unknown argument {other:?}; expected smoke|medium|full, --smoke, --csv, --check, --out PATH"
-                    )
-                });
-            }
-        }
-    }
+    let ExpArgs {
+        scale, csv, check, ..
+    } = ExpArgs::parse_gate();
     let cfg = BenchConfig::for_scale(scale);
     eprintln!(
-        "serve_rpc {scale}: {} classes x {} features, {} clients, batch {}",
-        cfg.labels, cfg.features, cfg.clients, cfg.batch
+        "serve_rpc {scale}: {} classes x {} features, {} connections",
+        cfg.labels, cfg.features, cfg.coalesce_conns
     );
 
-    // Train snapshot A (the serving model) and snapshot B (the
-    // "retrained" model the reload drill swaps in).
     let mut synth = SyntheticConfig::delicious_like(Scale::Smoke).with_seed(0x5EC7);
     synth.feature_dim = cfg.features;
     synth.label_dim = cfg.labels;
@@ -806,28 +405,7 @@ fn main() {
         &data.train,
         &TrainOptions::new(cfg.epochs).batch_size(64).seed(7),
     );
-    let dir = std::env::temp_dir();
-    let path_a = dir.join(format!(
-        "slide_serve_rpc_a_{}.slidesnap",
-        std::process::id()
-    ));
-    let path_b = dir.join(format!(
-        "slide_serve_rpc_b_{}.slidesnap",
-        std::process::id()
-    ));
-    trainer
-        .network()
-        .save_snapshot(&path_a)
-        .expect("snapshot A");
-    // Freeze model A both ways for the quantized phase (before the
-    // reload drill's extra training epoch mutates the network).
-    let f32_bytes = trainer.network().to_snapshot_bytes();
     let q16_bytes = trainer.network().to_quantized_snapshot_bytes();
-    trainer.train(&data.train, &TrainOptions::new(1).batch_size(64).seed(8));
-    trainer
-        .network()
-        .save_snapshot(&path_b)
-        .expect("snapshot B");
 
     let inputs: Arc<Vec<SparseVector>> = Arc::new(
         data.test
@@ -836,37 +414,20 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    let options = ServeOptions::default().with_top_k(5);
-    let handle = Arc::new(EngineHandle::from_snapshot_file(&path_a, options).expect("load A"));
-    let server = HttpServer::serve(Arc::clone(&handle), "127.0.0.1:0", HttpOptions::default())
-        .expect("bind");
-    let addr = server.local_addr();
-    eprintln!("serving on http://{addr}");
-
-    eprintln!("phase 1: single-request latency ...");
-    let single = run_single(addr, &inputs, cfg.single_requests);
-    eprintln!("phase 2: batched throughput ...");
-    let batched = run_batched(addr, &inputs, &cfg);
-    eprintln!("phase 3: hot-reload drill ...");
-    let reload = run_reload_drill(addr, &inputs, &cfg, &path_b, &server);
-    eprintln!("phase 4: quantized vs f32 scoring ...");
-    let quant = run_quantized(&f32_bytes, &q16_bytes, &data.test, &cfg);
-
-    // Phase 5 serves the quantized snapshot behind its own front-end so
-    // its counters (and the admission queue) start clean. The client
-    // fleet runs in a child process with its own fd budget; this process
-    // only holds the server ends.
+    // The client fleet runs in a child process with its own fd budget;
+    // this process only holds the server ends.
     eprintln!(
-        "phase 5: cross-connection coalescing ({} keep-alive connections) ...",
+        "coalesced: {} keep-alive connections ...",
         cfg.coalesce_conns
     );
     let fleet_cap = cfg.coalesce_conns.max(cfg.sustain_conns);
     slide_serve::net::raise_nofile_limit(fleet_cap as u64 + 4096).ok();
-    let q_handle = Arc::new(EngineHandle::new(
+    let options = ServeOptions::default().with_top_k(5);
+    let handle = Arc::new(EngineHandle::new(
         slide_serve::ServingEngine::from_snapshot_bytes(&q16_bytes, options).expect("q16 engine"),
     ));
-    let coalesce_server = HttpServer::serve(
-        Arc::clone(&q_handle),
+    let server = HttpServer::serve(
+        Arc::clone(&handle),
         "127.0.0.1:0",
         HttpOptions {
             max_connections: fleet_cap + 64,
@@ -884,177 +445,71 @@ fn main() {
     )
     .expect("bind coalesce server");
     let coalesced = run_coalesced(
-        coalesce_server.local_addr(),
+        server.local_addr(),
         &inputs,
         cfg.coalesce_conns,
         cfg.coalesce_threads,
         cfg.coalesce_rounds,
-        &coalesce_server,
+        &server,
     );
     let sustained = (cfg.sustain_conns > 0).then(|| {
         eprintln!(
-            "phase 6: sustained fleet ({} keep-alive connections) ...",
+            "sustained: {} keep-alive connections ...",
             cfg.sustain_conns
         );
         run_coalesced(
-            coalesce_server.local_addr(),
+            server.local_addr(),
             &inputs,
             cfg.sustain_conns,
             cfg.sustain_threads,
             cfg.sustain_rounds,
-            &coalesce_server,
+            &server,
         )
     });
-    let coalesce_http = coalesce_server.stats();
-    coalesce_server.shutdown();
+    let http = server.stats();
+    server.shutdown();
 
     let mut printer = TablePrinter::new(
         vec![
-            "phase", "requests", "req/s", "ex/s", "mean_us", "p50_us", "p99_us",
+            "phase",
+            "conns",
+            "requests",
+            "failures",
+            "req/s",
+            "mean_batch",
+            "largest",
+            "p50_us",
+            "p99_us",
         ],
         csv,
     );
-    printer.row(vec![
-        "single".to_string(),
-        single.requests.to_string(),
-        format!("{:.0}", single.requests as f64 / single.wall_s.max(1e-12)),
-        format!("{:.0}", single.requests as f64 / single.wall_s.max(1e-12)),
-        format!("{:.1}", single.mean_us),
-        format!("{:.1}", single.p50_us),
-        format!("{:.1}", single.p99_us),
-    ]);
-    printer.row(vec![
-        "batched".to_string(),
-        batched.requests.to_string(),
-        format!("{:.0}", batched.requests as f64 / batched.wall_s.max(1e-12)),
-        format!("{:.0}", batched.examples as f64 / batched.wall_s.max(1e-12)),
-        "-".to_string(),
-        "-".to_string(),
-        "-".to_string(),
-    ]);
-    printer.row(vec![
-        "reload".to_string(),
-        reload.requests.to_string(),
-        format!("pre={} post={}", reload.pre_reload, reload.post_reload),
-        format!("fail={}", reload.failures),
-        format!("wrong_epoch={}", reload.wrong_epoch),
-        format!("ack_epoch={}", reload.reload_ack_epoch),
-        "-".to_string(),
-    ]);
     for (name, phase) in
         std::iter::once(("coalesced", &coalesced)).chain(sustained.iter().map(|s| ("sustained", s)))
     {
         printer.row(vec![
             name.to_string(),
+            phase.connections.to_string(),
             phase.requests.to_string(),
+            phase.failures.to_string(),
             format!("{:.0}", phase.requests as f64 / phase.wall_s.max(1e-12)),
-            format!("conns={}", phase.connections),
-            format!("mean_batch={:.2}", phase.mean_coalesced_batch),
+            format!("{:.2}", phase.mean_coalesced_batch),
+            phase.largest_batch.to_string(),
             format!("{:.1}", phase.p50_us),
             format!("{:.1}", phase.p99_us),
         ]);
     }
-    printer.row(vec![
-        "f32-score".to_string(),
-        "-".to_string(),
-        "-".to_string(),
-        format!("{:.0}", quant.f32_examples_per_s),
-        format!("P@1={:.4}", quant.f32_p_at_1),
-        format!("{} B", quant.f32_snapshot_bytes),
-        "-".to_string(),
-    ]);
-    printer.row(vec![
-        "q16-score".to_string(),
-        "-".to_string(),
-        "-".to_string(),
-        format!("{:.0}", quant.q16_examples_per_s),
-        format!("P@1={:.4}", quant.q16_p_at_1),
-        format!("{} B", quant.q16_snapshot_bytes),
-        format!("active={}", quant.q16_active),
-    ]);
     printer.print();
-
-    let http = server.stats();
     println!(
         "http: {} connections, {} requests, 2xx={} 4xx={} 5xx={}",
         http.connections, http.requests, http.responses_2xx, http.responses_4xx, http.responses_5xx
     );
-    println!(
-        "quantized: {:.0} ex/s vs f32 {:.0} ex/s, P@1 {:.4} vs {:.4} (delta {:+.4})",
-        quant.q16_examples_per_s,
-        quant.f32_examples_per_s,
-        quant.q16_p_at_1,
-        quant.f32_p_at_1,
-        quant.q16_p_at_1 - quant.f32_p_at_1
-    );
-    for (name, phase) in
-        std::iter::once(("coalesced", &coalesced)).chain(sustained.iter().map(|s| ("sustained", s)))
-    {
-        println!(
-            "{}: {} conns, {:.0} req/s, mean batch {:.2} (largest {}), p99 {:.0}us, failures {}",
-            name,
-            phase.connections,
-            phase.requests as f64 / phase.wall_s.max(1e-12),
-            phase.mean_coalesced_batch,
-            phase.largest_batch,
-            phase.p99_us,
-            phase.failures
-        );
-    }
-    emit_json(
-        &out_path,
-        &cfg,
-        &single,
-        &batched,
-        &reload,
-        &quant,
-        &coalesced,
-        sustained.as_ref(),
-    );
-
-    server.shutdown();
-    std::fs::remove_file(&path_a).ok();
-    std::fs::remove_file(&path_b).ok();
 
     if check {
         let mut failed = false;
-        if reload.failures > 0 || http.responses_4xx > 0 || http.responses_5xx > 0 {
-            eprintln!(
-                "FAIL: non-2xx traffic (drill failures {}, 4xx {}, 5xx {})",
-                reload.failures, http.responses_4xx, http.responses_5xx
-            );
-            failed = true;
-        }
-        if reload.wrong_epoch > 0 {
-            eprintln!(
-                "FAIL: {} wrong-epoch answers after reload ack",
-                reload.wrong_epoch
-            );
-            failed = true;
-        }
-        if reload.reload_ack_epoch < 2 || reload.post_reload == 0 {
-            eprintln!("FAIL: reload never took effect");
-            failed = true;
-        }
-        if !quant.q16_active {
-            eprintln!("FAIL: quantized snapshot did not activate the fused i16 path");
-            failed = true;
-        }
-        // P@1 gate with smoke-granularity slack: the test set is small
-        // (one flipped answer moves P@1 by 1/test_size), so allow a few
-        // near-tie flips; the committed medium-scale run pins the
-        // <0.1pt claim.
-        if quant.q16_p_at_1 < quant.f32_p_at_1 - 0.02 {
-            eprintln!(
-                "FAIL: quantized P@1 {:.4} fell below f32 {:.4}",
-                quant.q16_p_at_1, quant.f32_p_at_1
-            );
-            failed = true;
-        }
-        if coalesce_http.responses_4xx > 0 || coalesce_http.responses_5xx > 0 {
+        if http.responses_4xx > 0 || http.responses_5xx > 0 {
             eprintln!(
                 "FAIL: fleet server answered non-2xx (4xx {}, 5xx {})",
-                coalesce_http.responses_4xx, coalesce_http.responses_5xx
+                http.responses_4xx, http.responses_5xx
             );
             failed = true;
         }
@@ -1085,8 +540,7 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!(
-            "check passed: zero failures, zero wrong-epoch answers, quantized P@1 within \
-             bound, coalesced mean batch {:.2} > 1",
+            "check passed: zero failures, coalesced mean batch {:.2} > 1",
             coalesced.mean_coalesced_batch
         );
     }

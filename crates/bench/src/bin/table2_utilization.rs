@@ -4,7 +4,7 @@
 //! Paper: TF-CPU utilization is low (<50%) and *decreases* with threads;
 //! SLIDE holds a stable ~80%+ across thread counts. Our utilization is
 //! `Σ per-thread busy time / (threads × wall)`, the software analogue of
-//! VTune's measurement (DESIGN.md substitution #3).
+//! VTune's measurement.
 //!
 //! ```sh
 //! cargo run -p slide-bench --release --bin table2_utilization [-- smoke|medium|full] [--csv]

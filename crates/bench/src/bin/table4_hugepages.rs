@@ -1,6 +1,6 @@
 //! **Table 4** — CPU-counter metrics with and without (Transparent)
-//! Hugepages, via the memory-hierarchy simulator (DESIGN.md
-//! substitution #4).
+//! Hugepages, via the memory-hierarchy simulator (a substitution for
+//! the paper's hardware counters).
 //!
 //! Paper: dTLB load miss rate 5.12% → 0.25%, page-walk cycle share
 //! 7.74% → 0.72%, RAM reads from dTLB misses 3.06M/s → 0.75M/s, page

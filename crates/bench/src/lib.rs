@@ -3,10 +3,9 @@
 //! The experiment harness that regenerates every table and figure of the
 //! SLIDE paper's evaluation. Each binary under `src/bin/` prints one
 //! table/figure as an aligned text table (and CSV with `--csv`); Criterion
-//! benches under `benches/` cover the micro-benchmarks.
-//!
-//! See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-//! paper-vs-measured results.
+//! benches under `benches/` cover the micro-benchmarks. Three binaries
+//! are behaviour gates rather than figures — `hot_path`, `serve_rpc` and
+//! `serve_chaos` — and exit nonzero under `--check` when a gate fails.
 
 use std::time::Instant;
 
@@ -38,28 +37,45 @@ pub fn scaled_lsh(simhash: bool, scale: Scale, labels: usize) -> LshLayerConfig 
     base.with_strategy(SamplingStrategy::Vanilla { budget })
 }
 
-/// Command-line arguments shared by the figure binaries.
+/// Command-line arguments shared by the figure and gate binaries.
 #[derive(Debug, Clone)]
 pub struct ExpArgs {
     /// Problem-size preset.
     pub scale: Scale,
     /// Emit CSV instead of an aligned table.
     pub csv: bool,
-    /// Seed override.
+    /// Seed override (figure binaries only; `0` for gates).
     pub seed: u64,
+    /// Exit nonzero when a behaviour gate fails (gate binaries only).
+    pub check: bool,
 }
 
 impl ExpArgs {
-    /// Parses `[scale] [--csv] [--seed N]` from `std::env::args`.
+    /// Parses a figure binary's `[scale|--smoke] [--csv] [--seed N]`
+    /// from `std::env::args`.
     pub fn parse() -> Self {
+        Self::parse_args(false)
+    }
+
+    /// Parses a behaviour gate's `[scale|--smoke] [--csv] [--check]`
+    /// from `std::env::args`. Gates run fixed seeds, so `--seed` is
+    /// rejected.
+    pub fn parse_gate() -> Self {
+        Self::parse_args(true)
+    }
+
+    fn parse_args(gate: bool) -> Self {
         let mut scale = Scale::Smoke;
         let mut csv = false;
         let mut seed = 0u64;
+        let mut check = false;
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--csv" => csv = true,
-                "--seed" => {
+                "--smoke" => scale = Scale::Smoke,
+                "--check" if gate => check = true,
+                "--seed" if !gate => {
                     seed = args
                         .next()
                         .and_then(|s| s.parse().ok())
@@ -69,12 +85,21 @@ impl ExpArgs {
                     if let Some(s) = Scale::parse(other) {
                         scale = s;
                     } else {
-                        panic!("unknown argument {other:?}; expected smoke|medium|full, --csv, --seed N");
+                        let last = if gate { "--check" } else { "--seed N" };
+                        panic!(
+                            "unknown argument {other:?}; expected smoke|medium|full, --smoke, \
+                             --csv, {last}"
+                        );
                     }
                 }
             }
         }
-        Self { scale, csv, seed }
+        Self {
+            scale,
+            csv,
+            seed,
+            check,
+        }
     }
 }
 

@@ -26,7 +26,8 @@
 //! check   u64 FNV-1a over everything above
 //! ```
 //!
-//! Version 1 (no per-layer `enc` tag; every layer f32) is still read.
+//! Only version 2 is read; any other version is
+//! [`SnapshotError::UnsupportedVersion`].
 //! [`write_network`] emits version 2 with every layer f32 — a round trip
 //! is bit-identical, so restored dense predictions equal the source
 //! network's exactly (pinned by `tests/serving.rs`).
@@ -53,10 +54,8 @@ use crate::schedule::RebuildSchedule;
 
 const MAGIC: &[u8; 8] = b"SLIDSNAP";
 const VERSION: u32 = 2;
-/// Oldest format version this build still reads.
-const MIN_VERSION: u32 = 1;
 
-/// Per-layer weight encoding tag (version ≥ 2).
+/// Per-layer weight encoding tag.
 const ENC_F32: u8 = 0;
 const ENC_Q16: u8 = 1;
 
@@ -67,7 +66,7 @@ pub enum SnapshotError {
     Io(std::io::Error),
     /// The bytes do not start with the snapshot magic.
     BadMagic,
-    /// The snapshot's format version is newer than this build understands.
+    /// The snapshot's format version is not the one this build reads.
     UnsupportedVersion(u32),
     /// The byte stream is truncated or internally inconsistent.
     Corrupt(&'static str),
@@ -85,7 +84,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::Io(e) => write!(f, "snapshot io: {e}"),
             SnapshotError::BadMagic => write!(f, "not a SLIDE snapshot (bad magic)"),
             SnapshotError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version {v} (max {VERSION})")
+                write!(f, "unsupported snapshot version {v} (reads {VERSION})")
             }
             SnapshotError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
             SnapshotError::Config(e) => write!(f, "snapshot config invalid: {e}"),
@@ -186,6 +185,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = (h ^ b as u64).wrapping_mul(0x100_0000_01B3);
     }
     h
+}
+
+fn check_version(version: u32) -> Result<(), SnapshotError> {
+    if version == VERSION {
+        Ok(())
+    } else {
+        Err(SnapshotError::UnsupportedVersion(version))
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -443,13 +450,11 @@ pub fn read_network_with_centering(
 /// dimension-derived allocation happens. A corrupt/crafted header
 /// claiming units = 2^40 must fail here, not OOM in `Network::new`.
 ///
-/// Version 1 layers are untagged f32. Version ≥ 2 layers start with an
-/// encoding tag byte that decides the section's size, so the walk reads
-/// each tag at its computed offset.
+/// Each layer starts with an encoding tag byte that decides the
+/// section's size, so the walk reads each tag at its computed offset.
 fn validate_payload_size(
     payload: &[u8],
     start: usize,
-    version: u32,
     config: &NetworkConfig,
 ) -> Result<(), SnapshotError> {
     let remaining = (payload.len() - start) as u128;
@@ -457,29 +462,22 @@ fn validate_payload_size(
     let mut fan_in = config.input_dim as u128;
     for layer in &config.layers {
         let units = layer.units as u128;
-        let weights = if version >= 2 {
-            let tag = *payload
-                .get(
-                    start
-                        + usize::try_from(offset).map_err(|_| {
-                            SnapshotError::Corrupt(
-                                "parameter payload size inconsistent with config",
-                            )
-                        })?,
-                )
-                .ok_or(SnapshotError::Corrupt(
-                    "parameter payload size inconsistent with config",
-                ))?;
-            match tag {
-                // tag + weights len + f32s
-                ENC_F32 => 1 + 8 + units * fan_in * 4,
-                // tag + code count + per-row f32 scales + i16 codes
-                ENC_Q16 => 1 + 8 + units * 4 + units * fan_in * 2,
-                _ => return Err(SnapshotError::Corrupt("layer encoding tag")),
-            }
-        } else {
-            // Untagged: weights len + f32s.
-            8 + units * fan_in * 4
+        let tag = *payload
+            .get(
+                start
+                    + usize::try_from(offset).map_err(|_| {
+                        SnapshotError::Corrupt("parameter payload size inconsistent with config")
+                    })?,
+            )
+            .ok_or(SnapshotError::Corrupt(
+                "parameter payload size inconsistent with config",
+            ))?;
+        let weights = match tag {
+            // tag + weights len + f32s
+            ENC_F32 => 1 + 8 + units * fan_in * 4,
+            // tag + code count + per-row f32 scales + i16 codes
+            ENC_Q16 => 1 + 8 + units * 4 + units * fan_in * 2,
+            _ => return Err(SnapshotError::Corrupt("layer encoding tag")),
         };
         // Biases: len + f32s, always.
         offset += weights + 8 + units * 4;
@@ -526,10 +524,7 @@ pub fn read_snapshot_with_centering(
     if d.take(MAGIC.len())? != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let version = d.u32()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
+    check_version(d.u32()?)?;
     let mut config = decode_config(&mut d)?;
     if let Some(center) = center_rows {
         for layer in &mut config.layers {
@@ -538,13 +533,13 @@ pub fn read_snapshot_with_centering(
             }
         }
     }
-    validate_payload_size(payload, d.pos, version, &config)?;
+    validate_payload_size(payload, d.pos, &config)?;
     let mut network = Network::new(config)?;
     let n_layers = network.layers().len();
     let mut quantized: Option<QuantizedRows> = None;
     let mut values: Vec<f32> = Vec::new();
     for (li, layer) in network.layers_mut().iter_mut().enumerate() {
-        let q = decode_layer_params(&mut d, version, layer, &mut values)?;
+        let q = decode_layer_params(&mut d, layer, &mut values)?;
         if li == n_layers - 1 {
             quantized = q;
         }
@@ -565,13 +560,11 @@ pub fn read_snapshot_with_centering(
 /// the section was q16. Does **not** rebuild the layer's tables.
 fn decode_layer_params(
     d: &mut Dec<'_>,
-    version: u32,
     layer: &mut Layer,
     values: &mut Vec<f32>,
 ) -> Result<Option<QuantizedRows>, SnapshotError> {
     let mut quantized: Option<QuantizedRows> = None;
-    let enc = if version >= 2 { d.u8()? } else { ENC_F32 };
-    match enc {
+    match d.u8()? {
         ENC_F32 => {
             let n_w = d.usize()?;
             if n_w != layer.weights().flat().len() {
@@ -630,7 +623,7 @@ fn decode_layer_params(
 // ---------------------------------------------------------------------
 // Snapshot slices: scatter a snapshot's output layer across shards.
 //
-// A *slice* is a v2-compatible section of a full snapshot carrying one
+// A *slice* is a section of a full snapshot carrying one
 // shard's contiguous output-neuron range — its weight rows (f32 or q16
 // with per-row scales) and biases — plus everything a shard engine needs
 // to reproduce the unsharded engine's behaviour bit-for-bit: the full
@@ -649,7 +642,6 @@ const SLICE_VERSION: u32 = 1;
 /// A full snapshot parsed down to section offsets (checksum and payload
 /// sizes already verified).
 struct FullParts<'a> {
-    version: u32,
     config: NetworkConfig,
     /// The snapshot bytes minus the trailing checksum.
     payload: &'a [u8],
@@ -660,21 +652,16 @@ struct FullParts<'a> {
 }
 
 /// Byte size of one layer's parameter section. `tag` is the section's
-/// first byte for version ≥ 2 (ignored for version 1).
+/// first byte.
 fn layer_section_size(
     tag: Option<u8>,
-    version: u32,
     units: usize,
     fan_in: usize,
 ) -> Result<usize, SnapshotError> {
-    let weights = if version >= 2 {
-        match tag.ok_or(SnapshotError::Corrupt("truncated"))? {
-            ENC_F32 => 1 + 8 + units * fan_in * 4,
-            ENC_Q16 => 1 + 8 + units * 4 + units * fan_in * 2,
-            _ => return Err(SnapshotError::Corrupt("layer encoding tag")),
-        }
-    } else {
-        8 + units * fan_in * 4
+    let weights = match tag.ok_or(SnapshotError::Corrupt("truncated"))? {
+        ENC_F32 => 1 + 8 + units * fan_in * 4,
+        ENC_Q16 => 1 + 8 + units * 4 + units * fan_in * 2,
+        _ => return Err(SnapshotError::Corrupt("layer encoding tag")),
     };
     Ok(weights + 8 + units * 4)
 }
@@ -684,13 +671,12 @@ fn layer_section_size(
 fn walk_hidden_sections(
     bytes: &[u8],
     start: usize,
-    version: u32,
     config: &NetworkConfig,
 ) -> Result<(usize, usize), SnapshotError> {
     let mut off = start;
     let mut fan_in = config.input_dim;
     for layer in &config.layers[..config.layers.len() - 1] {
-        let size = layer_section_size(bytes.get(off).copied(), version, layer.units, fan_in)?;
+        let size = layer_section_size(bytes.get(off).copied(), layer.units, fan_in)?;
         off = off
             .checked_add(size)
             .filter(|&o| o <= bytes.len())
@@ -713,18 +699,14 @@ fn parse_full(bytes: &[u8]) -> Result<FullParts<'_>, SnapshotError> {
     if d.take(MAGIC.len())? != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let version = d.u32()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
+    check_version(d.u32()?)?;
     let config = decode_config(&mut d)?;
     if config.layers.is_empty() {
         return Err(SnapshotError::Corrupt("no layers"));
     }
-    validate_payload_size(payload, d.pos, version, &config)?;
-    let (out_start, out_fan_in) = walk_hidden_sections(payload, d.pos, version, &config)?;
+    validate_payload_size(payload, d.pos, &config)?;
+    let (out_start, out_fan_in) = walk_hidden_sections(payload, d.pos, &config)?;
     Ok(FullParts {
-        version,
         config,
         payload,
         out_start,
@@ -747,33 +729,24 @@ fn out_section(parts: &FullParts<'_>) -> Result<OutSection, SnapshotError> {
     let out = &parts.config.layers[parts.config.layers.len() - 1];
     let (units, fan_in) = (out.units, parts.out_fan_in);
     let off = parts.out_start;
-    if parts.version >= 2 {
-        match parts.payload[off] {
-            ENC_F32 => Ok(OutSection {
-                enc: ENC_F32,
-                scales: 0,
-                rows: off + 9,
-                biases: off + 9 + units * fan_in * 4 + 8,
-            }),
-            ENC_Q16 => {
-                let scales = off + 9;
-                let rows = scales + units * 4;
-                Ok(OutSection {
-                    enc: ENC_Q16,
-                    scales,
-                    rows,
-                    biases: rows + units * fan_in * 2 + 8,
-                })
-            }
-            _ => Err(SnapshotError::Corrupt("layer encoding tag")),
-        }
-    } else {
-        Ok(OutSection {
+    match parts.payload[off] {
+        ENC_F32 => Ok(OutSection {
             enc: ENC_F32,
             scales: 0,
-            rows: off + 8,
-            biases: off + 8 + units * fan_in * 4 + 8,
-        })
+            rows: off + 9,
+            biases: off + 9 + units * fan_in * 4 + 8,
+        }),
+        ENC_Q16 => {
+            let scales = off + 9;
+            let rows = scales + units * 4;
+            Ok(OutSection {
+                enc: ENC_Q16,
+                scales,
+                rows,
+                biases: rows + units * fan_in * 2 + 8,
+            })
+        }
+        _ => Err(SnapshotError::Corrupt("layer encoding tag")),
     }
 }
 
@@ -861,7 +834,7 @@ pub fn slice_snapshot(bytes: &[u8], num_shards: usize) -> Result<Vec<Vec<u8>>, S
         let mut e = Enc::default();
         e.buf.extend_from_slice(SLICE_MAGIC);
         e.u32(SLICE_VERSION);
-        e.u32(parts.version);
+        e.u32(VERSION);
         e.u64(lo as u64);
         e.u64(hi as u64);
         e.u64(units as u64);
@@ -894,7 +867,6 @@ pub fn slice_snapshot(bytes: &[u8], num_shards: usize) -> Result<Vec<Vec<u8>>, S
 
 /// A parsed slice, borrowing section byte ranges from the input.
 struct SlicePart<'a> {
-    snap_version: u32,
     lo: usize,
     hi: usize,
     total: usize,
@@ -930,10 +902,7 @@ fn parse_slice(bytes: &[u8]) -> Result<SlicePart<'_>, SnapshotError> {
     if slice_version != SLICE_VERSION {
         return Err(SnapshotError::UnsupportedVersion(slice_version));
     }
-    let snap_version = d.u32()?;
-    if !(MIN_VERSION..=VERSION).contains(&snap_version) {
-        return Err(SnapshotError::UnsupportedVersion(snap_version));
-    }
+    check_version(d.u32()?)?;
     let lo = d.usize()?;
     let hi = d.usize()?;
     let total = d.usize()?;
@@ -946,14 +915,14 @@ fn parse_slice(bytes: &[u8]) -> Result<SlicePart<'_>, SnapshotError> {
     if pd.take(MAGIC.len())? != MAGIC {
         return Err(SnapshotError::Corrupt("embedded snapshot magic"));
     }
-    if pd.u32()? != snap_version {
+    if pd.u32()? != VERSION {
         return Err(SnapshotError::Corrupt("embedded snapshot version"));
     }
     let config = decode_config(&mut pd)?;
     if config.layers.is_empty() {
         return Err(SnapshotError::Corrupt("no layers"));
     }
-    let (prefix_end, out_fan_in) = walk_hidden_sections(prefix, pd.pos, snap_version, &config)?;
+    let (prefix_end, out_fan_in) = walk_hidden_sections(prefix, pd.pos, &config)?;
     if prefix_end != prefix.len() {
         return Err(SnapshotError::Corrupt("prefix size inconsistent"));
     }
@@ -970,9 +939,6 @@ fn parse_slice(bytes: &[u8]) -> Result<SlicePart<'_>, SnapshotError> {
             .ok_or(SnapshotError::Corrupt("size overflow"))?,
     )?;
     let enc = d.u8()?;
-    if snap_version < 2 && enc != ENC_F32 {
-        return Err(SnapshotError::Corrupt("layer encoding tag"));
-    }
     let n = hi - lo;
     let row_count = n
         .checked_mul(out_fan_in)
@@ -1002,7 +968,6 @@ fn parse_slice(bytes: &[u8]) -> Result<SlicePart<'_>, SnapshotError> {
         return Err(SnapshotError::Corrupt("trailing bytes"));
     }
     Ok(SlicePart {
-        snap_version,
         lo,
         hi,
         total,
@@ -1036,7 +1001,6 @@ pub fn assemble_slices(slices: &[Vec<u8>]) -> Result<Vec<u8>, SnapshotError> {
     }
     for i in 1..parts.len() {
         if parts[i].prefix != parts[0].prefix
-            || parts[i].snap_version != parts[0].snap_version
             || parts[i].total != parts[0].total
             || parts[i].enc != parts[0].enc
             || parts[i].center != parts[0].center
@@ -1061,9 +1025,7 @@ pub fn assemble_slices(slices: &[Vec<u8>]) -> Result<Vec<u8>, SnapshotError> {
     let (total, fan_in) = (parts[0].total, parts[0].out_fan_in);
     let mut e = Enc::default();
     e.buf.extend_from_slice(parts[0].prefix);
-    if parts[0].snap_version >= 2 {
-        e.u8(parts[0].enc);
-    }
+    e.u8(parts[0].enc);
     e.u64((total * fan_in) as u64);
     if parts[0].enc == ENC_Q16 {
         for p in &parts {
@@ -1144,7 +1106,7 @@ pub fn read_slice(bytes: &[u8], center_rows: Option<bool>) -> Result<LoadedSlice
     d.pos = params_start;
     for li in 0..last_idx {
         let layer = &mut network.layers_mut()[li];
-        decode_layer_params(&mut d, part.snap_version, layer, &mut values)?;
+        decode_layer_params(&mut d, layer, &mut values)?;
         layer.rebuild_tables();
     }
     if d.pos != part.prefix.len() {
@@ -1598,6 +1560,15 @@ mod tests {
                 Expect::UnsupportedVersion(0),
             ),
             (
+                "retired version 1 (checksum fixed up)",
+                Box::new(move |mut b: Vec<u8>| {
+                    b[8..12].copy_from_slice(&1u32.to_le_bytes());
+                    fix_checksum(&mut b);
+                    b
+                }),
+                Expect::UnsupportedVersion(1),
+            ),
+            (
                 "future version u32::MAX (checksum fixed up)",
                 Box::new(move |mut b: Vec<u8>| {
                     b[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -1619,56 +1590,6 @@ mod tests {
                 (_, got) => panic!("case {name:?}: wrong outcome {got:?}"),
             }
         }
-    }
-
-    /// Emits `net` in the legacy version-1 layout: no per-layer encoding
-    /// tags, every layer f32. This is byte-for-byte what `write_network`
-    /// produced before version 2.
-    fn v1_bytes(net: &Network) -> Vec<u8> {
-        let mut e = Enc::default();
-        e.buf.extend_from_slice(MAGIC);
-        e.u32(1);
-        encode_config(&mut e, net.config());
-        for layer in net.layers() {
-            let w = layer.weights().flat();
-            e.u64(w.len() as u64);
-            for i in 0..w.len() {
-                e.f32(w.get(i));
-            }
-            let b = layer.biases();
-            e.u64(b.len() as u64);
-            for i in 0..b.len() {
-                e.f32(b.get(i));
-            }
-        }
-        let check = fnv1a(&e.buf);
-        e.u64(check);
-        e.buf
-    }
-
-    #[test]
-    fn legacy_v1_snapshots_still_load() {
-        let net = trained_network();
-        let loaded = read_snapshot_with_centering(&v1_bytes(&net), None).unwrap();
-        assert!(loaded.quantized.is_none());
-        assert_eq!(loaded.network.config(), net.config());
-        for (a, b) in net.layers().iter().zip(loaded.network.layers()) {
-            let (wa, wb) = (a.weights().flat(), b.weights().flat());
-            for i in 0..wa.len() {
-                assert_eq!(wa.get(i).to_bits(), wb.get(i).to_bits(), "weight {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn legacy_v1_corruption_still_detected() {
-        let mut bytes = v1_bytes(&trained_network());
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        assert!(matches!(
-            Network::from_snapshot_bytes(&bytes),
-            Err(SnapshotError::Corrupt("checksum mismatch"))
-        ));
     }
 
     #[test]
@@ -1800,7 +1721,6 @@ mod tests {
         for (label, bytes) in [
             ("f32", net.to_snapshot_bytes()),
             ("q16", net.to_quantized_snapshot_bytes()),
-            ("v1", v1_bytes(&net)),
         ] {
             for n in [1usize, 2, 3, 7] {
                 let slices = slice_snapshot(&bytes, n).unwrap();

@@ -37,6 +37,10 @@ pub struct QueryBudget {
     /// one or two, so a small threshold cuts the candidate set by an
     /// order of magnitude at almost no recall cost.
     pub min_collisions: usize,
+    /// Degradation steps, set only by [`QueryBudget::degraded`]: each
+    /// keeps the first three quarters (rounded up) of what the limits
+    /// above retrieved, in emission order.
+    shrink: u32,
 }
 
 impl Default for QueryBudget {
@@ -52,6 +56,7 @@ impl QueryBudget {
             max_tables: 0,
             max_candidates: 0,
             min_collisions: 1,
+            shrink: 0,
         }
     }
 
@@ -74,43 +79,25 @@ impl QueryBudget {
         self
     }
 
-    /// A stepwise-shrunk copy of this budget for graceful degradation
-    /// under overload; `level` 0 returns `self` unchanged. Each level
-    /// halves the tables probed and the candidate cap relative to the
-    /// *effective* full-budget values (`total_tables` / `total_candidates`
-    /// resolve the unlimited `0` sentinels), flooring at one table and a
-    /// small candidate floor so a degraded query still retrieves
-    /// something. `min_collisions` scales **proportionally with the
-    /// tables actually probed** (floored at 1): a near neighbor's
-    /// expected collision count is linear in the tables probed, so a
-    /// threshold tuned for L tables is ~2x too strict over L/2 — held
-    /// fixed it silently filters out the very candidates the shrunken
-    /// probe set still finds (measured: P@1 0.375 vs 0.547 at level 1 on
-    /// a 1000-label model), and over a single probed table a threshold
-    /// of 2 can never be met at all, turning every retrieval into a
-    /// dense fallback — strictly slower than not degrading.
-    pub fn degraded(&self, level: u32, total_tables: usize, total_candidates: usize) -> Self {
-        if level == 0 {
-            return *self;
-        }
-        let shift = level.min(usize::BITS - 1);
-        let base_tables = if self.max_tables == 0 {
-            total_tables.max(1)
-        } else {
-            self.max_tables.min(total_tables.max(1))
-        };
-        let tables = (base_tables >> shift).max(1);
-        let base_candidates = if self.max_candidates == 0 {
-            total_candidates.max(1)
-        } else {
-            self.max_candidates.min(total_candidates.max(1))
-        };
-        let floor = base_candidates.clamp(1, 32);
-        let candidates = (base_candidates >> shift).max(floor);
+    /// This budget degraded by `level` steps for graceful degradation
+    /// under overload; `level` 0 returns `self` unchanged. Each step
+    /// keeps the first three quarters (rounded up) of the retrieval, so a
+    /// level's candidates are a prefix of the level before it: it can
+    /// never score more (input, candidate) pairs. Sets of three or fewer
+    /// are not shrunk, so a degraded query still retrieves something.
+    ///
+    /// Tables and threshold stay as configured. Halving the probed
+    /// tables sheds hashing too, but a collision threshold above 1 then
+    /// either keeps its value and loses recall (up to −0.18 P@1 over 8 of
+    /// 16 tables on a 400-class model) or scales down to 1 and admits
+    /// every accidental collision: +42 % scored pairs on the same model.
+    /// Emission order keeps the ids that reached the threshold in the
+    /// lowest tables, which on that model costs no P@1 at level 1 for
+    /// 25 % fewer pairs.
+    pub fn degraded(&self, level: u32) -> Self {
         Self {
-            max_tables: tables,
-            max_candidates: candidates,
-            min_collisions: (self.min_collisions * tables / base_tables).clamp(1, tables),
+            shrink: self.shrink.saturating_add(level),
+            ..*self
         }
     }
 }
@@ -118,7 +105,7 @@ impl QueryBudget {
 /// Deterministic bucket-union retrieval: probes tables `0..min(L, budget)`
 /// in order and writes to `out` (cleared first) every stored id whose
 /// bucket-hit count reaches `min_collisions`, keeping the first
-/// `max_candidates` of them.
+/// `max_candidates` of them, then shrinking that prefix `shrink` times.
 ///
 /// **Emission order** is the contract the serving path's bit-identity
 /// rests on: an id is emitted once, at the visit where its count first
@@ -176,7 +163,14 @@ pub fn retrieve_union(
             n += usize::from(*c == threshold);
         }
     }
-    out.truncate(n.min(cap));
+    let mut keep = n.min(cap);
+    for _ in 0..budget.shrink {
+        if keep <= 3 {
+            break;
+        }
+        keep -= keep / 4;
+    }
+    out.truncate(keep);
     for t in 0..probed {
         for &id in tables.bucket(t, codes) {
             hits[id as usize] = 0;
@@ -275,52 +269,34 @@ mod tests {
     #[test]
     fn degraded_budget_shrinks_stepwise_with_floors() {
         let full = QueryBudget::all().with_min_collisions(2);
-        // Level 0 is the identity.
-        assert_eq!(full.degraded(0, 16, 4096), full);
-        // Each level halves tables and candidates from the effective
-        // full values (unlimited sentinels resolve to the totals).
-        let d1 = full.degraded(1, 16, 4096);
-        assert_eq!(d1.max_tables, 8);
-        assert_eq!(d1.max_candidates, 2048);
-        // The collision threshold scales with the probed tables: 2-of-16
-        // becomes 1-of-8 (the same per-table collision rate), not a
-        // twice-as-strict 2-of-8.
-        assert_eq!(d1.min_collisions, 1);
-        let d3 = full.degraded(3, 16, 4096);
-        assert_eq!(d3.max_tables, 2);
-        assert_eq!(d3.max_candidates, 512);
-        assert_eq!(d3.min_collisions, 1);
-        // A heavier threshold keeps its proportion while any slack
-        // remains: 8-of-16 → 4-of-8 → 2-of-4.
-        let heavy = QueryBudget::all().with_min_collisions(8);
-        assert_eq!(heavy.degraded(1, 16, 4096).min_collisions, 4);
-        assert_eq!(heavy.degraded(2, 16, 4096).min_collisions, 2);
-        // Deep levels floor at one table and one collision — a threshold
-        // no probe count can meet would turn every retrieval into a
-        // dense fallback.
-        let deep = full.degraded(10, 16, 4096);
-        assert_eq!(deep.max_tables, 1);
-        assert_eq!(deep.min_collisions, 1);
-        assert_eq!(deep.max_candidates, 32, "candidate floor");
-        // An explicit budget degrades from its own caps, not the totals.
-        let capped = QueryBudget::all()
-            .with_max_tables(4)
-            .with_max_candidates(100);
-        let c1 = capped.degraded(1, 16, 4096);
-        assert_eq!(c1.max_tables, 2);
-        assert_eq!(c1.max_candidates, 50);
-        // Degraded budgets still retrieve deterministically.
-        let (tables, codes) = tables_with_multiplicity(&[4, 4, 4], 4);
-        let mut scratch = SamplerScratch::new(3);
-        let mut out = Vec::new();
-        retrieve_union(
-            &tables,
-            &codes,
-            full.degraded(2, 4, 3),
-            &mut scratch,
-            &mut out,
-        );
-        assert!(!out.is_empty());
+        // Level 0 is the identity; levels compose; tables and threshold
+        // stay as configured.
+        assert_eq!(full.degraded(0), full);
+        assert_eq!(full.degraded(1).degraded(2), full.degraded(3));
+        assert_eq!(full.degraded(3).max_tables, full.max_tables);
+        assert_eq!(full.degraded(3).min_collisions, 2);
+        // Ten ids reach the threshold; one more sits in a single table.
+        let (tables, codes) = tables_with_multiplicity(&[4, 2, 3, 2, 4, 2, 2, 3, 2, 2, 1], 4);
+        let mut scratch = SamplerScratch::new(11);
+        let retrieve = |budget: QueryBudget, scratch: &mut SamplerScratch| {
+            let mut out = Vec::new();
+            retrieve_union(&tables, &codes, budget, scratch, &mut out);
+            out
+        };
+        let level0 = retrieve(full, &mut scratch);
+        assert_eq!(level0.len(), 10);
+        // Each level keeps the first ⌈3n/4⌉ of the level before it, and
+        // sets of three or fewer are not shrunk.
+        let mut prev = level0;
+        for (level, want) in (1..).zip([8, 6, 5, 4, 3, 3]) {
+            let got = retrieve(full.degraded(level), &mut scratch);
+            assert_eq!(got.len(), want, "level {level}");
+            assert_eq!(&prev[..want], &got[..], "a level is a prefix of the last");
+            prev = got;
+        }
+        // The candidate cap applies first: 6 of 10, then ⌈3·6/4⌉ = 5.
+        let capped = retrieve(full.with_max_candidates(6).degraded(1), &mut scratch);
+        assert_eq!(capped.len(), 5);
     }
 
     #[test]
@@ -353,7 +329,8 @@ mod tests {
 
     /// The pre-existing semantics, written for clarity over speed: counts
     /// in a map, emit on the visit whose count first equals the
-    /// threshold, stop at the candidate cap.
+    /// threshold, stop at the candidate cap, then keep ⌈3n/4⌉ per shrink
+    /// step while more than three remain.
     fn reference_union(tables: &LshTables, codes: &[u32], budget: QueryBudget) -> Vec<u32> {
         let l = tables.num_tables();
         let probe = match budget.max_tables {
@@ -376,6 +353,11 @@ mod tests {
                 }
             }
         }
+        for _ in 0..budget.shrink {
+            if out.len() > 3 {
+                out.truncate((3 * out.len()).div_ceil(4));
+            }
+        }
         out
     }
 
@@ -385,15 +367,16 @@ mod tests {
         /// `retrieve_union` equals the reference on arbitrary bucket
         /// contents — duplicate ids inside a bucket, FIFO evictions, two
         /// queries sharing one scratch — under every threshold from 1 to
-        /// L + 1 and random table/candidate caps. Each emitted id is
-        /// distinct, has really reached the threshold, and the counters
-        /// are all zero afterwards.
+        /// L + 1, random table/candidate caps and degradation levels.
+        /// Each emitted id is distinct, has really reached the threshold,
+        /// and the counters are all zero afterwards.
         #[test]
         fn prop_retrieve_union_matches_reference(
             l in 1usize..6,
             inserts in proptest::collection::vec((0u32..12, 0u32..10), 0..80),
             caps in (0usize..7, 0usize..12),
             m in 0usize..64,
+            level in 0u32..5,
         ) {
             let k = 2;
             let config = TableConfig::new(k, l)
@@ -414,7 +397,9 @@ mod tests {
                 max_tables: caps.0,
                 max_candidates: caps.1,
                 min_collisions: 1 + m % (l + 1),
-            };
+                shrink: 0,
+            }
+            .degraded(level);
             let mut scratch = SamplerScratch::new(10);
             let mut out = Vec::new();
             for codes in queries.iter().chain(queries.iter()) {

@@ -55,9 +55,9 @@ pub const BATCH_HIST_BUCKETS: usize = 7;
 /// up (to at most [`DegradeOptions::max_level`]); after
 /// [`DegradeOptions::step_down_after`] consecutive drains below
 /// [`DegradeOptions::low_wait`], it steps back down. Each level answers
-/// under a stepwise-halved LSH [`slide_lsh::QueryBudget`]
-/// ([`slide_lsh::QueryBudget::degraded`]) — fewer tables probed, fewer
-/// candidates scored — so latency stays bounded at slightly lower
+/// under a shrunk LSH [`slide_lsh::QueryBudget`]
+/// ([`slide_lsh::QueryBudget::degraded`]) — a quarter fewer candidates
+/// scored per level — so latency stays bounded at slightly lower
 /// recall, recovering to the full budget when pressure clears.
 ///
 /// **Off by default**: degraded answers are intentionally *different*
@@ -71,7 +71,7 @@ pub struct DegradeOptions {
     pub high_wait: Duration,
     /// Queue wait below which a drain votes to step the level down.
     pub low_wait: Duration,
-    /// Deepest degradation level (each level halves the budget again).
+    /// Deepest degradation level (each level shrinks the budget again).
     pub max_level: u32,
     /// Consecutive high-wait drains before stepping up.
     pub step_up_after: u32,

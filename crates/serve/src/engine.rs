@@ -379,26 +379,12 @@ impl ServingEngine {
         self.network.config().input_dim
     }
 
-    /// Number of hash tables behind the output layer (0 for a dense
-    /// output layer).
-    pub fn output_tables(&self) -> usize {
-        let last = self.network.layers().len() - 1;
-        self.network.layers()[last]
-            .lsh()
-            .map(|l| l.tables().num_tables())
-            .unwrap_or(0)
-    }
-
     /// Builds the selector for graceful-degradation `level`: the
-    /// configured [`QueryBudget`] stepwise-shrunk by
-    /// [`QueryBudget::degraded`] against this model's table count and
-    /// output dimension. Level 0 reproduces the engine's own selector.
+    /// configured [`QueryBudget`] shrunk by [`QueryBudget::degraded`].
+    /// Level 0 reproduces the engine's own selector.
     pub fn degraded_selector(&self, level: u32) -> InferenceSelector {
-        let budget = self
-            .options
-            .budget
-            .degraded(level, self.output_tables(), self.output_dim());
-        InferenceSelector::new(budget).with_dense_fallback(self.options.dense_fallback)
+        InferenceSelector::new(self.options.budget.degraded(level))
+            .with_dense_fallback(self.options.dense_fallback)
     }
 
     /// The number of output classes (also the largest accepted `top_k`).

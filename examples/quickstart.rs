@@ -9,7 +9,7 @@ use slide::prelude::*;
 
 fn main() {
     // 1. A synthetic extreme-classification dataset (stands in for the
-    //    paper's Delicious-200K; see DESIGN.md substitution #1).
+    //    paper's Delicious-200K).
     let mut cfg = SyntheticConfig::tiny();
     cfg.label_dim = 500;
     cfg.feature_dim = 2_000;

@@ -58,7 +58,6 @@ fn slide_tracks_dense_convergence_per_iteration() {
 /// space orders of magnitude larger than the sample (205K–670K classes);
 /// at this test's scale the two are statistically close, so we assert
 /// competitiveness plus the structural properties that distinguish them.
-/// See EXPERIMENTS.md ("Figure 7") for the full discussion.
 #[test]
 fn adaptive_sampling_is_competitive_with_static_at_equal_budget() {
     let mut scfg = SyntheticConfig::tiny();

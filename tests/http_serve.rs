@@ -4,13 +4,15 @@
 //!    swaps in snapshot B *under concurrent keep-alive load* with zero
 //!    request failures;
 //! 2. every response names the model epoch that answered, epochs are
-//!    monotone per connection, and post-reload answers are
-//!    **bit-identical** to calling `ServingEngine::predict` on snapshot
-//!    B directly — classes and scores survive the JSON wire exactly;
+//!    monotone per connection, a request sent after the reload is
+//!    acknowledged is answered by the new epoch, and post-reload
+//!    answers are **bit-identical** to calling `ServingEngine::predict`
+//!    on snapshot B directly — classes and scores survive the JSON wire
+//!    exactly;
 //! 3. the typed error contract holds over the wire (bad request → 400,
 //!    out-of-range feature → 422).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -83,6 +85,9 @@ fn hot_reload_under_concurrent_load_is_downtime_free_and_bit_identical() {
     // response must be 2xx and bit-identical to the reference for the
     // epoch that answered it.
     let epoch_2_served = Arc::new(AtomicU64::new(0));
+    // Set once `/v1/reload` has answered: a request sent after that must
+    // be answered by the new epoch.
+    let reload_acked = Arc::new(AtomicBool::new(false));
     let data = Arc::new(data);
     let reference = Arc::new(reference);
     let clients: Vec<_> = (0..4)
@@ -90,6 +95,7 @@ fn hot_reload_under_concurrent_load_is_downtime_free_and_bit_identical() {
             let data = Arc::clone(&data);
             let reference = Arc::clone(&reference);
             let epoch_2_served = Arc::clone(&epoch_2_served);
+            let reload_acked = Arc::clone(&reload_acked);
             std::thread::spawn(move || -> Result<u64, String> {
                 let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
                 let deadline = Instant::now() + Duration::from_secs(60);
@@ -104,10 +110,18 @@ fn hot_reload_under_concurrent_load_is_downtime_free_and_bit_identical() {
                         ));
                     }
                     for (i, ex) in data.test.iter().enumerate() {
+                        let issued_after_ack = reload_acked.load(Ordering::SeqCst);
                         let resp = client
                             .predict(&ex.features, None)
                             .map_err(|e| format!("thread {t} request failed: {e}"))?;
                         requests += 1;
+                        if issued_after_ack && resp.epoch != 2 {
+                            return Err(format!(
+                                "thread {t}: request sent after the reload ack \
+                                 answered by epoch {}",
+                                resp.epoch
+                            ));
+                        }
                         // Epochs never run backwards on one connection.
                         if resp.epoch < last_epoch {
                             return Err(format!(
@@ -164,6 +178,7 @@ fn hot_reload_under_concurrent_load_is_downtime_free_and_bit_identical() {
         std::thread::sleep(Duration::from_millis(5));
     }
     let new_epoch = ops.reload(path_b.to_str().unwrap()).unwrap();
+    reload_acked.store(true, Ordering::SeqCst);
     assert_eq!(new_epoch, 2);
     assert_eq!(ops.healthz().unwrap().epoch, 2);
 

@@ -328,8 +328,7 @@ fn quantized_snapshot_preserves_serving_accuracy() {
     let f_p1 = p1(&f_engine);
     let q_p1 = p1(&q_engine);
     // Smoke-scale test set (300 examples): one flipped answer moves P@1
-    // by 0.0033, so gate at a granularity-aware bound. The committed
-    // medium-scale bench pins the <0.1pt claim.
+    // by 0.0033, so gate at a granularity-aware bound.
     assert!(
         q_p1 >= f_p1 - 0.02,
         "quantized P@1 {q_p1:.4} fell below f32 P@1 {f_p1:.4}"
