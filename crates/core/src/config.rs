@@ -204,6 +204,14 @@ impl LshLayerConfig {
         if self.bucket_capacity == 0 {
             return Err(err("bucket_capacity must be positive".into()));
         }
+        if self.rebuild.initial_period == 0
+            || self.rebuild.decay.is_nan()
+            || self.rebuild.decay < 0.0
+        {
+            return Err(err(
+                "rebuild schedule needs initial_period > 0 and decay >= 0".into(),
+            ));
+        }
         match self.family {
             FamilySpec::SimHash { sparsity } => {
                 if !(sparsity > 0.0 && sparsity <= 1.0) {

@@ -28,19 +28,52 @@
 //!
 //! Only version 2 is read; any other version is
 //! [`SnapshotError::UnsupportedVersion`].
-//! [`write_network`] emits version 2 with every layer f32 — a round trip
-//! is bit-identical, so restored dense predictions equal the source
+//! [`Network::to_snapshot_bytes`] stores every layer as f32 — a round
+//! trip is bit-identical, so restored dense predictions equal the source
 //! network's exactly (pinned by `tests/serving.rs`).
-//! [`write_network_quantized`] stores the *output layer* as i16
-//! fixed-point with per-row scales ([`QuantizedRows`]): the reader
+//! [`Network::to_quantized_snapshot_bytes`] stores the *output layer* as
+//! i16 fixed-point with per-row scales ([`QuantizedRows`]): the reader
 //! dequantizes into the network weights (so selection tables are built
 //! from the same values serving dots against) and also hands back the
 //! quantized rows for the fused [`slide_kernels::gather_dot_q16`] /
 //! [`slide_kernels::dot_batch_q16`] inference path.
+//!
+//! ## Slices (slice version 1, little-endian)
+//!
+//! [`slice_snapshot`] cuts a snapshot's output layer into contiguous
+//! neuron ranges, one self-contained slice per shard:
+//!
+//! ```text
+//! magic    b"SLIDSLCE"                     8 bytes
+//! version  u32 = 1                         slice format version
+//! snapshot u32 = 2                         embedded snapshot version
+//! lo hi    u64 u64                         output neurons lo..hi
+//! total    u64                             original output width
+//! prefix   len u64 + bytes                 the snapshot up to its output
+//!                                          section, verbatim: magic,
+//!                                          version, config, other layers
+//! center   len u64 + f32 bits              full output layer's centering
+//!                                          vector (0 or fan-in of them)
+//! output   enc u8                          0 = f32, 1 = q16
+//!          enc 1: f32 scales of rows lo..hi
+//!          rows lo..hi                     f32 bits, or i16 codes
+//!          biases lo..hi                   f32 bits
+//! check    u64 FNV-1a over everything above
+//! ```
+//!
+//! ## One parse
+//!
+//! Every reader — [`read_snapshot_with_centering`], [`slice_snapshot`],
+//! [`read_slice`] and [`assemble_slices`] — first parses its bytes into
+//! borrowed per-layer sections: checksum, magic, version and config,
+//! then one walk over the layer sections whose sizes are all checked
+//! against the config before any of them is read or allocated from. A
+//! malformed input is a typed [`SnapshotError`], never a panic.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
+use slide_data::cache::fnv1a;
 use slide_kernels::{AdamParams, KernelMode};
 use slide_lsh::policy::InsertionPolicy;
 use slide_lsh::sampling::SamplingStrategy;
@@ -58,6 +91,11 @@ const VERSION: u32 = 2;
 /// Per-layer weight encoding tag.
 const ENC_F32: u8 = 0;
 const ENC_Q16: u8 = 1;
+
+/// Largest `k · l` a decoded LSH layer may declare. The paper's widest
+/// setting is K = 9, L = 50; the bound keeps a corrupt count from
+/// sizing a hash family or table set in the billions.
+const MAX_HASHES: usize = 1 << 16;
 
 /// Error restoring a snapshot.
 #[derive(Debug)]
@@ -134,6 +172,12 @@ impl Enc {
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
+    /// Appends the FNV-1a checksum of everything written so far.
+    fn finish(mut self) -> Vec<u8> {
+        let check = fnv1a(&self.buf);
+        self.u64(check);
+        self.buf
+    }
 }
 
 #[derive(Debug)]
@@ -146,27 +190,30 @@ impl<'a> Dec<'a> {
     fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(SnapshotError::Corrupt("truncated"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
+        if n > self.remaining() {
+            return Err(SnapshotError::Corrupt("truncated"));
+        }
+        let s = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
         Ok(s)
     }
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
     fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.array()?))
     }
     fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
     fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i16(&mut self) -> Result<i16, SnapshotError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()) as i16)
+        Ok(u64::from_le_bytes(self.array()?))
     }
     fn f32(&mut self) -> Result<f32, SnapshotError> {
         Ok(f32::from_bits(self.u32()?))
@@ -179,12 +226,11 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01B3);
-    }
-    h
+/// Decodes little-endian f32 bit patterns.
+fn f32s(bytes: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
 fn check_version(version: u32) -> Result<(), SnapshotError> {
@@ -310,6 +356,9 @@ fn decode_config(d: &mut Dec<'_>) -> Result<NetworkConfig, SnapshotError> {
                 };
                 let k = d.usize()?;
                 let l = d.usize()?;
+                if k.checked_mul(l).is_none_or(|n| n > MAX_HASHES) {
+                    return Err(SnapshotError::Corrupt("hash count implausible"));
+                }
                 let table_bits = d.u32()?;
                 let bucket_capacity = d.usize()?;
                 let policy = match d.u8()? {
@@ -364,19 +413,7 @@ fn decode_config(d: &mut Dec<'_>) -> Result<NetworkConfig, SnapshotError> {
 }
 
 // ---------------------------------------------------------------------
-// Public API.
-
-/// A restored snapshot: the network plus, when the snapshot stored the
-/// output layer as i16 fixed-point, the decoded [`QuantizedRows`] for the
-/// fused quantized inference path.
-#[derive(Debug)]
-pub struct LoadedSnapshot {
-    /// The restored network (quantized layers dequantized in place,
-    /// hash tables rebuilt).
-    pub network: Network,
-    /// The output layer's quantized rows, when the snapshot carried them.
-    pub quantized: Option<QuantizedRows>,
-}
+// Writing.
 
 fn write_with(network: &Network, quantize_output: bool) -> Vec<u8> {
     let mut e = Enc::default();
@@ -409,91 +446,290 @@ fn write_with(network: &Network, quantize_output: bool) -> Vec<u8> {
             e.f32(b.get(i));
         }
     }
-    let check = fnv1a(&e.buf);
-    e.u64(check);
-    e.buf
+    e.finish()
 }
 
-/// Serializes `network` (config + weights + biases) to the version-2 byte
-/// format with every layer stored as exact f32.
-pub fn write_network(network: &Network) -> Vec<u8> {
-    write_with(network, false)
+// ---------------------------------------------------------------------
+// The one parse: checksum, header, config and checked layer sections.
+
+/// One layer's parameter section as byte ranges of its snapshot or
+/// slice. Every range's length has been checked against
+/// `units × fan_in`.
+#[derive(Debug, Clone, Copy)]
+struct Section<'a> {
+    enc: u8,
+    units: usize,
+    fan_in: usize,
+    /// Per-row f32 scales (q16 only; empty for f32).
+    scales: &'a [u8],
+    /// Weight rows: f32 bits, or i16 codes for q16.
+    rows: &'a [u8],
+    /// Bias f32 bits.
+    biases: &'a [u8],
 }
 
-/// Serializes `network` with the *output layer* stored as i16 fixed-point
-/// rows with per-row scales ([`QuantizedRows`]) — roughly half the bytes
-/// of [`write_network`] when the output layer dominates. Hidden layers
-/// and all biases stay exact f32; training state is unaffected.
-pub fn write_network_quantized(network: &Network) -> Vec<u8> {
-    write_with(network, true)
-}
-
-/// Restores a [`Network`] from snapshot bytes: validates magic, version
-/// and checksum, rebuilds the network from the embedded config, copies
-/// the weights and biases in, and rebuilds every LSH layer's hash tables
-/// from the restored weights.
-pub fn read_network(bytes: &[u8]) -> Result<Network, SnapshotError> {
-    read_network_with_centering(bytes, None)
-}
-
-/// [`read_network`] with the centering mode decided up front — discards
-/// any quantized rows; see [`read_snapshot_with_centering`] to keep them.
-pub fn read_network_with_centering(
-    bytes: &[u8],
-    center_rows: Option<bool>,
-) -> Result<Network, SnapshotError> {
-    read_snapshot_with_centering(bytes, center_rows).map(|s| s.network)
-}
-
-/// Walks the per-layer parameter payload *by size only* and verifies it
-/// is exactly consistent with the config's dimensions, before any
-/// dimension-derived allocation happens. A corrupt/crafted header
-/// claiming units = 2^40 must fail here, not OOM in `Network::new`.
-///
-/// Each layer starts with an encoding tag byte that decides the
-/// section's size, so the walk reads each tag at its computed offset.
-fn validate_payload_size(
-    payload: &[u8],
-    start: usize,
-    config: &NetworkConfig,
-) -> Result<(), SnapshotError> {
-    let remaining = (payload.len() - start) as u128;
-    let mut offset: u128 = 0;
-    let mut fan_in = config.input_dim as u128;
-    for layer in &config.layers {
-        let units = layer.units as u128;
-        let tag = *payload
-            .get(
-                start
-                    + usize::try_from(offset).map_err(|_| {
-                        SnapshotError::Corrupt("parameter payload size inconsistent with config")
-                    })?,
-            )
-            .ok_or(SnapshotError::Corrupt(
-                "parameter payload size inconsistent with config",
-            ))?;
-        let weights = match tag {
-            // tag + weights len + f32s
-            ENC_F32 => 1 + 8 + units * fan_in * 4,
-            // tag + code count + per-row f32 scales + i16 codes
-            ENC_Q16 => 1 + 8 + units * 4 + units * fan_in * 2,
+impl<'a> Section<'a> {
+    /// Walks one section at `d`'s position. In a snapshot the weights
+    /// and biases each carry a u64 element count (`counted`); in a slice
+    /// only the tag precedes the arrays. The section's whole size is
+    /// checked against the bytes left before any of it is read.
+    fn take(
+        d: &mut Dec<'a>,
+        units: usize,
+        fan_in: usize,
+        counted: bool,
+    ) -> Result<Self, SnapshotError> {
+        let enc = d.u8()?;
+        let (scale_width, value_width) = match enc {
+            ENC_F32 => (0, 4),
+            ENC_Q16 => (4, 2),
             _ => return Err(SnapshotError::Corrupt("layer encoding tag")),
         };
-        // Biases: len + f32s, always.
-        offset += weights + 8 + units * 4;
-        if offset > remaining {
+        let sizes = units.checked_mul(fan_in).and_then(|count| {
+            let rows = count.checked_mul(value_width)?;
+            let biases = units.checked_mul(4)?;
+            let scales = units * scale_width;
+            let size = [scales, biases, if counted { 16 } else { 0 }]
+                .into_iter()
+                .try_fold(rows, usize::checked_add)?;
+            (size <= d.remaining()).then_some((count, scales, rows, biases))
+        });
+        let Some((count, scales, rows, biases)) = sizes else {
             return Err(SnapshotError::Corrupt(
                 "parameter payload size inconsistent with config",
             ));
+        };
+        if counted && d.usize()? != count {
+            return Err(SnapshotError::Corrupt("weight count mismatch"));
         }
-        fan_in = units;
+        let (scales, rows) = (d.take(scales)?, d.take(rows)?);
+        if counted && d.usize()? != units {
+            return Err(SnapshotError::Corrupt("bias count mismatch"));
+        }
+        Ok(Self {
+            enc,
+            units,
+            fan_in,
+            scales,
+            rows,
+            biases: d.take(biases)?,
+        })
     }
-    if offset != remaining {
+
+    /// Rows `lo..hi` of this section (`lo ≤ hi ≤ units`).
+    fn rows(&self, lo: usize, hi: usize) -> Self {
+        let (scale, row) = if self.enc == ENC_Q16 {
+            (4, self.fan_in * 2)
+        } else {
+            (0, self.fan_in * 4)
+        };
+        Self {
+            units: hi - lo,
+            scales: &self.scales[lo * scale..hi * scale],
+            rows: &self.rows[lo * row..hi * row],
+            biases: &self.biases[lo * 4..hi * 4],
+            ..*self
+        }
+    }
+
+    /// Appends this section in slice form: the tag, then the arrays.
+    fn put(&self, e: &mut Enc) {
+        e.u8(self.enc);
+        for part in [self.scales, self.rows, self.biases] {
+            e.buf.extend_from_slice(part);
+        }
+    }
+
+    /// Decodes the weight rows in order, handing each to `row` as f32
+    /// values: f32 rows verbatim, q16 rows dequantized from their codes
+    /// once every scale is validated. Returns the codes of a q16 section.
+    fn decode_rows(
+        &self,
+        mut row: impl FnMut(usize, &[f32]),
+    ) -> Result<Option<QuantizedRows>, SnapshotError> {
+        let mut values = vec![0.0f32; self.fan_in];
+        if self.enc == ENC_F32 {
+            let width = self.fan_in * 4;
+            for j in 0..self.units {
+                for (v, x) in values
+                    .iter_mut()
+                    .zip(f32s(&self.rows[j * width..(j + 1) * width]))
+                {
+                    *v = x;
+                }
+                row(j, &values);
+            }
+            return Ok(None);
+        }
+        let scales: Vec<f32> = f32s(self.scales).collect();
+        if scales.iter().any(|s| !s.is_finite() || *s < 0.0) {
+            return Err(SnapshotError::Corrupt("quantized scale invalid"));
+        }
+        let codes = self
+            .rows
+            .chunks_exact(2)
+            .map(|c| i16::from_le_bytes([c[0], c[1]]))
+            .collect();
+        let q = QuantizedRows::from_parts(self.units, self.fan_in, codes, scales);
+        for j in 0..self.units {
+            q.dequantize_row(j, &mut values);
+            row(j, &values);
+        }
+        Ok(Some(q))
+    }
+
+    /// Installs this section into `layer` — weights (q16 dequantized, so
+    /// table rebuilds and the f32 fallback see exactly the values the
+    /// quantized kernels compute against) and biases. Returns the
+    /// section's [`QuantizedRows`] when it is q16. Does **not** rebuild
+    /// the layer's tables.
+    fn install(&self, layer: &Layer) -> Result<Option<QuantizedRows>, SnapshotError> {
+        debug_assert_eq!((layer.units(), layer.fan_in()), (self.units, self.fan_in));
+        let weights = layer.weights();
+        let quantized = self.decode_rows(|j, row| {
+            for (i, &v) in row.iter().enumerate() {
+                weights.set(j, i, v);
+            }
+        })?;
+        for (i, b) in f32s(self.biases).enumerate() {
+            layer.biases().set(i, b);
+        }
+        Ok(quantized)
+    }
+
+    /// The layer's centering vector: the serial f64 column mean over all
+    /// rows, exactly as `Layer::rebuild_tables` computes it after a full
+    /// load (q16 rows dequantized first, like the reader does).
+    fn column_mean(&self) -> Result<Vec<f32>, SnapshotError> {
+        let mut acc = vec![0.0f64; self.fan_in];
+        self.decode_rows(|_, row| {
+            for (a, &r) in acc.iter_mut().zip(row) {
+                *a += r as f64;
+            }
+        })?;
+        Ok(acc
+            .iter()
+            .map(|&a| (a / self.units as f64) as f32)
+            .collect())
+    }
+}
+
+/// A snapshot parsed into its config and checked layer sections.
+struct Parsed<'a> {
+    config: NetworkConfig,
+    /// The snapshot up to its output section — magic, version, config
+    /// and every other layer's section — as a slice embeds it.
+    prefix: &'a [u8],
+    /// One section per layer, input to output. A slice's embedded
+    /// prefix holds every layer but the output.
+    sections: Vec<Section<'a>>,
+}
+
+/// Verifies the length and the trailing checksum, returning the payload
+/// the checksum covers.
+fn checked_payload(bytes: &[u8], min_len: usize) -> Result<&[u8], SnapshotError> {
+    if bytes.len() < min_len {
+        return Err(SnapshotError::Corrupt("too short"));
+    }
+    let (payload, check) = bytes.split_at(bytes.len() - 8);
+    if fnv1a(payload) != Dec::new(check).u64()? {
+        return Err(SnapshotError::Corrupt("checksum mismatch"));
+    }
+    Ok(payload)
+}
+
+/// Parses a checksum-verified payload: magic, version, config, then every
+/// layer's section in one checked walk that must end exactly at the
+/// payload's end. With `output` false the payload is a slice's embedded
+/// prefix, which stops before the output layer's section.
+fn parse_payload(payload: &[u8], output: bool) -> Result<Parsed<'_>, SnapshotError> {
+    let mut d = Dec::new(payload);
+    if d.take(MAGIC.len())? != MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    check_version(d.u32()?)?;
+    let config = decode_config(&mut d)?;
+    let walked = match (output, config.layers.len()) {
+        (true, n) => n,
+        (false, 0) => return Err(SnapshotError::Corrupt("no layers")),
+        (false, n) => n - 1,
+    };
+    let mut sections = Vec::with_capacity(config.layers.len());
+    let (mut fan_in, mut last_start) = (config.input_dim, d.pos);
+    for layer in &config.layers[..walked] {
+        last_start = d.pos;
+        sections.push(Section::take(&mut d, layer.units, fan_in, true)?);
+        fan_in = layer.units;
+    }
+    if d.pos != payload.len() {
         return Err(SnapshotError::Corrupt(
             "parameter payload size inconsistent with config",
         ));
     }
-    Ok(())
+    let prefix = &payload[..if output { last_start } else { d.pos }];
+    Ok(Parsed {
+        config,
+        prefix,
+        sections,
+    })
+}
+
+/// Parses a full snapshot; see [`parse_payload`].
+fn parse_snapshot(bytes: &[u8]) -> Result<Parsed<'_>, SnapshotError> {
+    parse_payload(checked_payload(bytes, MAGIC.len() + 4 + 8)?, true)
+}
+
+/// Builds a network from parsed sections — the one restore path. When
+/// `center_rows` is `Some`, every LSH layer's centering mode is
+/// overridden before the network is built, so each table set is built
+/// once in the requested geometry. For a slice, `slice` carries the
+/// original output width (the network is built output-sliced, so hash
+/// families match the full network's draws) and the full output layer's
+/// centering vector, installed before the output tables are rebuilt.
+fn restore(
+    mut parsed: Parsed<'_>,
+    center_rows: Option<bool>,
+    slice: Option<(usize, &[u8])>,
+) -> Result<LoadedSnapshot, SnapshotError> {
+    if let Some(center) = center_rows {
+        for layer in &mut parsed.config.layers {
+            if let Some(lsh) = &mut layer.lsh {
+                lsh.center_rows = center;
+            }
+        }
+    }
+    let mut network = match slice {
+        None => Network::new(parsed.config)?,
+        Some((total, _)) => Network::new_output_sliced(parsed.config, total)?,
+    };
+    if let (Some((_, center)), Some(out)) = (slice, network.layers_mut().last_mut()) {
+        out.set_center_override((!center.is_empty()).then(|| f32s(center).collect()));
+    }
+    let mut quantized = None;
+    for (layer, section) in network.layers_mut().iter_mut().zip(&parsed.sections) {
+        // Only the output layer is ever stored q16, so the last layer's
+        // rows are the ones kept.
+        quantized = section.install(layer)?;
+        // Bucket contents are a function of the weights: re-hash now that
+        // the trained weights are in place.
+        layer.rebuild_tables();
+    }
+    Ok(LoadedSnapshot { network, quantized })
+}
+
+// ---------------------------------------------------------------------
+// Public API.
+
+/// A restored snapshot: the network plus, when the snapshot stored the
+/// output layer as i16 fixed-point, the decoded [`QuantizedRows`] for the
+/// fused quantized inference path.
+#[derive(Debug)]
+pub struct LoadedSnapshot {
+    /// The restored network (quantized layers dequantized in place,
+    /// hash tables rebuilt).
+    pub network: Network,
+    /// The output layer's quantized rows, when the snapshot carried them.
+    pub quantized: Option<QuantizedRows>,
 }
 
 /// Restores a network *and* any quantized output rows from snapshot
@@ -508,302 +744,32 @@ fn validate_payload_size(
 /// tables are therefore built over exactly the values the quantized dot
 /// kernels reproduce — and the output layer's codes are returned in
 /// [`LoadedSnapshot::quantized`].
+///
+/// # Errors
+///
+/// Typed [`SnapshotError`]s for malformed bytes, plus the embedded
+/// config's validation errors.
 pub fn read_snapshot_with_centering(
     bytes: &[u8],
     center_rows: Option<bool>,
 ) -> Result<LoadedSnapshot, SnapshotError> {
-    if bytes.len() < MAGIC.len() + 4 + 8 {
-        return Err(SnapshotError::Corrupt("too short"));
-    }
-    let (payload, check_bytes) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(check_bytes.try_into().unwrap());
-    if fnv1a(payload) != stored {
-        return Err(SnapshotError::Corrupt("checksum mismatch"));
-    }
-    let mut d = Dec::new(payload);
-    if d.take(MAGIC.len())? != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    check_version(d.u32()?)?;
-    let mut config = decode_config(&mut d)?;
-    if let Some(center) = center_rows {
-        for layer in &mut config.layers {
-            if let Some(lsh) = &mut layer.lsh {
-                lsh.center_rows = center;
-            }
-        }
-    }
-    validate_payload_size(payload, d.pos, &config)?;
-    let mut network = Network::new(config)?;
-    let n_layers = network.layers().len();
-    let mut quantized: Option<QuantizedRows> = None;
-    let mut values: Vec<f32> = Vec::new();
-    for (li, layer) in network.layers_mut().iter_mut().enumerate() {
-        let q = decode_layer_params(&mut d, layer, &mut values)?;
-        if li == n_layers - 1 {
-            quantized = q;
-        }
-        // Bucket contents are a function of the weights: re-hash now that
-        // the trained weights are in place.
-        layer.rebuild_tables();
-    }
-    if d.pos != payload.len() {
-        return Err(SnapshotError::Corrupt("trailing bytes"));
-    }
-    Ok(LoadedSnapshot { network, quantized })
-}
-
-/// Decodes one layer's parameter section (weights + biases) from `d`
-/// into `layer`, dequantizing q16 rows into the weight matrix (so table
-/// rebuilds and the f32 fallback see exactly the values the quantized
-/// kernels compute against). Returns the decoded [`QuantizedRows`] when
-/// the section was q16. Does **not** rebuild the layer's tables.
-fn decode_layer_params(
-    d: &mut Dec<'_>,
-    layer: &mut Layer,
-    values: &mut Vec<f32>,
-) -> Result<Option<QuantizedRows>, SnapshotError> {
-    let mut quantized: Option<QuantizedRows> = None;
-    match d.u8()? {
-        ENC_F32 => {
-            let n_w = d.usize()?;
-            if n_w != layer.weights().flat().len() {
-                return Err(SnapshotError::Corrupt("weight count mismatch"));
-            }
-            values.clear();
-            values.reserve(n_w);
-            for _ in 0..n_w {
-                values.push(d.f32()?);
-            }
-            layer.weights().flat().copy_from(values);
-        }
-        ENC_Q16 => {
-            let count = d.usize()?;
-            let (units, fan_in) = (layer.units(), layer.fan_in());
-            if count != units * fan_in {
-                return Err(SnapshotError::Corrupt("quantized code count mismatch"));
-            }
-            let mut scales = Vec::with_capacity(units);
-            for _ in 0..units {
-                let s = d.f32()?;
-                if !s.is_finite() || s < 0.0 {
-                    return Err(SnapshotError::Corrupt("quantized scale invalid"));
-                }
-                scales.push(s);
-            }
-            let mut codes = Vec::with_capacity(count);
-            for _ in 0..count {
-                codes.push(d.i16()?);
-            }
-            let q = QuantizedRows::from_parts(units, fan_in, codes, scales);
-            values.resize(fan_in, 0.0);
-            for j in 0..units {
-                q.dequantize_row(j, values);
-                for (i, &v) in values.iter().enumerate() {
-                    layer.weights().set(j, i, v);
-                }
-            }
-            quantized = Some(q);
-        }
-        _ => return Err(SnapshotError::Corrupt("layer encoding tag")),
-    }
-    let n_b = d.usize()?;
-    if n_b != layer.biases().len() {
-        return Err(SnapshotError::Corrupt("bias count mismatch"));
-    }
-    values.clear();
-    values.reserve(n_b);
-    for _ in 0..n_b {
-        values.push(d.f32()?);
-    }
-    layer.biases().copy_from(values);
-    Ok(quantized)
+    restore(parse_snapshot(bytes)?, center_rows, None)
 }
 
 // ---------------------------------------------------------------------
 // Snapshot slices: scatter a snapshot's output layer across shards.
 //
-// A *slice* is a section of a full snapshot carrying one
-// shard's contiguous output-neuron range — its weight rows (f32 or q16
-// with per-row scales) and biases — plus everything a shard engine needs
-// to reproduce the unsharded engine's behaviour bit-for-bit: the full
-// network's config and hidden layers verbatim, and the full output
-// layer's centering vector (a shard cannot recompute the mean of rows it
-// does not hold). `slice_snapshot` produces the slices,
-// `assemble_slices` reassembles the original bytes exactly, and
-// `read_slice` restores a shard-sized network whose hash family, tables
-// and scores match the full network's over the shard's range.
+// A *slice* carries one shard's contiguous output-neuron range — its
+// weight rows (f32 or q16 with per-row scales) and biases — plus
+// everything a shard engine needs to reproduce the unsharded engine's
+// behaviour bit-for-bit: the full network's config and hidden layers
+// verbatim, and the full output layer's centering vector (a shard cannot
+// recompute the mean of rows it does not hold).
 
 /// Slice container magic.
 const SLICE_MAGIC: &[u8; 8] = b"SLIDSLCE";
 /// Slice container format version.
 const SLICE_VERSION: u32 = 1;
-
-/// A full snapshot parsed down to section offsets (checksum and payload
-/// sizes already verified).
-struct FullParts<'a> {
-    config: NetworkConfig,
-    /// The snapshot bytes minus the trailing checksum.
-    payload: &'a [u8],
-    /// Offset of the output layer's parameter section in `payload`.
-    out_start: usize,
-    /// The output layer's fan-in (last hidden width, or the input dim).
-    out_fan_in: usize,
-}
-
-/// Byte size of one layer's parameter section. `tag` is the section's
-/// first byte.
-fn layer_section_size(
-    tag: Option<u8>,
-    units: usize,
-    fan_in: usize,
-) -> Result<usize, SnapshotError> {
-    let weights = match tag.ok_or(SnapshotError::Corrupt("truncated"))? {
-        ENC_F32 => 1 + 8 + units * fan_in * 4,
-        ENC_Q16 => 1 + 8 + units * 4 + units * fan_in * 2,
-        _ => return Err(SnapshotError::Corrupt("layer encoding tag")),
-    };
-    Ok(weights + 8 + units * 4)
-}
-
-/// Walks the non-output layer sections starting at `start`, returning
-/// the offset of the output section and the output layer's fan-in.
-fn walk_hidden_sections(
-    bytes: &[u8],
-    start: usize,
-    config: &NetworkConfig,
-) -> Result<(usize, usize), SnapshotError> {
-    let mut off = start;
-    let mut fan_in = config.input_dim;
-    for layer in &config.layers[..config.layers.len() - 1] {
-        let size = layer_section_size(bytes.get(off).copied(), layer.units, fan_in)?;
-        off = off
-            .checked_add(size)
-            .filter(|&o| o <= bytes.len())
-            .ok_or(SnapshotError::Corrupt("truncated"))?;
-        fan_in = layer.units;
-    }
-    Ok((off, fan_in))
-}
-
-fn parse_full(bytes: &[u8]) -> Result<FullParts<'_>, SnapshotError> {
-    if bytes.len() < MAGIC.len() + 4 + 8 {
-        return Err(SnapshotError::Corrupt("too short"));
-    }
-    let (payload, check_bytes) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(check_bytes.try_into().unwrap());
-    if fnv1a(payload) != stored {
-        return Err(SnapshotError::Corrupt("checksum mismatch"));
-    }
-    let mut d = Dec::new(payload);
-    if d.take(MAGIC.len())? != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    check_version(d.u32()?)?;
-    let config = decode_config(&mut d)?;
-    if config.layers.is_empty() {
-        return Err(SnapshotError::Corrupt("no layers"));
-    }
-    validate_payload_size(payload, d.pos, &config)?;
-    let (out_start, out_fan_in) = walk_hidden_sections(payload, d.pos, &config)?;
-    Ok(FullParts {
-        config,
-        payload,
-        out_start,
-        out_fan_in,
-    })
-}
-
-/// Offsets of the output section's pieces within a parsed snapshot.
-struct OutSection {
-    enc: u8,
-    /// Offset of the per-row f32 scales (q16 only; 0 for f32).
-    scales: usize,
-    /// Offset of the weight value array (f32 bits, or i16 codes).
-    rows: usize,
-    /// Offset of the bias f32 array (past its length prefix).
-    biases: usize,
-}
-
-fn out_section(parts: &FullParts<'_>) -> Result<OutSection, SnapshotError> {
-    let out = &parts.config.layers[parts.config.layers.len() - 1];
-    let (units, fan_in) = (out.units, parts.out_fan_in);
-    let off = parts.out_start;
-    match parts.payload[off] {
-        ENC_F32 => Ok(OutSection {
-            enc: ENC_F32,
-            scales: 0,
-            rows: off + 9,
-            biases: off + 9 + units * fan_in * 4 + 8,
-        }),
-        ENC_Q16 => {
-            let scales = off + 9;
-            let rows = scales + units * 4;
-            Ok(OutSection {
-                enc: ENC_Q16,
-                scales,
-                rows,
-                biases: rows + units * fan_in * 2 + 8,
-            })
-        }
-        _ => Err(SnapshotError::Corrupt("layer encoding tag")),
-    }
-}
-
-/// Reads f32 number `i` from a little-endian byte array.
-fn f32_at(bytes: &[u8], i: usize) -> f32 {
-    let p = i * 4;
-    f32::from_bits(u32::from_le_bytes([
-        bytes[p],
-        bytes[p + 1],
-        bytes[p + 2],
-        bytes[p + 3],
-    ]))
-}
-
-/// The full output layer's centering vector — the serial f64 column mean
-/// over **all** rows, exactly as `Layer::rebuild_tables` computes it
-/// after the full snapshot load (q16 rows dequantized first, like the
-/// reader does). Empty when the output layer has no LSH config.
-fn output_center(parts: &FullParts<'_>, sec: &OutSection) -> Result<Vec<f32>, SnapshotError> {
-    let out = &parts.config.layers[parts.config.layers.len() - 1];
-    if out.lsh.is_none() {
-        return Ok(Vec::new());
-    }
-    let (units, fan_in) = (out.units, parts.out_fan_in);
-    let payload = parts.payload;
-    let mut acc = vec![0.0f64; fan_in];
-    if sec.enc == ENC_Q16 {
-        let mut scales = Vec::with_capacity(units);
-        for j in 0..units {
-            let s = f32_at(&payload[sec.scales..], j);
-            if !s.is_finite() || s < 0.0 {
-                return Err(SnapshotError::Corrupt("quantized scale invalid"));
-            }
-            scales.push(s);
-        }
-        let mut codes = Vec::with_capacity(units * fan_in);
-        for i in 0..units * fan_in {
-            let p = sec.rows + i * 2;
-            codes.push(u16::from_le_bytes([payload[p], payload[p + 1]]) as i16);
-        }
-        let q = QuantizedRows::from_parts(units, fan_in, codes, scales);
-        let mut row = vec![0.0f32; fan_in];
-        for j in 0..units {
-            q.dequantize_row(j, &mut row);
-            for (a, &r) in acc.iter_mut().zip(&row) {
-                *a += r as f64;
-            }
-        }
-    } else {
-        for j in 0..units {
-            for (i, a) in acc.iter_mut().enumerate() {
-                *a += f32_at(&payload[sec.rows..], j * fan_in + i) as f64;
-            }
-        }
-    }
-    Ok(acc.iter().map(|&a| (a / units as f64) as f32).collect())
-}
 
 /// Splits a full snapshot into `num_shards` self-contained slices, shard
 /// `s` carrying output neurons `s·units/n .. (s+1)·units/n`. The slices
@@ -818,17 +784,20 @@ pub fn slice_snapshot(bytes: &[u8], num_shards: usize) -> Result<Vec<Vec<u8>>, S
     if num_shards == 0 {
         return Err(SnapshotError::Slice("num_shards must be positive"));
     }
-    let parts = parse_full(bytes)?;
-    let units = parts.config.layers[parts.config.layers.len() - 1].units;
+    let snap = parse_snapshot(bytes)?;
+    let out = snap
+        .sections
+        .last()
+        .ok_or(SnapshotError::Corrupt("no layers"))?;
+    let units = out.units;
     if num_shards > units {
         return Err(SnapshotError::Slice("more shards than output neurons"));
     }
-    let sec = out_section(&parts)?;
-    let center = output_center(&parts, &sec)?;
-    let fan_in = parts.out_fan_in;
-    let payload = parts.payload;
-    let mut slices = Vec::with_capacity(num_shards);
-    for s in 0..num_shards {
+    let center = match snap.config.layers.last().and_then(|l| l.lsh.as_ref()) {
+        Some(_) => out.column_mean()?,
+        None => Vec::new(),
+    };
+    let slices = (0..num_shards).map(|s| {
         let lo = s * units / num_shards;
         let hi = (s + 1) * units / num_shards;
         let mut e = Enc::default();
@@ -838,62 +807,33 @@ pub fn slice_snapshot(bytes: &[u8], num_shards: usize) -> Result<Vec<Vec<u8>>, S
         e.u64(lo as u64);
         e.u64(hi as u64);
         e.u64(units as u64);
-        e.u64(parts.out_start as u64);
-        e.buf.extend_from_slice(&payload[..parts.out_start]);
+        e.u64(snap.prefix.len() as u64);
+        e.buf.extend_from_slice(snap.prefix);
         e.u64(center.len() as u64);
         for &c in &center {
             e.f32(c);
         }
-        e.u8(sec.enc);
-        if sec.enc == ENC_Q16 {
-            e.buf
-                .extend_from_slice(&payload[sec.scales + lo * 4..sec.scales + hi * 4]);
-            e.buf.extend_from_slice(
-                &payload[sec.rows + lo * fan_in * 2..sec.rows + hi * fan_in * 2],
-            );
-        } else {
-            e.buf.extend_from_slice(
-                &payload[sec.rows + lo * fan_in * 4..sec.rows + hi * fan_in * 4],
-            );
-        }
-        e.buf
-            .extend_from_slice(&payload[sec.biases + lo * 4..sec.biases + hi * 4]);
-        let check = fnv1a(&e.buf);
-        e.u64(check);
-        slices.push(e.buf);
-    }
-    Ok(slices)
+        out.rows(lo, hi).put(&mut e);
+        e.finish()
+    });
+    Ok(slices.collect())
 }
 
-/// A parsed slice, borrowing section byte ranges from the input.
-struct SlicePart<'a> {
+/// A parsed slice: the embedded snapshot plus its output rows `lo..hi`.
+struct ParsedSlice<'a> {
     lo: usize,
     hi: usize,
     total: usize,
-    /// The original snapshot's bytes up to the output section: magic,
-    /// version, config and every non-output layer section, verbatim.
-    prefix: &'a [u8],
-    out_fan_in: usize,
     /// The full output layer's centering vector (f32 bits; may be empty).
     center: &'a [u8],
-    enc: u8,
-    /// Per-row f32 scales (q16 only; empty for f32).
-    scales: &'a [u8],
-    /// Weight rows: f32 bits, or i16 codes for q16.
-    rows: &'a [u8],
-    /// Bias f32 bits.
-    biases: &'a [u8],
+    /// The output layer's rows `lo..hi`.
+    out: Section<'a>,
+    /// The embedded snapshot prefix: config and every other layer.
+    snap: Parsed<'a>,
 }
 
-fn parse_slice(bytes: &[u8]) -> Result<SlicePart<'_>, SnapshotError> {
-    if bytes.len() < SLICE_MAGIC.len() + 4 + 4 + 8 * 4 + 8 {
-        return Err(SnapshotError::Corrupt("too short"));
-    }
-    let (payload, check_bytes) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(check_bytes.try_into().unwrap());
-    if fnv1a(payload) != stored {
-        return Err(SnapshotError::Corrupt("checksum mismatch"));
-    }
+fn parse_slice(bytes: &[u8]) -> Result<ParsedSlice<'_>, SnapshotError> {
+    let payload = checked_payload(bytes, SLICE_MAGIC.len() + 4 + 4 + 8 * 4 + 8)?;
     let mut d = Dec::new(payload);
     if d.take(SLICE_MAGIC.len())? != SLICE_MAGIC {
         return Err(SnapshotError::BadMagic);
@@ -903,34 +843,25 @@ fn parse_slice(bytes: &[u8]) -> Result<SlicePart<'_>, SnapshotError> {
         return Err(SnapshotError::UnsupportedVersion(slice_version));
     }
     check_version(d.u32()?)?;
-    let lo = d.usize()?;
-    let hi = d.usize()?;
-    let total = d.usize()?;
+    let (lo, hi, total) = (d.usize()?, d.usize()?, d.usize()?);
     if !(lo < hi && hi <= total) {
         return Err(SnapshotError::Slice("invalid neuron range"));
     }
     let prefix_len = d.usize()?;
-    let prefix = d.take(prefix_len)?;
-    let mut pd = Dec::new(prefix);
-    if pd.take(MAGIC.len())? != MAGIC {
-        return Err(SnapshotError::Corrupt("embedded snapshot magic"));
-    }
-    if pd.u32()? != VERSION {
-        return Err(SnapshotError::Corrupt("embedded snapshot version"));
-    }
-    let config = decode_config(&mut pd)?;
-    if config.layers.is_empty() {
-        return Err(SnapshotError::Corrupt("no layers"));
-    }
-    let (prefix_end, out_fan_in) = walk_hidden_sections(prefix, pd.pos, &config)?;
-    if prefix_end != prefix.len() {
-        return Err(SnapshotError::Corrupt("prefix size inconsistent"));
-    }
-    if config.layers[config.layers.len() - 1].units != total {
+    let snap = parse_payload(d.take(prefix_len)?, false).map_err(|e| match e {
+        SnapshotError::BadMagic => SnapshotError::Corrupt("embedded snapshot magic"),
+        SnapshotError::UnsupportedVersion(_) => SnapshotError::Corrupt("embedded snapshot version"),
+        e => e,
+    })?;
+    if snap.config.layers.last().map(|l| l.units) != Some(total) {
         return Err(SnapshotError::Slice("total differs from embedded config"));
     }
+    let fan_in = snap
+        .sections
+        .last()
+        .map_or(snap.config.input_dim, |s| s.units);
     let center_len = d.usize()?;
-    if center_len != 0 && center_len != out_fan_in {
+    if center_len != 0 && center_len != fan_in {
         return Err(SnapshotError::Corrupt("center length"));
     }
     let center = d.take(
@@ -938,46 +869,17 @@ fn parse_slice(bytes: &[u8]) -> Result<SlicePart<'_>, SnapshotError> {
             .checked_mul(4)
             .ok_or(SnapshotError::Corrupt("size overflow"))?,
     )?;
-    let enc = d.u8()?;
-    let n = hi - lo;
-    let row_count = n
-        .checked_mul(out_fan_in)
-        .ok_or(SnapshotError::Corrupt("size overflow"))?;
-    let (scales, rows) = match enc {
-        ENC_F32 => {
-            let rows = d.take(
-                row_count
-                    .checked_mul(4)
-                    .ok_or(SnapshotError::Corrupt("size overflow"))?,
-            )?;
-            (&[][..], rows)
-        }
-        ENC_Q16 => {
-            let scales = d.take(n * 4)?;
-            let rows = d.take(
-                row_count
-                    .checked_mul(2)
-                    .ok_or(SnapshotError::Corrupt("size overflow"))?,
-            )?;
-            (scales, rows)
-        }
-        _ => return Err(SnapshotError::Corrupt("layer encoding tag")),
-    };
-    let biases = d.take(n * 4)?;
+    let out = Section::take(&mut d, hi - lo, fan_in, false)?;
     if d.pos != payload.len() {
         return Err(SnapshotError::Corrupt("trailing bytes"));
     }
-    Ok(SlicePart {
+    Ok(ParsedSlice {
         lo,
         hi,
         total,
-        prefix,
-        out_fan_in,
         center,
-        enc,
-        scales,
-        rows,
-        biases,
+        out,
+        snap,
     })
 }
 
@@ -992,23 +894,22 @@ fn parse_slice(bytes: &[u8]) -> Result<SlicePart<'_>, SnapshotError> {
 /// or gapped ranges, or incomplete coverage. Individual malformed slices
 /// yield the usual typed errors ([`SnapshotError::Corrupt`] etc.).
 pub fn assemble_slices(slices: &[Vec<u8>]) -> Result<Vec<u8>, SnapshotError> {
-    if slices.is_empty() {
-        return Err(SnapshotError::Slice("no slices"));
-    }
-    let mut parts = Vec::with_capacity(slices.len());
-    for s in slices {
-        parts.push(parse_slice(s)?);
-    }
-    for i in 1..parts.len() {
-        if parts[i].prefix != parts[0].prefix
-            || parts[i].total != parts[0].total
-            || parts[i].enc != parts[0].enc
-            || parts[i].center != parts[0].center
-        {
-            return Err(SnapshotError::Slice("slices come from different snapshots"));
-        }
-    }
+    let mut parts = slices
+        .iter()
+        .map(|s| parse_slice(s))
+        .collect::<Result<Vec<_>, _>>()?;
     parts.sort_by_key(|p| p.lo);
+    let Some(first) = parts.first() else {
+        return Err(SnapshotError::Slice("no slices"));
+    };
+    if parts.iter().any(|p| {
+        p.snap.prefix != first.snap.prefix
+            || p.total != first.total
+            || p.out.enc != first.out.enc
+            || p.center != first.center
+    }) {
+        return Err(SnapshotError::Slice("slices come from different snapshots"));
+    }
     let mut expect = 0usize;
     for p in &parts {
         if p.lo > expect {
@@ -1019,29 +920,27 @@ pub fn assemble_slices(slices: &[Vec<u8>]) -> Result<Vec<u8>, SnapshotError> {
         }
         expect = p.hi;
     }
-    if expect != parts[0].total {
+    if expect != first.total {
         return Err(SnapshotError::Slice("slices do not cover the output layer"));
     }
-    let (total, fan_in) = (parts[0].total, parts[0].out_fan_in);
+    // The parts now tile 0..total, and each one's sizes were checked
+    // against its own bytes, so these counts cannot overflow.
+    let (total, out) = (first.total, first.out);
     let mut e = Enc::default();
-    e.buf.extend_from_slice(parts[0].prefix);
-    e.u8(parts[0].enc);
-    e.u64((total * fan_in) as u64);
-    if parts[0].enc == ENC_Q16 {
-        for p in &parts {
-            e.buf.extend_from_slice(p.scales);
-        }
+    e.buf.extend_from_slice(first.snap.prefix);
+    e.u8(out.enc);
+    e.u64((total * out.fan_in) as u64);
+    for p in &parts {
+        e.buf.extend_from_slice(p.out.scales);
     }
     for p in &parts {
-        e.buf.extend_from_slice(p.rows);
+        e.buf.extend_from_slice(p.out.rows);
     }
     e.u64(total as u64);
     for p in &parts {
-        e.buf.extend_from_slice(p.biases);
+        e.buf.extend_from_slice(p.out.biases);
     }
-    let check = fnv1a(&e.buf);
-    e.u64(check);
-    Ok(e.buf)
+    Ok(e.finish())
 }
 
 /// A restored snapshot slice: a network whose output layer holds only
@@ -1072,101 +971,30 @@ pub struct LoadedSlice {
 /// Typed [`SnapshotError`]s for malformed bytes, plus the embedded
 /// config's validation errors.
 pub fn read_slice(bytes: &[u8], center_rows: Option<bool>) -> Result<LoadedSlice, SnapshotError> {
-    let part = parse_slice(bytes)?;
-    let mut pd = Dec::new(part.prefix);
-    pd.take(MAGIC.len())?;
-    pd.u32()?;
-    let mut config = decode_config(&mut pd)?;
-    let params_start = pd.pos;
-    if let Some(center) = center_rows {
-        for layer in &mut config.layers {
-            if let Some(lsh) = &mut layer.lsh {
-                lsh.center_rows = center;
+    let ParsedSlice {
+        lo,
+        hi,
+        total,
+        center,
+        out,
+        mut snap,
+    } = parse_slice(bytes)?;
+    snap.sections.push(out);
+    if let Some(layer) = snap.config.layers.last_mut() {
+        layer.units = out.units;
+        if let Some(lsh) = &mut layer.lsh {
+            if let SamplingStrategy::Vanilla { budget } | SamplingStrategy::TopK { budget } =
+                &mut lsh.strategy
+            {
+                *budget = (*budget).min(out.units);
             }
         }
-    }
-    let n = part.hi - part.lo;
-    let fan_in = part.out_fan_in;
-    let last_idx = config.layers.len() - 1;
-    config.layers[last_idx].units = n;
-    if let Some(lsh) = &mut config.layers[last_idx].lsh {
-        lsh.strategy = match lsh.strategy {
-            SamplingStrategy::Vanilla { budget } => SamplingStrategy::Vanilla {
-                budget: budget.min(n),
-            },
-            SamplingStrategy::TopK { budget } => SamplingStrategy::TopK {
-                budget: budget.min(n),
-            },
-            other => other,
-        };
-    }
-    let mut network = Network::new_output_sliced(config, part.total)?;
-    let mut values: Vec<f32> = Vec::new();
-    let mut d = Dec::new(part.prefix);
-    d.pos = params_start;
-    for li in 0..last_idx {
-        let layer = &mut network.layers_mut()[li];
-        decode_layer_params(&mut d, layer, &mut values)?;
-        layer.rebuild_tables();
-    }
-    if d.pos != part.prefix.len() {
-        return Err(SnapshotError::Corrupt("prefix size inconsistent"));
-    }
-    let mut quantized: Option<QuantizedRows> = None;
-    {
-        let out = &mut network.layers_mut()[last_idx];
-        if part.center.is_empty() {
-            out.set_center_override(None);
-        } else {
-            let mut center = Vec::with_capacity(fan_in);
-            for i in 0..fan_in {
-                center.push(f32_at(part.center, i));
-            }
-            out.set_center_override(Some(center));
-        }
-        if part.enc == ENC_Q16 {
-            let mut scales = Vec::with_capacity(n);
-            for j in 0..n {
-                let s = f32_at(part.scales, j);
-                if !s.is_finite() || s < 0.0 {
-                    return Err(SnapshotError::Corrupt("quantized scale invalid"));
-                }
-                scales.push(s);
-            }
-            let mut codes = Vec::with_capacity(n * fan_in);
-            for i in 0..n * fan_in {
-                let p = i * 2;
-                codes.push(u16::from_le_bytes([part.rows[p], part.rows[p + 1]]) as i16);
-            }
-            let q = QuantizedRows::from_parts(n, fan_in, codes, scales);
-            values.resize(fan_in, 0.0);
-            for j in 0..n {
-                q.dequantize_row(j, &mut values);
-                for (i, &v) in values.iter().enumerate() {
-                    out.weights().set(j, i, v);
-                }
-            }
-            quantized = Some(q);
-        } else {
-            values.clear();
-            values.reserve(n * fan_in);
-            for i in 0..n * fan_in {
-                values.push(f32_at(part.rows, i));
-            }
-            out.weights().flat().copy_from(&values);
-        }
-        values.clear();
-        for j in 0..n {
-            values.push(f32_at(part.biases, j));
-        }
-        out.biases().copy_from(&values);
-        out.rebuild_tables();
     }
     Ok(LoadedSlice {
-        snapshot: LoadedSnapshot { network, quantized },
-        lo: part.lo,
-        hi: part.hi,
-        total: part.total,
+        snapshot: restore(snap, center_rows, Some((total, center)))?,
+        lo,
+        hi,
+        total,
     })
 }
 
@@ -1222,91 +1050,53 @@ pub fn publish_bytes<P: AsRef<Path>>(path: P, bytes: &[u8]) -> Result<(), Snapsh
     Ok(())
 }
 
-/// Writes a snapshot of `network` to `path` via the atomic
-/// tmp+fsync+rename publication path ([`publish_bytes`]), so a watcher
-/// polling `path` never sees a torn file.
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::Io`] on filesystem failure.
-pub fn save_network<P: AsRef<Path>>(network: &Network, path: P) -> Result<(), SnapshotError> {
-    publish_bytes(path, &write_network(network))
-}
-
-/// [`save_network`] with a quantized output layer
-/// ([`write_network_quantized`]), also via atomic publication.
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::Io`] on filesystem failure.
-pub fn save_network_quantized<P: AsRef<Path>>(
-    network: &Network,
-    path: P,
-) -> Result<(), SnapshotError> {
-    publish_bytes(path, &write_network_quantized(network))
-}
-
-/// Loads a snapshot from `path` and restores the network (tables rebuilt).
-///
-/// # Errors
-///
-/// Returns [`SnapshotError`] on filesystem failure or a malformed
-/// snapshot.
-pub fn load_network<P: AsRef<Path>>(path: P) -> Result<Network, SnapshotError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    read_network(&bytes)
-}
-
 impl Network {
-    /// Serializes this network to snapshot bytes ([`write_network`]).
+    /// Serializes this network (config + weights + biases) to version-2
+    /// snapshot bytes with every layer stored as exact f32.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        write_network(self)
+        write_with(self, false)
     }
 
-    /// Serializes this network with a quantized output layer
-    /// ([`write_network_quantized`]).
+    /// Serializes this network with the *output layer* stored as i16
+    /// fixed-point rows with per-row scales ([`QuantizedRows`]) — roughly
+    /// half the bytes of [`Network::to_snapshot_bytes`] when the output
+    /// layer dominates. Hidden layers and all biases stay exact f32.
     pub fn to_quantized_snapshot_bytes(&self) -> Vec<u8> {
-        write_network_quantized(self)
+        write_with(self, true)
     }
 
-    /// Restores a network from snapshot bytes ([`read_network`]).
+    /// Restores a network from snapshot bytes: validates checksum, magic,
+    /// version and every section size, rebuilds the network from the
+    /// embedded config, copies the weights and biases in, and rebuilds
+    /// every LSH layer's hash tables from the restored weights. Quantized
+    /// rows are discarded; [`read_snapshot_with_centering`] keeps them.
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError`] on a malformed snapshot.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        read_network(bytes)
+        read_snapshot_with_centering(bytes, None).map(|s| s.network)
     }
 
-    /// Writes a snapshot file ([`save_network`]) — atomically published,
-    /// so a concurrent reader never sees a torn file.
+    /// Writes [`Network::to_snapshot_bytes`] to `path` via
+    /// [`publish_bytes`] — atomically published, so a concurrent reader
+    /// never sees a torn file.
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError::Io`] on filesystem failure.
     pub fn save_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<(), SnapshotError> {
-        save_network(self, path)
+        publish_bytes(path, &self.to_snapshot_bytes())
     }
 
-    /// Writes a quantized snapshot file ([`save_network_quantized`]),
-    /// also atomically published.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError::Io`] on filesystem failure.
-    pub fn save_quantized_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<(), SnapshotError> {
-        save_network_quantized(self, path)
-    }
-
-    /// Loads a snapshot file ([`load_network`]).
+    /// Loads a snapshot file ([`Network::from_snapshot_bytes`]).
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError`] on filesystem failure or a malformed
     /// snapshot.
     pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
-        load_network(path)
+        Self::from_snapshot_bytes(&std::fs::read(path)?)
     }
 }
 
@@ -1339,9 +1129,9 @@ mod tests {
         let path = dir.join("model.slidesnap");
         // Publish twice (an initial write and an overwrite): both must
         // land complete and loadable.
-        save_network(&net, &path).unwrap();
-        save_network_quantized(&net, &path).unwrap();
-        let restored = load_network(&path).unwrap();
+        net.save_snapshot(&path).unwrap();
+        publish_bytes(&path, &net.to_quantized_snapshot_bytes()).unwrap();
+        let restored = Network::load_snapshot(&path).unwrap();
         assert_eq!(restored.config().input_dim, net.config().input_dim);
         // No temp siblings survive a successful publish.
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
@@ -1900,6 +1690,204 @@ mod tests {
             read_slice(&bytes, None),
             Err(SnapshotError::BadMagic)
         ));
+    }
+
+    #[test]
+    fn snapshot_and_slice_bytes_are_pinned() {
+        // FNV-1a of the f32 and q16 snapshots of `centered_network()`,
+        // each followed by its three slices: any drift in either byte
+        // format fails here.
+        let net = centered_network();
+        let mut got = Vec::new();
+        for bytes in [net.to_snapshot_bytes(), net.to_quantized_snapshot_bytes()] {
+            got.push(fnv1a(&bytes));
+            got.extend(slice_snapshot(&bytes, 3).unwrap().iter().map(|s| fnv1a(s)));
+        }
+        assert_eq!(
+            got,
+            [
+                0x9DDA_9834_0BA1_4D80,
+                0x0371_E094_2025_5F2B,
+                0x8D1A_D23A_8890_76FC,
+                0xACA3_11BB_0697_26E7,
+                0xFC23_95A5_07DE_D1A1,
+                0x612C_356B_9477_DA9A,
+                0x0B1C_DD97_5F52_0B00,
+                0x67D8_EE91_837C_6CC2,
+            ]
+        );
+    }
+
+    /// Recomputes the trailing checksum after a deliberate mutation.
+    fn refix(bytes: &mut [u8]) {
+        let n = bytes.len();
+        let check = fnv1a(&bytes[..n - 8]).to_le_bytes();
+        bytes[n - 8..].copy_from_slice(&check);
+    }
+
+    #[test]
+    fn crafted_slice_with_overflowing_width_is_corrupt() {
+        // A q16 slice of a hidden-width-2 network whose `hi`, `total` and
+        // embedded output `units` all claim 2^62 + 1 rows: the row-size
+        // arithmetic overflows, which must be a typed error, not a panic.
+        let cfg = NetworkConfig::builder(32, 60)
+            .hidden(2)
+            .output_lsh(
+                LshLayerConfig::simhash(3, 6).with_strategy(SamplingStrategy::TopK { budget: 20 }),
+            )
+            .seed(7)
+            .build()
+            .unwrap();
+        let net = Network::new(cfg).unwrap();
+        let mut slice = slice_snapshot(&net.to_quantized_snapshot_bytes(), 2)
+            .unwrap()
+            .remove(0);
+        // `hi` and `total` sit at 24 and 32. The embedded prefix starts at
+        // 48; its output `units` follow the 49-byte head (magic, version,
+        // fixed config fields) and the hidden layer's 10 config bytes.
+        let units_at = 48 + 49 + 10;
+        assert_eq!(slice[units_at..units_at + 8], 60u64.to_le_bytes());
+        for at in [24, 32, units_at] {
+            slice[at..at + 8].copy_from_slice(&((1u64 << 62) + 1).to_le_bytes());
+        }
+        refix(&mut slice);
+        assert!(matches!(
+            read_slice(&slice, None),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        assert!(matches!(
+            assemble_slices(&[slice]),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
+
+    /// `(offset, width)` of every u32/u64 header and count field in the
+    /// snapshot of `sweep_network()`: version, input_dim, seed, n_layers,
+    /// both layers' units, the output layer's k, l, table_bits,
+    /// bucket_capacity, budget and rebuild period, then each section's
+    /// weight and bias counts.
+    const SWEEP_FIELDS: [(usize, usize); 16] = [
+        (8, 4),
+        (12, 8),
+        (20, 8),
+        (45, 4),
+        (49, 8),
+        (59, 8),
+        (78, 8),
+        (86, 8),
+        (94, 4),
+        (98, 8),
+        (108, 8),
+        (116, 8),
+        (134, 8),
+        (190, 8),
+        (207, 8),
+        (311, 8),
+    ];
+
+    /// A network small enough to sweep exhaustively. Every field in
+    /// [`SWEEP_FIELDS`] holds a value below 2^16, which lets the sweep
+    /// check the table's offsets against the bytes.
+    fn sweep_network() -> Network {
+        let cfg = NetworkConfig::builder(6, 12)
+            .hidden(2)
+            .output_lsh(
+                LshLayerConfig::simhash(2, 3)
+                    .with_tables(3, 4)
+                    .with_strategy(SamplingStrategy::TopK { budget: 4 })
+                    .with_centered_rows(true),
+            )
+            .seed(5)
+            .build()
+            .unwrap();
+        Network::new(cfg).unwrap()
+    }
+
+    #[test]
+    fn adversarial_inputs_never_panic() {
+        use slide_data::Rng;
+        let net = sweep_network();
+        let read_u = |b: &[u8], (at, width): (usize, usize)| {
+            let mut v = [0u8; 8];
+            v[..width].copy_from_slice(&b[at..at + width]);
+            u64::from_le_bytes(v)
+        };
+        // (input, the other slices of its set, its u32/u64 fields)
+        let mut bases = Vec::new();
+        for (shard, bytes) in [net.to_snapshot_bytes(), net.to_quantized_snapshot_bytes()]
+            .into_iter()
+            .enumerate()
+        {
+            let mut slices = slice_snapshot(&bytes, 3).unwrap();
+            let slice = slices.remove(shard);
+            let prefix_len = read_u(&slice, (40, 8)) as usize;
+            let mut fields = vec![(8, 4), (12, 4), (16, 8), (24, 8), (32, 8), (40, 8)];
+            fields.extend(
+                SWEEP_FIELDS
+                    .iter()
+                    .filter(|&&(at, width)| at + width <= prefix_len)
+                    .map(|&(at, width)| (48 + at, width)),
+            );
+            fields.push((48 + prefix_len, 8));
+            bases.push((bytes, Vec::new(), SWEEP_FIELDS.to_vec()));
+            bases.push((slice, slices, fields));
+        }
+        let mut rng = slide_data::rng::Xoshiro256PlusPlus::seed_from_u64(29);
+        let mut inputs = Vec::new();
+        for (good, siblings, fields) in &bases {
+            let n = good.len();
+            let mut push = |bytes: Vec<u8>| inputs.push((bytes, siblings));
+            for cut in 0..n {
+                push(good[..cut].to_vec());
+            }
+            // Every byte inverted; config bytes included, since an
+            // inverted count or table_bits lands far outside its range.
+            for at in 0..n - 8 {
+                let mut b = good.clone();
+                b[at] ^= 0xFF;
+                refix(&mut b);
+                push(b);
+            }
+            // A seeded sample of arbitrary byte values past the config
+            // head (offset 133, or 181 inside a slice), where weights,
+            // scales, biases and counts live.
+            let head = if good.starts_with(MAGIC) { 133 } else { 181 };
+            for _ in 0..128 {
+                let mut b = good.clone();
+                let at = head + rng.next_u64() as usize % (n - 8 - head);
+                b[at] ^= (rng.next_u64() % 255 + 1) as u8;
+                refix(&mut b);
+                push(b);
+            }
+            for &field in fields {
+                assert!(read_u(good, field) < 1 << 16, "field {field:?} misplaced");
+                for v in [0, 1, u32::MAX as u64, (1 << 62) + 1, u64::MAX] {
+                    let mut b = good.clone();
+                    b[field.0..field.0 + field.1].copy_from_slice(&v.to_le_bytes()[..field.1]);
+                    refix(&mut b);
+                    push(b);
+                }
+            }
+        }
+        let mut panicked = 0;
+        for (bytes, siblings) in &inputs {
+            let mut set = vec![bytes.clone()];
+            set.extend(siblings.iter().cloned());
+            let outcome = std::panic::catch_unwind(|| {
+                let _ = Network::from_snapshot_bytes(bytes);
+                let _ = slice_snapshot(bytes, 3);
+                let _ = read_slice(bytes, Some(true));
+                let _ = assemble_slices(&set);
+            });
+            panicked += outcome.is_err() as usize;
+        }
+        assert!(inputs.len() > 2_000, "{} inputs", inputs.len());
+        assert_eq!(
+            panicked,
+            0,
+            "{panicked} of {} inputs panicked",
+            inputs.len()
+        );
     }
 
     #[test]

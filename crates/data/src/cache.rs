@@ -145,7 +145,15 @@ impl From<SvmlightError> for CacheError {
 }
 
 // ---------------------------------------------------------------------
-// FNV-1a — the same checksum the network snapshot format trails with.
+// FNV-1a — the checksum both this format and the network snapshot
+// format trail with.
+
+/// The 64-bit FNV-1a hash of `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.update(bytes);
+    h.finish()
+}
 
 pub(crate) struct Fnv1a(u64);
 

@@ -30,6 +30,7 @@
 
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::cache::{CacheError, CacheLayout, Fnv1a, CACHE_MAGIC, CACHE_VERSION, HEADER_BYTES};
@@ -288,35 +289,14 @@ pub enum CacheAccess {
     ReadAt,
 }
 
-/// Options for [`MmapDataset::open_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Options for [`MmapDataset::open_with`]. Open always verifies the
+/// checksum and validates every example (see the [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheOptions {
     /// Access mode (default [`CacheAccess::Auto`]).
     pub access: CacheAccess,
-    /// Verify the trailing FNV-1a checksum at open (default `true`; one
-    /// sequential read of the file).
-    pub verify_checksum: bool,
-    /// Structurally validate every example at open — strictly
-    /// increasing in-range feature indices, sorted unique in-range
-    /// labels (default `true`; one sequential read of the index and
-    /// label sections). Disabling both scans skips the payload reads —
-    /// open still loads and checks the 16-bytes-per-example index
-    /// pointers — but shifts payload-corruption detection to panics at
-    /// decode time.
-    pub validate_examples: bool,
     /// Override the [`ExampleSource::shard_len`] locality hint.
     pub shard_len: Option<usize>,
-}
-
-impl Default for CacheOptions {
-    fn default() -> Self {
-        Self {
-            access: CacheAccess::Auto,
-            verify_checksum: true,
-            validate_examples: true,
-            shard_len: None,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -434,9 +414,7 @@ impl MmapDataset {
             return Err(CacheError::Corrupt("file length disagrees with header"));
         }
 
-        if options.verify_checksum {
-            verify_checksum(&file, file_len)?;
-        }
+        verify_checksum(&file, file_len)?;
 
         // Index pointers (kept in RAM: 16 bytes/example).
         let n = layout.num_examples as usize;
@@ -447,9 +425,7 @@ impl MmapDataset {
         validate_indptr(&feat_indptr, layout.total_nnz, "feature")?;
         validate_indptr(&label_indptr, layout.total_labels, "label")?;
 
-        if options.validate_examples {
-            validate_payload(&file, &layout, &feat_indptr, &label_indptr)?;
-        }
+        validate_payload(&file, &layout, &feat_indptr, &label_indptr)?;
 
         let backing = match options.access {
             CacheAccess::ReadAt => Backing::ReadAt(PFile::new(file)),
@@ -527,48 +503,9 @@ impl MmapDataset {
         ds
     }
 
-    fn decode_from_bytes(&self, bytes: &[u8], index: usize, out: &mut Example) {
-        let (s, e) = (
-            self.feat_indptr[index] as usize,
-            self.feat_indptr[index + 1] as usize,
-        );
-        let idx_off = self.layout.indices_off as usize;
-        let val_off = self.layout.values_off as usize;
-        let idx_bytes = &bytes[idx_off + 4 * s..idx_off + 4 * e];
-        let val_bytes = &bytes[val_off + 4 * s..val_off + 4 * e];
-        let pairs = idx_bytes
-            .chunks_exact(4)
-            .zip(val_bytes.chunks_exact(4))
-            .map(|(i, v)| {
-                (
-                    u32::from_le_bytes(i.try_into().expect("4-byte chunk")),
-                    f32::from_bits(u32::from_le_bytes(v.try_into().expect("4-byte chunk"))),
-                )
-            });
-        out.features
-            .refill_from_sorted_iter(pairs)
-            .expect("cache validated at open; file mutated afterwards?");
-
-        let (ls, le) = (
-            self.label_indptr[index] as usize,
-            self.label_indptr[index + 1] as usize,
-        );
-        let lab_off = self.layout.labels_off as usize;
-        let lab_bytes = &bytes[lab_off + 4 * ls..lab_off + 4 * le];
-        out.labels.clear();
-        out.labels.extend(
-            lab_bytes
-                .chunks_exact(4)
-                .map(|l| u32::from_le_bytes(l.try_into().expect("4-byte chunk"))),
-        );
-    }
-
-    fn decode_read_at(&self, file: &PFile, index: usize, out: &mut Example) {
-        use std::cell::RefCell;
-        thread_local! {
-            static SCRATCH: RefCell<(Vec<u8>, Vec<u8>)> =
-                const { RefCell::new((Vec::new(), Vec::new())) };
-        }
+    /// The byte ranges of example `index`'s feature indices, feature
+    /// values and labels in the cache file.
+    fn ranges(&self, index: usize) -> [Range<usize>; 3] {
         let (s, e) = (
             self.feat_indptr[index] as usize,
             self.feat_indptr[index + 1] as usize,
@@ -577,38 +514,28 @@ impl MmapDataset {
             self.label_indptr[index] as usize,
             self.label_indptr[index + 1] as usize,
         );
-        SCRATCH.with(|cell| {
-            let (idx_buf, val_buf) = &mut *cell.borrow_mut();
-            idx_buf.resize(4 * (e - s), 0);
-            val_buf.resize(4 * (e - s), 0);
-            file.read_exact_at(idx_buf, self.layout.indices_off + 4 * s as u64)
-                .expect("dataset cache read (indices) failed");
-            file.read_exact_at(val_buf, self.layout.values_off + 4 * s as u64)
-                .expect("dataset cache read (values) failed");
-            let pairs = idx_buf
-                .chunks_exact(4)
-                .zip(val_buf.chunks_exact(4))
-                .map(|(i, v)| {
-                    (
-                        u32::from_le_bytes(i.try_into().expect("4-byte chunk")),
-                        f32::from_bits(u32::from_le_bytes(v.try_into().expect("4-byte chunk"))),
-                    )
-                });
-            out.features
-                .refill_from_sorted_iter(pairs)
-                .expect("cache validated at open; file mutated afterwards?");
-
-            idx_buf.resize(4 * (le - ls), 0);
-            file.read_exact_at(idx_buf, self.layout.labels_off + 4 * ls as u64)
-                .expect("dataset cache read (labels) failed");
-            out.labels.clear();
-            out.labels.extend(
-                idx_buf
-                    .chunks_exact(4)
-                    .map(|l| u32::from_le_bytes(l.try_into().expect("4-byte chunk"))),
-            );
-        });
+        let at = |off: u64, a: usize, b: usize| off as usize + 4 * a..off as usize + 4 * b;
+        [
+            at(self.layout.indices_off, s, e),
+            at(self.layout.values_off, s, e),
+            at(self.layout.labels_off, ls, le),
+        ]
     }
+}
+
+/// Decodes one example from its feature-index, feature-value and label
+/// bytes — the one decode body behind both backings.
+fn decode(indices: &[u8], values: &[u8], labels: &[u8], out: &mut Example) {
+    let u32_at = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    let pairs = indices
+        .chunks_exact(4)
+        .zip(values.chunks_exact(4))
+        .map(|(i, v)| (u32_at(i), f32::from_bits(u32_at(v))));
+    out.features
+        .refill_from_sorted_iter(pairs)
+        .expect("cache validated at open; file mutated afterwards?");
+    out.labels.clear();
+    out.labels.extend(labels.chunks_exact(4).map(u32_at));
 }
 
 impl ExampleSource for MmapDataset {
@@ -625,14 +552,31 @@ impl ExampleSource for MmapDataset {
     }
 
     fn read_into(&self, index: usize, out: &mut Example) {
+        use std::cell::RefCell;
+        thread_local! {
+            static SCRATCH: RefCell<[Vec<u8>; 3]> =
+                const { RefCell::new([Vec::new(), Vec::new(), Vec::new()]) };
+        }
         assert!(
             index < self.len(),
             "example index {index} out of range ({} examples)",
             self.len()
         );
+        let [indices, values, labels] = self.ranges(index);
         match &self.backing {
-            Backing::Mmap(region) => self.decode_from_bytes(region.bytes(), index, out),
-            Backing::ReadAt(file) => self.decode_read_at(file, index, out),
+            Backing::Mmap(region) => {
+                let bytes = region.bytes();
+                decode(&bytes[indices], &bytes[values], &bytes[labels], out);
+            }
+            Backing::ReadAt(file) => SCRATCH.with(|cell| {
+                let bufs = &mut *cell.borrow_mut();
+                for (buf, range) in bufs.iter_mut().zip([indices, values, labels]) {
+                    buf.resize(range.len(), 0);
+                    file.read_exact_at(buf, range.start as u64)
+                        .expect("dataset cache read failed");
+                }
+                decode(&bufs[0], &bufs[1], &bufs[2], out);
+            }),
         }
     }
 

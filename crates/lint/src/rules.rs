@@ -75,8 +75,9 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "no-panic-paths",
         "no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` \
-         in serve request-handling modules (batch/http/conn/engine/wire), where \
-         a panic costs a whole drain or event loop",
+         in serve request-handling modules (batch/http/conn/engine/wire/router), \
+         where a panic costs a whole drain or event loop, or in the snapshot \
+         decoder, which runs on the reload watcher and at shard start-up",
     ),
     (
         "wire-doc-sync",
@@ -98,7 +99,9 @@ const FFI_FILES: &[&str] = &["crates/serve/src/net.rs", "crates/data/src/source.
 /// Files where a `TcpListener` may be bound outside tests.
 const TRANSPORT_FILES: &[&str] = &["crates/serve/src/http.rs"];
 
-/// Serve request-path modules where panicking is a whole-drain outage.
+/// Modules where panicking is an outage: the serve request path (a
+/// whole drain) and the snapshot decoder (the reload watcher thread and
+/// shard start-up).
 const PANIC_FREE_FILES: &[&str] = &[
     "crates/serve/src/batch.rs",
     "crates/serve/src/http.rs",
@@ -106,6 +109,7 @@ const PANIC_FREE_FILES: &[&str] = &[
     "crates/serve/src/engine.rs",
     "crates/serve/src/wire.rs",
     "crates/serve/src/router.rs",
+    "crates/core/src/snapshot.rs",
 ];
 
 /// Identifiers whose call panics on the unhappy path.
@@ -456,10 +460,11 @@ fn one_transport(path: &str, tokens: &[Token], map: &FileMap, diags: &mut Vec<Di
     }
 }
 
-/// Rule `no-panic-paths`: in serve request-handling modules, panicking
+/// Rule `no-panic-paths`: in [`PANIC_FREE_FILES`], panicking
 /// constructs are banned outside the trailing `#[cfg(test)]` module.
 /// A panic on a request path unwinds a worker drain or an event loop —
-/// every other request sharing it pays. `assert!`/`debug_assert!` are
+/// every other request sharing it pays; one in the snapshot decoder
+/// kills the reload watcher. `assert!`/`debug_assert!` are
 /// deliberately exempt: they encode programmer-error invariants, not
 /// unhappy-path handling, and removing them would hide bugs.
 fn no_panic_paths(path: &str, tokens: &[Token], map: &FileMap, diags: &mut Vec<Diagnostic>) {
@@ -484,8 +489,8 @@ fn no_panic_paths(path: &str, tokens: &[Token], map: &FileMap, diags: &mut Vec<D
                     file: path.to_string(),
                     line: t.line,
                     message: format!(
-                        "`{name}()` on a serve request path; return a typed \
-                         `ServeError` instead (or `lint:allow` with the invariant)"
+                        "`{name}()` in a panic-free module; return a typed \
+                         error instead (or `lint:allow` with the invariant)"
                     ),
                 });
             }
@@ -495,9 +500,9 @@ fn no_panic_paths(path: &str, tokens: &[Token], map: &FileMap, diags: &mut Vec<D
                 file: path.to_string(),
                 line: t.line,
                 message: format!(
-                    "`{name}!` on a serve request path; a panic here costs the \
-                     whole drain — return a typed `ServeError` (or `lint:allow` \
-                     with the invariant)"
+                    "`{name}!` in a panic-free module; a panic here costs a \
+                     whole drain or the reload watcher — return a typed error \
+                     (or `lint:allow` with the invariant)"
                 ),
             });
         }

@@ -670,11 +670,13 @@ fn settle(
     let Some(c) = conns.get_mut(&id) else { return };
     if !keep {
         poller.deregister(raw_fd(&c.stream)).ok();
-        conns.remove(&id);
+        // Decrement before the drop closes the socket, so a client that
+        // sees EOF never reads a stale gauge.
         shared
             .counters
             .current_connections
             .fetch_sub(1, Ordering::Relaxed);
+        conns.remove(&id);
         return;
     }
     let want = (c.want_read(), c.want_write());
