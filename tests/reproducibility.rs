@@ -69,6 +69,62 @@ fn single_threaded_training_reproduces_exactly() {
     );
 }
 
+/// FNV-1a of the snapshot left by one single-threaded, unshuffled LSH
+/// epoch on the scalar kernels (no FMA, so the bytes do not depend on
+/// the host's ISA).
+fn lsh_epoch_snapshot_fnv(strategy: SamplingStrategy, tables: Option<(u32, usize)>) -> u64 {
+    let data = generate(&SyntheticConfig::tiny().with_seed(4));
+    let mut lsh = LshLayerConfig::simhash(3, 8).with_strategy(strategy);
+    if let Some((bits, capacity)) = tables {
+        lsh = lsh.with_tables(bits, capacity);
+    }
+    let cfg = NetworkConfig::builder(data.train.feature_dim(), data.train.label_dim())
+        .hidden(16)
+        .output_lsh(lsh)
+        .kernel_mode(slide::kernels::KernelMode::Scalar)
+        .seed(41)
+        .build()
+        .unwrap();
+    let mut trainer = SlideTrainer::new(cfg).unwrap();
+    let opts = TrainOptions::new(1)
+        .batch_size(32)
+        .threads(1)
+        .no_shuffle()
+        .seed(47);
+    trainer.train(&data.train, &opts);
+    slide::data::cache::fnv1a(&trainer.network().to_snapshot_bytes())
+}
+
+#[test]
+fn lsh_training_snapshot_bytes_are_pinned() {
+    // Captured before the sampler lost its bucket-visitor seam; any change
+    // to which ids a strategy emits, their order, or the RNG draws it makes
+    // moves these. Capacity-2 buckets overflow, so FIFO slot order matters.
+    let strategies = [
+        SamplingStrategy::Vanilla { budget: 8 },
+        SamplingStrategy::TopK { budget: 8 },
+        SamplingStrategy::HardThreshold { min_count: 2 },
+    ];
+    let mut got = Vec::new();
+    for tables in [None, Some((6, 2))] {
+        for strategy in strategies {
+            got.push(lsh_epoch_snapshot_fnv(strategy, tables));
+        }
+    }
+    let want: [u64; 6] = [
+        0xd051_b18f_4ede_7143,
+        0xd1e7_65e4_345c_5350,
+        0x92eb_53e4_51fd_29a3,
+        0xfb17_4ecb_cadc_ab71,
+        0x553e_aa13_67c9_a1d0,
+        0xdab3_30e4_0578_3c27,
+    ];
+    assert_eq!(
+        got, want,
+        "rows: default buckets × (vanilla, topk, hard threshold), then 64 × 2 buckets"
+    );
+}
+
 #[test]
 fn memsim_replay_is_deterministic() {
     let mut trace = slide::memsim::AccessTrace::new();
