@@ -453,59 +453,6 @@ impl Layer {
         }
     }
 
-    /// Hashes the weight rows of neurons `lo..hi` into `out`
-    /// (`(hi − lo) × num_codes`), reproducing [`Layer::rebuild_tables`]'s
-    /// codes exactly: the same serial `f64` column-mean over **all**
-    /// `units` rows when centering (or the center override), the same
-    /// mode-aware `hash_dense_mode` entry point. This is how the sharded
-    /// selector and slice-restored shard engines build per-range tables
-    /// whose codes are bit-identical to the unsharded rebuild's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layer has no LSH state or `lo..hi` is out of range.
-    pub(crate) fn hash_row_range(&self, lo: usize, hi: usize, out: &mut Vec<u32>) {
-        let lsh = self
-            .lsh
-            .as_ref()
-            .expect("hash_row_range requires an LSH layer");
-        assert!(lo <= hi && hi <= self.units, "row range out of bounds");
-        let num_codes = lsh.family.num_codes();
-        let mode = self.kernel_mode;
-        let mut mean: Vec<f32> = Vec::new();
-        if lsh.centered {
-            if let Some(center) = &lsh.center_override {
-                mean.extend_from_slice(center);
-            } else {
-                let mut acc = vec![0.0f64; self.fan_in];
-                let mut row = vec![0.0f32; self.fan_in];
-                for j in 0..self.units {
-                    self.weights.read_row_into(j, &mut row);
-                    for (a, &r) in acc.iter_mut().zip(&row) {
-                        *a += r as f64;
-                    }
-                }
-                mean.extend(acc.iter().map(|&a| (a / self.units as f64) as f32));
-            }
-        }
-        out.clear();
-        out.resize((hi - lo) * num_codes, 0);
-        let mut row_buf = vec![0.0f32; self.fan_in];
-        for (i, j) in (lo..hi).enumerate() {
-            self.weights.read_row_into(j, &mut row_buf);
-            if !mean.is_empty() {
-                for (r, &m) in row_buf.iter_mut().zip(&mean) {
-                    *r -= m;
-                }
-            }
-            lsh.family.hash_dense_mode(
-                &row_buf,
-                &mut out[i * num_codes..(i + 1) * num_codes],
-                mode,
-            );
-        }
-    }
-
     /// Checks the rebuild schedule after `iteration` and rebuilds if due.
     /// Returns `true` if a rebuild happened.
     pub fn maintain(&mut self, iteration: u64) -> bool {

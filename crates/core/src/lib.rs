@@ -82,7 +82,6 @@ pub use quant::QuantizedRows;
 pub use schedule::{RebuildSchedule, RebuildState};
 pub use selector::{
     hash_layer_input, probe_tables, ActiveSet, DenseSelector, LshSelector, NeuronSelector,
-    ShardedSelector,
 };
 pub use snapshot::{
     assemble_slices, read_slice, slice_snapshot, LoadedSlice, LoadedSnapshot, SnapshotError,

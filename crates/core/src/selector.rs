@@ -25,8 +25,7 @@
 
 use slide_data::rng::Xoshiro256PlusPlus;
 use slide_data::SparseVector;
-use slide_lsh::sampling::{sample, sample_with, SamplerScratch, ShardedTables};
-use slide_lsh::{InsertionPolicy, LshTables};
+use slide_lsh::sampling::{sample, SamplerScratch};
 
 use crate::layer::Layer;
 
@@ -303,172 +302,6 @@ impl NeuronSelector for LshSelector {
     }
 }
 
-/// Per-layer shard tables owned by a [`ShardedSelector`] workspace,
-/// rebuilt lazily whenever the layer's canonical tables change.
-#[derive(Debug)]
-struct LayerShards {
-    /// The layer [`crate::layer::LayerLsh::rebuild_count`] these shards
-    /// were built from; a mismatch means the trainer rebuilt the
-    /// canonical tables and the shards are stale.
-    rebuild_count: u64,
-    /// One table set per shard; shard `s` holds the global ids in
-    /// `s·units/n .. (s+1)·units/n`.
-    shards: Vec<LshTables>,
-}
-
-/// Workspace-local state for [`ShardedSelector`], stashed in
-/// [`SelectorScratch::ext`] (one instance per worker thread).
-#[derive(Debug, Default)]
-struct ShardState {
-    /// Indexed by layer; `None` for layers without LSH or not yet built.
-    layers: Vec<Option<LayerShards>>,
-}
-
-/// Rebuilds shard tables for one layer: each shard hashes its own row
-/// range with [`Layer::hash_row_range`] (bit-identical codes to the
-/// canonical rebuild) and inserts its **global** neuron ids in ascending
-/// order, so concatenating the shards' bucket windows reproduces the
-/// canonical bucket contents (FIFO ring emulation is
-/// [`ShardedTables`]'s job).
-fn build_layer_shards(layer: &Layer, num_shards: usize) -> LayerShards {
-    let lsh = layer.lsh().expect("sharded rebuild requires an LSH layer");
-    let config = *lsh.tables().config();
-    assert_eq!(
-        config.policy,
-        InsertionPolicy::Fifo,
-        "sharded selection requires the FIFO bucket policy: reservoir \
-         sampling draws from a global RNG stream that per-shard inserts \
-         cannot replay"
-    );
-    let units = layer.units();
-    let num_codes = lsh.family().num_codes();
-    // FIFO insertion never consults the RNG; any stream works.
-    let mut rng = Xoshiro256PlusPlus::seed_from_u64(0);
-    let mut codes = Vec::new();
-    let mut shards = Vec::with_capacity(num_shards);
-    for s in 0..num_shards {
-        let lo = s * units / num_shards;
-        let hi = (s + 1) * units / num_shards;
-        layer.hash_row_range(lo, hi, &mut codes);
-        let mut tables = LshTables::new(config);
-        for (i, j) in (lo..hi).enumerate() {
-            tables.insert(
-                j as u32,
-                &codes[i * num_codes..(i + 1) * num_codes],
-                &mut rng,
-            );
-        }
-        shards.push(tables);
-    }
-    LayerShards {
-        rebuild_count: lsh.rebuild_count(),
-        shards,
-    }
-}
-
-/// [`LshSelector`] with the output layer's neurons and hash tables
-/// partitioned into `n` contiguous shards — the in-process model of the
-/// scatter-gather serving cluster, and the harness that pins its
-/// bit-identity.
-///
-/// Shard `s` owns global neuron ids `s·units/n .. (s+1)·units/n` and a
-/// full `(K, L)` table set over just those rows, built with
-/// `Layer::hash_row_range` so every shard hashes against the **full**
-/// layer's centering vector. Selection hashes the layer input once,
-/// probes all shards through [`ShardedTables`] (which replays the global
-/// FIFO ring order across shard boundaries), and samples with the
-/// layer's strategy — producing an [`ActiveSet`] **bit-identical** to
-/// [`LshSelector`]'s over the canonical tables, consuming the same RNG
-/// stream. Training with this selector therefore yields bit-identical
-/// snapshots, which is what licenses serving each shard in a separate
-/// process.
-///
-/// Shard tables live per workspace in [`SelectorScratch::ext`] and are
-/// rebuilt lazily whenever the layer's
-/// [`crate::layer::LayerLsh::rebuild_count`] moves.
-///
-/// Requires the FIFO bucket policy (reservoir sampling's RNG stream is
-/// inherently global); `select` panics otherwise.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedSelector {
-    num_shards: usize,
-}
-
-impl ShardedSelector {
-    /// A selector partitioning every LSH layer into `num_shards`
-    /// contiguous ranges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_shards` is zero.
-    pub fn new(num_shards: usize) -> Self {
-        assert!(num_shards > 0, "num_shards must be positive");
-        Self { num_shards }
-    }
-
-    /// The number of shards each LSH layer is partitioned into.
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-}
-
-impl NeuronSelector for ShardedSelector {
-    fn name(&self) -> &'static str {
-        "sharded"
-    }
-
-    fn select(
-        &self,
-        ctx: &SelectionContext<'_>,
-        scratch: &mut SelectorScratch,
-        active: &mut ActiveSet,
-    ) {
-        let Some(lsh) = ctx.layer.lsh() else {
-            active.fill_dense(ctx.layer.units());
-            return;
-        };
-        hash_layer_input(lsh, ctx, scratch, false);
-        // Take the extension state out of the scratch so sampling below
-        // can borrow the scratch's other fields.
-        let mut ext = scratch
-            .ext
-            .take()
-            .filter(|b| b.is::<ShardState>())
-            .unwrap_or_else(|| Box::new(ShardState::default()));
-        let state = ext
-            .downcast_mut::<ShardState>()
-            .expect("ext slot holds ShardState");
-        if state.layers.len() <= ctx.layer_index {
-            state.layers.resize_with(ctx.layer_index + 1, || None);
-        }
-        let entry = &mut state.layers[ctx.layer_index];
-        let stale = match entry {
-            Some(shards) => shards.rebuild_count != lsh.rebuild_count(),
-            None => true,
-        };
-        if stale {
-            *entry = Some(build_layer_shards(ctx.layer, self.num_shards));
-        }
-        let shards = &entry.as_ref().expect("shard tables built above").shards;
-        let sampler = scratch.samplers[ctx.layer_index]
-            .as_mut()
-            .expect("lsh layer has sampler scratch");
-        sample_with(
-            &ShardedTables::new(shards),
-            &scratch.codes[ctx.layer_index],
-            lsh.strategy(),
-            sampler,
-            &mut scratch.rng,
-            active.as_vec_mut(),
-        );
-        scratch.ext = Some(ext);
-    }
-
-    fn maintains_tables(&self) -> bool {
-        true
-    }
-}
-
 /// Full-dense selection: every neuron active in every layer — the
 /// full-softmax baseline (TF-CPU/GPU stand-in) and the evaluation path.
 #[derive(Debug, Clone, Copy, Default)]
@@ -524,48 +357,5 @@ mod tests {
         assert_eq!(selectors[1].name(), "dense");
         assert!(!selectors[1].maintains_tables());
         assert!(!selectors[1].force_label_activation());
-    }
-
-    #[test]
-    fn sharded_selector_matches_lsh_selector_bit_for_bit() {
-        use crate::config::{LshLayerConfig, NetworkConfig};
-        use crate::network::Network;
-        use slide_data::rng::Rng;
-
-        // Capacity-2 buckets over 40 output neurons: every ring wraps, so
-        // this exercises the cross-shard FIFO replay, not just bucket
-        // concatenation.
-        let config = NetworkConfig::builder(64, 40)
-            .hidden(16)
-            .seed(11)
-            .output_lsh(
-                LshLayerConfig::simhash(3, 8)
-                    .with_tables(4, 2)
-                    .with_strategy(slide_lsh::SamplingStrategy::Vanilla { budget: 12 }),
-            )
-            .build()
-            .unwrap();
-        let net = Network::new(config).unwrap();
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(21);
-        for n in [1usize, 2, 3, 7] {
-            let mut ws_ref = net.workspace(9);
-            let mut ws_shard = net.workspace(9);
-            let sharded = ShardedSelector::new(n);
-            assert_eq!(sharded.name(), "sharded");
-            assert_eq!(sharded.num_shards(), n);
-            assert!(sharded.maintains_tables());
-            for _ in 0..8 {
-                let x = SparseVector::from_pairs(
-                    (0..8).map(|_| (rng.gen_range(0, 64) as u32, rng.next_f32() + 0.1)),
-                );
-                net.forward(&LshSelector, &mut ws_ref, &x, None);
-                net.forward(&sharded, &mut ws_shard, &x, None);
-                assert_eq!(
-                    ws_ref.active_set(1).ids(),
-                    ws_shard.active_set(1).ids(),
-                    "active sets diverged at {n} shards"
-                );
-            }
-        }
     }
 }

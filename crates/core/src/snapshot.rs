@@ -1567,14 +1567,27 @@ mod tests {
                 for i in 0..ha.len() {
                     assert_eq!(ha.get(i).to_bits(), hb.get(i).to_bits());
                 }
-                // The shard's hash codes for its rows equal the full
-                // layer's for the same global rows: same family draws,
-                // same centering vector.
-                let mut full_codes = Vec::new();
-                let mut shard_codes = Vec::new();
-                full_out.hash_row_range(lo, hi, &mut full_codes);
-                shard_out.hash_row_range(0, hi - lo, &mut shard_codes);
-                assert_eq!(full_codes, shard_codes, "codes diverged for {lo}..{hi}");
+                // The shard hashed its rows to the full layer's codes for
+                // the same global rows (same family draws, same centering
+                // vector): with no bucket overflowing, full-layer id
+                // `lo + j` sits in a bucket exactly when shard id `j` does.
+                let full_tables = full_out.lsh().unwrap().tables().tables();
+                let shard_tables = shard_out.lsh().unwrap().tables().tables();
+                assert_eq!(full_tables.len(), shard_tables.len());
+                for (t, (ft, st)) in full_tables.iter().zip(shard_tables).enumerate() {
+                    assert_eq!(ft.buckets().len(), st.buckets().len());
+                    for (b, (fb, sb)) in ft.buckets().iter().zip(st.buckets()).enumerate() {
+                        assert!(fb.attempts() <= fb.capacity() as u64, "bucket overflowed");
+                        for j in 0..hi - lo {
+                            assert_eq!(
+                                fb.items().contains(&((lo + j) as u32)),
+                                sb.items().contains(&(j as u32)),
+                                "table {t} bucket {b}: id {} vs shard id {j}",
+                                lo + j
+                            );
+                        }
+                    }
+                }
                 // Quantized slices return the shard's rows.
                 match (&full.quantized, &loaded.snapshot.quantized) {
                     (None, None) => {}

@@ -61,5 +61,5 @@ pub use bucket::Bucket;
 pub use family::{HashFamily, HashFamilyKind};
 pub use policy::InsertionPolicy;
 pub use retrieve::{retrieve_union, QueryBudget};
-pub use sampling::{BucketSource, SamplerScratch, SamplingStrategy, ShardedTables};
+pub use sampling::{SamplerScratch, SamplingStrategy};
 pub use table::{LshTables, TableConfig};

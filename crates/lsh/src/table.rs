@@ -117,14 +117,6 @@ impl Table {
         self.buckets[self.bucket_index(codes)].items()
     }
 
-    /// The full [`Bucket`] (items plus ring head and attempt count)
-    /// selected by `codes` — what [`crate::sampling::ShardedTables`]
-    /// reads to emulate one global FIFO ring across per-shard tables.
-    #[inline]
-    pub fn bucket_state(&self, codes: &[u32]) -> &Bucket {
-        &self.buckets[self.bucket_index(codes)]
-    }
-
     /// All buckets (for occupancy statistics).
     pub fn buckets(&self) -> &[Bucket] {
         &self.buckets
@@ -207,18 +199,6 @@ impl LshTables {
         assert_eq!(codes.len(), self.config.k * self.config.l);
         let group = &codes[t * self.config.k..(t + 1) * self.config.k];
         self.tables[t].bucket(group)
-    }
-
-    /// The full [`Bucket`] matched by `codes` in table `t` (see
-    /// [`Table::bucket_state`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= L` or `codes.len() != K·L`.
-    pub fn bucket_state(&self, t: usize, codes: &[u32]) -> &Bucket {
-        assert_eq!(codes.len(), self.config.k * self.config.l);
-        let group = &codes[t * self.config.k..(t + 1) * self.config.k];
-        self.tables[t].bucket_state(group)
     }
 
     /// Mutable access to the individual tables, enabling table-parallel

@@ -22,22 +22,9 @@ pub struct ServeOptions {
     /// Dense-score a layer whose retrieval found no candidates, so every
     /// request gets an answer (default on).
     pub dense_fallback: bool,
-    /// Rebuild the hash tables from *centered* weight rows on engine
-    /// construction (default on). Softmax training leaves all rows
-    /// sharing a large common component that wrecks cosine retrieval;
-    /// centering removes it without changing any score ranking. See
-    /// `LshLayerConfig::center_rows`.
-    pub center_rows: bool,
     /// Seed for the workspace pool's RNG streams (inference itself is
     /// deterministic; this only names the streams).
     pub seed: u64,
-    /// Score batches through the snapshot's quantized output rows when it
-    /// carries them (default on). The fused i16 path halves the weight
-    /// bytes each candidate row streams through the cache; disable to
-    /// force the f32 gather kernels on a quantized snapshot (the loader
-    /// dequantizes into the network, so both paths score the same
-    /// values). No effect on f32 snapshots.
-    pub use_quantized: bool,
 }
 
 impl Default for ServeOptions {
@@ -50,9 +37,7 @@ impl Default for ServeOptions {
             top_k: 5,
             budget: QueryBudget::all().with_min_collisions(2),
             dense_fallback: true,
-            center_rows: true,
             seed: 0x5E4E,
-            use_quantized: true,
         }
     }
 }
@@ -79,20 +64,6 @@ impl ServeOptions {
     /// style).
     pub fn with_dense_fallback(mut self, enabled: bool) -> Self {
         self.dense_fallback = enabled;
-        self
-    }
-
-    /// Enables/disables the centered-row table rebuild on engine
-    /// construction (builder style).
-    pub fn with_center_rows(mut self, enabled: bool) -> Self {
-        self.center_rows = enabled;
-        self
-    }
-
-    /// Enables/disables batched scoring through quantized snapshot rows
-    /// (builder style).
-    pub fn with_use_quantized(mut self, enabled: bool) -> Self {
-        self.use_quantized = enabled;
         self
     }
 }
@@ -180,42 +151,39 @@ struct Counters {
 #[derive(Debug)]
 pub struct ServingEngine {
     network: Network,
-    /// The snapshot's i16 output rows, when it carried them and
-    /// [`ServeOptions::use_quantized`] kept them. Batched scoring runs
-    /// the fused `dot_batch_q16` path over these instead of gathering
-    /// f32 rows.
+    /// The snapshot's i16 output rows, when it carried them. Batched
+    /// scoring runs the fused `dot_batch_q16` path over these instead of
+    /// gathering f32 rows.
     quantized: Option<slide_core::QuantizedRows>,
     selector: InferenceSelector,
     options: ServeOptions,
     pool: WorkspacePool,
     counters: Counters,
-    /// Global class id of this engine's first output neuron. Non-zero
-    /// only for engines loaded from a snapshot *slice*
-    /// ([`ServingEngine::from_slice_bytes`]): the network scores local
-    /// neurons `0..units`, and every returned class id is offset into the
-    /// global space so a scatter-gather router can merge shard answers
-    /// directly.
-    class_offset: u32,
-    /// The class-id space requests are validated against — the full
-    /// model's output width, even when this engine holds only a slice of
-    /// it (a shard must accept the same `k` range the unsharded engine
-    /// does, then return its best `min(k, units)` rows).
-    total_classes: usize,
+    /// `(lo, hi, total)` for an engine loaded from a snapshot *slice*
+    /// ([`ServingEngine::from_slice_bytes`]), `None` for a full model.
+    /// The network scores local neurons `0..hi − lo`; every returned
+    /// class id is offset by `lo` into the global space so a
+    /// scatter-gather router can merge shard answers directly, and
+    /// requests are validated against `total` (a shard must accept the
+    /// same `k` range the unsharded engine does, then return its best
+    /// `min(k, units)` rows).
+    slice: Option<(usize, usize, usize)>,
 }
 
 impl ServingEngine {
     /// Wraps an already-built (typically snapshot-restored) network,
-    /// switching its tables to centered-row hashing unless
-    /// [`ServeOptions::center_rows`] is off. No quantized rows: batches
-    /// score through the f32 gather kernels.
+    /// switching its tables to centered-row hashing. Softmax training
+    /// leaves all rows sharing a large common component that wrecks
+    /// cosine retrieval; centering removes it without changing any score
+    /// ranking (see `LshLayerConfig::center_rows`). No quantized rows:
+    /// batches score through the f32 gather kernels.
     pub fn new(network: Network, options: ServeOptions) -> Self {
         Self::with_quantized(network, None, options)
     }
 
     /// [`ServingEngine::new`] with the output layer's quantized rows
     /// (typically [`slide_core::LoadedSnapshot::quantized`]) attached for
-    /// the fused i16 batch-scoring path. Ignored when
-    /// [`ServeOptions::use_quantized`] is off.
+    /// the fused i16 batch-scoring path.
     ///
     /// # Panics
     ///
@@ -233,39 +201,31 @@ impl ServingEngine {
             assert_eq!(q.units(), out.units(), "quantized units mismatch");
             assert_eq!(q.fan_in(), out.fan_in(), "quantized fan-in mismatch");
         }
-        network.set_lsh_centering(options.center_rows);
+        network.set_lsh_centering(true);
         let selector =
             InferenceSelector::new(options.budget).with_dense_fallback(options.dense_fallback);
-        let total_classes = network.output_dim();
         Self {
             selector,
-            quantized: if options.use_quantized {
-                quantized
-            } else {
-                None
-            },
+            quantized,
             pool: WorkspacePool::new(options.seed, true),
             counters: Counters::default(),
             network,
             options,
-            class_offset: 0,
-            total_classes,
+            slice: None,
         }
     }
 
-    /// Restores a network from snapshot bytes and wraps it. The desired
-    /// centering mode is applied *during* the restore, so the tables are
-    /// built once in the right geometry instead of rebuilt afterwards.
-    /// A quantized snapshot's output rows are kept for the fused i16
-    /// batch-scoring path (unless [`ServeOptions::use_quantized`] is
-    /// off).
+    /// Restores a network from snapshot bytes and wraps it. Centering is
+    /// applied *during* the restore, so the tables are built once in the
+    /// right geometry instead of rebuilt afterwards. A quantized
+    /// snapshot serves through the fused i16 batch-scoring path over its
+    /// output rows, an f32 snapshot through the f32 gather kernels.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Core`] on a malformed snapshot.
     pub fn from_snapshot_bytes(bytes: &[u8], options: ServeOptions) -> Result<Self, ServeError> {
-        let loaded =
-            slide_core::snapshot::read_snapshot_with_centering(bytes, Some(options.center_rows))?;
+        let loaded = slide_core::snapshot::read_snapshot_with_centering(bytes, Some(true))?;
         Ok(Self::with_quantized(
             loaded.network,
             loaded.quantized,
@@ -287,11 +247,10 @@ impl ServingEngine {
     ///
     /// Returns [`ServeError::Core`] on malformed slice bytes.
     pub fn from_slice_bytes(bytes: &[u8], options: ServeOptions) -> Result<Self, ServeError> {
-        let loaded = slide_core::snapshot::read_slice(bytes, Some(options.center_rows))?;
+        let loaded = slide_core::snapshot::read_slice(bytes, Some(true))?;
         let mut engine =
             Self::with_quantized(loaded.snapshot.network, loaded.snapshot.quantized, options);
-        engine.class_offset = loaded.lo as u32;
-        engine.total_classes = loaded.total;
+        engine.slice = Some((loaded.lo, loaded.hi, loaded.total));
         Ok(engine)
     }
 
@@ -347,19 +306,26 @@ impl ServingEngine {
     /// again. Wire-supplied `k` overrides are validated strictly instead
     /// (see [`ServingEngine::validate_request`]).
     pub fn default_top_k(&self) -> usize {
-        self.options.top_k.min(self.total_classes)
+        self.options.top_k.min(self.total_classes())
     }
 
     /// Global class id of this engine's first output neuron (non-zero
     /// only for slice-loaded shard engines).
     pub fn class_offset(&self) -> u32 {
-        self.class_offset
+        self.slice.map_or(0, |(lo, _, _)| lo as u32)
+    }
+
+    /// `(lo, hi, total)` of the snapshot slice this engine serves, `None`
+    /// for a full model.
+    pub(crate) fn slice_range(&self) -> Option<(usize, usize, usize)> {
+        self.slice
     }
 
     /// The class-id space requests are validated against: the full
     /// model's output width, even for a slice-loaded shard engine.
     pub fn total_classes(&self) -> usize {
-        self.total_classes
+        self.slice
+            .map_or_else(|| self.network.output_dim(), |(_, _, total)| total)
     }
 
     /// Answers one request with an explicit `k`.
@@ -403,11 +369,9 @@ impl ServingEngine {
     /// so every shard accepts exactly the requests the full engine
     /// would.
     pub fn validate_request(&self, features: &SparseVector, k: usize) -> Result<(), ServeError> {
-        if k == 0 || k > self.total_classes {
-            return Err(ServeError::InvalidTopK {
-                k,
-                max: self.total_classes,
-            });
+        let max = self.total_classes();
+        if k == 0 || k > max {
+            return Err(ServeError::InvalidTopK { k, max });
         }
         let needed = features.min_dim();
         if needed > self.input_dim() {
@@ -586,9 +550,10 @@ impl ServingEngine {
         let latency = t0.elapsed() / features.len() as u32;
         let last = self.network.layers().len() - 1;
         let lsh_output = self.network.layers()[last].lsh().is_some();
+        let offset = self.class_offset();
         for mut topk in topks {
-            if self.class_offset != 0 {
-                topk.offset_ids(self.class_offset);
+            if offset != 0 {
+                topk.offset_ids(offset);
             }
             self.record(latency);
             out.push(Prediction { topk, latency });
@@ -744,6 +709,9 @@ mod tests {
             direct.network().to_quantized_snapshot_bytes(),
         ] {
             let full = ServingEngine::from_snapshot_bytes(&bytes, opts).unwrap();
+            // The precondition: no output bucket of the full engine ever
+            // evicted an id (see `slice_answers_dominate_after_overflow`).
+            assert!(!any_bucket_overflowed(&full));
             let slices = slide_core::snapshot::slice_snapshot(&bytes, 3).unwrap();
             let shards: Vec<ServingEngine> = slices
                 .iter()
@@ -781,6 +749,60 @@ mod tests {
         }
     }
 
+    fn any_bucket_overflowed(engine: &ServingEngine) -> bool {
+        let out = engine.network().layers().last().unwrap();
+        out.lsh().unwrap().tables().tables().iter().any(|t| {
+            t.buckets()
+                .iter()
+                .any(|b| b.attempts() > b.capacity() as u64)
+        })
+    }
+
+    #[test]
+    fn slice_answers_dominate_after_overflow() {
+        // What holds once a bucket overflows: each shard rebuilds its
+        // FIFO buckets over its own range and keeps ids the full table
+        // evicted, so the shards retrieve a superset and the merged top-k
+        // can only gain items and score. It is no longer the full
+        // engine's answer.
+        let data = generate(&SyntheticConfig::tiny().with_seed(4));
+        let config = NetworkConfig::builder(data.train.feature_dim(), data.train.label_dim())
+            .hidden(16)
+            .output_lsh(LshLayerConfig::simhash(3, 8).with_tables(12, 2))
+            .seed(5)
+            .build()
+            .unwrap();
+        let network = Network::new(config).unwrap();
+        let opts = ServeOptions::default()
+            .with_top_k(5)
+            .with_dense_fallback(false);
+        let bytes = network.to_snapshot_bytes();
+        let full = ServingEngine::from_snapshot_bytes(&bytes, opts).unwrap();
+        assert!(any_bucket_overflowed(&full));
+        let shards: Vec<ServingEngine> = slide_core::snapshot::slice_snapshot(&bytes, 3)
+            .unwrap()
+            .iter()
+            .map(|s| ServingEngine::from_slice_bytes(s, opts).unwrap())
+            .collect();
+        let mut differing = 0;
+        for ex in data.test.iter().take(40) {
+            let want = full.predict(&ex.features).unwrap().topk;
+            let mut merged = TopK::new(5);
+            for shard in &shards {
+                for &(id, score) in shard.predict(&ex.features).unwrap().topk.items() {
+                    merged.offer(id, score);
+                }
+            }
+            merged.finish();
+            assert!(merged.len() >= want.len());
+            for (m, w) in merged.items().iter().zip(want.items()) {
+                assert!(m.1 >= w.1, "merged rank scored {} < full {}", m.1, w.1);
+            }
+            differing += usize::from(merged.to_bits() != want.to_bits());
+        }
+        assert!(differing > 0, "no input shows the precondition matters");
+    }
+
     #[test]
     fn quantized_snapshot_activates_fused_path() {
         let (direct, data) = tiny_engine(ServeOptions::default().with_top_k(3));
@@ -789,16 +811,10 @@ mod tests {
             ServingEngine::from_snapshot_bytes(&qbytes, ServeOptions::default().with_top_k(3))
                 .unwrap();
         assert!(qengine.quantized_active());
-        // f32 snapshots never activate it; neither does opting out.
+        // f32 snapshots never activate it.
         let fbytes = direct.network().to_snapshot_bytes();
         let fengine = ServingEngine::from_snapshot_bytes(&fbytes, ServeOptions::default()).unwrap();
         assert!(!fengine.quantized_active());
-        let opted_out = ServingEngine::from_snapshot_bytes(
-            &qbytes,
-            ServeOptions::default().with_use_quantized(false),
-        )
-        .unwrap();
-        assert!(!opted_out.quantized_active());
         // The quantized batch path answers and counts like any other.
         let features: Vec<_> = data
             .test
@@ -814,22 +830,20 @@ mod tests {
 
     #[test]
     fn quantized_and_f32_paths_agree_on_dequantized_weights() {
-        // Both engines load the SAME quantized bytes — identical network
-        // weights (the dequantized codes) — one scoring through i16, the
-        // other through the f32 gather kernels. Scores differ only in
+        // Both engines hold the SAME quantized weights — the dequantized
+        // codes — one scoring through i16, the other (built without the
+        // rows) through the f32 gather kernels. Scores differ only in
         // floating-point rounding, so rankings must agree essentially
         // everywhere.
         let (direct, data) = tiny_engine(ServeOptions::default().with_top_k(1));
         let qbytes = direct.network().to_quantized_snapshot_bytes();
         let q = ServingEngine::from_snapshot_bytes(&qbytes, ServeOptions::default().with_top_k(1))
             .unwrap();
-        let f = ServingEngine::from_snapshot_bytes(
-            &qbytes,
-            ServeOptions::default()
-                .with_top_k(1)
-                .with_use_quantized(false),
-        )
-        .unwrap();
+        let dequantized = slide_core::snapshot::read_snapshot_with_centering(&qbytes, Some(true))
+            .unwrap()
+            .network;
+        let f = ServingEngine::new(dequantized, ServeOptions::default().with_top_k(1));
+        assert!(q.quantized_active() && !f.quantized_active());
         let features: Vec<_> = data
             .test
             .iter()

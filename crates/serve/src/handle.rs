@@ -20,6 +20,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, SystemTime};
 
+use slide_core::{SlideError, SnapshotError};
+
 use crate::engine::{ServeOptions, ServingEngine};
 use crate::error::ServeError;
 
@@ -166,29 +168,52 @@ impl EngineHandle {
     /// *before* touching the live pointer, then swaps. Returns the new
     /// epoch.
     ///
+    /// A handle serving a snapshot slice (a shard) reloads only a slice
+    /// of the same `(lo, hi, total)` neuron range: a full snapshot would
+    /// install a full-width engine whose classes the router then merges
+    /// twice, and another shard's slice would serve the wrong range.
+    ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Core`] on a malformed snapshot; the
-    /// previous engine keeps serving.
+    /// Returns [`ServeError::Core`] on a malformed snapshot, or — for a
+    /// shard — [`SnapshotError::Slice`] on anything but a slice of its
+    /// own range; the previous engine keeps serving.
     pub fn reload_from_bytes(&self, bytes: &[u8]) -> Result<u64, ServeError> {
-        match ServingEngine::from_snapshot_bytes(bytes, self.options) {
-            Ok(engine) => Ok(self.swap(engine)),
-            Err(e) => {
-                self.reload_failures.fetch_add(1, Ordering::Relaxed);
-                self.consecutive_failures.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
-        }
+        self.install(self.build(bytes))
     }
 
     /// [`EngineHandle::reload_from_bytes`] reading from a file.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Core`] on filesystem failure or a malformed
-    /// snapshot; the previous engine keeps serving.
+    /// As [`EngineHandle::reload_from_bytes`], plus [`ServeError::Core`]
+    /// on filesystem failure; the previous engine keeps serving.
     pub fn reload_from_file<P: AsRef<Path>>(&self, path: P) -> Result<u64, ServeError> {
-        match ServingEngine::from_snapshot_file(path, self.options) {
+        let bytes = std::fs::read(path).map_err(SnapshotError::from);
+        self.install(bytes.map_err(ServeError::from).and_then(|b| self.build(&b)))
+    }
+
+    /// The next engine for `bytes`: a full model for a full handle, a
+    /// slice of the same range for a shard.
+    fn build(&self, bytes: &[u8]) -> Result<ServingEngine, ServeError> {
+        let Some(range) = self.engine().slice_range() else {
+            return ServingEngine::from_snapshot_bytes(bytes, self.options);
+        };
+        let engine = ServingEngine::from_slice_bytes(bytes, self.options).map_err(|e| match e {
+            ServeError::Core(SlideError::Snapshot(SnapshotError::BadMagic)) => {
+                SnapshotError::Slice("a shard reloads only a slice of its own range").into()
+            }
+            e => e,
+        })?;
+        if engine.slice_range() != Some(range) {
+            return Err(SnapshotError::Slice("slice covers another shard's range").into());
+        }
+        Ok(engine)
+    }
+
+    /// Swaps in a successfully built engine, or counts the failure.
+    fn install(&self, next: Result<ServingEngine, ServeError>) -> Result<u64, ServeError> {
+        match next {
             Ok(engine) => Ok(self.swap(engine)),
             Err(e) => {
                 self.reload_failures.fetch_add(1, Ordering::Relaxed);
@@ -446,6 +471,53 @@ mod tests {
         assert_eq!(handle.consecutive_reload_failures(), 0);
         assert_eq!(handle.last_good_epoch(), 2);
         assert_eq!(handle.reload_failures(), 3, "total failures are kept");
+    }
+
+    #[test]
+    fn a_shard_reloads_only_a_slice_of_its_own_range() {
+        let (net, data) = tiny_network(17);
+        let full = net.to_snapshot_bytes();
+        let slices = slide_core::snapshot::slice_snapshot(&full, 3).unwrap();
+        let options = ServeOptions::default()
+            .with_top_k(3)
+            .with_dense_fallback(false);
+        let shard = ServingEngine::from_slice_bytes(&slices[1], options).unwrap();
+        let handle = EngineHandle::new(shard);
+        let answers = |h: &EngineHandle| -> Vec<Vec<(u32, u32)>> {
+            let engine = h.engine();
+            data.test
+                .iter()
+                .take(10)
+                .map(|ex| engine.predict(&ex.features).unwrap().topk.to_bits())
+                .collect()
+        };
+        let before = answers(&handle);
+        let is_slice_error = |e: ServeError| {
+            matches!(
+                e,
+                ServeError::Core(SlideError::Snapshot(SnapshotError::Slice(_)))
+            )
+        };
+
+        // A full snapshot would install a full-width engine at offset 0.
+        assert!(is_slice_error(handle.reload_from_bytes(&full).unwrap_err()));
+        // Another shard's slice would serve the wrong range.
+        let dir = std::env::temp_dir().join(format!("slide_shard_reload_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shard.slideslice");
+        slide_core::snapshot::publish_bytes(&path, &slices[2]).unwrap();
+        assert!(is_slice_error(handle.reload_from_file(&path).unwrap_err()));
+        assert_eq!(handle.epoch(), 1);
+        assert_eq!(handle.reload_failures(), 2);
+        assert!(handle.engine().class_offset() > 0);
+        assert_eq!(answers(&handle), before);
+
+        // Its own slice, re-published, reloads with identical answers.
+        slide_core::snapshot::publish_bytes(&path, &slices[1]).unwrap();
+        assert_eq!(handle.reload_from_file(&path).unwrap(), 2);
+        assert_eq!(handle.consecutive_reload_failures(), 0);
+        assert_eq!(answers(&handle), before);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -9,7 +9,14 @@
 //! all shards over keep-alive connections, the per-shard top-k lists
 //! merge through the same [`TopK`] reduction the engine uses (so
 //! tie-breaking matches to the bit), and the merged answer equals the
-//! single full engine's — classes *and* score bits.
+//! single full engine's — classes *and* score bits — under a
+//! precondition: no output bucket of the full model ever overflowed, no
+//! `max_candidates` cap, degradation level 0, and dense fallback off.
+//! Each shard rebuilds its FIFO buckets over its own range, so once a
+//! bucket overflows a shard keeps ids the full table evicted; a cap, a
+//! degraded level or a fallback is likewise applied per shard. The
+//! shards then score a superset and the merge can only gain items and
+//! score (pinned by the engine's `slice_answers_dominate_after_overflow`).
 //!
 //! The router owns no transport of its own: it is a second back-end of
 //! [`crate::http`]'s event-loop server, so its limits, timeouts,

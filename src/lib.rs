@@ -62,7 +62,7 @@ pub mod prelude {
         config::{LshLayerConfig, NetworkConfig},
         inference::{InferenceSelector, TopK},
         network::Network,
-        selector::{ActiveSet, DenseSelector, LshSelector, NeuronSelector, ShardedSelector},
+        selector::{ActiveSet, DenseSelector, LshSelector, NeuronSelector},
         trainer::{SlideTrainer, TrainOptions, TrainReport, Trainer},
     };
     pub use slide_data::{

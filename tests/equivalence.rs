@@ -4,11 +4,7 @@
 //!    logits to an independent dense matrix-vector reference;
 //! 2. pooled/reused workspaces are behavior-neutral — a pooled run and a
 //!    fresh-workspace run produce the same `TrainReport` and weights under
-//!    a fixed seed and one thread;
-//! 3. the [`ShardedSelector`] is a pure partitioning of the [`LshSelector`]
-//!    — bit-identical active sets for any shard count (including boundaries
-//!    that split a hash bucket), and a full training epoch through sharded
-//!    selection leaves a byte-identical snapshot.
+//!    a fixed seed and one thread.
 
 use slide::kernels::{relu_in_place, softmax_in_place, KernelMode};
 use slide::prelude::*;
@@ -183,109 +179,5 @@ fn pooled_lsh_training_is_reproducible() {
                 "weight ({j},{i}) differs between identical pooled runs"
             );
         }
-    }
-}
-
-/// Builds a network whose output layer is wide relative to its hash code
-/// space, so LSH buckets are crowded and any contiguous shard boundary
-/// is near-certain to cut through one (asserted below, not assumed).
-fn bucket_spanning_network(units: usize) -> slide::core::network::Network {
-    // K=2 → 4 buckets per table over `units` neurons, capacity == units →
-    // nothing is ever evicted and the average bucket holds units/4 ids.
-    let config = NetworkConfig::builder(64, units)
-        .hidden(16)
-        .seed(31)
-        .output_lsh(LshLayerConfig::simhash(2, 8).with_tables(6, units))
-        .build()
-        .unwrap();
-    slide::core::network::Network::new(config).unwrap()
-}
-
-/// True iff some hash bucket of the output layer holds neuron ids on both
-/// sides of the contiguous boundary `split` — i.e. the shard cut passes
-/// through the middle of a bucket rather than between buckets.
-fn some_bucket_spans(net: &slide::core::network::Network, split: usize) -> bool {
-    let lsh = net.layers()[1].lsh().expect("output layer is LSH");
-    lsh.tables().tables().iter().any(|t| {
-        t.buckets().iter().any(|b| {
-            b.items().iter().any(|&id| (id as usize) < split)
-                && b.items().iter().any(|&id| (id as usize) >= split)
-        })
-    })
-}
-
-#[test]
-fn sharded_selection_is_bit_identical_across_shard_counts() {
-    use slide::data::rng::{Rng, Xoshiro256PlusPlus};
-
-    let units = 42;
-    let net = bucket_spanning_network(units);
-    let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x5EED);
-    for n in [1usize, 2, 7] {
-        // The guarantee must not hinge on shard cuts landing between
-        // buckets: for every multi-shard count, pin that at least one
-        // interior boundary splits a bucket's members across two shards.
-        if n > 1 {
-            let split_bucket = (1..n).any(|s| some_bucket_spans(&net, s * units / n));
-            assert!(
-                split_bucket,
-                "test precondition lost at {n} shards: no hash bucket \
-                 straddles a shard boundary (change the seed)"
-            );
-        }
-        let sharded = ShardedSelector::new(n);
-        let mut ws_ref = net.workspace(9);
-        let mut ws_shard = net.workspace(9);
-        for round in 0..12 {
-            let x = SparseVector::from_pairs(
-                (0..8).map(|_| (rng.gen_range(0, 64) as u32, rng.next_f32() + 0.1)),
-            );
-            net.forward(&LshSelector, &mut ws_ref, &x, None);
-            net.forward(&sharded, &mut ws_shard, &x, None);
-            assert_eq!(
-                ws_ref.active_set(1).ids(),
-                ws_shard.active_set(1).ids(),
-                "active sets diverged at {n} shards, round {round}"
-            );
-        }
-    }
-}
-
-#[test]
-fn sharded_training_epoch_leaves_a_byte_identical_snapshot() {
-    // The strongest equivalence statement available: run a whole epoch of
-    // SGD — forwards, backwards, updates, and LSH table rebuilds — once
-    // through the monolithic selector and once through the sharded one,
-    // then compare the *serialized networks byte for byte*. Any divergence
-    // anywhere (weights, biases, table state reachable through retrieval)
-    // shows up as a snapshot diff.
-    let data = tiny_data(29);
-    let cfg = || {
-        NetworkConfig::builder(data.train.feature_dim(), data.train.label_dim())
-            .hidden(16)
-            .output_lsh(LshLayerConfig::simhash(3, 8))
-            .learning_rate(2e-3)
-            .seed(37)
-            .build()
-            .unwrap()
-    };
-    let opts = TrainOptions::new(1).batch_size(32).threads(1).seed(43);
-
-    let mut mono = SlideTrainer::new(cfg()).unwrap();
-    let rm = mono.train(&data.train, &opts);
-
-    for n in [2usize, 7] {
-        let mut sharded = Trainer::with_selector(cfg(), ShardedSelector::new(n)).unwrap();
-        let rs = sharded.train(&data.train, &opts);
-        assert_eq!(
-            deterministic_view(&rm),
-            deterministic_view(&rs),
-            "training reports diverged at {n} shards"
-        );
-        assert_eq!(
-            mono.network().to_snapshot_bytes(),
-            sharded.network().to_snapshot_bytes(),
-            "snapshot bytes diverged after a sharded epoch at {n} shards"
-        );
     }
 }

@@ -337,21 +337,18 @@ fn quantized_snapshot_preserves_serving_accuracy() {
 
 #[test]
 fn quantized_engine_matches_f32_engine_on_same_weights() {
-    // Loading the same quantized bytes with the fused path on and off
-    // scores identical (dequantized) weights through different kernels;
+    // The same quantized bytes served with and without their i16 rows
+    // score identical (dequantized) weights through different kernels;
     // top-1 answers must agree except on floating-point near-ties.
     let (net, data) = trained_network(200, 2);
     let q_bytes = net.to_quantized_snapshot_bytes();
     let q_engine =
         ServingEngine::from_snapshot_bytes(&q_bytes, ServeOptions::default().with_top_k(1))
             .unwrap();
-    let f_engine = ServingEngine::from_snapshot_bytes(
-        &q_bytes,
-        ServeOptions::default()
-            .with_top_k(1)
-            .with_use_quantized(false),
-    )
-    .unwrap();
+    let dequantized = slide::core::snapshot::read_snapshot_with_centering(&q_bytes, Some(true))
+        .unwrap()
+        .network;
+    let f_engine = ServingEngine::new(dequantized, ServeOptions::default().with_top_k(1));
     let features: Vec<_> = data
         .test
         .iter()
