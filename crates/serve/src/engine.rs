@@ -763,7 +763,7 @@ mod tests {
         // What holds once a bucket overflows: each shard rebuilds its
         // FIFO buckets over its own range and keeps ids the full table
         // evicted, so the shards retrieve a superset and the merged top-k
-        // can only gain items and score. It is no longer the full
+        // can only gain items and score; it need not be the full
         // engine's answer.
         let data = generate(&SyntheticConfig::tiny().with_seed(4));
         let config = NetworkConfig::builder(data.train.feature_dim(), data.train.label_dim())

@@ -189,8 +189,10 @@ impl EngineHandle {
     /// As [`EngineHandle::reload_from_bytes`], plus [`ServeError::Core`]
     /// on filesystem failure; the previous engine keeps serving.
     pub fn reload_from_file<P: AsRef<Path>>(&self, path: P) -> Result<u64, ServeError> {
-        let bytes = std::fs::read(path).map_err(SnapshotError::from);
-        self.install(bytes.map_err(ServeError::from).and_then(|b| self.build(&b)))
+        let next = std::fs::read(path)
+            .map_err(|e| SnapshotError::from(e).into())
+            .and_then(|bytes| self.build(&bytes));
+        self.install(next)
     }
 
     /// The next engine for `bytes`: a full model for a full handle, a

@@ -97,9 +97,9 @@ fn lsh_epoch_snapshot_fnv(strategy: SamplingStrategy, tables: Option<(u32, usize
 
 #[test]
 fn lsh_training_snapshot_bytes_are_pinned() {
-    // Captured before the sampler lost its bucket-visitor seam; any change
-    // to which ids a strategy emits, their order, or the RNG draws it makes
-    // moves these. Capacity-2 buckets overflow, so FIFO slot order matters.
+    // Any change to which ids a strategy emits, their order, or the RNG
+    // draws it makes moves these. Capacity-2 buckets overflow, so FIFO
+    // slot order matters.
     let strategies = [
         SamplingStrategy::Vanilla { budget: 8 },
         SamplingStrategy::TopK { budget: 8 },
