@@ -943,6 +943,20 @@ pub fn assemble_slices(slices: &[Vec<u8>]) -> Result<Vec<u8>, SnapshotError> {
     Ok(e.finish())
 }
 
+/// The `(lo, hi, total)` output-neuron range of slice bytes, after the
+/// checksum and the full structural parse but without restoring
+/// anything. A restore costs `total × fan_in` RNG draws (see
+/// [`read_slice`]), so a caller that knows which range it expects — a
+/// shard reloading its own slice — checks it here first.
+///
+/// # Errors
+///
+/// The typed [`SnapshotError`]s of [`read_slice`]'s parse.
+pub fn slice_range(bytes: &[u8]) -> Result<(usize, usize, usize), SnapshotError> {
+    let p = parse_slice(bytes)?;
+    Ok((p.lo, p.hi, p.total))
+}
+
 /// A restored snapshot slice: a network whose output layer holds only
 /// neurons `lo..hi` of a `total`-wide original, hashing and scoring
 /// bit-identically to the full network over that range.

@@ -24,8 +24,7 @@
 //!   binary cache;
 //! * [`source`] — the [`ExampleSource`] trait the trainer and benches
 //!   consume every corpus through, with [`MmapDataset`] memory-mapping
-//!   a cache (or falling back to positioned reads) so corpora larger
-//!   than RAM train at in-memory speed.
+//!   a cache so corpora larger than RAM train at in-memory speed.
 //!
 //! ## Example
 //!
@@ -55,6 +54,6 @@ pub use cache::{build_cache_from_svmlight, CacheError, CacheSummary, DatasetBuil
 pub use dataset::{Dataset, DatasetStats, Example};
 pub use metrics::{precision_at_k, recall_at_k, PrecisionTracker};
 pub use rng::{Rng, SplitMix64, Xoshiro256PlusPlus};
-pub use source::{CacheAccess, CacheOptions, ExampleSource, MmapDataset};
+pub use source::{CacheOptions, ExampleSource, MmapDataset};
 pub use sparse::SparseVector;
 pub use stream::{StreamingSvmReader, SvmHeader};

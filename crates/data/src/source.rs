@@ -2,38 +2,35 @@
 //! the examples consume datasets through — and [`MmapDataset`], the
 //! memory-mapped implementation over a compiled [`crate::cache`] file.
 //!
-//! Three source flavors share the trait:
+//! Two source flavors share the trait:
 //!
 //! * an in-memory [`Dataset`] (the zero-copy fast path:
 //!   [`ExampleSource::as_examples`] exposes the slice directly);
 //! * a [`MmapDataset`] backed by `mmap(2)` — the kernel pages example
 //!   bytes in on demand, so corpora far larger than RAM train with the
-//!   page cache as the only buffer;
-//! * the same [`MmapDataset`] backed by positioned reads
-//!   ([`CacheAccess::ReadAt`]) when mmap is unavailable or undesired
-//!   (32-bit targets, non-unix platforms, or files on filesystems where
-//!   mapping misbehaves).
+//!   page cache as the only buffer.
 //!
 //! `mmap` is reached through a direct `extern "C"` binding (the build
-//! environment has no `libc` crate); on targets without the binding the
-//! [`CacheAccess::Auto`] mode silently degrades to positioned reads.
+//! environment has no `libc` crate). 64-bit Linux is the one supported
+//! platform; any other target fails to compile here.
 //!
 //! ## Integrity and panics
 //!
-//! [`MmapDataset::open`] verifies the trailing FNV-1a checksum and
-//! structurally validates the whole file (index-pointer monotonicity,
-//! per-example strictly increasing feature indices, in-range labels) in
-//! two sequential scans, so the per-example decode path can run without
-//! per-read validation. [`ExampleSource::read_into`] therefore panics
-//! only if the file is mutated *after* open (or an I/O error hits the
-//! read-at fallback) — the same contract as slice indexing.
+//! [`MmapDataset::open`] maps the file, then parses the one mapped
+//! slice: it verifies the trailing FNV-1a checksum and structurally
+//! validates the whole file (index-pointer monotonicity, per-example
+//! strictly increasing feature indices, in-range labels), so the
+//! per-example decode path can run without per-read validation.
+//! [`ExampleSource::read_into`] therefore panics only if the file is
+//! mutated *after* open — the same contract as slice indexing.
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+compile_error!("slide-data binds mmap(2) directly and supports only 64-bit Linux");
 
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom};
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use crate::cache::{CacheError, CacheLayout, Fnv1a, CACHE_MAGIC, CACHE_VERSION, HEADER_BYTES};
+use crate::cache::{fnv1a, CacheError, CacheLayout, CACHE_MAGIC, CACHE_VERSION, HEADER_BYTES};
 use crate::dataset::{Dataset, Example};
 
 /// A random-access stream of training examples: the single interface
@@ -110,16 +107,14 @@ impl ExampleSource for Dataset {
 
 // ---------------------------------------------------------------------
 // mmap via a direct extern "C" binding (no libc crate in the build
-// environment). 64-bit unix only; everything else falls back to pread.
+// environment).
 
-#[cfg(all(unix, target_pointer_width = "64"))]
 mod mm {
     use std::fs::File;
     use std::io;
     use std::os::raw::{c_int, c_void};
     use std::os::unix::io::AsRawFd;
 
-    // Stable across Linux and the BSD/macOS family for these two flags.
     const PROT_READ: c_int = 1;
     const MAP_PRIVATE: c_int = 2;
 
@@ -200,117 +195,21 @@ mod mm {
             }
         }
     }
-
-    pub const AVAILABLE: bool = true;
-}
-
-#[cfg(not(all(unix, target_pointer_width = "64")))]
-mod mm {
-    use std::fs::File;
-    use std::io;
-
-    /// Stub for targets without the mmap binding; never constructed.
-    #[derive(Debug)]
-    pub struct MmapRegion;
-
-    impl MmapRegion {
-        pub fn map(_file: &File, _len: usize) -> io::Result<Self> {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "mmap is not available on this target",
-            ))
-        }
-
-        pub fn bytes(&self) -> &[u8] {
-            &[]
-        }
-    }
-
-    pub const AVAILABLE: bool = false;
-}
-
-/// Whether this build can memory-map caches at all (64-bit unix).
-pub fn mmap_available() -> bool {
-    mm::AVAILABLE
-}
-
-/// Positioned-read file handle: lock-free `pread` on unix; elsewhere a
-/// **per-file** mutex around seek+read (the shared cursor must be
-/// serialized, but two open caches never contend with each other).
-#[derive(Debug)]
-struct PFile {
-    #[cfg(unix)]
-    file: File,
-    #[cfg(not(unix))]
-    file: std::sync::Mutex<File>,
-}
-
-impl PFile {
-    fn new(file: File) -> Self {
-        #[cfg(unix)]
-        {
-            Self { file }
-        }
-        #[cfg(not(unix))]
-        {
-            Self {
-                file: std::sync::Mutex::new(file),
-            }
-        }
-    }
-
-    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-        #[cfg(unix)]
-        {
-            std::os::unix::fs::FileExt::read_exact_at(&self.file, buf, offset)
-        }
-        #[cfg(not(unix))]
-        {
-            use std::io::{Read as _, Seek as _};
-            let mut f = self.file.lock().expect("poisoned");
-            f.seek(std::io::SeekFrom::Start(offset))?;
-            f.read_exact(buf)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-
-/// How [`MmapDataset::open_with`] should reach the cache bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheAccess {
-    /// Memory-map when the target supports it, otherwise positioned
-    /// reads. The default.
-    #[default]
-    Auto,
-    /// Memory-map, failing if unavailable.
-    Mmap,
-    /// Positioned reads (`pread`), never mapping.
-    ReadAt,
 }
 
 /// Options for [`MmapDataset::open_with`]. Open always verifies the
 /// checksum and validates every example (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheOptions {
-    /// Access mode (default [`CacheAccess::Auto`]).
-    pub access: CacheAccess,
     /// Override the [`ExampleSource::shard_len`] locality hint.
     pub shard_len: Option<usize>,
-}
-
-#[derive(Debug)]
-enum Backing {
-    Mmap(mm::MmapRegion),
-    ReadAt(PFile),
 }
 
 /// Shards default to roughly this many payload bytes so a shard's pages
 /// stay resident while the trainer sweeps it.
 const TARGET_SHARD_BYTES: u64 = 8 << 20;
 
-/// A dataset cache opened for random access — memory-mapped where
-/// possible, positioned reads otherwise — implementing
+/// A memory-mapped dataset cache opened for random access, implementing
 /// [`ExampleSource`] for the batch-parallel trainer.
 ///
 /// See the [module docs](self) for the integrity model and
@@ -345,13 +244,12 @@ pub struct MmapDataset {
     layout: CacheLayout,
     feat_indptr: Vec<u64>,
     label_indptr: Vec<u64>,
-    backing: Backing,
+    region: mm::MmapRegion,
     shard_len: usize,
 }
 
 impl MmapDataset {
-    /// Opens a cache with default options (auto access, full
-    /// verification).
+    /// Opens a cache with default options (full verification).
     ///
     /// # Errors
     ///
@@ -361,95 +259,28 @@ impl MmapDataset {
         Self::open_with(path, CacheOptions::default())
     }
 
-    /// Opens a cache with explicit [`CacheOptions`].
+    /// Opens a cache with explicit [`CacheOptions`]: maps the whole
+    /// file, then validates the mapped bytes.
     ///
     /// # Errors
     ///
-    /// See [`MmapDataset::open`]; additionally fails with
-    /// [`CacheError::Io`] if [`CacheAccess::Mmap`] was demanded on a
-    /// target without mmap.
+    /// See [`MmapDataset::open`].
     pub fn open_with<P: AsRef<Path>>(path: P, options: CacheOptions) -> Result<Self, CacheError> {
         let path = path.as_ref().to_path_buf();
         let file = File::open(&path)?;
-        let file_len = file.metadata()?.len();
-
-        // Header.
-        let mut header = [0u8; HEADER_BYTES as usize];
-        if file_len < HEADER_BYTES + 8 {
-            return Err(CacheError::Corrupt("file shorter than header"));
-        }
-        {
-            let mut head_reader = BufReader::new(&file);
-            head_reader.read_exact(&mut header)?;
-        }
-        if &header[..8] != CACHE_MAGIC {
-            return Err(CacheError::BadMagic);
-        }
-        let u32_at = |o: usize| u32::from_le_bytes(header[o..o + 4].try_into().expect("4 bytes"));
-        let u64_at = |o: usize| u64::from_le_bytes(header[o..o + 8].try_into().expect("8 bytes"));
-        let version = u32_at(8);
-        if version != CACHE_VERSION {
-            return Err(CacheError::UnsupportedVersion(version));
-        }
-        // Header counts are untrusted: offsets are derived with checked
-        // arithmetic so a crafted header is a typed error, not overflow.
-        let layout = CacheLayout::try_from_counts(
-            u64_at(16),
-            u64_at(24),
-            u64_at(32),
-            u64_at(40),
-            u64_at(48),
-        )
-        .ok_or(CacheError::Corrupt("header counts overflow"))?;
-        if layout.num_examples > usize::MAX as u64 / 16 {
-            return Err(CacheError::Corrupt("example count implausibly large"));
-        }
-        // The decode path does usize arithmetic on offsets (slice
-        // ranges, pread lengths); a cache addressable only with 64 bits
-        // must be rejected on 32-bit targets, not silently truncated.
-        if u128::from(layout.file_len) > usize::MAX as u128 {
-            return Err(CacheError::Corrupt("cache too large for this target"));
-        }
-        if layout.file_len != file_len {
-            return Err(CacheError::Corrupt("file length disagrees with header"));
-        }
-
-        verify_checksum(&file, file_len)?;
-
-        // Index pointers (kept in RAM: 16 bytes/example).
-        let n = layout.num_examples as usize;
-        let mut reader = BufReader::new(&file);
-        reader.seek(SeekFrom::Start(layout.feat_indptr_off))?;
-        let feat_indptr = read_u64s(&mut reader, n + 1)?;
-        let label_indptr = read_u64s(&mut reader, n + 1)?;
-        validate_indptr(&feat_indptr, layout.total_nnz, "feature")?;
-        validate_indptr(&label_indptr, layout.total_labels, "label")?;
-
-        validate_payload(&file, &layout, &feat_indptr, &label_indptr)?;
-
-        let backing = match options.access {
-            CacheAccess::ReadAt => Backing::ReadAt(PFile::new(file)),
-            CacheAccess::Mmap => Backing::Mmap(
-                mm::MmapRegion::map(&file, file_len as usize).map_err(CacheError::Io)?,
-            ),
-            CacheAccess::Auto => match mm::MmapRegion::map(&file, file_len as usize) {
-                Ok(region) => Backing::Mmap(region),
-                Err(_) => Backing::ReadAt(PFile::new(file)),
-            },
-        };
-
+        let region = mm::MmapRegion::map(&file, file.metadata()?.len() as usize)?;
+        let (layout, feat_indptr, label_indptr) = parse(region.bytes())?;
         let shard_len = options.shard_len.unwrap_or_else(|| {
             let payload = layout.file_len.saturating_sub(layout.indices_off).max(1);
             let avg = (payload / layout.num_examples.max(1)).max(1);
             (TARGET_SHARD_BYTES / avg).clamp(256, layout.num_examples.max(256)) as usize
         });
-
         Ok(Self {
             path,
             layout,
             feat_indptr,
             label_indptr,
-            backing,
+            region,
             shard_len,
         })
     }
@@ -462,14 +293,6 @@ impl MmapDataset {
     /// Cache file size, bytes.
     pub fn file_len(&self) -> u64 {
         self.layout.file_len
-    }
-
-    /// `"mmap"` or `"read-at"` — which backing `open` settled on.
-    pub fn access_mode(&self) -> &'static str {
-        match self.backing {
-            Backing::Mmap(_) => "mmap",
-            Backing::ReadAt(_) => "read-at",
-        }
     }
 
     /// Total feature nonzeros across the corpus.
@@ -502,40 +325,6 @@ impl MmapDataset {
         }
         ds
     }
-
-    /// The byte ranges of example `index`'s feature indices, feature
-    /// values and labels in the cache file.
-    fn ranges(&self, index: usize) -> [Range<usize>; 3] {
-        let (s, e) = (
-            self.feat_indptr[index] as usize,
-            self.feat_indptr[index + 1] as usize,
-        );
-        let (ls, le) = (
-            self.label_indptr[index] as usize,
-            self.label_indptr[index + 1] as usize,
-        );
-        let at = |off: u64, a: usize, b: usize| off as usize + 4 * a..off as usize + 4 * b;
-        [
-            at(self.layout.indices_off, s, e),
-            at(self.layout.values_off, s, e),
-            at(self.layout.labels_off, ls, le),
-        ]
-    }
-}
-
-/// Decodes one example from its feature-index, feature-value and label
-/// bytes — the one decode body behind both backings.
-fn decode(indices: &[u8], values: &[u8], labels: &[u8], out: &mut Example) {
-    let u32_at = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-    let pairs = indices
-        .chunks_exact(4)
-        .zip(values.chunks_exact(4))
-        .map(|(i, v)| (u32_at(i), f32::from_bits(u32_at(v))));
-    out.features
-        .refill_from_sorted_iter(pairs)
-        .expect("cache validated at open; file mutated afterwards?");
-    out.labels.clear();
-    out.labels.extend(labels.chunks_exact(4).map(u32_at));
 }
 
 impl ExampleSource for MmapDataset {
@@ -552,32 +341,28 @@ impl ExampleSource for MmapDataset {
     }
 
     fn read_into(&self, index: usize, out: &mut Example) {
-        use std::cell::RefCell;
-        thread_local! {
-            static SCRATCH: RefCell<[Vec<u8>; 3]> =
-                const { RefCell::new([Vec::new(), Vec::new(), Vec::new()]) };
-        }
         assert!(
             index < self.len(),
             "example index {index} out of range ({} examples)",
             self.len()
         );
-        let [indices, values, labels] = self.ranges(index);
-        match &self.backing {
-            Backing::Mmap(region) => {
-                let bytes = region.bytes();
-                decode(&bytes[indices], &bytes[values], &bytes[labels], out);
-            }
-            Backing::ReadAt(file) => SCRATCH.with(|cell| {
-                let bufs = &mut *cell.borrow_mut();
-                for (buf, range) in bufs.iter_mut().zip([indices, values, labels]) {
-                    buf.resize(range.len(), 0);
-                    file.read_exact_at(buf, range.start as u64)
-                        .expect("dataset cache read failed");
-                }
-                decode(&bufs[0], &bufs[1], &bufs[2], out);
-            }),
-        }
+        let (s, e) = (
+            self.feat_indptr[index] as usize,
+            self.feat_indptr[index + 1] as usize,
+        );
+        let (ls, le) = (
+            self.label_indptr[index] as usize,
+            self.label_indptr[index + 1] as usize,
+        );
+        let bytes = self.region.bytes();
+        let at = |off: u64, a: usize, b: usize| &bytes[off as usize + 4 * a..off as usize + 4 * b];
+        let pairs = u32s(at(self.layout.indices_off, s, e))
+            .zip(u32s(at(self.layout.values_off, s, e)).map(f32::from_bits));
+        out.features
+            .refill_from_sorted_iter(pairs)
+            .expect("cache validated at open; file mutated afterwards?");
+        out.labels.clear();
+        out.labels.extend(u32s(at(self.layout.labels_off, ls, le)));
     }
 
     fn shard_len(&self) -> Option<usize> {
@@ -586,36 +371,70 @@ impl ExampleSource for MmapDataset {
 }
 
 // ---------------------------------------------------------------------
-// Open-time verification.
+// Open-time verification: one parse of the mapped bytes.
 
-fn verify_checksum(file: &File, file_len: u64) -> Result<(), CacheError> {
-    let mut reader = BufReader::with_capacity(1 << 20, file);
-    reader.seek(SeekFrom::Start(0))?;
-    let mut hash = Fnv1a::new();
-    let mut remaining = file_len - 8;
-    let mut buf = vec![0u8; 1 << 20];
-    while remaining > 0 {
-        let take = remaining.min(buf.len() as u64) as usize;
-        reader.read_exact(&mut buf[..take])?;
-        hash.update(&buf[..take]);
-        remaining -= take as u64;
-    }
-    let mut stored = [0u8; 8];
-    reader.read_exact(&mut stored)?;
-    if hash.finish() != u64::from_le_bytes(stored) {
-        return Err(CacheError::ChecksumMismatch);
-    }
-    Ok(())
+/// The little-endian `u32`s of `bytes`.
+fn u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
-fn read_u64s<R: Read>(reader: &mut R, count: usize) -> Result<Vec<u64>, CacheError> {
-    let mut out = Vec::with_capacity(count);
-    let mut buf = [0u8; 8];
-    for _ in 0..count {
-        reader.read_exact(&mut buf)?;
-        out.push(u64::from_le_bytes(buf));
+/// The little-endian `u64`s of `bytes`.
+fn u64s(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+}
+
+/// Validates a whole cache file and returns its layout and the two
+/// index-pointer arrays (kept in RAM: 16 bytes/example).
+fn parse(bytes: &[u8]) -> Result<(CacheLayout, Vec<u64>, Vec<u64>), CacheError> {
+    if bytes.len() < HEADER_BYTES as usize + 8 {
+        return Err(CacheError::Corrupt("file shorter than header"));
     }
-    Ok(out)
+    if &bytes[..8] != CACHE_MAGIC {
+        return Err(CacheError::BadMagic);
+    }
+    let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().expect("4 bytes"));
+    let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().expect("8 bytes"));
+    let version = u32_at(8);
+    if version != CACHE_VERSION {
+        return Err(CacheError::UnsupportedVersion(version));
+    }
+    // Header counts are untrusted: offsets are derived with checked
+    // arithmetic so a crafted header is a typed error, not overflow.
+    let layout =
+        CacheLayout::try_from_counts(u64_at(16), u64_at(24), u64_at(32), u64_at(40), u64_at(48))
+            .ok_or(CacheError::Corrupt("header counts overflow"))?;
+    if layout.file_len != bytes.len() as u64 {
+        return Err(CacheError::Corrupt("file length disagrees with header"));
+    }
+    let n = bytes.len();
+    if fnv1a(&bytes[..n - 8]) != u64_at(n - 8) {
+        return Err(CacheError::ChecksumMismatch);
+    }
+    // Every offset is now inside `bytes`: the layout sums to its length.
+    let section = |from: u64, to: u64| &bytes[from as usize..to as usize];
+    let feat_indptr: Vec<u64> =
+        u64s(section(layout.feat_indptr_off, layout.label_indptr_off)).collect();
+    let label_indptr: Vec<u64> =
+        u64s(section(layout.label_indptr_off, layout.indices_off)).collect();
+    validate_indptr(&feat_indptr, layout.total_nnz, "feature")?;
+    validate_indptr(&label_indptr, layout.total_labels, "label")?;
+    scan_u32_rows(
+        section(layout.indices_off, layout.values_off),
+        &feat_indptr,
+        layout.feature_dim,
+        "feature indices not strictly increasing or out of range",
+    )?;
+    scan_u32_rows(
+        section(layout.labels_off, layout.checksum_off),
+        &label_indptr,
+        layout.label_dim,
+        "labels not sorted/unique or out of range",
+    )?;
+    Ok((layout, feat_indptr, label_indptr))
 }
 
 fn validate_indptr(indptr: &[u64], total: u64, what: &'static str) -> Result<(), CacheError> {
@@ -640,50 +459,21 @@ fn validate_indptr(indptr: &[u64], total: u64, what: &'static str) -> Result<(),
     Ok(())
 }
 
-/// Streams the indices and labels sections once, checking each example's
-/// feature indices are strictly increasing and `< feature_dim` and its
-/// labels sorted, unique and `< label_dim`.
-fn validate_payload(
-    file: &File,
-    layout: &CacheLayout,
-    feat_indptr: &[u64],
-    label_indptr: &[u64],
-) -> Result<(), CacheError> {
-    let mut reader = BufReader::with_capacity(1 << 20, file);
-
-    reader.seek(SeekFrom::Start(layout.indices_off))?;
-    scan_u32_rows(
-        &mut reader,
-        feat_indptr,
-        layout.feature_dim,
-        "feature indices not strictly increasing or out of range",
-    )?;
-
-    reader.seek(SeekFrom::Start(layout.labels_off))?;
-    scan_u32_rows(
-        &mut reader,
-        label_indptr,
-        layout.label_dim,
-        "labels not sorted/unique or out of range",
-    )?;
-    Ok(())
-}
-
-/// Checks each row's values are strictly increasing and `< dim` — the
-/// shared requirement of both the feature-index and label sections
-/// (sorted unique labels are exactly a strictly increasing row).
-fn scan_u32_rows<R: Read>(
-    reader: &mut R,
+/// Checks each row of `section` (rows delimited by `indptr`, which
+/// starts at 0, is monotone and ends at the section's `u32` count) is
+/// strictly increasing and `< dim` — the shared requirement of both the
+/// feature-index and label sections (sorted unique labels are exactly a
+/// strictly increasing row).
+fn scan_u32_rows(
+    section: &[u8],
     indptr: &[u64],
     dim: u64,
     message: &'static str,
 ) -> Result<(), CacheError> {
-    let mut buf = [0u8; 4];
+    let mut values = u32s(section);
     for w in indptr.windows(2) {
         let mut last: Option<u32> = None;
-        for _ in w[0]..w[1] {
-            reader.read_exact(&mut buf)?;
-            let v = u32::from_le_bytes(buf);
+        for v in values.by_ref().take((w[1] - w[0]) as usize) {
             if v as u64 >= dim || last.is_some_and(|l| l >= v) {
                 return Err(CacheError::Corrupt(message));
             }
@@ -706,6 +496,13 @@ mod tests {
         dir.join(name)
     }
 
+    /// Recomputes the trailing checksum over tampered bytes.
+    fn refix(bytes: &mut [u8]) {
+        let n = bytes.len();
+        let check = fnv1a(&bytes[..n - 8]).to_le_bytes();
+        bytes[n - 8..].copy_from_slice(&check);
+    }
+
     fn build_sample(path: &Path) -> Vec<Example> {
         let examples = vec![
             Example::new(SparseVector::from_pairs([(2, 1.5), (7, -0.25)]), vec![1]),
@@ -721,43 +518,21 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_both_backings_bit_identical() {
+    fn roundtrip_is_bit_identical() {
         let path = tmp("roundtrip.slidecache");
         let examples = build_sample(&path);
-        for access in [CacheAccess::Auto, CacheAccess::ReadAt] {
-            let ds = MmapDataset::open_with(
-                &path,
-                CacheOptions {
-                    access,
-                    ..CacheOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(ds.len(), 3);
-            assert_eq!(ds.feature_dim(), 10);
-            assert_eq!(ds.label_dim(), 4);
-            let mut out = Example::empty();
-            for (i, want) in examples.iter().enumerate() {
-                ds.read_into(i, &mut out);
-                assert_eq!(&out, want, "example {i} via {}", ds.access_mode());
-                // Bit-level equality of values.
-                let got: Vec<u32> = out.features.values().iter().map(|v| v.to_bits()).collect();
-                let exp: Vec<u32> = want.features.values().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, exp);
-            }
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn auto_prefers_mmap_on_supported_targets() {
-        let path = tmp("auto.slidecache");
-        build_sample(&path);
         let ds = MmapDataset::open(&path).unwrap();
-        if mmap_available() {
-            assert_eq!(ds.access_mode(), "mmap");
-        } else {
-            assert_eq!(ds.access_mode(), "read-at");
+        assert_eq!(ds.len(), 3);
+        assert_eq!(ds.feature_dim(), 10);
+        assert_eq!(ds.label_dim(), 4);
+        let mut out = Example::empty();
+        for (i, want) in examples.iter().enumerate() {
+            ds.read_into(i, &mut out);
+            assert_eq!(&out, want, "example {i}");
+            // Bit-level equality of values.
+            let got: Vec<u32> = out.features.values().iter().map(|v| v.to_bits()).collect();
+            let exp: Vec<u32> = want.features.values().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, exp);
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -810,11 +585,7 @@ mod tests {
         // Future version (checksum fixed up so only the version trips).
         let mut bad = good.clone();
         bad[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let n = bad.len();
-        let mut h = Fnv1a::new();
-        h.update(&bad[..n - 8]);
-        let check = h.finish().to_le_bytes();
-        bad[n - 8..].copy_from_slice(&check);
+        refix(&mut bad);
         std::fs::write(&path, &bad).unwrap();
         assert!(matches!(
             MmapDataset::open(&path),
@@ -856,11 +627,7 @@ mod tests {
         let layout = CacheLayout::from_counts(3, 10, 4, 3, 3);
         let off = layout.indices_off as usize;
         bytes[off..off + 4].copy_from_slice(&1000u32.to_le_bytes());
-        let n = bytes.len();
-        let mut h = Fnv1a::new();
-        h.update(&bytes[..n - 8]);
-        let check = h.finish().to_le_bytes();
-        bytes[n - 8..].copy_from_slice(&check);
+        refix(&mut bytes);
         std::fs::write(&path, &bytes).unwrap();
         let err = MmapDataset::open(&path).unwrap_err();
         assert!(matches!(err, CacheError::Corrupt(_)), "{err}");
@@ -873,14 +640,7 @@ mod tests {
         build_sample(&path);
         let ds = MmapDataset::open(&path).unwrap();
         assert!(ds.shard_len().is_some());
-        let ds = MmapDataset::open_with(
-            &path,
-            CacheOptions {
-                shard_len: Some(2),
-                ..CacheOptions::default()
-            },
-        )
-        .unwrap();
+        let ds = MmapDataset::open_with(&path, CacheOptions { shard_len: Some(2) }).unwrap();
         assert_eq!(ds.shard_len(), Some(2));
         std::fs::remove_file(&path).unwrap();
     }
@@ -893,5 +653,64 @@ mod tests {
         let eager = ds.to_dataset();
         assert_eq!(eager.examples(), &examples[..]);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Every truncation, every inverted byte (checksum recomputed, so the
+    /// structural checks are what run) and extreme values in the version
+    /// field and each header count: `open` returns a typed error, or it
+    /// succeeds and then every example decodes without a panic — the
+    /// "validated at open, decoded unvalidated" contract.
+    #[test]
+    fn adversarial_caches_never_panic() {
+        let path = tmp("adversarial.slidecache");
+        build_sample(&path);
+        let good = std::fs::read(&path).unwrap();
+        let n = good.len();
+        let mut inputs: Vec<Vec<u8>> = (0..n).map(|cut| good[..cut].to_vec()).collect();
+        for at in 0..n - 8 {
+            let mut b = good.clone();
+            b[at] ^= 0xFF;
+            refix(&mut b);
+            inputs.push(b);
+        }
+        let fields = [(8, 4), (16, 8), (24, 8), (32, 8), (40, 8), (48, 8)];
+        for (at, width) in fields {
+            for v in [0, 1, u32::MAX as u64, (1 << 62) + 1, u64::MAX] {
+                let mut b = good.clone();
+                b[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
+                refix(&mut b);
+                inputs.push(b);
+            }
+        }
+        let (mut opened, mut panicked) = (0, 0);
+        for bytes in &inputs {
+            std::fs::write(&path, bytes).unwrap();
+            let outcome = std::panic::catch_unwind(|| {
+                let Ok(ds) = MmapDataset::open(&path) else {
+                    return false;
+                };
+                let mut out = Example::empty();
+                for i in 0..ds.len() {
+                    ds.read_into(i, &mut out);
+                }
+                true
+            });
+            match outcome {
+                Ok(ok) => opened += ok as usize,
+                Err(_) => panicked += 1,
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+        assert!(inputs.len() > 300, "{} inputs", inputs.len());
+        assert!(
+            opened > 0,
+            "no input opened: the sweep never reached decode"
+        );
+        assert_eq!(
+            panicked,
+            0,
+            "{panicked} of {} inputs panicked",
+            inputs.len()
+        );
     }
 }

@@ -11,13 +11,12 @@
 //! HTTP front-end — so requests complete independently: a batch is an
 //! execution detail, not an API contract.
 //!
-//! The server runs over either a pinned [`ServingEngine`]
-//! ([`BatchServer::start`]) or a hot-reloadable [`EngineHandle`]
-//! ([`BatchServer::over_handle`]). In handle mode each drain reads the
-//! `(engine, epoch)` pair **inside** the queue critical section, so the
-//! epoch a job is answered under is ordered by dequeue order — a
-//! connection that receives its responses in request order can never
-//! observe the model epoch move backwards.
+//! The server runs over an [`EngineHandle`] ([`BatchServer::over_handle`];
+//! a pinned engine is [`EngineHandle::new`] at epoch 1, never reloaded).
+//! Each drain reads the `(engine, epoch)` pair **inside** the queue
+//! critical section, so the epoch a job is answered under is ordered by
+//! dequeue order — a connection that receives its responses in request
+//! order can never observe the model epoch move backwards.
 //!
 //! The queue is optionally bounded ([`BatchOptions::queue_cap`]): a full
 //! queue rejects new jobs with [`ServeError::Overloaded`] *before* they
@@ -215,7 +214,7 @@ impl BatchOptions {
 }
 
 /// A completion callback: receives the result and the model epoch that
-/// answered (1 for a pinned-engine server). Runs on the worker thread —
+/// answered. Runs on the worker thread —
 /// keep it cheap (the HTTP front-end just posts to an event-loop inbox).
 pub(crate) type ReplyCallback = Box<dyn FnOnce(Result<Prediction, ServeError>, u64) + Send>;
 
@@ -326,26 +325,10 @@ fn hist_bucket(n: usize) -> usize {
     }
 }
 
-/// Where drains take their engine from.
-enum Source {
-    /// One engine for the server's lifetime.
-    Fixed(Arc<ServingEngine>),
-    /// Follow an [`EngineHandle`] — each drain answers with whatever
-    /// engine the handle holds at dequeue time.
-    Handle(Arc<EngineHandle>),
-}
-
-impl Source {
-    fn current(&self) -> (Arc<ServingEngine>, u64) {
-        match self {
-            Source::Fixed(e) => (Arc::clone(e), 1),
-            Source::Handle(h) => h.current(),
-        }
-    }
-}
-
 struct Shared {
-    source: Source,
+    /// Where drains take their engine from: each drain answers with
+    /// whatever engine the handle holds at dequeue time.
+    handle: Arc<EngineHandle>,
     queue: Mutex<VecDeque<Job>>,
     available: Condvar,
     shutdown: AtomicBool,
@@ -453,26 +436,11 @@ impl std::fmt::Debug for BatchServer {
 }
 
 impl BatchServer {
-    /// Starts `options.workers` worker threads over a pinned `engine`.
-    pub fn start(engine: Arc<ServingEngine>, options: BatchOptions) -> Self {
-        Self::start_with_source(Source::Fixed(engine), options, None)
-    }
-
-    /// [`BatchServer::start`] with a fault-injection plan attached for
-    /// chaos drills.
-    pub fn start_with_faults(
-        engine: Arc<ServingEngine>,
-        options: BatchOptions,
-        faults: Arc<FaultPlan>,
-    ) -> Self {
-        Self::start_with_source(Source::Fixed(engine), options, Some(faults))
-    }
-
-    /// Starts the worker pool over a hot-reloadable handle: each drain
-    /// answers with the handle's current engine, and replies carry the
-    /// epoch that actually answered.
+    /// Starts `options.workers` worker threads over a hot-reloadable
+    /// handle: each drain answers with the handle's current engine, and
+    /// replies carry the epoch that actually answered.
     pub fn over_handle(handle: Arc<EngineHandle>, options: BatchOptions) -> Self {
-        Self::start_with_source(Source::Handle(handle), options, None)
+        Self::spawn_pool(handle, options, None)
     }
 
     /// [`BatchServer::over_handle`] with a fault-injection plan attached
@@ -482,11 +450,11 @@ impl BatchServer {
         options: BatchOptions,
         faults: Arc<FaultPlan>,
     ) -> Self {
-        Self::start_with_source(Source::Handle(handle), options, Some(faults))
+        Self::spawn_pool(handle, options, Some(faults))
     }
 
-    fn start_with_source(
-        source: Source,
+    fn spawn_pool(
+        handle: Arc<EngineHandle>,
         options: BatchOptions,
         faults: Option<Arc<FaultPlan>>,
     ) -> Self {
@@ -494,7 +462,7 @@ impl BatchServer {
         assert!(options.max_batch > 0, "max_batch must be positive");
         assert!(options.queue_cap > 0, "queue_cap must be positive");
         let shared = Arc::new(Shared {
-            source,
+            handle,
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -646,10 +614,9 @@ impl BatchServer {
         self.submit(features)?.wait()
     }
 
-    /// The engine currently behind this server (in handle mode, the
-    /// handle's live engine at call time).
+    /// The handle's live engine at call time.
     pub fn engine(&self) -> Arc<ServingEngine> {
-        self.shared.source.current().0
+        self.shared.handle.engine()
     }
 
     /// A snapshot of the batching statistics.
@@ -813,7 +780,7 @@ fn worker_loop(shared: &Shared, max_batch: usize) -> WorkerExit {
                 .counters
                 .depth
                 .store(q.len() as u64, Ordering::Relaxed);
-            let (e, ep) = shared.source.current();
+            let (e, ep) = shared.handle.current();
             engine = e;
             epoch = ep;
         }
@@ -878,11 +845,11 @@ fn worker_loop(shared: &Shared, max_batch: usize) -> WorkerExit {
             ks.push(job.k);
             replies.push(job.reply);
         }
-        let degraded_selector = (level > 0).then(|| engine.degraded_selector(level));
+        let selector = engine.degraded_selector(level);
 
         // The workspace is checked out per drain (it belongs to the
-        // drain's engine — in handle mode a reload swaps the pool too);
-        // one pool-mutex acquisition amortized over the whole batch.
+        // drain's engine — a reload swaps the pool too); one pool-mutex
+        // acquisition amortized over the whole batch.
         // Everything batch-sized routes through the fused shared-union
         // path (a batch-of-1 is bit-identical to a solo predict).
         let mut ws = engine.checkout_workspace();
@@ -894,19 +861,14 @@ fn worker_loop(shared: &Shared, max_batch: usize) -> WorkerExit {
                 // catch_unwind.
                 panic!("injected worker panic");
             }
-            match &degraded_selector {
-                Some(sel) => engine.predict_batch_in_with(
-                    &mut ws,
-                    &mut scratch,
-                    &feats,
-                    &ks,
-                    &mut predictions,
-                    sel,
-                ),
-                None => {
-                    engine.predict_batch_in(&mut ws, &mut scratch, &feats, &ks, &mut predictions)
-                }
-            }
+            engine.predict_batch_in(
+                &mut ws,
+                &mut scratch,
+                &feats,
+                &ks,
+                &mut predictions,
+                &selector,
+            )
         }));
         match scored {
             Err(_) => {
@@ -947,11 +909,19 @@ fn worker_loop(shared: &Shared, max_batch: usize) -> WorkerExit {
                         reply.send(Err(ServeError::WorkerPanicked), epoch);
                         continue;
                     }
-                    let outcome =
-                        std::panic::catch_unwind(AssertUnwindSafe(|| match &degraded_selector {
-                            Some(sel) => engine.predict_in_with(&mut ws, &features, k, sel),
-                            None => engine.predict_in(&mut ws, &features, k),
-                        }));
+                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        predictions.clear();
+                        engine
+                            .predict_batch_in(
+                                &mut ws,
+                                &mut scratch,
+                                std::slice::from_ref(&features),
+                                &[k],
+                                &mut predictions,
+                                &selector,
+                            )
+                            .map(|()| predictions.swap_remove(0))
+                    }));
                     match outcome {
                         Ok(result) => {
                             c.requests.fetch_add(1, Ordering::Relaxed);
@@ -991,11 +961,14 @@ mod tests {
             .seed(9)
             .build()
             .unwrap();
-        let engine = Arc::new(ServingEngine::new(
+        let engine = ServingEngine::new(
             Network::new(config).unwrap(),
             ServeOptions::default().with_top_k(3),
-        ));
-        (BatchServer::start(engine, options), data)
+        );
+        (
+            BatchServer::over_handle(Arc::new(EngineHandle::new(engine)), options),
+            data,
+        )
     }
 
     #[test]
@@ -1205,13 +1178,13 @@ mod tests {
             .seed(9)
             .build()
             .unwrap();
-        let engine = Arc::new(ServingEngine::new(
+        let engine = ServingEngine::new(
             Network::new(config).unwrap(),
             ServeOptions::default().with_top_k(3),
-        ));
+        );
         let faults = Arc::new(FaultPlan::new());
-        let server = BatchServer::start_with_faults(
-            Arc::clone(&engine),
+        let server = BatchServer::over_handle_with_faults(
+            Arc::new(EngineHandle::new(engine)),
             BatchOptions::default().with_workers(2),
             Arc::clone(&faults),
         );
@@ -1311,12 +1284,12 @@ mod tests {
             .seed(9)
             .build()
             .unwrap();
-        let engine = Arc::new(ServingEngine::new(
+        let engine = ServingEngine::new(
             Network::new(config).unwrap(),
             ServeOptions::default().with_top_k(3),
-        ));
-        let server = BatchServer::start(
-            engine,
+        );
+        let server = BatchServer::over_handle(
+            Arc::new(EngineHandle::new(engine)),
             BatchOptions::default()
                 .with_workers(1)
                 .with_degrade(DegradeOptions::default().with_shed_after(Some(Duration::ZERO))),

@@ -155,7 +155,6 @@ pub struct ServingEngine {
     /// scoring runs the fused `dot_batch_q16` path over these instead of
     /// gathering f32 rows.
     quantized: Option<slide_core::QuantizedRows>,
-    selector: InferenceSelector,
     options: ServeOptions,
     pool: WorkspacePool,
     counters: Counters,
@@ -202,10 +201,7 @@ impl ServingEngine {
             assert_eq!(q.fan_in(), out.fan_in(), "quantized fan-in mismatch");
         }
         network.set_lsh_centering(true);
-        let selector =
-            InferenceSelector::new(options.budget).with_dense_fallback(options.dense_fallback);
         Self {
-            selector,
             quantized,
             pool: WorkspacePool::new(options.seed, true),
             counters: Counters::default(),
@@ -328,7 +324,14 @@ impl ServingEngine {
             .map_or_else(|| self.network.output_dim(), |(_, _, total)| total)
     }
 
-    /// Answers one request with an explicit `k`.
+    /// Answers one request with an explicit `k`, as a batch-of-1
+    /// through [`ServingEngine::predict_batch_k`]. The whole serving
+    /// surface therefore has ONE scoring path: the fused batch kernels
+    /// accumulate each example in a fixed order independent of batch
+    /// size or composition, so a request answered alone is
+    /// bit-identical to the same request coalesced into a
+    /// cross-connection micro-batch (pinned by
+    /// `single_and_batched_predictions_are_bit_identical`).
     ///
     /// # Errors
     ///
@@ -336,8 +339,10 @@ impl ServingEngine {
     /// [`ServeError::FeatureIndexOutOfRange`] if the request's feature
     /// indices do not fit the network's input dimension.
     pub fn predict_k(&self, features: &SparseVector, k: usize) -> Result<Prediction, ServeError> {
-        let mut ws = self.checkout_workspace();
-        self.predict_in(&mut ws, features, k)
+        let mut out = self.predict_batch_k(std::slice::from_ref(features), k)?;
+        // lint:allow(no-panic-paths): predict_batch_k returns exactly one
+        // prediction per input on Ok, and it was given one input.
+        Ok(out.pop().expect("batch-of-1 yields one prediction"))
     }
 
     /// The input feature dimension requests must fit in.
@@ -347,7 +352,8 @@ impl ServingEngine {
 
     /// Builds the selector for graceful-degradation `level`: the
     /// configured [`QueryBudget`] shrunk by [`QueryBudget::degraded`].
-    /// Level 0 reproduces the engine's own selector.
+    /// Level 0 is the configured budget itself (`degraded(0)` is the
+    /// identity), which is what every undegraded answer scores under.
     pub fn degraded_selector(&self, level: u32) -> InferenceSelector {
         InferenceSelector::new(self.options.budget.degraded(level))
             .with_dense_fallback(self.options.dense_fallback)
@@ -387,60 +393,6 @@ impl ServingEngine {
     /// (the batch server's workers) hold one across many requests.
     pub(crate) fn checkout_workspace(&self) -> slide_core::network::PooledWorkspace<'_> {
         self.pool.acquire(&self.network)
-    }
-
-    /// Answers one request through a caller-held workspace, as a
-    /// batch-of-1 through [`ServingEngine::predict_batch_in`]. The whole
-    /// serving surface therefore has ONE scoring path: the fused batch
-    /// kernels accumulate each example in a fixed order independent of
-    /// batch size or composition, so a request answered alone is
-    /// bit-identical to the same request coalesced into a
-    /// cross-connection micro-batch (pinned by
-    /// `single_and_batched_predictions_are_bit_identical`).
-    ///
-    /// Validation ([`ServingEngine::validate_request`]) runs first, so a
-    /// malformed request returns a typed error before any weight access.
-    pub(crate) fn predict_in(
-        &self,
-        ws: &mut slide_core::Workspace,
-        features: &SparseVector,
-        k: usize,
-    ) -> Result<Prediction, ServeError> {
-        self.predict_in_with(ws, features, k, &self.selector)
-    }
-
-    /// [`ServingEngine::predict_in`] scoring through an explicit
-    /// `selector` — the batch server's graceful-degradation path, which
-    /// answers under a shrunk [`QueryBudget`] when the admission queue
-    /// backs up.
-    pub(crate) fn predict_in_with(
-        &self,
-        ws: &mut slide_core::Workspace,
-        features: &SparseVector,
-        k: usize,
-        selector: &InferenceSelector,
-    ) -> Result<Prediction, ServeError> {
-        // The scratch holds no network-specific state (cleared and
-        // refilled per call), so one per thread is shared across
-        // engines/epochs.
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<BatchScratch> =
-                std::cell::RefCell::new(BatchScratch::default());
-        }
-        let mut out = Vec::with_capacity(1);
-        SCRATCH.with(|scratch| {
-            self.predict_batch_in_with(
-                ws,
-                &mut scratch.borrow_mut(),
-                std::slice::from_ref(features),
-                &[k],
-                &mut out,
-                selector,
-            )
-        })?;
-        // lint:allow(no-panic-paths): predict_batch_in_with pushes exactly
-        // one prediction per input on Ok, and it was given one input.
-        Ok(out.pop().expect("batch-of-1 yields one prediction"))
     }
 
     /// Answers a batch of requests with the configured `top_k` through
@@ -486,41 +438,38 @@ impl ServingEngine {
         let mut ws = self.checkout_workspace();
         let ks = vec![k; features.len()];
         let mut out = Vec::with_capacity(features.len());
+        let selector = self.degraded_selector(0);
         SCRATCH.with(|scratch| {
-            self.predict_batch_in(&mut ws, &mut scratch.borrow_mut(), features, &ks, &mut out)
+            self.predict_batch_in(
+                &mut ws,
+                &mut scratch.borrow_mut(),
+                features,
+                &ks,
+                &mut out,
+                &selector,
+            )
         })?;
         Ok(out)
     }
 
     /// Batched prediction through caller-held workspace and scratch (the
-    /// batch server's workers hold both for their lifetime). Pushes one
-    /// [`Prediction`] per request onto `out`, in request order; each
-    /// request is attributed an equal share of the batch's compute
-    /// latency. Every request is validated before any compute, so a
-    /// malformed batch is rejected whole with a typed error.
+    /// batch server's workers hold both for their lifetime), scoring
+    /// through `selector` — [`ServingEngine::degraded_selector`] at the
+    /// current graceful-degradation level. Pushes one [`Prediction`] per
+    /// request onto `out`, in request order; each request is attributed
+    /// an equal share of the batch's compute latency. Every request is
+    /// validated before any compute, so a malformed batch is rejected
+    /// whole with a typed error.
     ///
     /// # Panics
     ///
     /// Panics if `features` and `ks` lengths differ (a caller bug, not a
     /// request property).
-    pub(crate) fn predict_batch_in<B: std::borrow::Borrow<SparseVector>>(
+    pub(crate) fn predict_batch_in(
         &self,
         ws: &mut slide_core::Workspace,
         scratch: &mut BatchScratch,
-        features: &[B],
-        ks: &[usize],
-        out: &mut Vec<Prediction>,
-    ) -> Result<(), ServeError> {
-        self.predict_batch_in_with(ws, scratch, features, ks, out, &self.selector)
-    }
-
-    /// [`ServingEngine::predict_batch_in`] scoring through an explicit
-    /// `selector` (see [`ServingEngine::predict_in_with`]).
-    pub(crate) fn predict_batch_in_with<B: std::borrow::Borrow<SparseVector>>(
-        &self,
-        ws: &mut slide_core::Workspace,
-        scratch: &mut BatchScratch,
-        features: &[B],
+        features: &[SparseVector],
         ks: &[usize],
         out: &mut Vec<Prediction>,
         selector: &InferenceSelector,
@@ -530,7 +479,7 @@ impl ServingEngine {
             return Ok(());
         }
         for (f, &k) in features.iter().zip(ks) {
-            self.validate_request(f.borrow(), k)?;
+            self.validate_request(f, k)?;
         }
         // A shard engine holds fewer neurons than `total_classes`; its
         // local reduction can only ever keep `output_dim` entries, so

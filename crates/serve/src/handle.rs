@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, SystemTime};
 
-use slide_core::{SlideError, SnapshotError};
+use slide_core::SnapshotError;
 
 use crate::engine::{ServeOptions, ServingEngine};
 use crate::error::ServeError;
@@ -196,21 +196,23 @@ impl EngineHandle {
     }
 
     /// The next engine for `bytes`: a full model for a full handle, a
-    /// slice of the same range for a shard.
+    /// slice of the same range for a shard. A shard checks the slice's
+    /// range before restoring it: the restore costs `total × fan_in` RNG
+    /// draws, and `total` is whatever the slice header claims.
     fn build(&self, bytes: &[u8]) -> Result<ServingEngine, ServeError> {
         let Some(range) = self.engine().slice_range() else {
             return ServingEngine::from_snapshot_bytes(bytes, self.options);
         };
-        let engine = ServingEngine::from_slice_bytes(bytes, self.options).map_err(|e| match e {
-            ServeError::Core(SlideError::Snapshot(SnapshotError::BadMagic)) => {
-                SnapshotError::Slice("a shard reloads only a slice of its own range").into()
+        let theirs = slide_core::snapshot::slice_range(bytes).map_err(|e| match e {
+            SnapshotError::BadMagic => {
+                SnapshotError::Slice("a shard reloads only a slice of its own range")
             }
             e => e,
         })?;
-        if engine.slice_range() != Some(range) {
+        if theirs != range {
             return Err(SnapshotError::Slice("slice covers another shard's range").into());
         }
-        Ok(engine)
+        ServingEngine::from_slice_bytes(bytes, self.options)
     }
 
     /// Swaps in a successfully built engine, or counts the failure.
@@ -314,22 +316,16 @@ impl EngineHandle {
 pub const MAX_WATCHER_BACKOFF_TICKS: u32 = 32;
 
 /// What the watcher compares between polls: modification time, length
-/// and — on Unix — the file's `(dev, ino)` identity. `publish_bytes`
-/// renames a fresh inode into place, so two same-length publishes inside
-/// one mtime tick still differ; without the inode they alias and the
-/// second is never loaded.
+/// and the file's `(dev, ino)` identity. `publish_bytes` renames a fresh
+/// inode into place, so two same-length publishes inside one mtime tick
+/// still differ; without the inode they alias and the second is never
+/// loaded.
 type Fingerprint = (SystemTime, u64, u64, u64);
 
 fn fingerprint(path: &Path) -> Option<Fingerprint> {
+    use std::os::unix::fs::MetadataExt;
     let meta = std::fs::metadata(path).ok()?;
-    #[cfg(unix)]
-    let (dev, ino) = {
-        use std::os::unix::fs::MetadataExt;
-        (meta.dev(), meta.ino())
-    };
-    #[cfg(not(unix))]
-    let (dev, ino) = (0, 0);
-    Some((meta.modified().ok()?, meta.len(), dev, ino))
+    Some((meta.modified().ok()?, meta.len(), meta.dev(), meta.ino()))
 }
 
 /// Guard for a running snapshot watcher thread; stops and joins it on
@@ -364,7 +360,7 @@ impl Drop for SnapshotWatcher {
 mod tests {
     use super::*;
     use slide_core::config::{LshLayerConfig, NetworkConfig};
-    use slide_core::Network;
+    use slide_core::{Network, SlideError};
     use slide_data::synth::{generate, SyntheticConfig};
     use slide_data::SparseVector;
 
@@ -520,6 +516,55 @@ mod tests {
         assert_eq!(handle.consecutive_reload_failures(), 0);
         assert_eq!(answers(&handle), before);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checksummed slice whose header `total` and embedded output
+    /// width both claim 2^28 neurons is structurally valid, but restoring
+    /// it draws the RNG `total × fan_in` times. A shard must reject the
+    /// foreign range from the parse alone, before any restore.
+    #[test]
+    fn a_shard_rejects_a_huge_foreign_slice_before_restoring_it() {
+        let (net, data) = tiny_network(18);
+        let slices = slide_core::snapshot::slice_snapshot(&net.to_snapshot_bytes(), 3).unwrap();
+        let options = ServeOptions::default().with_top_k(3);
+        let handle =
+            EngineHandle::new(ServingEngine::from_slice_bytes(&slices[1], options).unwrap());
+        let answers = |h: &EngineHandle| -> Vec<Vec<(u32, u32)>> {
+            let engine = h.engine();
+            data.test
+                .iter()
+                .take(10)
+                .map(|ex| engine.predict(&ex.features).unwrap().topk.to_bits())
+                .collect()
+        };
+        let before = answers(&handle);
+
+        // Slice header `total` at byte 32; the embedded config's output
+        // `units` at byte 59 of the snapshot prefix, which starts at 48.
+        let huge = 1u64 << 28;
+        let mut crafted = slices[1].clone();
+        let units = data.train.label_dim() as u64;
+        for at in [32, 48 + 59] {
+            assert_eq!(crafted[at..at + 8], units.to_le_bytes(), "field at {at}");
+            crafted[at..at + 8].copy_from_slice(&huge.to_le_bytes());
+        }
+        let n = crafted.len();
+        let check = slide_data::cache::fnv1a(&crafted[..n - 8]).to_le_bytes();
+        crafted[n - 8..].copy_from_slice(&check);
+
+        let t0 = std::time::Instant::now();
+        let err = handle.reload_from_bytes(&crafted).unwrap_err();
+        let took = t0.elapsed();
+        assert!(
+            matches!(
+                err,
+                ServeError::Core(SlideError::Snapshot(SnapshotError::Slice(_)))
+            ),
+            "{err}"
+        );
+        assert!(took < Duration::from_secs(1), "rejection took {took:?}");
+        assert_eq!(handle.epoch(), 1);
+        assert_eq!(answers(&handle), before);
     }
 
     #[test]

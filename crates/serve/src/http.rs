@@ -5,7 +5,7 @@
 //! isolation: singles from different clients never shared a fused batch
 //! row pass, and concurrency was capped at the thread count. This server
 //! inverts that. An acceptor thread hands nonblocking connections to a
-//! small set of event-loop threads (a dependency-free epoll/poll
+//! small set of event-loop threads (a dependency-free epoll
 //! readiness loop — [`crate::net`]); each connection is a state machine
 //! over an incremental parser ([`crate::conn`]); and every parsed
 //! `POST /v1/predict` input becomes a job in ONE shared admission queue
@@ -280,8 +280,7 @@ impl HttpServer {
     ///
     /// # Errors
     ///
-    /// Returns the bind error, or the poller-creation error (notably
-    /// [`std::io::ErrorKind::Unsupported`] on non-unix targets).
+    /// Returns the bind error, or the poller-creation error.
     pub fn serve<A: ToSocketAddrs>(
         handle: Arc<EngineHandle>,
         addr: A,
@@ -395,7 +394,7 @@ impl Transport {
             counters: Counters::default(),
         });
         // Create every poller before spawning anything, so a failure
-        // (e.g. unsupported target) leaves no threads behind.
+        // (e.g. the descriptor limit) leaves no threads behind.
         let mut plumbing = Vec::new();
         for _ in 0..options.event_loops {
             let poller = Poller::new()?;

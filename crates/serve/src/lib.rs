@@ -21,7 +21,7 @@
 //!   snapshot hot-reload with zero request downtime (plus a file-watcher
 //!   poll loop);
 //! * [`http::HttpServer`] — an event-driven HTTP/1.1 front-end on a
-//!   dependency-free epoll/poll readiness loop ([`net`]) with
+//!   dependency-free epoll readiness loop ([`net`]) with
 //!   per-connection incremental parsing ([`conn`]): every
 //!   `POST /v1/predict` feeds one shared admission queue draining
 //!   through the [`batch::BatchServer`], so concurrent singles from

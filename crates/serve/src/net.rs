@@ -1,31 +1,28 @@
-//! Readiness polling over direct `extern "C"` OS bindings.
+//! Readiness polling over direct `extern "C"` epoll bindings.
 //!
 //! The event-driven front-end ([`crate::http`]) needs one thing from the
 //! OS: "tell me which of these sockets are readable/writable". The build
 //! environment has no `libc` crate (same constraint as the `mmap(2)`
-//! binding in `slide-data`), so this module binds the syscalls directly:
+//! binding in `slide-data`), so this module binds
+//! `epoll_create1`/`epoll_ctl`/`epoll_wait` directly: O(ready) wakeups,
+//! the backend that carries the 10K-connection target. 64-bit Linux is
+//! the one supported platform; any other target fails to compile here.
 //!
-//! * on Linux, `epoll_create1`/`epoll_ctl`/`epoll_wait` — O(ready)
-//!   wakeups, the backend that carries the 10K-connection target;
-//! * on other unix, POSIX `poll(2)` — O(registered) per wait, but
-//!   portable. The poll backend also compiles (and is tested) on Linux,
-//!   so the fallback cannot silently bitrot.
-//!
-//! Both backends are **level-triggered**: an event keeps firing while
-//! the condition holds, so the owner may leave bytes unread without
-//! losing the wakeup. A [`Waker`] lets other threads (the acceptor, the
-//! batch workers' completion callbacks) interrupt a blocked
-//! [`Poller::wait`] through a socketpair.
-//!
-//! On non-unix targets the module degrades gracefully: the types exist,
-//! [`Poller::new`] returns [`std::io::ErrorKind::Unsupported`], and the
-//! HTTP server surfaces that error at bind time.
+//! Polling is **level-triggered**: an event keeps firing while the
+//! condition holds, so the owner may leave bytes unread without losing
+//! the wakeup. A [`Waker`] lets other threads (the acceptor, the batch
+//! workers' completion callbacks) interrupt a blocked [`Poller::wait`]
+//! through a socketpair.
 
-#[cfg(unix)]
-pub use imp::{raise_nofile_limit, raw_fd, Poller, WakeReceiver, Waker};
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+compile_error!("slide-serve binds epoll(7) directly and supports only 64-bit Linux");
 
-#[cfg(not(unix))]
-pub use stub::{raise_nofile_limit, raw_fd, Poller, WakeReceiver, Waker};
+use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::os::raw::c_int;
+use std::os::unix::net::UnixStream;
+use std::time::Duration;
 
 /// One readiness notification from [`Poller::wait`].
 ///
@@ -42,383 +39,144 @@ pub struct Event {
     pub writable: bool,
 }
 
-#[cfg(unix)]
-mod imp {
-    use super::Event;
-    use std::io::{self, Read, Write};
-    use std::net::TcpStream;
-    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+/// The raw descriptor of a stream, for [`Poller`] registration.
+pub fn raw_fd(stream: &TcpStream) -> RawFd {
+    stream.as_raw_fd()
+}
+
+mod ep {
     use std::os::raw::c_int;
-    use std::os::unix::net::UnixStream;
-    use std::time::Duration;
 
-    /// The raw descriptor of a stream, for [`Poller`] registration.
-    pub fn raw_fd(stream: &TcpStream) -> RawFd {
-        stream.as_raw_fd()
+    pub const EPOLL_CLOEXEC: c_int = 0o2000000;
+    pub const EPOLL_CTL_ADD: c_int = 1;
+    pub const EPOLL_CTL_DEL: c_int = 2;
+    pub const EPOLL_CTL_MOD: c_int = 3;
+    pub const EPOLLIN: u32 = 0x1;
+    pub const EPOLLOUT: u32 = 0x4;
+    pub const EPOLLERR: u32 = 0x8;
+    pub const EPOLLHUP: u32 = 0x10;
+
+    // The kernel ABI packs epoll_event on x86-64 (and only there),
+    // so the u64 payload sits at offset 4.
+    #[cfg(target_arch = "x86_64")]
+    #[repr(C, packed)]
+    #[derive(Clone, Copy)]
+    pub struct EpollEvent {
+        pub events: u32,
+        pub data: u64,
     }
 
-    // -----------------------------------------------------------------
-    // epoll(7) — Linux only.
-
-    #[cfg(target_os = "linux")]
-    mod ep {
-        use std::os::raw::c_int;
-
-        pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-        pub const EPOLL_CTL_ADD: c_int = 1;
-        pub const EPOLL_CTL_DEL: c_int = 2;
-        pub const EPOLL_CTL_MOD: c_int = 3;
-        pub const EPOLLIN: u32 = 0x1;
-        pub const EPOLLOUT: u32 = 0x4;
-        pub const EPOLLERR: u32 = 0x8;
-        pub const EPOLLHUP: u32 = 0x10;
-
-        // The kernel ABI packs epoll_event on x86-64 (and only there),
-        // so the u64 payload sits at offset 4.
-        #[cfg(target_arch = "x86_64")]
-        #[repr(C, packed)]
-        #[derive(Clone, Copy)]
-        pub struct EpollEvent {
-            pub events: u32,
-            pub data: u64,
-        }
-
-        #[cfg(not(target_arch = "x86_64"))]
-        #[repr(C)]
-        #[derive(Clone, Copy)]
-        pub struct EpollEvent {
-            pub events: u32,
-            pub data: u64,
-        }
-
-        extern "C" {
-            pub fn epoll_create1(flags: c_int) -> c_int;
-            pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-            pub fn epoll_wait(
-                epfd: c_int,
-                events: *mut EpollEvent,
-                maxevents: c_int,
-                timeout: c_int,
-            ) -> c_int;
-        }
+    #[cfg(not(target_arch = "x86_64"))]
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    pub struct EpollEvent {
+        pub events: u32,
+        pub data: u64,
     }
 
-    #[cfg(target_os = "linux")]
-    struct EpollBackend {
-        /// The epoll instance; `OwnedFd` closes it on drop.
-        epfd: OwnedFd,
-        buf: Vec<ep::EpollEvent>,
+    extern "C" {
+        pub fn epoll_create1(flags: c_int) -> c_int;
+        pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+        pub fn epoll_wait(
+            epfd: c_int,
+            events: *mut EpollEvent,
+            maxevents: c_int,
+            timeout: c_int,
+        ) -> c_int;
     }
+}
 
-    #[cfg(target_os = "linux")]
-    impl EpollBackend {
-        fn new() -> io::Result<Self> {
-            // SAFETY: plain syscall, no pointers.
-            let fd = unsafe { ep::epoll_create1(ep::EPOLL_CLOEXEC) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Self {
-                // SAFETY: fd was just returned by epoll_create1 and is
-                // owned by nobody else.
-                epfd: unsafe { OwnedFd::from_raw_fd(fd) },
-                buf: vec![ep::EpollEvent { events: 0, data: 0 }; 1024],
-            })
-        }
+/// A readiness poller (one epoll instance) owned by one event-loop
+/// thread.
+///
+/// Registration methods take `&mut self`: the poller is not a shared
+/// object — cross-thread wakeups go through a [`Waker`], never through
+/// concurrent registration.
+pub struct Poller {
+    /// The epoll instance; `OwnedFd` closes it on drop.
+    epfd: OwnedFd,
+    buf: Vec<ep::EpollEvent>,
+}
 
-        fn ctl(&self, op: c_int, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-            let mut ev = ep::EpollEvent {
-                events: (if read { ep::EPOLLIN } else { 0 })
-                    | (if write { ep::EPOLLOUT } else { 0 }),
-                data: token,
-            };
-            // SAFETY: epfd and fd are live descriptors; ev outlives the
-            // call.
-            let rc = unsafe { ep::epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            let millis = timeout_millis(timeout);
-            // SAFETY: buf holds buf.len() valid events for the kernel to
-            // fill.
-            let n = unsafe {
-                ep::epoll_wait(
-                    self.epfd.as_raw_fd(),
-                    self.buf.as_mut_ptr(),
-                    self.buf.len() as c_int,
-                    millis,
-                )
-            };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            for ev in &self.buf[..n as usize] {
-                let bits = ev.events;
-                out.push(Event {
-                    token: ev.data,
-                    readable: bits & (ep::EPOLLIN | ep::EPOLLERR | ep::EPOLLHUP) != 0,
-                    writable: bits & (ep::EPOLLOUT | ep::EPOLLERR | ep::EPOLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
+impl std::fmt::Debug for Poller {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Poller")
+            .field("epfd", &self.epfd.as_raw_fd())
+            .finish()
     }
+}
 
-    // -----------------------------------------------------------------
-    // poll(2) — POSIX, compiled everywhere unix so it cannot bitrot.
-
-    mod pl {
-        use std::os::raw::{c_int, c_short};
-
-        pub const POLLIN: c_short = 0x1;
-        pub const POLLOUT: c_short = 0x4;
-        pub const POLLERR: c_short = 0x8;
-        pub const POLLHUP: c_short = 0x10;
-        pub const POLLNVAL: c_short = 0x20;
-
-        #[repr(C)]
-        #[derive(Clone, Copy)]
-        pub struct PollFd {
-            pub fd: c_int,
-            pub events: c_short,
-            pub revents: c_short,
-        }
-
-        // nfds_t is `unsigned long` on Linux, `unsigned int` on the BSDs
-        // and macOS.
-        #[cfg(target_os = "linux")]
-        pub type NFds = std::os::raw::c_ulong;
-        #[cfg(not(target_os = "linux"))]
-        pub type NFds = std::os::raw::c_uint;
-
-        extern "C" {
-            pub fn poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
-        }
-    }
-
-    struct PollRegistration {
-        fd: RawFd,
-        token: u64,
-        read: bool,
-        write: bool,
-    }
-
-    struct PollBackend {
-        regs: Vec<PollRegistration>,
-        buf: Vec<pl::PollFd>,
-    }
-
-    impl PollBackend {
-        fn new() -> Self {
-            Self {
-                regs: Vec::new(),
-                buf: Vec::new(),
-            }
-        }
-
-        fn find(&self, fd: RawFd) -> Option<usize> {
-            self.regs.iter().position(|r| r.fd == fd)
-        }
-
-        fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            self.buf.clear();
-            for r in &self.regs {
-                self.buf.push(pl::PollFd {
-                    fd: r.fd,
-                    events: (if r.read { pl::POLLIN } else { 0 })
-                        | (if r.write { pl::POLLOUT } else { 0 }),
-                    revents: 0,
-                });
-            }
-            let millis = timeout_millis(timeout);
-            // SAFETY: buf holds buf.len() valid pollfds.
-            let n = unsafe { pl::poll(self.buf.as_mut_ptr(), self.buf.len() as pl::NFds, millis) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            for (r, p) in self.regs.iter().zip(&self.buf) {
-                let bits = p.revents;
-                if bits == 0 {
-                    continue;
-                }
-                let broken = bits & (pl::POLLERR | pl::POLLHUP | pl::POLLNVAL) != 0;
-                out.push(Event {
-                    token: r.token,
-                    readable: bits & pl::POLLIN != 0 || broken,
-                    writable: bits & pl::POLLOUT != 0 || broken,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    enum Backend {
-        #[cfg(target_os = "linux")]
-        Epoll(EpollBackend),
-        Poll(PollBackend),
-    }
-
-    /// A readiness poller owned by one event-loop thread.
+impl Poller {
+    /// Opens an epoll instance.
     ///
-    /// Registration methods take `&mut self`: the poller is not a shared
-    /// object — cross-thread wakeups go through a [`Waker`], never
-    /// through concurrent registration.
-    pub struct Poller {
-        backend: Backend,
+    /// # Errors
+    ///
+    /// Returns the `epoll_create1` error.
+    pub fn new() -> io::Result<Self> {
+        // SAFETY: plain syscall, no pointers.
+        let fd = unsafe { ep::epoll_create1(ep::EPOLL_CLOEXEC) };
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(Self {
+            // SAFETY: fd was just returned by epoll_create1 and is owned
+            // by nobody else.
+            epfd: unsafe { OwnedFd::from_raw_fd(fd) },
+            buf: vec![ep::EpollEvent { events: 0, data: 0 }; 1024],
+        })
     }
 
-    impl std::fmt::Debug for Poller {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            let name = match self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll(_) => "epoll",
-                Backend::Poll(_) => "poll",
-            };
-            f.debug_struct("Poller").field("backend", &name).finish()
+    fn ctl(&self, op: c_int, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
+        let mut ev = ep::EpollEvent {
+            events: (if read { ep::EPOLLIN } else { 0 }) | (if write { ep::EPOLLOUT } else { 0 }),
+            data: token,
+        };
+        // SAFETY: epfd and fd are live descriptors; ev outlives the call.
+        let rc = unsafe { ep::epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
         }
+        Ok(())
     }
 
-    impl Poller {
-        /// Opens the platform's best backend (epoll on Linux, poll(2)
-        /// elsewhere).
-        ///
-        /// # Errors
-        ///
-        /// Returns the `epoll_create1` error.
-        pub fn new() -> io::Result<Self> {
-            #[cfg(target_os = "linux")]
-            {
-                Ok(Self {
-                    backend: Backend::Epoll(EpollBackend::new()?),
-                })
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                Ok(Self {
-                    backend: Backend::Poll(PollBackend::new()),
-                })
-            }
-        }
-
-        /// Opens the portable poll(2) backend explicitly — exists so the
-        /// fallback stays under test on Linux.
-        pub fn with_poll_backend() -> Self {
-            Self {
-                backend: Backend::Poll(PollBackend::new()),
-            }
-        }
-
-        /// Starts watching `fd` under `token` for the given interests.
-        ///
-        /// # Errors
-        ///
-        /// Returns the `epoll_ctl` error (the poll backend only fails on
-        /// a duplicate registration).
-        pub fn register(
-            &mut self,
-            fd: RawFd,
-            token: u64,
-            read: bool,
-            write: bool,
-        ) -> io::Result<()> {
-            match &mut self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll(b) => b.ctl(ep::EPOLL_CTL_ADD, fd, token, read, write),
-                Backend::Poll(b) => {
-                    if b.find(fd).is_some() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::AlreadyExists,
-                            "fd already registered",
-                        ));
-                    }
-                    b.regs.push(PollRegistration {
-                        fd,
-                        token,
-                        read,
-                        write,
-                    });
-                    Ok(())
-                }
-            }
-        }
-
-        /// Changes the interests (and token) of a registered `fd`.
-        ///
-        /// # Errors
-        ///
-        /// Returns the `epoll_ctl` error, or `NotFound` from the poll
-        /// backend.
-        pub fn modify(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-            match &mut self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll(b) => b.ctl(ep::EPOLL_CTL_MOD, fd, token, read, write),
-                Backend::Poll(b) => {
-                    let i = b.find(fd).ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::NotFound, "fd not registered")
-                    })?;
-                    b.regs[i] = PollRegistration {
-                        fd,
-                        token,
-                        read,
-                        write,
-                    };
-                    Ok(())
-                }
-            }
-        }
-
-        /// Stops watching `fd`. Must be called before the descriptor is
-        /// closed (epoll would otherwise keep a kernel-side reference).
-        ///
-        /// # Errors
-        ///
-        /// Returns the `epoll_ctl` error, or `NotFound` from the poll
-        /// backend.
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            match &mut self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll(b) => b.ctl(ep::EPOLL_CTL_DEL, fd, 0, false, false),
-                Backend::Poll(b) => {
-                    let i = b.find(fd).ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::NotFound, "fd not registered")
-                    })?;
-                    b.regs.swap_remove(i);
-                    Ok(())
-                }
-            }
-        }
-
-        /// Blocks until at least one registered descriptor is ready or
-        /// `timeout` passes (`None` blocks indefinitely), appending the
-        /// ready set to `out`. A signal interruption returns normally
-        /// with no events.
-        ///
-        /// # Errors
-        ///
-        /// Returns the `epoll_wait`/`poll` error.
-        pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            match &mut self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll(b) => b.wait(out, timeout),
-                Backend::Poll(b) => b.wait(out, timeout),
-            }
-        }
+    /// Starts watching `fd` under `token` for the given interests.
+    ///
+    /// # Errors
+    ///
+    /// Returns the `epoll_ctl` error.
+    pub fn register(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
+        self.ctl(ep::EPOLL_CTL_ADD, fd, token, read, write)
     }
 
-    fn timeout_millis(timeout: Option<Duration>) -> c_int {
-        match timeout {
+    /// Changes the interests (and token) of a registered `fd`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the `epoll_ctl` error.
+    pub fn modify(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
+        self.ctl(ep::EPOLL_CTL_MOD, fd, token, read, write)
+    }
+
+    /// Stops watching `fd`. Must be called before the descriptor is
+    /// closed (epoll would otherwise keep a kernel-side reference).
+    ///
+    /// # Errors
+    ///
+    /// Returns the `epoll_ctl` error.
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        self.ctl(ep::EPOLL_CTL_DEL, fd, 0, false, false)
+    }
+
+    /// Blocks until at least one registered descriptor is ready or
+    /// `timeout` passes (`None` blocks indefinitely), appending the
+    /// ready set to `out`. A signal interruption returns normally
+    /// with no events.
+    ///
+    /// # Errors
+    ///
+    /// Returns the `epoll_wait` error.
+    pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        let millis = match timeout {
             // Round up so a 100µs timeout polls for 1ms instead of
             // busy-spinning at 0.
             Some(t) => c_int::try_from(
@@ -427,384 +185,270 @@ mod imp {
             )
             .unwrap_or(c_int::MAX),
             None => -1,
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Cross-thread wakeup.
-
-    /// The sending half of a wakeup channel: any thread may call
-    /// [`Waker::wake`] to make the owning event loop's [`Poller::wait`]
-    /// return.
-    pub struct Waker {
-        tx: UnixStream,
-    }
-
-    impl std::fmt::Debug for Waker {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("Waker").finish()
-        }
-    }
-
-    impl Waker {
-        /// Creates a connected waker pair; register the receiver's fd in
-        /// the poller and drain it when its token fires.
-        ///
-        /// # Errors
-        ///
-        /// Returns the socketpair error.
-        pub fn pair() -> io::Result<(Waker, WakeReceiver)> {
-            let (tx, rx) = UnixStream::pair()?;
-            // Nonblocking on both ends: a full buffer just means a
-            // wakeup is already pending, and the drain must not block
-            // the loop.
-            tx.set_nonblocking(true)?;
-            rx.set_nonblocking(true)?;
-            Ok((Waker { tx }, WakeReceiver { rx }))
-        }
-
-        /// Makes the paired receiver's poller readable. Idempotent while
-        /// a wakeup is pending; never blocks.
-        pub fn wake(&self) {
-            // WouldBlock means the buffer already holds unread wakeup
-            // bytes — the loop is waking regardless.
-            let _ = (&self.tx).write(&[1]);
-        }
-    }
-
-    /// The receiving half of a wakeup channel, owned by the event loop.
-    pub struct WakeReceiver {
-        rx: UnixStream,
-    }
-
-    impl std::fmt::Debug for WakeReceiver {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("WakeReceiver").finish()
-        }
-    }
-
-    impl WakeReceiver {
-        /// The descriptor to register in the poller.
-        pub fn fd(&self) -> RawFd {
-            self.rx.as_raw_fd()
-        }
-
-        /// Consumes all pending wakeup bytes (call when the token fires).
-        pub fn drain(&self) {
-            let mut sink = [0u8; 64];
-            while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // File-descriptor budget.
-
-    #[repr(C)]
-    struct RLimit {
-        cur: u64,
-        max: u64,
-    }
-
-    #[cfg(target_os = "linux")]
-    const RLIMIT_NOFILE: c_int = 7;
-    #[cfg(not(target_os = "linux"))]
-    const RLIMIT_NOFILE: c_int = 8;
-
-    extern "C" {
-        fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
-        fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
-    }
-
-    /// Raises the process's open-file limit toward `want` descriptors
-    /// and returns the soft limit actually in effect afterwards. The
-    /// hard limit is raised too when the process has the privilege
-    /// (root); otherwise the soft limit is clamped to the hard limit.
-    /// Best-effort by design — a 10K-connection drill calls this first
-    /// and then trusts the returned budget, not the request.
-    ///
-    /// # Errors
-    ///
-    /// Returns the `getrlimit` error; `setrlimit` refusals degrade to
-    /// the clamped limit instead of failing.
-    pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
-        let mut lim = RLimit { cur: 0, max: 0 };
-        // SAFETY: lim outlives the call.
-        if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        if lim.cur >= want {
-            return Ok(lim.cur);
-        }
-        if lim.max < want {
-            // Raising the hard limit needs privilege; try, keep the old
-            // ceiling if refused.
-            let bumped = RLimit {
-                cur: want,
-                max: want,
-            };
-            // SAFETY: bumped outlives the call.
-            if unsafe { setrlimit(RLIMIT_NOFILE, &bumped) } == 0 {
-                return Ok(want);
-            }
-        }
-        let clamped = RLimit {
-            cur: want.min(lim.max),
-            max: lim.max,
         };
-        // SAFETY: clamped outlives the call.
-        if unsafe { setrlimit(RLIMIT_NOFILE, &clamped) } != 0 {
-            return Ok(lim.cur);
+        // SAFETY: buf holds buf.len() valid events for the kernel to
+        // fill.
+        let n = unsafe {
+            ep::epoll_wait(
+                self.epfd.as_raw_fd(),
+                self.buf.as_mut_ptr(),
+                self.buf.len() as c_int,
+                millis,
+            )
+        };
+        if n < 0 {
+            let e = io::Error::last_os_error();
+            if e.kind() == io::ErrorKind::Interrupted {
+                return Ok(());
+            }
+            return Err(e);
         }
-        Ok(clamped.cur)
+        for ev in &self.buf[..n as usize] {
+            let bits = ev.events;
+            out.push(Event {
+                token: ev.data,
+                readable: bits & (ep::EPOLLIN | ep::EPOLLERR | ep::EPOLLHUP) != 0,
+                writable: bits & (ep::EPOLLOUT | ep::EPOLLERR | ep::EPOLLHUP) != 0,
+            });
+        }
+        Ok(())
     }
 }
 
-#[cfg(not(unix))]
-mod stub {
-    use super::Event;
-    use std::io;
-    use std::net::TcpStream;
-    use std::time::Duration;
+// ---------------------------------------------------------------------
+// Cross-thread wakeup.
 
-    /// Raw descriptor placeholder on targets without readiness polling.
-    pub fn raw_fd(_stream: &TcpStream) -> i32 {
-        -1
+/// The sending half of a wakeup channel: any thread may call
+/// [`Waker::wake`] to make the owning event loop's [`Poller::wait`]
+/// return.
+pub struct Waker {
+    tx: UnixStream,
+}
+
+impl std::fmt::Debug for Waker {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Waker").finish()
     }
+}
 
-    /// Unsupported-target placeholder; [`Poller::new`] always fails.
-    #[derive(Debug)]
-    pub struct Poller;
-
-    impl Poller {
-        /// Always fails on non-unix targets.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`io::ErrorKind::Unsupported`].
-        pub fn new() -> io::Result<Self> {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "readiness polling requires a unix target",
-            ))
-        }
-
-        /// See [`Poller::new`]; unreachable on non-unix targets.
-        pub fn with_poll_backend() -> Self {
-            Self
-        }
-
-        /// Unsupported.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`io::ErrorKind::Unsupported`].
-        pub fn register(
-            &mut self,
-            _fd: i32,
-            _token: u64,
-            _read: bool,
-            _write: bool,
-        ) -> io::Result<()> {
-            Err(io::Error::from(io::ErrorKind::Unsupported))
-        }
-
-        /// Unsupported.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`io::ErrorKind::Unsupported`].
-        pub fn modify(
-            &mut self,
-            _fd: i32,
-            _token: u64,
-            _read: bool,
-            _write: bool,
-        ) -> io::Result<()> {
-            Err(io::Error::from(io::ErrorKind::Unsupported))
-        }
-
-        /// Unsupported.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`io::ErrorKind::Unsupported`].
-        pub fn deregister(&mut self, _fd: i32) -> io::Result<()> {
-            Err(io::Error::from(io::ErrorKind::Unsupported))
-        }
-
-        /// Unsupported.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`io::ErrorKind::Unsupported`].
-        pub fn wait(
-            &mut self,
-            _out: &mut Vec<Event>,
-            _timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            Err(io::Error::from(io::ErrorKind::Unsupported))
-        }
-    }
-
-    /// No-op waker for unsupported targets.
-    #[derive(Debug)]
-    pub struct Waker;
-
-    /// No-op wake receiver for unsupported targets.
-    #[derive(Debug)]
-    pub struct WakeReceiver;
-
-    impl Waker {
-        /// Creates a disconnected no-op pair.
-        ///
-        /// # Errors
-        ///
-        /// Never fails (the pair just does nothing).
-        pub fn pair() -> io::Result<(Waker, WakeReceiver)> {
-            Ok((Waker, WakeReceiver))
-        }
-
-        /// No-op.
-        pub fn wake(&self) {}
-    }
-
-    impl WakeReceiver {
-        /// Placeholder descriptor.
-        pub fn fd(&self) -> i32 {
-            -1
-        }
-
-        /// No-op.
-        pub fn drain(&self) {}
-    }
-
-    /// No-op on targets without `setrlimit`; reports `want` as granted.
+impl Waker {
+    /// Creates a connected waker pair; register the receiver's fd in
+    /// the poller and drain it when its token fires.
     ///
     /// # Errors
     ///
-    /// Never fails.
-    pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
-        Ok(want)
+    /// Returns the socketpair error.
+    pub fn pair() -> io::Result<(Waker, WakeReceiver)> {
+        let (tx, rx) = UnixStream::pair()?;
+        // Nonblocking on both ends: a full buffer just means a wakeup is
+        // already pending, and the drain must not block the loop.
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok((Waker { tx }, WakeReceiver { rx }))
+    }
+
+    /// Makes the paired receiver's poller readable. Idempotent while a
+    /// wakeup is pending; never blocks.
+    pub fn wake(&self) {
+        // WouldBlock means the buffer already holds unread wakeup bytes
+        // — the loop is waking regardless.
+        let _ = (&self.tx).write(&[1]);
     }
 }
 
-#[cfg(all(test, unix))]
+/// The receiving half of a wakeup channel, owned by the event loop.
+pub struct WakeReceiver {
+    rx: UnixStream,
+}
+
+impl std::fmt::Debug for WakeReceiver {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WakeReceiver").finish()
+    }
+}
+
+impl WakeReceiver {
+    /// The descriptor to register in the poller.
+    pub fn fd(&self) -> RawFd {
+        self.rx.as_raw_fd()
+    }
+
+    /// Consumes all pending wakeup bytes (call when the token fires).
+    pub fn drain(&self) {
+        let mut sink = [0u8; 64];
+        while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
+    }
+}
+
+// ---------------------------------------------------------------------
+// File-descriptor budget.
+
+#[repr(C)]
+struct RLimit {
+    cur: u64,
+    max: u64,
+}
+
+const RLIMIT_NOFILE: c_int = 7;
+
+extern "C" {
+    fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
+    fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
+}
+
+/// Raises the process's open-file limit toward `want` descriptors and
+/// returns the soft limit actually in effect afterwards. The hard limit
+/// is raised too when the process has the privilege (root); otherwise
+/// the soft limit is clamped to the hard limit. Best-effort by design —
+/// a 10K-connection drill calls this first and then trusts the returned
+/// budget, not the request.
+///
+/// # Errors
+///
+/// Returns the `getrlimit` error; `setrlimit` refusals degrade to the
+/// clamped limit instead of failing.
+pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
+    let mut lim = RLimit { cur: 0, max: 0 };
+    // SAFETY: lim outlives the call.
+    if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
+        return Err(io::Error::last_os_error());
+    }
+    if lim.cur >= want {
+        return Ok(lim.cur);
+    }
+    if lim.max < want {
+        // Raising the hard limit needs privilege; try, keep the old
+        // ceiling if refused.
+        let bumped = RLimit {
+            cur: want,
+            max: want,
+        };
+        // SAFETY: bumped outlives the call.
+        if unsafe { setrlimit(RLIMIT_NOFILE, &bumped) } == 0 {
+            return Ok(want);
+        }
+    }
+    let clamped = RLimit {
+        cur: want.min(lim.max),
+        max: lim.max,
+    };
+    // SAFETY: clamped outlives the call.
+    if unsafe { setrlimit(RLIMIT_NOFILE, &clamped) } != 0 {
+        return Ok(lim.cur);
+    }
+    Ok(clamped.cur)
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::time::{Duration, Instant};
 
-    fn pollers() -> Vec<Poller> {
-        vec![Poller::new().unwrap(), Poller::with_poll_backend()]
-    }
-
     #[test]
     fn readiness_tracks_data_and_interest_changes() {
-        for mut poller in pollers() {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let (mut rx, _) = listener.accept().unwrap();
-            rx.set_nonblocking(true).unwrap();
+        let mut poller = Poller::new().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut rx, _) = listener.accept().unwrap();
+        rx.set_nonblocking(true).unwrap();
 
-            poller.register(raw_fd(&rx), 7, true, false).unwrap();
-            let mut events = Vec::new();
+        poller.register(raw_fd(&rx), 7, true, false).unwrap();
+        let mut events = Vec::new();
 
-            // Nothing to read yet: a short wait times out empty.
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.iter().all(|e| e.token != 7 || !e.readable));
+        // Nothing to read yet: a short wait times out empty.
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(events.iter().all(|e| e.token != 7 || !e.readable));
 
-            tx.write_all(b"ping").unwrap();
-            events.clear();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            let ev = events
-                .iter()
-                .find(|e| e.token == 7)
-                .expect("readable event");
-            assert!(ev.readable);
+        tx.write_all(b"ping").unwrap();
+        events.clear();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        let ev = events
+            .iter()
+            .find(|e| e.token == 7)
+            .expect("readable event");
+        assert!(ev.readable);
 
-            // Level-triggered: unread data keeps firing.
-            events.clear();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(events.iter().any(|e| e.token == 7 && e.readable));
+        // Level-triggered: unread data keeps firing.
+        events.clear();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 7 && e.readable));
 
-            // Drain, then switch to write interest: a fresh socket's
-            // buffer has room, so writable fires immediately.
-            let mut sink = [0u8; 16];
-            let _ = rx.read(&mut sink);
-            poller.modify(raw_fd(&rx), 7, false, true).unwrap();
-            events.clear();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(events.iter().any(|e| e.token == 7 && e.writable));
+        // Drain, then switch to write interest: a fresh socket's buffer
+        // has room, so writable fires immediately.
+        let mut sink = [0u8; 16];
+        let _ = rx.read(&mut sink);
+        poller.modify(raw_fd(&rx), 7, false, true).unwrap();
+        events.clear();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 7 && e.writable));
 
-            poller.deregister(raw_fd(&rx)).unwrap();
-            tx.write_all(b"more").unwrap();
-            events.clear();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(20)))
-                .unwrap();
-            assert!(events.iter().all(|e| e.token != 7));
-        }
+        poller.deregister(raw_fd(&rx)).unwrap();
+        tx.write_all(b"more").unwrap();
+        events.clear();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert!(events.iter().all(|e| e.token != 7));
     }
 
     #[test]
     fn peer_close_reports_readable() {
-        for mut poller in pollers() {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let (rx, _) = listener.accept().unwrap();
-            poller.register(raw_fd(&rx), 3, true, false).unwrap();
-            drop(tx);
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            // EOF (and on some backends HUP) must surface as readable so
-            // the owner's read observes the close.
-            assert!(events.iter().any(|e| e.token == 3 && e.readable));
-        }
+        let mut poller = Poller::new().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (rx, _) = listener.accept().unwrap();
+        poller.register(raw_fd(&rx), 3, true, false).unwrap();
+        drop(tx);
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        // EOF (and HUP) must surface as readable so the owner's read
+        // observes the close.
+        assert!(events.iter().any(|e| e.token == 3 && e.readable));
     }
 
     #[test]
     fn waker_interrupts_a_blocked_wait() {
-        for mut poller in pollers() {
-            let (waker, receiver) = Waker::pair().unwrap();
-            poller.register(receiver.fd(), 0, true, false).unwrap();
+        let mut poller = Poller::new().unwrap();
+        let (waker, receiver) = Waker::pair().unwrap();
+        poller.register(receiver.fd(), 0, true, false).unwrap();
 
-            let t = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(50));
-                waker.wake();
-                waker.wake(); // idempotent while pending
-                waker // keep the write end open past the join
-            });
-            let mut events = Vec::new();
-            let t0 = Instant::now();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(10)))
-                .unwrap();
-            assert!(t0.elapsed() < Duration::from_secs(5));
-            assert!(events.iter().any(|e| e.token == 0 && e.readable));
-            // Join first (a drain racing the second wake() would leave a
-            // byte behind) and keep the waker alive (dropping it closes
-            // the pair, which reads as a permanent HUP).
-            let _waker = t.join().unwrap();
-            receiver.drain();
+        let t = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            waker.wake();
+            waker.wake(); // idempotent while pending
+            waker // keep the write end open past the join
+        });
+        let mut events = Vec::new();
+        let t0 = Instant::now();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(10)))
+            .unwrap();
+        assert!(t0.elapsed() < Duration::from_secs(5));
+        assert!(events.iter().any(|e| e.token == 0 && e.readable));
+        // Join first (a drain racing the second wake() would leave a
+        // byte behind) and keep the waker alive (dropping it closes the
+        // pair, which reads as a permanent HUP).
+        let _waker = t.join().unwrap();
+        receiver.drain();
 
-            // Drained: the next wait times out quietly.
-            events.clear();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.iter().all(|e| e.token != 0 || !e.readable));
-        }
+        // Drained: the next wait times out quietly.
+        events.clear();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(events.iter().all(|e| e.token != 0 || !e.readable));
     }
 
     #[test]

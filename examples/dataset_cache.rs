@@ -60,11 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         summary.bytes as f64 / 1e3
     );
     let train = MmapDataset::open(&cache_path)?;
-    println!(
-        "opened via {} backing, {} examples",
-        train.access_mode(),
-        train.len()
-    );
+    println!("mapped {} examples", train.len());
 
     // 4. Train straight off the cache — same Trainer, same loop; the
     //    shard-aware shuffle keeps batch reads in bounded windows.

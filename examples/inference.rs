@@ -47,10 +47,11 @@ fn main() {
 
     // 3. Serve: load the snapshot into an engine (tables rebuilt with
     //    centered rows) and answer requests without label leakage.
-    let engine = Arc::new(
+    let handle = Arc::new(EngineHandle::new(
         ServingEngine::from_snapshot_file(&path, ServeOptions::default().with_top_k(3))
             .expect("snapshot loads"),
-    );
+    ));
+    let engine = handle.engine();
     std::fs::remove_file(&path).ok();
 
     let example = &data.test.examples()[0];
@@ -63,8 +64,8 @@ fn main() {
     );
 
     // 4. The same engine behind the micro-batching request queue.
-    let server = BatchServer::start(
-        Arc::clone(&engine),
+    let server = BatchServer::over_handle(
+        handle,
         BatchOptions::default().with_workers(2).with_max_batch(8),
     );
     let handles: Vec<_> = data

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 
 use slide::prelude::*;
 use slide_data::cache::{build_cache_from_svmlight, CacheError};
-use slide_data::source::{CacheAccess, CacheOptions, ExampleSource, MmapDataset};
+use slide_data::source::{CacheOptions, ExampleSource, MmapDataset};
 use slide_data::stream::StreamingSvmReader;
 use slide_data::svmlight;
 
@@ -63,30 +63,21 @@ fn eager_streamed_and_mmap_agree_bit_for_bit() {
     }
     assert_eq!(streamed.len(), original.len());
 
-    // Compiled + mmap'd, through both backings.
+    // Compiled + mmap'd.
     let cache = path.with_extension("slidecache");
     let summary = build_cache_from_svmlight(&path, &cache).expect("build cache");
     assert_eq!(summary.examples as usize, original.len());
 
-    for access in [CacheAccess::Auto, CacheAccess::ReadAt] {
-        let ds = MmapDataset::open_with(
-            &cache,
-            CacheOptions {
-                access,
-                ..CacheOptions::default()
-            },
-        )
-        .expect("open cache");
-        assert_eq!(ds.len(), original.len());
-        assert_eq!(ds.feature_dim(), original.feature_dim());
-        assert_eq!(ds.label_dim(), original.label_dim());
-        let mut out = Example::empty();
-        for (i, want) in original.examples().iter().enumerate() {
-            assert_examples_bit_identical(&eager.examples()[i], want, "eager", i);
-            assert_examples_bit_identical(&streamed[i], want, "streamed", i);
-            ds.read_into(i, &mut out);
-            assert_examples_bit_identical(&out, want, ds.access_mode(), i);
-        }
+    let ds = MmapDataset::open(&cache).expect("open cache");
+    assert_eq!(ds.len(), original.len());
+    assert_eq!(ds.feature_dim(), original.feature_dim());
+    assert_eq!(ds.label_dim(), original.label_dim());
+    let mut out = Example::empty();
+    for (i, want) in original.examples().iter().enumerate() {
+        assert_examples_bit_identical(&eager.examples()[i], want, "eager", i);
+        assert_examples_bit_identical(&streamed[i], want, "streamed", i);
+        ds.read_into(i, &mut out);
+        assert_examples_bit_identical(&out, want, "mmap", i);
     }
 
     std::fs::remove_file(&path).ok();
@@ -96,10 +87,9 @@ fn eager_streamed_and_mmap_agree_bit_for_bit() {
 #[test]
 fn training_through_any_source_is_bit_identical() {
     // The acceptance pin: one deterministic (no-shuffle, 1-thread)
-    // training run consuming the corpus as an in-memory Dataset, an
-    // mmap'd cache, and a positioned-reads cache produces bit-identical
-    // networks — the decode path feeds the engine the exact same bits
-    // the eager loader does.
+    // training run consuming the corpus as an in-memory Dataset and as
+    // an mmap'd cache produces bit-identical networks — the decode path
+    // feeds the engine the exact same bits the eager loader does.
     let (path, original) = corpus("train.svm", 23);
     let cache = path.with_extension("slidecache");
     build_cache_from_svmlight(&path, &cache).expect("build cache");
@@ -119,24 +109,14 @@ fn training_through_any_source_is_bit_identical() {
     eager_t.train(&original, &opts);
     let eager_bytes = snap(eager_t.network());
 
-    for access in [CacheAccess::Auto, CacheAccess::ReadAt] {
-        let ds = MmapDataset::open_with(
-            &cache,
-            CacheOptions {
-                access,
-                ..CacheOptions::default()
-            },
-        )
-        .expect("open cache");
-        let mut t = SlideTrainer::new(config.clone()).expect("trainer");
-        t.train_source(&ds, &opts);
-        assert_eq!(
-            snap(t.network()),
-            eager_bytes,
-            "training via {} diverged from eager",
-            ds.access_mode()
-        );
-    }
+    let ds = MmapDataset::open(&cache).expect("open cache");
+    let mut t = SlideTrainer::new(config.clone()).expect("trainer");
+    t.train_source(&ds, &opts);
+    assert_eq!(
+        snap(t.network()),
+        eager_bytes,
+        "training via mmap diverged from eager"
+    );
 
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&cache).ok();
@@ -159,7 +139,6 @@ fn shard_shuffled_training_still_learns_and_terminates() {
         &cache,
         CacheOptions {
             shard_len: Some(64),
-            ..CacheOptions::default()
         },
     )
     .expect("open");

@@ -139,9 +139,10 @@ fn serving_engine_serves_concurrent_batched_requests_from_disk() {
     let path = std::env::temp_dir().join("slide_serving_test.slidesnap");
     net.save_snapshot(&path).unwrap();
 
-    let engine = Arc::new(
+    let handle = Arc::new(EngineHandle::new(
         ServingEngine::from_snapshot_file(&path, ServeOptions::default().with_top_k(3)).unwrap(),
-    );
+    ));
+    let engine = handle.engine();
     std::fs::remove_file(&path).ok();
 
     // Reference answers from the direct (unbatched) path.
@@ -152,8 +153,8 @@ fn serving_engine_serves_concurrent_batched_requests_from_disk() {
         .map(|ex| engine.predict(&ex.features).unwrap().topk.top1())
         .collect();
 
-    let server = Arc::new(BatchServer::start(
-        Arc::clone(&engine),
+    let server = Arc::new(BatchServer::over_handle(
+        handle,
         BatchOptions::default().with_workers(3).with_max_batch(8),
     ));
     let data = Arc::new(data);
