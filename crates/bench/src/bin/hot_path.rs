@@ -11,7 +11,9 @@
 //! its `hash` (K×L code computation) and `probe` (table lookup +
 //! sampling) sub-phases, since the SIMD hash kernel moves only the
 //! former — forward is the remainder of the forward call, backward and
-//! scheduled table rebuilds are timed at their call sites. The first
+//! scheduled table rebuilds are timed at their call sites, and each
+//! rebuild is split into its hash and insert phases by the layer's own
+//! phase clock (`LayerLsh::rebuild_phase_seconds`). The first
 //! epoch of each mode is warmup and is excluded from the timings. Each
 //! mode's row names the ISA its kernels actually dispatched to
 //! (`scalar`, `avx2+fma`, or `portable-unrolled`).
@@ -19,7 +21,8 @@
 //! ```sh
 //! cargo run -p slide-bench --release --bin hot_path -- [smoke|medium|full] [--csv] [--check]
 //! # CI regression tripwire (fails if vectorized epoch throughput or the
-//! # select phase is >10% behind scalar):
+//! # select phase is >10% behind scalar, or the rebuild hash phase is
+//! # behind scalar at all):
 //! cargo run -p slide-bench --release --bin hot_path -- --smoke --check
 //! ```
 
@@ -94,6 +97,8 @@ struct Phases {
     forward_s: f64,
     backward_s: f64,
     rebuild_s: f64,
+    rebuild_hash_s: f64,
+    rebuild_insert_s: f64,
 }
 
 impl Phases {
@@ -187,6 +192,15 @@ impl BenchConfig {
     }
 }
 
+/// `(hash, insert)` rebuild seconds so far, summed over the LSH layers.
+fn rebuild_phase_seconds(net: &Network) -> (f64, f64) {
+    net.layers()
+        .iter()
+        .filter_map(|layer| layer.lsh())
+        .map(|lsh| lsh.rebuild_phase_seconds())
+        .fold((0.0, 0.0), |(h, i), (dh, di)| (h + dh, i + di))
+}
+
 /// One single-threaded training run of `warmup + timed` epochs; phases
 /// and throughput are accumulated over the timed epochs only.
 fn run_mode(bench: &BenchConfig, train: &Dataset, mode: KernelMode) -> ModeResult {
@@ -200,9 +214,13 @@ fn run_mode(bench: &BenchConfig, train: &Dataset, mode: KernelMode) -> ModeResul
     let mut examples = 0u64;
     let mut iteration = 0u64;
     let mut loss_acc = 0.0f64;
+    let mut rebuild_before = (0.0, 0.0);
 
     for epoch in 0..bench.warmup_epochs + bench.timed_epochs {
         let timed = epoch >= bench.warmup_epochs;
+        if epoch == bench.warmup_epochs {
+            rebuild_before = rebuild_phase_seconds(&net);
+        }
         let e0 = Instant::now();
         for chunk in order.chunks(bench.batch_size) {
             let clr = net.begin_step();
@@ -240,6 +258,10 @@ fn run_mode(bench: &BenchConfig, train: &Dataset, mode: KernelMode) -> ModeResul
             wall_s += e0.elapsed().as_secs_f64();
         }
     }
+
+    let rebuild_after = rebuild_phase_seconds(&net);
+    phases.rebuild_hash_s = rebuild_after.0 - rebuild_before.0;
+    phases.rebuild_insert_s = rebuild_after.1 - rebuild_before.1;
 
     ModeResult {
         mode,
@@ -283,6 +305,8 @@ fn main() {
             "forward_s",
             "backward_s",
             "rebuild_s",
+            "rebuild_hash_s",
+            "rebuild_insert_s",
             "loss",
         ],
         csv,
@@ -298,6 +322,8 @@ fn main() {
             format!("{:.3}", r.phases.forward_s),
             format!("{:.3}", r.phases.backward_s),
             format!("{:.3}", r.phases.rebuild_s),
+            format!("{:.4}", r.phases.rebuild_hash_s),
+            format!("{:.4}", r.phases.rebuild_insert_s),
             format!("{:.4}", r.mean_loss),
         ]);
     }
@@ -306,7 +332,10 @@ fn main() {
     let speedup = results[1].examples_per_s() / results[0].examples_per_s().max(1e-12);
     let select_speedup = results[0].phases.select_s() / results[1].phases.select_s().max(1e-12);
     println!("speedup vectorized/scalar: {speedup:.3}x");
+    let rebuild_speedup =
+        results[0].phases.rebuild_hash_s / results[1].phases.rebuild_hash_s.max(1e-12);
     println!("select speedup vectorized/scalar: {select_speedup:.3}x");
+    println!("rebuild hash speedup vectorized/scalar: {rebuild_speedup:.3}x");
 
     if check {
         let mut failed = false;
@@ -320,6 +349,14 @@ fn main() {
         if select_speedup < 0.9 {
             eprintln!(
                 "FAIL: vectorized select phase regressed >10% vs scalar ({select_speedup:.3}x)"
+            );
+            failed = true;
+        }
+        // Rebuild tripwire: the row-tiled hash kernel must never make the
+        // rebuild's hash phase slower than the scalar reference.
+        if rebuild_speedup < 1.0 {
+            eprintln!(
+                "FAIL: vectorized rebuild hash phase slower than scalar ({rebuild_speedup:.3}x)"
             );
             failed = true;
         }

@@ -1,8 +1,10 @@
 //! One fully connected layer with optional LSH sampling machinery.
 
+use std::time::Instant;
+
 use rayon::prelude::*;
 use slide_data::rng::{Rng, Xoshiro256PlusPlus};
-use slide_kernels::{adam_step, AdamParams, KernelMode};
+use slide_kernels::{adam_step, AdamParams, KernelMode, ROW_TILE};
 use slide_lsh::dwta::DwtaHash;
 use slide_lsh::family::HashFamily;
 use slide_lsh::minhash::DophHash;
@@ -18,7 +20,7 @@ use crate::schedule::RebuildState;
 /// Per-layer scratch reused across table rebuilds so the scheduled
 /// rebuilds in the training loop are allocation-free: the centered-mean
 /// accumulator and row buffer, the resulting mean vector, and the
-/// all-neuron hash-code matrix all keep their capacity between calls.
+/// all-neuron bucket-index matrix all keep their capacity between calls.
 #[derive(Debug, Default)]
 struct RebuildScratch {
     /// `f64` accumulator for the column means (centered hashing).
@@ -27,8 +29,10 @@ struct RebuildScratch {
     mean: Vec<f32>,
     /// Dense row buffer for the mean pass.
     row: Vec<f32>,
-    /// Hash codes of every neuron, `units × num_codes`.
-    codes: Vec<u32>,
+    /// Bucket index of every neuron in every table, `units × L`: row
+    /// `j`'s index in table `t` at `j · L + t` (`table_bits ≤ 30`, so an
+    /// index fits a `u32`). Phase 1 writes it, phase 2 inserts from it.
+    buckets: Vec<u32>,
 }
 
 /// LSH state attached to a layer: the hash family, the `L` tables over the
@@ -49,6 +53,10 @@ pub struct LayerLsh {
     rebuild_count: u64,
     rng_base: Xoshiro256PlusPlus,
     scratch: RebuildScratch,
+    /// Wall nanoseconds spent in rebuild phase 1 (mean, hash, bucket
+    /// fold) and phase 2 (insert), summed over every rebuild.
+    hash_nanos: u64,
+    insert_nanos: u64,
 }
 
 impl std::fmt::Debug for LayerLsh {
@@ -87,6 +95,18 @@ impl LayerLsh {
     /// Whether table rebuilds hash centered rows (`wⱼ − w̄`).
     pub fn centered(&self) -> bool {
         self.centered
+    }
+
+    /// Seconds spent in the two phases of every table rebuild so far
+    /// (the initial build included): `(hash, insert)`. Hash covers the
+    /// centering mean, hashing every weight row and folding its codes to
+    /// bucket indices; insert covers clearing the tables and inserting
+    /// every id.
+    pub fn rebuild_phase_seconds(&self) -> (f64, f64) {
+        (
+            self.hash_nanos as f64 * 1e-9,
+            self.insert_nanos as f64 * 1e-9,
+        )
     }
 }
 
@@ -164,6 +184,8 @@ impl Layer {
                 rebuild_count: 0,
                 rng_base: Xoshiro256PlusPlus::seed_from_u64(rng.next_u64()),
                 scratch: RebuildScratch::default(),
+                hash_nanos: 0,
+                insert_nanos: 0,
             }
         });
         let mut layer = Self {
@@ -348,8 +370,10 @@ impl Layer {
         let Some(lsh) = self.lsh.as_mut() else {
             return;
         };
+        let start = Instant::now();
         let num_codes = lsh.family.num_codes();
         let k = lsh.tables.config().k;
+        let l = lsh.tables.num_tables();
         let policy = lsh.tables.config().policy;
         let units = self.units;
         let fan_in = self.fan_in;
@@ -390,36 +414,59 @@ impl Layer {
         }
         let mean = &scratch.mean;
 
-        // Phase 1: hash every neuron's weight row (parallel over neurons).
-        scratch.codes.clear();
-        scratch.codes.resize(units * num_codes, 0);
+        // Phase 1: hash ROW_TILE neurons' weight rows per task (parallel
+        // over row tiles) and fold each row's K-code groups into its
+        // bucket index in every table, so phase 2 reads 4 bytes per
+        // (row, table) instead of K codes.
+        let tables = lsh.tables.tables();
+        scratch.buckets.clear();
+        scratch.buckets.resize(units * l, 0);
         scratch
-            .codes
-            .par_chunks_mut(num_codes)
+            .buckets
+            .par_chunks_mut(ROW_TILE * l)
             .enumerate()
             .for_each_init(
-                || vec![0.0f32; fan_in],
-                |row_buf, (j, out)| {
-                    weights.read_row_into(j, row_buf);
-                    if !mean.is_empty() {
-                        for (r, &m) in row_buf.iter_mut().zip(mean) {
-                            *r -= m;
+                || {
+                    (
+                        vec![0.0f32; ROW_TILE * fan_in],
+                        vec![0u32; ROW_TILE * num_codes],
+                    )
+                },
+                |(rows, codes), (c, out)| {
+                    let n = out.len() / l;
+                    let rows = &mut rows[..n * fan_in];
+                    for (r, row) in rows.chunks_exact_mut(fan_in).enumerate() {
+                        weights.read_row_into(c * ROW_TILE + r, row);
+                        if !mean.is_empty() {
+                            for (x, &m) in row.iter_mut().zip(mean) {
+                                *x -= m;
+                            }
                         }
                     }
-                    // The same mode-aware entry point selection uses, so
-                    // the codes in the tables and the codes queries are
-                    // hashed to can never diverge (and for SimHash are
-                    // bit-identical across modes anyway).
-                    family.hash_dense_mode(row_buf, out, mode);
+                    // Codes bit-identical to `hash_dense_mode`, the entry
+                    // selection hashes queries through, so the tables and
+                    // the queries can never diverge.
+                    let codes = &mut codes[..n * num_codes];
+                    family.hash_dense_rows_mode(rows, codes, mode);
+                    for (ids, row_codes) in
+                        out.chunks_exact_mut(l).zip(codes.chunks_exact(num_codes))
+                    {
+                        for ((id, table), group) in
+                            ids.iter_mut().zip(tables).zip(row_codes.chunks_exact(k))
+                        {
+                            *id = table.bucket_index(group) as u32;
+                        }
+                    }
                 },
             );
+        let hashed = Instant::now();
 
         // Phase 2: insert ids (parallel over tables; each table is owned
-        // by exactly one task).
+        // by exactly one task and takes its ids in ascending order).
         lsh.rebuild_count += 1;
         let rebuild_count = lsh.rebuild_count;
         let rng_base = lsh.rng_base.clone();
-        let codes = &scratch.codes;
+        let buckets = &scratch.buckets;
         lsh.tables.clear();
         lsh.tables
             .tables_mut()
@@ -427,12 +474,13 @@ impl Layer {
             .enumerate()
             .for_each(|(t, table)| {
                 let mut rng = rng_base.stream(rebuild_count * 1_000_003 + t as u64);
-                for j in 0..units {
-                    let group = &codes[j * num_codes + t * k..j * num_codes + t * k + k];
-                    table.insert(j as u32, group, policy, &mut rng);
+                for (j, ids) in buckets.chunks_exact(l).enumerate() {
+                    table.insert_at(ids[t] as usize, j as u32, policy, &mut rng);
                 }
             });
         lsh.scratch = scratch;
+        lsh.hash_nanos += (hashed - start).as_nanos() as u64;
+        lsh.insert_nanos += hashed.elapsed().as_nanos() as u64;
     }
 
     /// Sets the centered-row hashing mode; the caller must rebuild the
@@ -500,6 +548,7 @@ fn build_family(
 mod tests {
     use super::*;
     use crate::config::Activation;
+    use slide_lsh::InsertionPolicy;
 
     fn relu_layer(fan_in: usize, units: usize, lsh: Option<LshLayerConfig>) -> Layer {
         let cfg = LayerConfig {
@@ -576,6 +625,122 @@ mod tests {
             found_any += hit as usize;
         }
         assert!(found_any >= 45, "only {found_any}/50 neurons self-retrieve");
+    }
+
+    /// The tables `rebuild_tables` must build, recomputed naively: every
+    /// row hashed on its own by the scalar reference, its K-code groups
+    /// mapped with `Table::bucket_index`, and each table filled with the
+    /// ids in ascending order from the rebuild's RNG stream.
+    fn reference_tables(layer: &Layer) -> LshTables {
+        let lsh = layer.lsh().unwrap();
+        let (units, fan_in) = (layer.units(), layer.fan_in());
+        let config = *lsh.tables().config();
+        let nc = lsh.family().num_codes();
+        let mut row = vec![0.0f32; fan_in];
+        let mut mean = Vec::new();
+        if lsh.centered() {
+            let mut acc = vec![0.0f64; fan_in];
+            for j in 0..units {
+                layer.weights().read_row_into(j, &mut row);
+                for (a, &x) in acc.iter_mut().zip(&row) {
+                    *a += x as f64;
+                }
+            }
+            mean = acc.iter().map(|&a| (a / units as f64) as f32).collect();
+        }
+        let mut codes = vec![0u32; units * nc];
+        for (j, out) in codes.chunks_exact_mut(nc).enumerate() {
+            layer.weights().read_row_into(j, &mut row);
+            for (x, &m) in row.iter_mut().zip(&mean) {
+                *x -= m;
+            }
+            lsh.family().hash_dense_mode(&row, out, KernelMode::Scalar);
+        }
+        let mut tables = LshTables::new(config);
+        for (t, table) in tables.tables_mut().iter_mut().enumerate() {
+            let mut rng = lsh
+                .rng_base
+                .stream(lsh.rebuild_count * 1_000_003 + t as u64);
+            for (j, row_codes) in codes.chunks_exact(nc).enumerate() {
+                let bucket = table.bucket_index(&row_codes[t * config.k..(t + 1) * config.k]);
+                table.insert_at(bucket, j as u32, config.policy, &mut rng);
+            }
+        }
+        tables
+    }
+
+    /// Asserts `layer`'s tables equal the naive reference bucket by
+    /// bucket (ids in slot order, and attempts); returns how many buckets
+    /// overflowed.
+    fn assert_matches_reference(layer: &Layer, case: &str) -> usize {
+        let want = reference_tables(layer);
+        let got = layer.lsh().unwrap().tables();
+        let mut overflowed = 0;
+        for (t, (a, b)) in got.tables().iter().zip(want.tables()).enumerate() {
+            for (i, (x, y)) in a.buckets().iter().zip(b.buckets()).enumerate() {
+                assert_eq!(x.items(), y.items(), "{case}: table {t} bucket {i}");
+                assert_eq!(x.attempts(), y.attempts(), "{case}: table {t} bucket {i}");
+                overflowed += (x.attempts() > x.capacity() as u64) as usize;
+            }
+        }
+        overflowed
+    }
+
+    #[test]
+    fn vectorized_rebuild_matches_a_naive_scalar_oracle() {
+        // 103 units (not a multiple of ROW_TILE); SimHash with K·L = 15
+        // planes (not a multiple of 8) through the row-tiled kernel, and
+        // DWTA through the per-row default; both policies; default and
+        // overflowing capacity-2 buckets; centered rows on and off; the
+        // initial build and a rebuild after some rows moved.
+        let (fan_in, units) = (24, 103);
+        for family in [LshLayerConfig::simhash(3, 5), LshLayerConfig::dwta(2, 7)] {
+            for policy in [InsertionPolicy::Fifo, InsertionPolicy::Reservoir] {
+                for small in [false, true] {
+                    for centered in [false, true] {
+                        let mut cfg = family
+                            .clone()
+                            .with_policy(policy)
+                            .with_centered_rows(centered);
+                        if small {
+                            cfg = cfg.with_tables(3, 2);
+                        }
+                        let case = format!(
+                            "{:?} {policy} small={small} centered={centered}",
+                            cfg.family
+                        );
+                        let mut layer = relu_layer(fan_in, units, Some(cfg));
+                        let first = assert_matches_reference(&layer, &case);
+                        let adam = AdamParams::with_lr(0.5);
+                        for j in (0..units as u32).step_by(5) {
+                            for i in 0..fan_in as u32 {
+                                layer.update_weight(j, i, 1.0, &adam, 1.0);
+                            }
+                        }
+                        layer.rebuild_tables();
+                        assert_eq!(layer.lsh().unwrap().rebuild_count(), 2);
+                        let second = assert_matches_reference(&layer, &case);
+                        if small {
+                            assert!(first > 0 && second > 0, "{case}: no bucket overflowed");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rebuild_phase_clock_splits_the_rebuild() {
+        let mut layer = relu_layer(32, 500, Some(LshLayerConfig::simhash(4, 8)));
+        let (h0, i0) = layer.lsh().unwrap().rebuild_phase_seconds();
+        assert!(h0 > 0.0 && i0 > 0.0, "the initial build is counted");
+        let start = Instant::now();
+        layer.rebuild_tables();
+        let wall = start.elapsed().as_secs_f64();
+        let (h1, i1) = layer.lsh().unwrap().rebuild_phase_seconds();
+        let (hash, insert) = (h1 - h0, i1 - i0);
+        assert!(hash > 0.0 && insert > 0.0, "hash {hash} insert {insert}");
+        assert!(hash + insert <= wall, "{hash} + {insert} > {wall}");
     }
 
     #[test]

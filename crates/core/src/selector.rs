@@ -202,10 +202,12 @@ pub trait NeuronSelector: Send + Sync + std::fmt::Debug {
 /// `(ids, activations)` otherwise.
 ///
 /// This is the **shared hashing entry point**: every code that later
-/// probes a layer's tables is produced here, through the same mode-aware
-/// `hash_*_mode` family methods `rebuild_tables` uses, with the mode
-/// taken from the layer — the vectorized kernel can never diverge from
-/// what the tables were built with.
+/// probes a layer's tables is produced here, through the mode-aware
+/// `hash_*_mode` family methods, with the mode taken from the layer.
+/// `rebuild_tables` hashes weight rows through `hash_dense_rows_mode`,
+/// which is bit-identical to `hash_dense_mode` row by row, so the
+/// vectorized kernels can never diverge from what the tables were built
+/// with.
 ///
 /// When the previous layer ran fully dense in order, the activation
 /// slice *is* the dense input and can be hashed via the dense path,

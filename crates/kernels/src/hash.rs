@@ -2,10 +2,13 @@
 //!
 //! SimHash-style families evaluate `P = K × L` sparse hyperplanes with
 //! coefficients in `{+1, 0, −1}` against one input vector per selection
-//! event — the inner loop of both training-time neuron selection and
-//! `rebuild_tables`. The reference implementation walks each plane's
-//! nonzero index list; this module adds a blocked layout that computes
-//! **all planes at once** in register passes:
+//! event ([`SignedPlanes::project_dense`] / `project_sparse`, the entry
+//! behind `HashFamily::hash_dense_mode`) and against every weight row of
+//! a layer per table rebuild ([`SignedPlanes::project_dense_rows`], the
+//! entry behind `HashFamily::hash_dense_rows_mode`). The reference
+//! implementation walks each plane's nonzero index list; this module adds
+//! a blocked layout that computes **all planes at once** in register
+//! passes:
 //!
 //! * planes are packed eight per block, one plane per SIMD lane, with the
 //!   coefficients of every input index stored contiguously
@@ -13,7 +16,10 @@
 //! * projecting broadcasts one input value and fused-multiply-adds the
 //!   eight-lane coefficient column into eight running projections, so a
 //!   pass over the input advances eight planes together — AVX2/FMA when
-//!   the CPU has it, an unrolled portable loop otherwise.
+//!   the CPU has it, an unrolled portable loop otherwise;
+//! * the row entry tiles [`ROW_TILE`] rows against each block, so every
+//!   widened coefficient column feeds [`ROW_TILE`] fused multiply-adds
+//!   instead of one (the widen, not the FMA, bounds the one-row pass).
 //!
 //! ## Exactness
 //!
@@ -24,7 +30,9 @@
 //!   `fma(c, x, acc)` equals the reference's `acc + c·x` with no
 //!   double-rounding difference;
 //! * each lane accumulates its own plane's terms in ascending input-index
-//!   order — the same order as the scalar reference loop;
+//!   order — the same order as the scalar reference loop — and a row tile
+//!   keeps one accumulator per (row, plane), so tiling rows changes which
+//!   register a sum lives in, never its order;
 //! * coefficient-zero terms contribute `±0.0`, which cannot change a
 //!   running sum except in the sign of an exactly-zero projection, and
 //!   `-0.0 + x == 0.0 + x` for every nonzero `x` while `+0.0 + -0.0`
@@ -36,6 +44,10 @@
 //! exactly — the property `slide-lsh`'s proptests pin.
 
 use crate::ops::KernelMode;
+
+/// Rows per pass of [`SignedPlanes::project_dense_rows`]'s tiled kernel;
+/// callers that hash many rows hand it multiples of this.
+pub const ROW_TILE: usize = 4;
 
 /// `P` sparse signed hyperplanes over `R^dim` in both a per-plane sparse
 /// form (the scalar reference, coefficient lookup) and a blocked
@@ -201,6 +213,63 @@ impl SignedPlanes {
         }
     }
 
+    /// Projects `n = rows.len() / dim` dense rows, stored row-major, onto
+    /// every plane: `out[r·planes + p] = plane_p · rows[r]`.
+    ///
+    /// `Vectorized` runs whole tiles of [`ROW_TILE`] rows through one pass
+    /// per block pair and the remaining rows through
+    /// [`SignedPlanes::project_dense`]; `Scalar` is `n` reference calls.
+    /// Every (row, plane) accumulator starts at `+0.0` and sums in
+    /// ascending index order, so the output is bit-identical to `n` calls
+    /// of [`SignedPlanes::project_dense`] in either mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len()` is not a multiple of `dim` or
+    /// `out.len() != n · planes`.
+    pub fn project_dense_rows(&self, rows: &[f32], out: &mut [f32], mode: KernelMode) {
+        let (dim, planes) = (self.dim, self.planes);
+        assert_eq!(rows.len() % dim, 0, "project_dense_rows: input length");
+        let n = rows.len() / dim;
+        assert_eq!(out.len(), n * planes, "project_dense_rows: output length");
+        let tiled = match mode {
+            KernelMode::Scalar => 0,
+            KernelMode::Vectorized => n - n % ROW_TILE,
+        };
+        let (tiles, rest) = rows.split_at(tiled * dim);
+        let (tiles_out, rest_out) = out.split_at_mut(tiled * planes);
+        self.project_tiles(tiles, tiles_out);
+        for (row, o) in rest
+            .chunks_exact(dim)
+            .zip(rest_out.chunks_exact_mut(planes))
+        {
+            self.project_dense(row, o, mode);
+        }
+    }
+
+    /// The vectorized kernel over whole tiles of [`ROW_TILE`] rows.
+    fn project_tiles(&self, rows: &[f32], out: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if crate::fused::have_avx2_fma() {
+            // SAFETY: AVX2+FMA presence checked; `rows` holds whole tiles
+            // of dim-long rows and `out` planes per row.
+            unsafe { avxh::project_rows(&self.packed, self.dim, self.planes, rows, out) };
+            return;
+        }
+        self.portable_tiles(rows, out);
+    }
+
+    /// Portable fallback of [`SignedPlanes::project_tiles`].
+    fn portable_tiles(&self, rows: &[f32], out: &mut [f32]) {
+        let (dim, planes) = (self.dim, self.planes);
+        for (t, o) in rows
+            .chunks_exact(ROW_TILE * dim)
+            .zip(out.chunks_exact_mut(ROW_TILE * planes))
+        {
+            self.portable_tile::<ROW_TILE>(t, o);
+        }
+    }
+
     /// Projects a sparse input given as parallel `(indices, values)`
     /// slices with strictly ascending indices.
     ///
@@ -262,22 +331,33 @@ impl SignedPlanes {
         }
     }
 
-    /// Portable blocked fallback: one 8-lane accumulator array per block,
-    /// same per-lane ascending-index order as the AVX path.
+    /// Portable blocked fallback for one row.
     fn portable_dense(&self, input: &[f32], out: &mut [f32]) {
-        let nblocks = self.planes.div_ceil(8);
-        for b in 0..nblocks {
-            let base = b * self.dim * 8;
-            let mut acc = [0.0f32; 8];
-            for (i, &x) in input.iter().enumerate() {
+        self.portable_tile::<1>(input, out);
+    }
+
+    /// Portable blocked fallback for `R` rows (`R × dim` in, `R × planes`
+    /// out): one 8-lane accumulator array per (row, block), same per-lane
+    /// ascending-index order as the AVX path.
+    fn portable_tile<const R: usize>(&self, rows: &[f32], out: &mut [f32]) {
+        let (dim, planes) = (self.dim, self.planes);
+        for b in 0..planes.div_ceil(8) {
+            let base = b * dim * 8;
+            let mut acc = [[0.0f32; 8]; R];
+            for i in 0..dim {
                 let col = &self.packed[base + i * 8..base + i * 8 + 8];
-                for lane in 0..8 {
-                    acc[lane] += col[lane] as f32 * x;
+                for (r, a) in acc.iter_mut().enumerate() {
+                    let x = rows[r * dim + i];
+                    for lane in 0..8 {
+                        a[lane] += col[lane] as f32 * x;
+                    }
                 }
             }
             let p0 = b * 8;
-            let n = (self.planes - p0).min(8);
-            out[p0..p0 + n].copy_from_slice(&acc[..n]);
+            let n = (planes - p0).min(8);
+            for (r, a) in acc.iter().enumerate() {
+                out[r * planes + p0..r * planes + p0 + n].copy_from_slice(&a[..n]);
+            }
         }
     }
 
@@ -340,38 +420,11 @@ mod avxh {
         }
     }
 
-    /// Projects `G` blocks (planes `b0·8 .. (b0+G)·8`) over a dense input.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA; `packed` laid out as in `SignedPlanes`;
-    /// `input.len() == dim`; `out.len() == planes`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn dense_group<const G: usize>(
-        packed: &[i8],
-        dim: usize,
-        b0: usize,
-        planes: usize,
-        input: &[f32],
-        out: &mut [f32],
-    ) {
-        let mut acc = [_mm256_setzero_ps(); G];
-        let bases: [*const i8; G] =
-            std::array::from_fn(|g| packed.as_ptr().add((b0 + g) * dim * 8));
-        for (i, &x) in input.iter().enumerate() {
-            let xv = _mm256_set1_ps(x);
-            for g in 0..G {
-                acc[g] = _mm256_fmadd_ps(column(bases[g].add(i * 8)), xv, acc[g]);
-            }
-        }
-        store(acc, b0, planes, out);
-    }
-
     /// Projects `G` blocks over a sparse input's `(indices, values)`.
     ///
     /// # Safety
     ///
-    /// As [`dense_group`], plus every index below `dim` and
+    /// As [`rows_group`] with one row, plus every index below `dim` and
     /// `indices.len() == values.len()`.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn sparse_group<const G: usize>(
@@ -395,6 +448,78 @@ mod avxh {
         store(acc, b0, planes, out);
     }
 
+    /// Projects `R` rows (`rows`: `R × dim`) onto `G` blocks (planes
+    /// `b0·8 .. (b0+G)·8`) in one pass: each widened column feeds `R`
+    /// FMAs, one per row, into that row's own accumulators. With `R = 1`
+    /// this is the one-row selection pass.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA; `packed` laid out as in `SignedPlanes`;
+    /// `rows.len() == R·dim`; `out.len() == R·planes`; blocks
+    /// `b0..b0+G` exist.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn rows_group<const R: usize, const G: usize>(
+        packed: &[i8],
+        dim: usize,
+        b0: usize,
+        planes: usize,
+        rows: &[f32],
+        out: &mut [f32],
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); G]; R];
+        let bases: [*const i8; G] =
+            std::array::from_fn(|g| packed.as_ptr().add((b0 + g) * dim * 8));
+        let mut cols = [_mm256_setzero_ps(); G];
+        for i in 0..dim {
+            for g in 0..G {
+                cols[g] = column(bases[g].add(i * 8));
+            }
+            for (r, row_acc) in acc.iter_mut().enumerate() {
+                let xv = _mm256_broadcast_ss(&*rows.as_ptr().add(r * dim + i));
+                for (a, &c) in row_acc.iter_mut().zip(&cols) {
+                    *a = _mm256_fmadd_ps(c, xv, *a);
+                }
+            }
+        }
+        for (r, a) in acc.into_iter().enumerate() {
+            store(a, b0, planes, &mut out[r * planes..(r + 1) * planes]);
+        }
+    }
+
+    /// Projects whole tiles of [`super::ROW_TILE`] rows, two blocks per
+    /// pass (the last block of an odd count alone).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA; `packed` laid out as in `SignedPlanes`;
+    /// `rows.len()` a multiple of `ROW_TILE·dim`; `out.len()` the same
+    /// number of rows times `planes`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn project_rows(
+        packed: &[i8],
+        dim: usize,
+        planes: usize,
+        rows: &[f32],
+        out: &mut [f32],
+    ) {
+        const R: usize = super::ROW_TILE;
+        let nblocks = planes.div_ceil(8);
+        for (t, o) in rows
+            .chunks_exact(R * dim)
+            .zip(out.chunks_exact_mut(R * planes))
+        {
+            let mut b = 0;
+            while b + 2 <= nblocks {
+                rows_group::<R, 2>(packed, dim, b, planes, t, o);
+                b += 2;
+            }
+            if b < nblocks {
+                rows_group::<R, 1>(packed, dim, b, planes, t, o);
+            }
+        }
+    }
+
     /// # Safety
     ///
     /// Requires AVX2+FMA; `packed` laid out as in `SignedPlanes`;
@@ -411,10 +536,10 @@ mod avxh {
         let mut b = 0;
         while b < nblocks {
             match nblocks - b {
-                1 => dense_group::<1>(packed, dim, b, planes, input, out),
-                2 => dense_group::<2>(packed, dim, b, planes, input, out),
-                3 => dense_group::<3>(packed, dim, b, planes, input, out),
-                _ => dense_group::<4>(packed, dim, b, planes, input, out),
+                1 => rows_group::<1, 1>(packed, dim, b, planes, input, out),
+                2 => rows_group::<1, 2>(packed, dim, b, planes, input, out),
+                3 => rows_group::<1, 3>(packed, dim, b, planes, input, out),
+                _ => rows_group::<1, 4>(packed, dim, b, planes, input, out),
             }
             b += (nblocks - b).min(4);
         }
@@ -563,6 +688,92 @@ mod tests {
         }
     }
 
+    /// `rows` projected one row at a time by the scalar reference.
+    fn per_row(sp: &SignedPlanes, rows: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0f32; rows.len() / sp.dim() * sp.planes()];
+        for (row, o) in rows
+            .chunks_exact(sp.dim())
+            .zip(out.chunks_exact_mut(sp.planes()))
+        {
+            sp.project_dense(row, o, KernelMode::Scalar);
+        }
+        out
+    }
+
+    /// `n` rows of test data: some rows all `±0.0`, the rest random
+    /// values with `±0.0` sprinkled in.
+    fn rows_with_zeros(rng: &mut TinyRng, n: usize, dim: usize) -> Vec<f32> {
+        let mut rows = Vec::with_capacity(n * dim);
+        for _ in 0..n {
+            let all_zero = rng.next().is_multiple_of(4);
+            for _ in 0..dim {
+                let zero = all_zero || rng.next().is_multiple_of(4);
+                rows.push(match (zero, rng.next().is_multiple_of(2)) {
+                    (true, true) => 0.0,
+                    (true, false) => -0.0,
+                    (false, _) => rng.f32() * 4.0,
+                });
+            }
+        }
+        rows
+    }
+
+    /// Asserts the row kernel (both modes, and the portable tiles on the
+    /// tiled prefix) equals per-row `project_dense` to the bit.
+    fn check_rows(sp: &SignedPlanes, rows: &[f32]) {
+        let want = per_row(sp, rows);
+        for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+            let mut got = vec![f32::NAN; want.len()];
+            sp.project_dense_rows(rows, &mut got, mode);
+            for (x, y) in want.iter().zip(&got) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{mode}: {x} vs {y}");
+            }
+        }
+        let n = rows.len() / sp.dim();
+        let tiled = n - n % ROW_TILE;
+        let mut got = vec![f32::NAN; tiled * sp.planes()];
+        sp.portable_tiles(&rows[..tiled * sp.dim()], &mut got);
+        for (x, y) in want.iter().zip(&got) {
+            assert_eq!(x.to_bits(), y.to_bits(), "portable: {x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn dense_rows_match_per_row_exactly() {
+        // Odd and even block counts, a partial last block, and row counts
+        // below, at and past whole tiles.
+        for &(dim, planes, n, seed) in &[
+            (32usize, 13usize, 9usize, 7u64),
+            (128, 450, 10, 42),
+            (5, 1, 4, 3),
+            (64, 40, 3, 11),
+            (17, 24, 8, 13),
+        ] {
+            let sp = random_planes(dim, planes, seed);
+            let mut rng = TinyRng(seed.wrapping_mul(0x9E37));
+            check_rows(&sp, &rows_with_zeros(&mut rng, n, dim));
+        }
+    }
+
+    #[test]
+    fn dense_rows_of_signed_zeros_project_to_positive_zero() {
+        let sp = random_planes(24, 19, 5);
+        let rows: Vec<f32> = (0..24 * 6)
+            .map(|i| if i % 3 == 0 { -0.0 } else { 0.0 })
+            .collect();
+        check_rows(&sp, &rows);
+        let mut out = vec![f32::NAN; 6 * 19];
+        sp.project_dense_rows(&rows, &mut out, KernelMode::Vectorized);
+        assert!(out.iter().all(|p| p.to_bits() == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "project_dense_rows: input length")]
+    fn dense_rows_reject_a_ragged_input() {
+        let sp = random_planes(8, 3, 1);
+        sp.project_dense_rows(&[0.0; 12], &mut [0.0; 3], KernelMode::Vectorized);
+    }
+
     #[test]
     fn sparse_modes_agree_exactly() {
         let sp = random_planes(64, 24, 17);
@@ -619,6 +830,18 @@ mod tests {
             for (x, y) in a.iter().zip(&b) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
+        }
+
+        #[test]
+        fn prop_dense_rows_bit_identical(
+            seed in 1u64..5000,
+            dim in 1usize..80,
+            planes in 1usize..40,
+            n in 0usize..11,
+        ) {
+            let sp = random_planes(dim, planes, seed);
+            let mut rng = TinyRng(seed.wrapping_mul(0x3C3C) | 1);
+            check_rows(&sp, &rows_with_zeros(&mut rng, n, dim));
         }
 
         #[test]

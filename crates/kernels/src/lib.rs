@@ -34,7 +34,7 @@ pub mod quant;
 
 pub use aligned::{AlignedVec, CachePadded, CACHE_LINE_BYTES};
 pub use fused::{adam_step_gather, gather_dot, gather_dot_batch};
-pub use hash::{SignedPlanes, SignedPlanesBuilder};
+pub use hash::{SignedPlanes, SignedPlanesBuilder, ROW_TILE};
 pub use ops::{
     adam_step, axpy, dispatched_isa, dot, relu_in_place, softmax_in_place, AdamParams, KernelMode,
 };

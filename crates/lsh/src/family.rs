@@ -89,11 +89,11 @@ pub trait HashFamily: Send + Sync {
         self.hash_dense(&dense, out);
     }
 
-    /// Mode-aware [`HashFamily::hash_dense`] — **the** shared entry point
-    /// for every consumer that hashes rows or layer inputs (both table
-    /// rebuilds and per-example selection route through it), so a
-    /// vectorized kernel can never diverge from what the tables were
-    /// built with.
+    /// Mode-aware [`HashFamily::hash_dense`] — the entry point
+    /// per-example selection hashes layer inputs through. Table rebuilds
+    /// hash weight rows through [`HashFamily::hash_dense_rows_mode`],
+    /// whose codes must equal this method's row by row, so a vectorized
+    /// kernel can never diverge from what the tables were built with.
     ///
     /// The default ignores the mode and runs the scalar reference;
     /// families with a vectorized kernel (SimHash) override it. Overrides
@@ -101,6 +101,29 @@ pub trait HashFamily: Send + Sync {
     fn hash_dense_mode(&self, input: &[f32], out: &mut [u32], mode: KernelMode) {
         let _ = mode;
         self.hash_dense(input, out);
+    }
+
+    /// Hashes `n = rows.len() / dim` dense rows, stored row-major, into
+    /// `out` (`n × num_codes`, row `r`'s codes at `r · num_codes`) — the
+    /// entry point table rebuilds hash weight rows through. Same contract
+    /// as [`HashFamily::hash_dense_mode`]: every row's codes are
+    /// bit-identical to `hash_dense_mode` of that row in every mode.
+    ///
+    /// The default hashes one row at a time through `hash_dense_mode`;
+    /// SimHash overrides it with its row-tiled projection kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len()` is not a multiple of `self.dim()` or
+    /// `out.len()` is not `n × self.num_codes()`.
+    fn hash_dense_rows_mode(&self, rows: &[f32], out: &mut [u32], mode: KernelMode) {
+        check_rows(self.dim(), rows.len(), self.num_codes(), out.len());
+        for (row, codes) in rows
+            .chunks_exact(self.dim())
+            .zip(out.chunks_exact_mut(self.num_codes()))
+        {
+            self.hash_dense_mode(row, codes, mode);
+        }
     }
 
     /// Mode-aware [`HashFamily::hash_sparse`]; same contract as
@@ -134,6 +157,19 @@ pub(crate) fn check_args(dim: usize, input_len: usize, num_codes: usize, out_len
     assert!(
         out_len == num_codes,
         "output buffer length {out_len} does not match num_codes {num_codes}"
+    );
+}
+
+/// Validates the `hash_dense_rows_mode` preconditions.
+pub(crate) fn check_rows(dim: usize, rows_len: usize, num_codes: usize, out_len: usize) {
+    assert!(
+        rows_len.is_multiple_of(dim),
+        "rows length {rows_len} is not a multiple of family dim {dim}"
+    );
+    assert!(
+        out_len == rows_len / dim * num_codes,
+        "output buffer length {out_len} does not match {} rows of {num_codes} codes",
+        rows_len / dim
     );
 }
 

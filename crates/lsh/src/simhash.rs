@@ -13,8 +13,9 @@
 //! SIMD register passes. Because every coefficient is `±1`, the
 //! vectorized kernel is **bit-identical** to the scalar reference — the
 //! codes cannot depend on the dispatched ISA, which is what lets both
-//! table rebuilds and per-example selection use whichever is fastest
-//! (see `KernelMode` plumbing in [`HashFamily::hash_dense_mode`]).
+//! table rebuilds ([`HashFamily::hash_dense_rows_mode`], row-tiled) and
+//! per-example selection ([`HashFamily::hash_dense_mode`]) use whichever
+//! is fastest.
 //!
 //! The module also implements the paper's §4.2(3) optimization: because
 //! backpropagation updates only the weights of *active* neurons, the
@@ -24,19 +25,22 @@
 
 use slide_data::rng::Rng;
 use slide_data::SparseVector;
-use slide_kernels::{KernelMode, SignedPlanes, SignedPlanesBuilder};
+use slide_kernels::{KernelMode, SignedPlanes, SignedPlanesBuilder, ROW_TILE};
 
-use crate::family::{check_args, HashFamily, HashFamilyKind};
+use crate::family::{check_args, check_rows, HashFamily, HashFamilyKind};
 
-/// Runs `f` on a zeroed projection buffer of `planes` floats, stack
-/// allocated for every realistic `K × L` (heap above 256 planes).
-fn with_projections<R>(planes: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    const STACK: usize = 256;
-    if planes <= STACK {
+/// Projection floats kept on the stack per hashed row: 2 KB, which covers
+/// the paper's shapes (SimHash K=9 L=50 is 450 planes).
+const STACK_PLANES: usize = 512;
+
+/// Runs `f` on a zeroed projection buffer of `len` floats, stack
+/// allocated up to `STACK` floats (heap above).
+fn with_projections<const STACK: usize, R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    if len <= STACK {
         let mut buf = [0.0f32; STACK];
-        f(&mut buf[..planes])
+        f(&mut buf[..len])
     } else {
-        let mut buf = vec![0.0f32; planes];
+        let mut buf = vec![0.0f32; len];
         f(&mut buf)
     }
 }
@@ -142,15 +146,29 @@ impl HashFamily for SimHash {
 
     fn hash_dense_mode(&self, input: &[f32], out: &mut [u32], mode: KernelMode) {
         check_args(self.dim, input.len(), self.num_codes(), out.len());
-        with_projections(self.num_codes(), |proj| {
+        with_projections::<STACK_PLANES, _>(self.num_codes(), |proj| {
             self.planes.project_dense(input, proj, mode);
             self.codes_from_projections(proj, out);
         });
     }
 
+    /// One [`SignedPlanes::project_dense_rows`] call over all rows, then
+    /// the sign rule per row; a rebuild's [`ROW_TILE`]-row chunk stays on
+    /// the stack.
+    fn hash_dense_rows_mode(&self, rows: &[f32], out: &mut [u32], mode: KernelMode) {
+        let nc = self.num_codes();
+        check_rows(self.dim, rows.len(), nc, out.len());
+        with_projections::<{ ROW_TILE * STACK_PLANES }, _>(out.len(), |proj| {
+            self.planes.project_dense_rows(rows, proj, mode);
+            for (p, o) in proj.chunks_exact(nc).zip(out.chunks_exact_mut(nc)) {
+                self.codes_from_projections(p, o);
+            }
+        });
+    }
+
     fn hash_sparse_mode(&self, input: &SparseVector, out: &mut [u32], mode: KernelMode) {
         assert_eq!(out.len(), self.num_codes(), "bad output buffer length");
-        with_projections(self.num_codes(), |proj| {
+        with_projections::<STACK_PLANES, _>(self.num_codes(), |proj| {
             self.planes
                 .project_sparse(input.indices(), input.values(), proj, mode);
             self.codes_from_projections(proj, out);
@@ -325,8 +343,13 @@ mod tests {
 
     #[test]
     fn vectorized_dense_codes_bit_identical_to_scalar() {
-        // Also exercises > 256 planes (heap projection buffer).
-        for &(dim, k, l) in &[(64usize, 6usize, 12usize), (37, 3, 5), (128, 9, 31)] {
+        // Also exercises > 512 planes (heap projection buffer).
+        for &(dim, k, l) in &[
+            (64usize, 6usize, 12usize),
+            (37, 3, 5),
+            (128, 9, 31),
+            (128, 9, 60),
+        ] {
             let h = SimHash::new(dim, k, l, 1.0 / 3.0, &mut rng(40 + dim as u64));
             let mut r = rng(41 + dim as u64);
             let v = random_vec(&mut r, dim);
@@ -426,6 +449,32 @@ mod tests {
             h.hash_dense_mode(&v, &mut a, KernelMode::Scalar);
             h.hash_dense_mode(&v, &mut b, KernelMode::Vectorized);
             prop_assert_eq!(a, b);
+        }
+
+        /// The rebuild entry pinned to per-row `hash_dense_mode` in both
+        /// modes: row counts around whole tiles, plane counts off the
+        /// 8-lane blocks, and chunks past the stack buffer.
+        #[test]
+        fn prop_dense_rows_codes_match_per_row(
+            seed in 0u64..1000,
+            dim in 1usize..64,
+            k in 1usize..10,
+            l in 1usize..30,
+            n in 0usize..11,
+        ) {
+            let h = SimHash::new(dim, k, l, 1.0 / 3.0, &mut rng(seed));
+            let mut r = rng(seed ^ 0x5EED);
+            let rows = random_vec(&mut r, n * dim);
+            let nc = h.num_codes();
+            for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+                let mut want = vec![0u32; n * nc];
+                for (row, o) in rows.chunks_exact(dim).zip(want.chunks_exact_mut(nc)) {
+                    h.hash_dense_mode(row, o, mode);
+                }
+                let mut got = vec![9u32; n * nc];
+                h.hash_dense_rows_mode(&rows, &mut got, mode);
+                prop_assert_eq!(&want, &got);
+            }
         }
 
         /// SIMD codes pinned bit-identical on *centered* rows (the

@@ -107,8 +107,24 @@ impl Table {
 
     /// Inserts `id` with the bucket selected by `codes` (length `K`).
     pub fn insert<R: Rng>(&mut self, id: u32, codes: &[u32], policy: InsertionPolicy, rng: &mut R) {
-        let b = self.bucket_index(codes);
-        self.buckets[b].insert(id, policy, rng);
+        self.insert_at(self.bucket_index(codes), id, policy, rng);
+    }
+
+    /// Inserts `id` into bucket `bucket`, an index
+    /// [`Table::bucket_index`] returned — for callers that fold codes to
+    /// bucket indices ahead of the insert pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bucket` is not below the table's bucket count.
+    pub fn insert_at<R: Rng>(
+        &mut self,
+        bucket: usize,
+        id: u32,
+        policy: InsertionPolicy,
+        rng: &mut R,
+    ) {
+        self.buckets[bucket].insert(id, policy, rng);
     }
 
     /// Items in the bucket selected by `codes`.
