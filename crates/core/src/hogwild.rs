@@ -38,9 +38,19 @@ pub struct HogwildArray {
 
 impl HogwildArray {
     /// Allocates `len` zeros.
+    ///
+    /// The cells come from the allocator's zeroed path, so a large array
+    /// is backed by fresh zero pages that are not written, or faulted in,
+    /// until first use: an Adam moment page that training never touches
+    /// costs nothing.
     pub fn zeroed(len: usize) -> Self {
-        let mut data = Vec::with_capacity(len);
-        data.resize_with(len, || AtomicU32::new(0));
+        let mut zeros = std::mem::ManuallyDrop::new(vec![0u32; len]);
+        let (ptr, len, cap) = (zeros.as_mut_ptr(), zeros.len(), zeros.capacity());
+        // SAFETY: `AtomicU32` has the same size, alignment and bit
+        // validity as `u32`, so `zeros`' allocation, length and capacity
+        // describe a valid `Vec<AtomicU32>` with the same layout; `zeros`
+        // is never dropped, so the allocation has one owner.
+        let data = unsafe { Vec::from_raw_parts(ptr.cast::<AtomicU32>(), len, cap) };
         Self { data }
     }
 
@@ -252,6 +262,15 @@ impl HogwildMatrix {
     #[inline]
     pub fn row(&self, row: usize) -> &[AtomicU32] {
         self.data.atomic_slice(row * self.cols, self.cols)
+    }
+
+    /// Every row's cells back to back (`rows × cols`, row `r` at
+    /// `r · cols`), the unit the input-major kernels consume: they index
+    /// whole rows by id. Access follows the bit-level protocol documented
+    /// on [`HogwildArray::as_atomics`].
+    #[inline]
+    pub fn all_rows(&self) -> &[AtomicU32] {
+        self.data.as_atomics()
     }
 
     /// Copies row `row` into `out` (`out.len()` must equal `cols`).

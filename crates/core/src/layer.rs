@@ -1,5 +1,6 @@
 //! One fully connected layer with optional LSH sampling machinery.
 
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use rayon::prelude::*;
@@ -112,15 +113,30 @@ impl LayerLsh {
 
 /// A fully connected layer: `units` neurons over `fan_in` inputs, with
 /// HOGWILD-shared weights, Adam moments and optional [`LayerLsh`].
+///
+/// The weights and their Adam moments are stored in one of two
+/// orientations, fixed at construction from the network's shape:
+/// **unit-major** (`units × fan_in`, row `j` is unit `j`'s fan-in) or,
+/// for a first layer that reads the sparse input and is not the output
+/// layer, **input-major** (`fan_in × units`, row `i` is input `i`'s
+/// weight into every unit). An example then touches one contiguous row
+/// per feature id instead of one scattered cell per (unit, feature).
+/// [`Layer::weight`], [`Layer::set_weight`] and
+/// [`Layer::read_unit_into`] address weights by `(unit, input)` in
+/// either orientation.
 #[derive(Debug)]
 pub struct Layer {
     units: usize,
     fan_in: usize,
     activation: Activation,
+    /// Whether `weights` and its moments are stored `fan_in × units`.
+    input_major: bool,
     pub(crate) weights: HogwildMatrix,
     pub(crate) biases: HogwildArray,
-    w_m: HogwildMatrix,
-    w_v: HogwildMatrix,
+    /// The weights' Adam moments `[m, v]`, in `weights`' orientation.
+    /// Allocated by the first update, so a network that only serves
+    /// never holds them.
+    w_moments: OnceLock<[HogwildMatrix; 2]>,
     b_m: HogwildArray,
     b_v: HogwildArray,
     pub(crate) lsh: Option<LayerLsh>,
@@ -131,14 +147,16 @@ pub struct Layer {
 
 impl Layer {
     /// Builds the layer with Glorot-uniform weights and, if configured,
-    /// its LSH family and (initially built) hash tables.
+    /// its LSH family and (initially built) hash tables. `input_major`
+    /// picks the storage orientation (see [`Layer`]).
     pub(crate) fn new(
         fan_in: usize,
         config: &LayerConfig,
         kernel_mode: KernelMode,
         rng: &mut Xoshiro256PlusPlus,
+        input_major: bool,
     ) -> Self {
-        Self::new_with_init_draws(fan_in, config, kernel_mode, rng, config.units)
+        Self::new_with_init_draws(fan_in, config, kernel_mode, rng, config.units, input_major)
     }
 
     /// [`Layer::new`] advancing `rng` as if the layer had `init_units`
@@ -154,20 +172,54 @@ impl Layer {
         kernel_mode: KernelMode,
         rng: &mut Xoshiro256PlusPlus,
         init_units: usize,
+        input_major: bool,
     ) -> Self {
         let units = config.units;
         assert!(init_units >= units, "init_units below layer units");
+        let (rows, cols) = if input_major {
+            (fan_in, units)
+        } else {
+            (units, fan_in)
+        };
+        let mut layer = Self {
+            units,
+            fan_in,
+            activation: config.activation,
+            input_major,
+            weights: HogwildMatrix::zeroed(rows, cols),
+            biases: HogwildArray::zeroed(units),
+            w_moments: OnceLock::new(),
+            b_m: HogwildArray::zeroed(units),
+            b_v: HogwildArray::zeroed(units),
+            lsh: None,
+            kernel_mode,
+        };
+        // Glorot draws in unit-major order whatever the orientation, so
+        // both store the same weights.
         let bound = (6.0 / (fan_in + init_units) as f64).sqrt() as f32;
-        let mut values = vec![0.0f32; units * fan_in];
-        for v in &mut values {
-            *v = (rng.next_f32() * 2.0 - 1.0) * bound;
+        let glorot = |rng: &mut Xoshiro256PlusPlus| (rng.next_f32() * 2.0 - 1.0) * bound;
+        if input_major {
+            // A unit's draws fill a column, one cell per cache line: draw
+            // a block of units in stream order, then store it row by row.
+            let mut block = vec![0.0f32; UNIT_BLOCK.min(units) * fan_in];
+            for first in (0..units).step_by(UNIT_BLOCK) {
+                let rows = &mut block[..UNIT_BLOCK.min(units - first) * fan_in];
+                for w in rows.iter_mut() {
+                    *w = glorot(rng);
+                }
+                layer.set_units(first, rows);
+            }
+        } else {
+            for j in 0..units {
+                for i in 0..fan_in {
+                    layer.set_weight(j, i, glorot(rng));
+                }
+            }
         }
         for _ in units * fan_in..init_units * fan_in {
             rng.next_f32();
         }
-        let weights = HogwildMatrix::from_values(units, fan_in, &values);
-        let biases = HogwildArray::zeroed(units);
-        let lsh = config.lsh.as_ref().map(|cfg| {
+        layer.lsh = config.lsh.as_ref().map(|cfg| {
             let family = build_family(cfg, fan_in, rng);
             let table_config = TableConfig::new(cfg.k, cfg.l)
                 .with_table_bits(cfg.table_bits)
@@ -188,20 +240,6 @@ impl Layer {
                 insert_nanos: 0,
             }
         });
-        let mut layer = Self {
-            units,
-            fan_in,
-            activation: config.activation,
-            weights,
-            biases,
-            w_m: HogwildMatrix::zeroed(units, fan_in),
-            w_v: HogwildMatrix::zeroed(units, fan_in),
-            b_m: HogwildArray::zeroed(units),
-            b_v: HogwildArray::zeroed(units),
-            lsh: None,
-            kernel_mode,
-        };
-        layer.lsh = lsh;
         if layer.lsh.is_some() {
             layer.rebuild_tables();
         }
@@ -238,9 +276,106 @@ impl Layer {
         self.kernel_mode
     }
 
-    /// The weight matrix (`units × fan_in`).
+    /// Whether the weights are stored input-major (`fan_in × units`; see
+    /// [`Layer`]).
+    #[inline]
+    pub fn input_major(&self) -> bool {
+        self.input_major
+    }
+
+    /// The weight matrix as stored: `units × fan_in` (row `j` is unit
+    /// `j`'s fan-in) for a unit-major layer, `fan_in × units` (row `i` is
+    /// input `i`'s weight into every unit) for an input-major one — check
+    /// [`Layer::input_major`]. To address one unit's weights in either
+    /// orientation use [`Layer::weight`], [`Layer::set_weight`] or
+    /// [`Layer::read_unit_into`].
     pub fn weights(&self) -> &HogwildMatrix {
         &self.weights
+    }
+
+    /// The weights' Adam moments `[m, v]`, allocated (zeroed) on first
+    /// use.
+    #[inline]
+    fn moments(&self) -> &[HogwildMatrix; 2] {
+        self.w_moments.get_or_init(|| {
+            let (rows, cols) = (self.weights.rows(), self.weights.cols());
+            [
+                HogwildMatrix::zeroed(rows, cols),
+                HogwildMatrix::zeroed(rows, cols),
+            ]
+        })
+    }
+
+    /// Flat index of weight `(unit j, input i)` in the stored matrix (and
+    /// in its Adam moments, which share its orientation).
+    #[inline]
+    fn weight_index(&self, j: usize, i: usize) -> usize {
+        debug_assert!(j < self.units && i < self.fan_in);
+        if self.input_major {
+            i * self.units + j
+        } else {
+            j * self.fan_in + i
+        }
+    }
+
+    /// Unit `j`'s weight on input `i`, in either orientation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index is out of bounds.
+    #[inline]
+    pub fn weight(&self, j: usize, i: usize) -> f32 {
+        self.weights.flat().get(self.weight_index(j, i))
+    }
+
+    /// Stores unit `j`'s weight on input `i`, in either orientation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index is out of bounds.
+    #[inline]
+    pub fn set_weight(&self, j: usize, i: usize, value: f32) {
+        self.weights.flat().set(self.weight_index(j, i), value);
+    }
+
+    /// Stores the weights of units `first..first + n` from `n` unit-major
+    /// rows (unit `first + b`'s fan-in at `rows[b·fan_in..]`), in either
+    /// orientation. Input-major, each stored row takes the block's cells
+    /// in one contiguous write, so writing [`UNIT_BLOCK`] units at a time
+    /// costs one pass over the rows instead of one strided column per
+    /// unit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len()` is not a multiple of `fan_in` or the units
+    /// run past the layer.
+    pub(crate) fn set_units(&self, first: usize, rows: &[f32]) {
+        let n = rows.len() / self.fan_in.max(1);
+        assert_eq!(n * self.fan_in, rows.len(), "rows must be whole units");
+        assert!(first + n <= self.units, "units past the layer");
+        if self.input_major {
+            for i in 0..self.fan_in {
+                let cells = &self.weights.row(i)[first..first + n];
+                for (cell, unit) in cells.iter().zip(rows.chunks_exact(self.fan_in)) {
+                    slide_kernels::fused::write(cell, unit[i]);
+                }
+            }
+        } else {
+            let cells = &self.weights.all_rows()[first * self.fan_in..][..rows.len()];
+            for (cell, &w) in cells.iter().zip(rows) {
+                slide_kernels::fused::write(cell, w);
+            }
+        }
+    }
+
+    /// Copies unit `j`'s `fan_in` weights into `out`, in either
+    /// orientation (a strided column read when input-major).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= units` or `out.len() != fan_in`.
+    pub fn read_unit_into(&self, j: usize, out: &mut [f32]) {
+        read_unit(&self.weights, self.input_major, j, out);
     }
 
     /// The bias vector.
@@ -255,8 +390,10 @@ impl Layer {
     /// slice. `KernelMode::Vectorized` is the 8-lane unrolled gather with
     /// prefetch (the paper's SIMD/ILP optimization, §5.4); `Scalar` is
     /// the strict sequential loop `tests/equivalence.rs` pins.
+    /// Unit-major layers only.
     #[inline]
     pub(crate) fn neuron_z(&self, j: u32, ids: &[u32], vals: &[f32], mode: KernelMode) -> f32 {
+        debug_assert!(!self.input_major, "neuron_z on an input-major layer");
         slide_kernels::gather_dot(
             self.weights.row(j as usize),
             ids,
@@ -287,10 +424,11 @@ impl Layer {
     pub(crate) fn prefetch_update_row(&self, j: u32) {
         let row = j as usize * self.fan_in;
         let lines = self.fan_in.div_ceil(16).min(2);
+        let [m, v] = self.moments();
         for line in 0..lines {
             self.weights.flat().prefetch(row + line * 16);
-            self.w_m.flat().prefetch(row + line * 16);
-            self.w_v.flat().prefetch(row + line * 16);
+            m.flat().prefetch(row + line * 16);
+            v.flat().prefetch(row + line * 16);
         }
     }
 
@@ -314,10 +452,11 @@ impl Layer {
         mode: KernelMode,
     ) {
         let j = j as usize;
+        let [m, v] = self.moments();
         slide_kernels::adam_step_gather(
             self.weights.row(j),
-            self.w_m.row(j),
-            self.w_v.row(j),
+            m.row(j),
+            v.row(j),
             ids,
             vals,
             delta,
@@ -328,19 +467,80 @@ impl Layer {
         );
     }
 
+    /// Pre-activations of the `units` of an input-major layer for the
+    /// sparse input `(ids, vals)`, written to `out` (one per unit): one
+    /// [`slide_kernels::gather_dot_input_major`] pass, bit-identical to
+    /// [`Layer::neuron_z`] on the same weights stored unit-major.
+    pub(crate) fn input_major_z(
+        &self,
+        ids: &[u32],
+        vals: &[f32],
+        units: &[u32],
+        out: &mut [f32],
+        mode: KernelMode,
+    ) {
+        debug_assert!(self.input_major);
+        for (z, &j) in out.iter_mut().zip(units) {
+            *z = self.biases.get(j as usize);
+        }
+        slide_kernels::gather_dot_input_major(
+            self.weights.all_rows(),
+            self.units,
+            ids,
+            vals,
+            units,
+            out,
+            mode,
+        );
+    }
+
+    /// The weight half of backward for an input-major layer: one fused
+    /// Adam sweep per input id over the `units` whose `deltas` are
+    /// nonzero ([`slide_kernels::adam_step_input_major`]), bit-identical
+    /// to [`Layer::update_row`] per unit. Biases are updated separately.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn update_input_major(
+        &self,
+        ids: &[u32],
+        vals: &[f32],
+        units: &[u32],
+        deltas: &[f32],
+        adam: &AdamParams,
+        clr: f32,
+        mode: KernelMode,
+    ) {
+        debug_assert!(self.input_major);
+        let [m, v] = self.moments();
+        slide_kernels::adam_step_input_major(
+            self.weights.all_rows(),
+            m.all_rows(),
+            v.all_rows(),
+            self.units,
+            ids,
+            vals,
+            units,
+            deltas,
+            adam,
+            clr,
+            mode,
+        );
+    }
+
     /// One HOGWILD Adam update of weight `(j, i)` with gradient `g` —
-    /// the scalar reference primitive. The training hot path updates
-    /// whole rows at once through `Layer::update_row`'s fused sweep.
+    /// the scalar reference primitive, in either orientation. The
+    /// training hot path updates whole rows at once through the fused
+    /// sweeps.
     #[inline]
     pub fn update_weight(&self, j: u32, i: u32, g: f32, adam: &AdamParams, clr: f32) {
-        let idx = self.weights.index(j as usize, i as usize);
+        let idx = self.weight_index(j as usize, i as usize);
         let w = self.weights.flat().get(idx);
-        let m = self.w_m.flat().get(idx);
-        let v = self.w_v.flat().get(idx);
+        let [m_cells, v_cells] = self.moments();
+        let m = m_cells.flat().get(idx);
+        let v = v_cells.flat().get(idx);
         let (w2, m2, v2) = adam_step(w, m, v, g, adam, clr);
         self.weights.flat().set(idx, w2);
-        self.w_m.flat().set(idx, m2);
-        self.w_v.flat().set(idx, v2);
+        m_cells.flat().set(idx, m2);
+        v_cells.flat().set(idx, v2);
     }
 
     /// One HOGWILD Adam update of bias `j` with gradient `g`.
@@ -377,7 +577,7 @@ impl Layer {
         let policy = lsh.tables.config().policy;
         let units = self.units;
         let fan_in = self.fan_in;
-        let weights = &self.weights;
+        let (weights, input_major) = (&self.weights, self.input_major);
         let family = lsh.family.as_ref();
         let mode = self.kernel_mode;
 
@@ -402,7 +602,7 @@ impl Layer {
                 scratch.row.clear();
                 scratch.row.resize(fan_in, 0.0);
                 for j in 0..units {
-                    weights.read_row_into(j, &mut scratch.row);
+                    read_unit(weights, input_major, j, &mut scratch.row);
                     for (a, &r) in scratch.mean_acc.iter_mut().zip(&scratch.row) {
                         *a += r as f64;
                     }
@@ -436,7 +636,7 @@ impl Layer {
                     let n = out.len() / l;
                     let rows = &mut rows[..n * fan_in];
                     for (r, row) in rows.chunks_exact_mut(fan_in).enumerate() {
-                        weights.read_row_into(c * ROW_TILE + r, row);
+                        read_unit(weights, input_major, c * ROW_TILE + r, row);
                         if !mean.is_empty() {
                             for (x, &m) in row.iter_mut().zip(mean) {
                                 *x -= m;
@@ -515,6 +715,24 @@ impl Layer {
     }
 }
 
+/// Units an input-major layer writes together: one 64-byte cache line of
+/// `f32` cells in each of its rows.
+pub(crate) const UNIT_BLOCK: usize = 16;
+
+/// Copies unit `j`'s fan-in weights out of `weights`, stored input-major
+/// (column `j`) or unit-major (row `j`).
+fn read_unit(weights: &HogwildMatrix, input_major: bool, j: usize, out: &mut [f32]) {
+    if input_major {
+        assert!(j < weights.cols(), "unit {j} out of bounds");
+        assert_eq!(out.len(), weights.rows(), "unit buffer size mismatch");
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = weights.get(i, j);
+        }
+    } else {
+        weights.read_row_into(j, out);
+    }
+}
+
 fn resolve_strategy(strategy: SamplingStrategy, units: usize) -> SamplingStrategy {
     match strategy {
         SamplingStrategy::Vanilla { budget } => SamplingStrategy::Vanilla {
@@ -551,13 +769,22 @@ mod tests {
     use slide_lsh::InsertionPolicy;
 
     fn relu_layer(fan_in: usize, units: usize, lsh: Option<LshLayerConfig>) -> Layer {
+        oriented_layer(fan_in, units, lsh, false)
+    }
+
+    fn oriented_layer(
+        fan_in: usize,
+        units: usize,
+        lsh: Option<LshLayerConfig>,
+        input_major: bool,
+    ) -> Layer {
         let cfg = LayerConfig {
             units,
             activation: Activation::Relu,
             lsh,
         };
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
-        Layer::new(fan_in, &cfg, KernelMode::Vectorized, &mut rng)
+        Layer::new(fan_in, &cfg, KernelMode::Vectorized, &mut rng, input_major)
     }
 
     #[test]
@@ -575,13 +802,76 @@ mod tests {
         let bound = (6.0f32 / 150.0).sqrt();
         for j in 0..50 {
             for i in 0..100 {
-                let w = layer.weights().get(j, i);
+                let w = layer.weight(j, i);
                 assert!(w.abs() <= bound, "w[{j}][{i}] = {w}");
             }
         }
         // Not all zero.
-        let sum: f32 = (0..50).map(|j| layer.weights().get(j, 0).abs()).sum();
+        let sum: f32 = (0..50).map(|j| layer.weight(j, 0).abs()).sum();
         assert!(sum > 0.0);
+    }
+
+    #[test]
+    fn both_orientations_draw_the_same_layer() {
+        // Same seed: the same weights by (unit, input), the transposed
+        // storage, and the same RNG position afterwards (so the same hash
+        // family and tables).
+        let cfg = LshLayerConfig::simhash(3, 6);
+        // 37 units: two whole 16-unit init blocks and a partial one.
+        let unit = oriented_layer(40, 37, Some(cfg.clone()), false);
+        let input = oriented_layer(40, 37, Some(cfg), true);
+        assert!(!unit.input_major() && input.input_major());
+        assert_eq!((input.weights().rows(), input.weights().cols()), (40, 37));
+        let (mut a, mut b) = (vec![0.0f32; 40], vec![0.0f32; 40]);
+        for j in 0..37 {
+            unit.read_unit_into(j, &mut a);
+            input.read_unit_into(j, &mut b);
+            assert_eq!(a, b, "unit {j}");
+            for i in 0..40 {
+                assert_eq!(input.weights().get(i, j), unit.weights().get(j, i));
+                assert_eq!(input.weight(j, i), unit.weight(j, i));
+            }
+        }
+        let (tu, ti) = (unit.lsh().unwrap().tables(), input.lsh().unwrap().tables());
+        for (x, y) in tu.tables().iter().zip(ti.tables()) {
+            for (p, q) in x.buckets().iter().zip(y.buckets()) {
+                assert_eq!(p.items(), q.items());
+            }
+        }
+        input.set_weight(12, 39, 2.5);
+        assert_eq!(input.weights().get(39, 12), 2.5);
+    }
+
+    #[test]
+    fn set_units_writes_blocks_in_either_orientation() {
+        for input_major in [false, true] {
+            let layer = oriented_layer(9, 37, None, input_major);
+            let value = |j: usize, i: usize| (j * 9 + i) as f32 * 0.5 - 3.0;
+            for first in (0..37).step_by(UNIT_BLOCK) {
+                let n = UNIT_BLOCK.min(37 - first);
+                let rows: Vec<f32> = (first..first + n)
+                    .flat_map(|j| (0..9).map(move |i| value(j, i)))
+                    .collect();
+                layer.set_units(first, &rows);
+            }
+            layer.set_units(37, &[]);
+            for j in 0..37 {
+                for i in 0..9 {
+                    assert_eq!(layer.weight(j, i), value(j, i), "({j},{i}) {input_major}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn weight_moments_are_allocated_by_the_first_update() {
+        let layer = relu_layer(6, 4, None);
+        assert!(layer.w_moments.get().is_none());
+        layer.update_weight(1, 2, 0.5, &AdamParams::default(), 0.01);
+        let [m, v] = layer.w_moments.get().expect("allocated by the update");
+        assert_ne!(m.get(1, 2), 0.0);
+        assert_ne!(v.get(1, 2), 0.0);
+        assert_eq!(m.get(0, 0), 0.0);
     }
 
     #[test]
@@ -601,7 +891,7 @@ mod tests {
         layer.biases.set(1, 0.5);
         let ids = [0u32, 3];
         let vals = [2.0f32, -1.0];
-        let expect = 0.5 + layer.weights().get(1, 0) * 2.0 + -layer.weights().get(1, 3);
+        let expect = 0.5 + layer.weight(1, 0) * 2.0 + -layer.weight(1, 3);
         for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
             assert!((layer.neuron_z(1, &ids, &vals, mode) - expect).abs() < 1e-6);
         }
@@ -619,7 +909,7 @@ mod tests {
         let mut codes = vec![0u32; lsh.family().num_codes()];
         let mut found_any = 0;
         for j in 0..50u32 {
-            layer.weights().read_row_into(j as usize, &mut row);
+            layer.read_unit_into(j as usize, &mut row);
             lsh.family().hash_dense(&row, &mut codes);
             let hit = (0..10).any(|t| lsh.tables().bucket(t, &codes).contains(&j));
             found_any += hit as usize;
@@ -641,7 +931,7 @@ mod tests {
         if lsh.centered() {
             let mut acc = vec![0.0f64; fan_in];
             for j in 0..units {
-                layer.weights().read_row_into(j, &mut row);
+                layer.read_unit_into(j, &mut row);
                 for (a, &x) in acc.iter_mut().zip(&row) {
                     *a += x as f64;
                 }
@@ -650,7 +940,7 @@ mod tests {
         }
         let mut codes = vec![0u32; units * nc];
         for (j, out) in codes.chunks_exact_mut(nc).enumerate() {
-            layer.weights().read_row_into(j, &mut row);
+            layer.read_unit_into(j, &mut row);
             for (x, &m) in row.iter_mut().zip(&mean) {
                 *x -= m;
             }
@@ -691,38 +981,40 @@ mod tests {
         // 103 units (not a multiple of ROW_TILE); SimHash with K·L = 15
         // planes (not a multiple of 8) through the row-tiled kernel, and
         // DWTA through the per-row default; both policies; default and
-        // overflowing capacity-2 buckets; centered rows on and off; the
-        // initial build and a rebuild after some rows moved.
+        // overflowing capacity-2 buckets; centered rows on and off; both
+        // storage orientations (an input-major hidden-LSH first layer
+        // reads its rows as strided columns); the initial build and a
+        // rebuild after some rows moved.
         let (fan_in, units) = (24, 103);
         for family in [LshLayerConfig::simhash(3, 5), LshLayerConfig::dwta(2, 7)] {
             for policy in [InsertionPolicy::Fifo, InsertionPolicy::Reservoir] {
-                for small in [false, true] {
-                    for centered in [false, true] {
-                        let mut cfg = family
-                            .clone()
-                            .with_policy(policy)
-                            .with_centered_rows(centered);
-                        if small {
-                            cfg = cfg.with_tables(3, 2);
+                for (small, centered, input_major) in
+                    (0..8).map(|b| (b & 1 != 0, b & 2 != 0, b & 4 != 0))
+                {
+                    let mut cfg = family
+                        .clone()
+                        .with_policy(policy)
+                        .with_centered_rows(centered);
+                    if small {
+                        cfg = cfg.with_tables(3, 2);
+                    }
+                    let case = format!(
+                        "{:?} {policy} small={small} centered={centered} input_major={input_major}",
+                        cfg.family
+                    );
+                    let mut layer = oriented_layer(fan_in, units, Some(cfg), input_major);
+                    let first = assert_matches_reference(&layer, &case);
+                    let adam = AdamParams::with_lr(0.5);
+                    for j in (0..units as u32).step_by(5) {
+                        for i in 0..fan_in as u32 {
+                            layer.update_weight(j, i, 1.0, &adam, 1.0);
                         }
-                        let case = format!(
-                            "{:?} {policy} small={small} centered={centered}",
-                            cfg.family
-                        );
-                        let mut layer = relu_layer(fan_in, units, Some(cfg));
-                        let first = assert_matches_reference(&layer, &case);
-                        let adam = AdamParams::with_lr(0.5);
-                        for j in (0..units as u32).step_by(5) {
-                            for i in 0..fan_in as u32 {
-                                layer.update_weight(j, i, 1.0, &adam, 1.0);
-                            }
-                        }
-                        layer.rebuild_tables();
-                        assert_eq!(layer.lsh().unwrap().rebuild_count(), 2);
-                        let second = assert_matches_reference(&layer, &case);
-                        if small {
-                            assert!(first > 0 && second > 0, "{case}: no bucket overflowed");
-                        }
+                    }
+                    layer.rebuild_tables();
+                    assert_eq!(layer.lsh().unwrap().rebuild_count(), 2);
+                    let second = assert_matches_reference(&layer, &case);
+                    if small {
+                        assert!(first > 0 && second > 0, "{case}: no bucket overflowed");
                     }
                 }
             }

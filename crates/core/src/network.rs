@@ -157,6 +157,14 @@ impl Drop for PooledWorkspace<'_> {
     }
 }
 
+/// Whether layer `li` of an `n`-layer network stores its weights
+/// input-major: the first layer reads the sparse input, so each example
+/// touches one contiguous row per feature id, unless it is also the
+/// output layer, whose rows serving retrieves and scores by class.
+fn stores_input_major(li: usize, n: usize) -> bool {
+    li == 0 && n > 1
+}
+
 /// The network: layers plus the shared optimizer step counter.
 #[derive(Debug)]
 pub struct Network {
@@ -178,8 +186,14 @@ impl Network {
         let mut rng = slide_data::rng::Xoshiro256PlusPlus::seed_from_u64(config.seed);
         let mut layers = Vec::with_capacity(config.layers.len());
         let mut fan_in = config.input_dim;
-        for layer_cfg in &config.layers {
-            layers.push(Layer::new(fan_in, layer_cfg, config.kernel_mode, &mut rng));
+        for (li, layer_cfg) in config.layers.iter().enumerate() {
+            layers.push(Layer::new(
+                fan_in,
+                layer_cfg,
+                config.kernel_mode,
+                &mut rng,
+                stores_input_major(li, config.layers.len()),
+            ));
             fan_in = layer_cfg.units;
         }
         Ok(Self {
@@ -217,6 +231,7 @@ impl Network {
                 config.kernel_mode,
                 &mut rng,
                 init_units,
+                stores_input_major(li, config.layers.len()),
             ));
             fan_in = layer_cfg.units;
         }
@@ -344,7 +359,9 @@ impl Network {
 
     /// Computes `ws.acts[l]` over the already-selected `ws.active[l]`:
     /// one fused [`slide_kernels::gather_dot`] per active neuron (next
-    /// row prefetched in vectorized mode), then the nonlinearity.
+    /// row prefetched in vectorized mode) — or, for an input-major layer,
+    /// one [`slide_kernels::gather_dot_input_major`] pass over the input
+    /// rows — then the nonlinearity.
     pub(crate) fn compute_layer(&self, l: usize, ws: &mut Workspace, features: &SparseVector) {
         let layer = &self.layers[l];
         let active = std::mem::take(&mut ws.active[l]);
@@ -358,13 +375,17 @@ impl Network {
                 (ws.active[l - 1].ids(), &ws.acts[l - 1])
             };
             let mode = self.config.kernel_mode;
-            for (slot, &j) in active.ids().iter().enumerate() {
-                if mode == slide_kernels::KernelMode::Vectorized {
-                    if let Some(&next) = active.ids().get(slot + 1) {
-                        layer.prefetch_row(next);
+            if layer.input_major() {
+                layer.input_major_z(prev_ids, prev_vals, active.ids(), &mut acts, mode);
+            } else {
+                for (slot, &j) in active.ids().iter().enumerate() {
+                    if mode == slide_kernels::KernelMode::Vectorized {
+                        if let Some(&next) = active.ids().get(slot + 1) {
+                            layer.prefetch_row(next);
+                        }
                     }
+                    acts[slot] = layer.neuron_z(j, prev_ids, prev_vals, mode);
                 }
-                acts[slot] = layer.neuron_z(j, prev_ids, prev_vals, mode);
             }
         }
         match layer.activation() {
@@ -499,25 +520,44 @@ impl Network {
             // pre-update weights for the error message to layer l−1 and
             // apply the Adam step in the same pass (loads w/m/v once per
             // touched weight instead of the old per-pair accessor loop).
+            // An input-major layer (the first, so no message to send)
+            // sweeps once per input row instead.
             let mode = self.config.kernel_mode;
             let active_ids = ws.active[l].ids();
-            for (slot, &j) in active_ids.iter().enumerate() {
-                let d = delta_l[slot];
-                if d == 0.0 {
-                    continue;
-                }
-                if mode == slide_kernels::KernelMode::Vectorized {
-                    if let Some(&next) = active_ids.get(slot + 1) {
-                        layer.prefetch_update_row(next);
+            if layer.input_major() {
+                for (&j, &d) in active_ids.iter().zip(delta_l) {
+                    if d != 0.0 {
+                        layer.update_bias(j, d, adam, corrected_lr);
                     }
                 }
-                layer.update_bias(j, d, adam, corrected_lr);
-                let pd = if l > 0 {
-                    Some(&mut prev_delta[..])
-                } else {
-                    None
-                };
-                layer.update_row(j, prev_ids, prev_vals, d, pd, adam, corrected_lr, mode);
+                layer.update_input_major(
+                    prev_ids,
+                    prev_vals,
+                    active_ids,
+                    delta_l,
+                    adam,
+                    corrected_lr,
+                    mode,
+                );
+            } else {
+                for (slot, &j) in active_ids.iter().enumerate() {
+                    let d = delta_l[slot];
+                    if d == 0.0 {
+                        continue;
+                    }
+                    if mode == slide_kernels::KernelMode::Vectorized {
+                        if let Some(&next) = active_ids.get(slot + 1) {
+                            layer.prefetch_update_row(next);
+                        }
+                    }
+                    layer.update_bias(j, d, adam, corrected_lr);
+                    let pd = if l > 0 {
+                        Some(&mut prev_delta[..])
+                    } else {
+                        None
+                    };
+                    layer.update_row(j, prev_ids, prev_vals, d, pd, adam, corrected_lr, mode);
+                }
             }
 
             if l > 0 {

@@ -58,7 +58,7 @@ impl QuantizedRows {
         let mut q = vec![0i16; units * fan_in];
         let mut scales = Vec::with_capacity(units);
         for j in 0..units {
-            layer.weights().read_row_into(j, &mut row);
+            layer.read_unit_into(j, &mut row);
             scales.push(quantize_row(&row, &mut q[j * fan_in..(j + 1) * fan_in]));
         }
         Self {

@@ -80,7 +80,7 @@ use slide_lsh::sampling::SamplingStrategy;
 
 use crate::config::{Activation, FamilySpec, LayerConfig, LshLayerConfig, NetworkConfig};
 use crate::error::ConfigError;
-use crate::layer::Layer;
+use crate::layer::{Layer, UNIT_BLOCK};
 use crate::network::Network;
 use crate::quant::QuantizedRows;
 use crate::schedule::RebuildSchedule;
@@ -433,11 +433,15 @@ fn write_with(network: &Network, quantize_output: bool) -> Vec<u8> {
                 e.i16(c);
             }
         } else {
-            let w = layer.weights().flat();
+            // Unit-major on disk whatever the in-memory orientation.
+            let mut row = vec![0.0f32; layer.fan_in()];
             e.u8(ENC_F32);
-            e.u64(w.len() as u64);
-            for i in 0..w.len() {
-                e.f32(w.get(i));
+            e.u64((layer.units() * layer.fan_in()) as u64);
+            for j in 0..layer.units() {
+                layer.read_unit_into(j, &mut row);
+                for &w in &row {
+                    e.f32(w);
+                }
             }
         }
         let b = layer.biases();
@@ -585,12 +589,24 @@ impl<'a> Section<'a> {
     /// the layer's tables.
     fn install(&self, layer: &Layer) -> Result<Option<QuantizedRows>, SnapshotError> {
         debug_assert_eq!((layer.units(), layer.fan_in()), (self.units, self.fan_in));
-        let weights = layer.weights();
+        // An input-major layer takes whole blocks of units, so it is
+        // written row by row rather than column by column.
+        let mut block = Vec::new();
+        let mut first = 0;
         let quantized = self.decode_rows(|j, row| {
-            for (i, &v) in row.iter().enumerate() {
-                weights.set(j, i, v);
+            if !layer.input_major() {
+                return layer.set_units(j, row);
+            }
+            if block.is_empty() {
+                first = j;
+            }
+            block.extend_from_slice(row);
+            if block.len() == UNIT_BLOCK * row.len() {
+                layer.set_units(first, &block);
+                block.clear();
             }
         })?;
+        layer.set_units(first, &block);
         for (i, b) in f32s(self.biases).enumerate() {
             layer.biases().set(i, b);
         }
@@ -1130,7 +1146,7 @@ mod tests {
             .unwrap();
         let net = Network::new(cfg).unwrap();
         // Perturb weights away from init so the round trip is not trivial.
-        net.layers()[0].weights().set(3, 5, 1.25);
+        net.layers()[0].set_weight(3, 5, 1.25);
         net.layers()[1].biases().set(7, -0.5);
         net
     }
@@ -1188,6 +1204,35 @@ mod tests {
         // copy.
         assert_eq!(lsh.rebuild_count(), 2);
         assert!(lsh.tables().stats().total_items > 0);
+    }
+
+    #[test]
+    fn weights_are_unit_major_on_disk_in_either_orientation() {
+        // 12 hidden units install as one partial block, 32 as two whole
+        // ones.
+        for hidden in [12, 32] {
+            let cfg = NetworkConfig::builder(32, 60).hidden(hidden).seed(5);
+            let net = Network::new(cfg.build().unwrap()).unwrap();
+            net.layers()[0].set_weight(3, 5, 1.25);
+            assert!(net.layers()[0].input_major() && !net.layers()[1].input_major());
+            let bytes = net.to_snapshot_bytes();
+            let parsed = parse_snapshot(&bytes).unwrap();
+            for (layer, section) in net.layers().iter().zip(&parsed.sections) {
+                let mut on_disk = f32s(section.rows);
+                for j in 0..layer.units() {
+                    for i in 0..layer.fan_in() {
+                        let w = on_disk.next().unwrap();
+                        assert_eq!(w.to_bits(), layer.weight(j, i).to_bits(), "({j},{i})");
+                    }
+                }
+            }
+            let restored = Network::from_snapshot_bytes(&bytes).unwrap();
+            for (a, b) in net.layers().iter().zip(restored.layers()) {
+                let (wa, wb) = (a.weights().flat(), b.weights().flat());
+                assert!((0..wa.len()).all(|i| wa.get(i).to_bits() == wb.get(i).to_bits()));
+            }
+            assert_eq!(restored.layers()[0].weight(3, 5), 1.25);
+        }
     }
 
     #[test]
@@ -1513,7 +1558,7 @@ mod tests {
             .build()
             .unwrap();
         let net = Network::new(cfg).unwrap();
-        net.layers()[0].weights().set(2, 9, -0.75);
+        net.layers()[0].set_weight(2, 9, -0.75);
         net.layers()[1].weights().set(41, 3, 2.5);
         net.layers()[1].biases().set(17, 0.25);
         net

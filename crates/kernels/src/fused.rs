@@ -31,7 +31,7 @@
 //! per-element atomic accesses — the bit-reproducible reference that
 //! `tests/equivalence.rs` pins.
 //!
-//! Three fused ops cover the training/inference hot loops:
+//! Five fused ops cover the training/inference hot loops:
 //!
 //! * [`gather_dot`] — `init + Σᵢ row[ids[i]]·vals[i]`, the per-neuron
 //!   pre-activation for sparse inputs (forward pass, candidate scoring);
@@ -41,7 +41,14 @@
 //! * [`adam_step_gather`] — backward's per-`(neuron, prev-active)` loop
 //!   fused into one pass: load `w/m/v` once per id, accumulate the
 //!   back-propagated error signal through the pre-update weight, apply
-//!   the Adam step, store once.
+//!   the Adam step, store once;
+//! * [`gather_dot_input_major`] / [`adam_step_input_major`] — the same
+//!   forward and Adam for a layer stored **input-major** (`fan_in`
+//!   rows of one cell per unit: the engine's first layer), where each
+//!   input id is one contiguous row over every unit. Each unit keeps the
+//!   exact operation order of the per-unit kernel, so results are
+//!   bit-identical to [`gather_dot`] / [`adam_step_gather`] on the same
+//!   weights stored unit-major, in either mode.
 //!
 //! All vectorized entry points validate every id against the row length
 //! **before** touching memory (one auto-vectorizable integer pass that
@@ -436,6 +443,214 @@ pub fn adam_step_gather(
     }
 }
 
+/// Input rows ahead of the one in flight that the input-major Adam sweep
+/// prefetches: ids are known up front, and one row is too short a sweep
+/// to hide a miss on the next.
+const ROW_PREFETCH_AHEAD: usize = 4;
+
+/// Prefetches the head `len` cells of `rp`'s row, one hint per cache
+/// line (16 `f32`s).
+#[inline(always)]
+fn prefetch_row_head(rp: *const f32, len: usize) {
+    for c in (0..len).step_by(16) {
+        prefetch_read(rp.wrapping_add(c));
+    }
+}
+
+/// Checks an input-major matrix of `cells` cells and `stride` units per
+/// row, then validates every id against its row count and every unit
+/// against `stride` — all before any cell is touched. Returns whether
+/// `units` is the dense identity `0, 1, …`.
+///
+/// # Panics
+///
+/// Panics if `cells` is not a multiple of `stride` or an id or unit is
+/// out of bounds.
+fn validate_input_major(cells: usize, stride: usize, ids: &[u32], units: &[u32]) -> bool {
+    let rows = cells.checked_div(stride).unwrap_or(0);
+    assert_eq!(rows * stride, cells, "input-major matrix shape mismatch");
+    validate_ids(ids, rows);
+    validate_ids(units, stride)
+}
+
+/// Pre-activations of several units of a layer stored **input-major**:
+/// `w` holds `fan_in` rows of `stride` cells, input `i`'s weight into
+/// unit `j` at `w[i·stride + j]`. On entry `out[k]` holds unit
+/// `units[k]`'s init (its bias); on return
+/// `out[k] = init + Σₚ w[ids[p]·stride + units[k]] · vals[p]`.
+///
+/// Each input id reads one contiguous row segment instead of one
+/// scattered cell per unit, and each unit's sum keeps the exact
+/// operation order [`gather_dot`] applies to that unit's unit-major row.
+/// So `out[k]` is **bit-identical** to
+/// `gather_dot(row of unit units[k], ids, vals, init, mode)`:
+///
+/// * `Scalar`: the strict sequential loop `((init + w₀v₀) + w₁v₁) + …`,
+///   one row axpy per id;
+/// * `Vectorized` with `n ≥ 16` ids and AVX2+FMA: per 8-unit block, 16
+///   FMA partial sums in registers (id `p` into sum `p mod 16`, the lanes
+///   of [`gather_dot`]'s two 8-lane accumulators), folded by the same
+///   `acc0 + acc1` and `hsum` tree, then the sequential tail, then
+///   `init +`; every row's segment is prefetched up front;
+/// * `Vectorized` otherwise: per unit, [`gather_dot`]'s 8 mul-add
+///   accumulators (`p mod 8`), then `init + Σ`, then the tail.
+///
+/// Duplicate ids and units are fine (reads only).
+///
+/// # Panics
+///
+/// Panics if `ids`/`vals` or `units`/`out` lengths differ, `w.len()` is
+/// not a multiple of `stride`, or an id or unit is out of bounds — all
+/// checked before any cell is read.
+pub fn gather_dot_input_major(
+    w: &[AtomicU32],
+    stride: usize,
+    ids: &[u32],
+    vals: &[f32],
+    units: &[u32],
+    out: &mut [f32],
+    mode: KernelMode,
+) {
+    assert_eq!(
+        ids.len(),
+        vals.len(),
+        "gather_dot_input_major: length mismatch"
+    );
+    assert_eq!(
+        units.len(),
+        out.len(),
+        "gather_dot_input_major: out length mismatch"
+    );
+    let dense = validate_input_major(w.len(), stride, ids, units);
+    let n = ids.len();
+    match mode {
+        KernelMode::Scalar => {
+            for (&id, &v) in ids.iter().zip(vals) {
+                let row = &w[id as usize * stride..][..stride];
+                for (z, &j) in out.iter_mut().zip(units) {
+                    *z += read(&row[j as usize]) * v;
+                }
+            }
+        }
+        KernelMode::Vectorized => {
+            let wp = raw(w) as *const f32;
+
+            #[cfg(target_arch = "x86_64")]
+            if n >= 16 && have_avx2_fma() {
+                // SAFETY: ids and units validated against the matrix;
+                // AVX2+FMA presence checked.
+                unsafe { avx::dot_input_major(wp, stride, ids, vals, units, dense, out) };
+                return;
+            }
+            let _ = dense;
+
+            // Portable: gather_dot's 8 mul-add accumulators per unit, then
+            // its `init + Σ` and sequential tail.
+            let head = n / 8 * 8;
+            for (z, &j) in out.iter_mut().zip(units) {
+                let term = |p: usize| {
+                    // SAFETY: ids and units validated against the matrix.
+                    unsafe { *wp.add(ids[p] as usize * stride + j as usize) * vals[p] }
+                };
+                let mut acc = [0.0f32; 8];
+                for p in 0..head {
+                    acc[p % 8] += term(p);
+                }
+                *z += acc.iter().sum::<f32>();
+                for p in head..n {
+                    *z += term(p);
+                }
+            }
+        }
+    }
+}
+
+/// Fused HOGWILD Adam update of several units of a layer stored
+/// input-major (the layout [`gather_dot_input_major`] reads): for every
+/// input `p` and every `k` with `deltas[k] != 0`, one Adam step with
+/// gradient `deltas[k] · vals[p]` on the `(w, m, v)` cells at
+/// `ids[p]·stride + units[k]`.
+///
+/// Each input id is one contiguous masked sweep over its rows of `w`,
+/// `m` and `v`. Per cell the arithmetic is [`adam_step_gather`]'s, so
+/// for unique ids the result is **bit-identical** to calling
+/// `adam_step_gather(row of unit units[k], …, ids, vals, deltas[k],
+/// None, …)` for every `k` whose delta is nonzero, in either mode. A
+/// unit whose delta is 0 is never written: the AVX2 sweep stores with
+/// `vmaskmovps`, so racing HOGWILD writers to those cells are never
+/// overwritten with stale values.
+///
+/// # Panics
+///
+/// Panics if `ids`/`vals`, `units`/`deltas` or the `w`/`m`/`v` lengths
+/// differ, `w.len()` is not a multiple of `stride`, or an id or unit is
+/// out of bounds — all checked before any cell is touched.
+#[allow(clippy::too_many_arguments)]
+pub fn adam_step_input_major(
+    w: &[AtomicU32],
+    m: &[AtomicU32],
+    v: &[AtomicU32],
+    stride: usize,
+    ids: &[u32],
+    vals: &[f32],
+    units: &[u32],
+    deltas: &[f32],
+    adam: &AdamParams,
+    clr: f32,
+    mode: KernelMode,
+) {
+    assert_eq!(
+        ids.len(),
+        vals.len(),
+        "adam_step_input_major: length mismatch"
+    );
+    assert_eq!(
+        units.len(),
+        deltas.len(),
+        "adam_step_input_major: deltas length mismatch"
+    );
+    assert!(
+        w.len() == m.len() && w.len() == v.len(),
+        "adam_step_input_major: w/m/v length mismatch"
+    );
+    let dense = validate_input_major(w.len(), stride, ids, units);
+
+    #[cfg(target_arch = "x86_64")]
+    if mode == KernelMode::Vectorized && dense && have_avx2_fma() {
+        // SAFETY: ids validated against the row count and the dense
+        // units against `stride`; AVX2 presence checked (the sweep uses
+        // no FMA, so it matches Scalar).
+        unsafe {
+            avx::adam_input_major(raw(w), raw(m), raw(v), stride, ids, vals, deltas, adam, clr)
+        };
+        return;
+    }
+    let _ = (dense, mode);
+
+    // Scalar, and Vectorized without AVX2 or over a sparse unit list: the
+    // per-cell loop (a relaxed atomic access is a plain move).
+    for (&id, &val) in ids.iter().zip(vals) {
+        let base = id as usize * stride;
+        for (&j, &delta) in units.iter().zip(deltas) {
+            if delta == 0.0 {
+                continue;
+            }
+            let idx = base + j as usize;
+            let (w2, m2, v2) = adam_step(
+                read(&w[idx]),
+                read(&m[idx]),
+                read(&v[idx]),
+                delta * val,
+                adam,
+                clr,
+            );
+            write(&w[idx], w2);
+            write(&m[idx], m2);
+            write(&v[idx], v2);
+        }
+    }
+}
+
 /// Runtime-dispatched AVX2/FMA implementations (x86-64 only) — the
 /// stand-in for the paper's hand-written Intel AVX kernels (§5.4,
 /// Appendix D). Callers check `have_avx2_fma()` and validate ids first.
@@ -443,6 +658,7 @@ pub fn adam_step_gather(
 mod avx {
     use std::arch::x86_64::*;
 
+    use super::{prefetch_row_head, ROW_PREFETCH_AHEAD};
     use crate::ops::AdamParams;
 
     /// Horizontal sum of a 256-bit accumulator.
@@ -634,6 +850,198 @@ mod avx {
             *wp.add(i) = w2;
             *mp.add(i) = m2;
             *vp.add(i) = v2;
+        }
+    }
+
+    /// Lanes `0..rem` set (all eight when `rem ≥ 8`).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 (register-only, touches no memory).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lanes_below(rem: usize) -> __m256i {
+        let rem = rem.min(8) as i32;
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(rem),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    }
+
+    /// Units `k..k + 8` of one input-major row (0 past the last unit): a
+    /// plain load when `dense` — masked to `mask` unless `full` — or
+    /// eight scalar loads through `units` otherwise.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; when `dense`, units `k..k + 8` (only the masked-in
+    /// ones unless `full`) index within the row at `row`; otherwise every
+    /// id in `units[k..]` does.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_units(
+        row: *const f32,
+        units: &[u32],
+        dense: bool,
+        k: usize,
+        full: bool,
+        mask: __m256i,
+    ) -> __m256 {
+        if !dense {
+            let mut lanes = [0.0f32; 8];
+            for (lane, &j) in lanes.iter_mut().zip(&units[k..]) {
+                *lane = *row.add(j as usize);
+            }
+            _mm256_loadu_ps(lanes.as_ptr())
+        } else if full {
+            _mm256_loadu_ps(row.add(k))
+        } else {
+            _mm256_maskload_ps(row.add(k), mask)
+        }
+    }
+
+    /// [`super::gather_dot_input_major`]'s `n ≥ 16` body. Per block of
+    /// 8 units (one lane each): two passes of 8 FMA chains, id `p` into
+    /// chain `p mod 16` (the lanes of [`super::gather_dot`]'s `acc0` and
+    /// `acc1`), then the `acc0 + acc1` / [`hsum`] fold, the sequential
+    /// tail and `init +` — that unit's exact order.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA; every id indexes a row of `stride` cells at
+    /// `wp`; every unit (`0..units.len()` when `dense`) is below
+    /// `stride`; `out.len() == units.len()` and `ids.len() ==
+    /// vals.len()`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn dot_input_major(
+        wp: *const f32,
+        stride: usize,
+        ids: &[u32],
+        vals: &[f32],
+        units: &[u32],
+        dense: bool,
+        out: &mut [f32],
+    ) {
+        let n = ids.len();
+        let u = units.len();
+        let head = n / 16 * 16;
+        if dense {
+            // Every block revisits every row: start all the misses now.
+            for &id in ids {
+                prefetch_row_head(wp.wrapping_add(id as usize * stride), u);
+            }
+        }
+        let mut k = 0;
+        while k < u {
+            let mask = lanes_below(u - k);
+            let full = u - k >= 8;
+            let term = |p: usize| {
+                let row = wp.add(ids[p] as usize * stride);
+                (
+                    load_units(row, units, dense, k, full, mask),
+                    _mm256_set1_ps(vals[p]),
+                )
+            };
+            let mut acc = [[_mm256_setzero_ps(); 8]; 2];
+            for (half, chains) in acc.iter_mut().enumerate() {
+                for c in (0..head).step_by(16) {
+                    for (s, chain) in chains.iter_mut().enumerate() {
+                        let (w8, v8) = term(c + 8 * half + s);
+                        *chain = _mm256_fmadd_ps(w8, v8, *chain);
+                    }
+                }
+            }
+            // acc0 + acc1, then hsum's lo + hi, movehl and final add.
+            let t: [__m256; 8] = std::array::from_fn(|l| _mm256_add_ps(acc[0][l], acc[1][l]));
+            let q0 = _mm256_add_ps(t[0], t[4]);
+            let q1 = _mm256_add_ps(t[1], t[5]);
+            let q2 = _mm256_add_ps(t[2], t[6]);
+            let q3 = _mm256_add_ps(t[3], t[7]);
+            let mut z = _mm256_add_ps(_mm256_add_ps(q0, q2), _mm256_add_ps(q1, q3));
+            for p in head..n {
+                let (w8, v8) = term(p);
+                z = _mm256_add_ps(z, _mm256_mul_ps(w8, v8));
+            }
+            let o = out.as_mut_ptr().add(k);
+            if full {
+                _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), z));
+            } else {
+                _mm256_maskstore_ps(o, mask, _mm256_add_ps(_mm256_maskload_ps(o, mask), z));
+            }
+            k += 8;
+        }
+    }
+
+    /// [`super::adam_step_input_major`]'s dense-unit sweep: per input
+    /// row, 8 units at a time, the [`adam_contiguous`] op sequence (no
+    /// FMA) with every load and store masked to the in-range units whose
+    /// delta is nonzero, so other cells are neither read nor written.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; every id indexes a row of `stride` cells at each of
+    /// `wp`/`mp`/`vp`; `deltas.len() ≤ stride`; `ids.len() ==
+    /// vals.len()`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn adam_input_major(
+        wp: *mut f32,
+        mp: *mut f32,
+        vp: *mut f32,
+        stride: usize,
+        ids: &[u32],
+        vals: &[f32],
+        deltas: &[f32],
+        adam: &AdamParams,
+        clr: f32,
+    ) {
+        let u = deltas.len();
+        let b1 = _mm256_set1_ps(adam.beta1);
+        let c1 = _mm256_set1_ps(1.0 - adam.beta1);
+        let b2 = _mm256_set1_ps(adam.beta2);
+        let c2 = _mm256_set1_ps(1.0 - adam.beta2);
+        let eps = _mm256_set1_ps(adam.eps);
+        let lr = _mm256_set1_ps(clr);
+        let zero = _mm256_setzero_ps();
+        for (p, (&id, &val)) in ids.iter().zip(vals).enumerate() {
+            if let Some(&ahead) = ids.get(p + ROW_PREFETCH_AHEAD) {
+                let base = ahead as usize * stride;
+                prefetch_row_head(wp.wrapping_add(base), u);
+                prefetch_row_head(mp.wrapping_add(base), u);
+                prefetch_row_head(vp.wrapping_add(base), u);
+            }
+            let base = id as usize * stride;
+            let (w, m, v) = (wp.add(base), mp.add(base), vp.add(base));
+            let vv = _mm256_set1_ps(val);
+            let mut k = 0;
+            while k < u {
+                let in_range = lanes_below(u - k);
+                let dv = _mm256_maskload_ps(deltas.as_ptr().add(k), in_range);
+                // `!(delta == 0.0)`: NaN deltas are live, like the scalar
+                // skip test.
+                let live = _mm256_and_si256(
+                    in_range,
+                    _mm256_castps_si256(_mm256_cmp_ps::<_CMP_NEQ_UQ>(dv, zero)),
+                );
+                if _mm256_testz_si256(live, live) == 0 {
+                    let w_old = _mm256_maskload_ps(w.add(k), live);
+                    let g = _mm256_mul_ps(dv, vv);
+                    let m2 = _mm256_add_ps(
+                        _mm256_mul_ps(b1, _mm256_maskload_ps(m.add(k), live)),
+                        _mm256_mul_ps(c1, g),
+                    );
+                    let v2 = _mm256_add_ps(
+                        _mm256_mul_ps(b2, _mm256_maskload_ps(v.add(k), live)),
+                        _mm256_mul_ps(_mm256_mul_ps(c2, g), g),
+                    );
+                    let den = _mm256_add_ps(_mm256_sqrt_ps(v2), eps);
+                    let w2 = _mm256_sub_ps(w_old, _mm256_div_ps(_mm256_mul_ps(lr, m2), den));
+                    _mm256_maskstore_ps(w.add(k), live, w2);
+                    _mm256_maskstore_ps(m.add(k), live, m2);
+                    _mm256_maskstore_ps(v.add(k), live, v2);
+                }
+                k += 8;
+            }
         }
     }
 }
@@ -908,6 +1316,250 @@ mod tests {
             }
             for i in 0..ids.len() {
                 prop_assert!((pds[i] - pdv[i]).abs() <= 1e-5 * (1.0 + pds[i].abs()), "pd[{}]", i);
+            }
+        }
+
+        #[test]
+        fn prop_input_major_kernels_match_per_unit_kernels_bit_for_bit(
+            pairs in proptest::collection::vec((0u32..IM_FAN_IN as u32, -4.0f32..4.0), 0..41),
+            shape in (1usize..40, 0u64..1 << 40)
+        ) {
+            let case = ImCase::new(&pairs, shape.0, shape.1);
+            for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+                case.forward_matches(mode)?;
+                case.adam_matches(mode)?;
+            }
+        }
+    }
+
+    /// Fan-in of the input-major test layers.
+    const IM_FAN_IN: usize = 96;
+
+    /// One input-major kernel case: a `stride`-unit layer over
+    /// `IM_FAN_IN` inputs, unique ids (the engine's feature ids are),
+    /// dense or sparse active units, and deltas of which about a third
+    /// are zero.
+    struct ImCase {
+        stride: usize,
+        ids: Vec<u32>,
+        vals: Vec<f32>,
+        units: Vec<u32>,
+        deltas: Vec<f32>,
+        bias: Vec<f32>,
+    }
+
+    impl ImCase {
+        fn new(pairs: &[(u32, f32)], stride: usize, seed: u64) -> Self {
+            let mut state = seed;
+            let mut next = move || {
+                // splitmix64
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            };
+            let mut seen = [false; IM_FAN_IN];
+            let (ids, vals) = pairs
+                .iter()
+                .filter(|&&(id, _)| !std::mem::replace(&mut seen[id as usize], true))
+                .copied()
+                .unzip();
+            let units: Vec<u32> = if next() % 2 == 0 {
+                (0..stride as u32).collect()
+            } else {
+                let mut all: Vec<u32> = (0..stride as u32).collect();
+                for i in (1..all.len()).rev() {
+                    all.swap(i, (next() % (i as u64 + 1)) as usize);
+                }
+                all.truncate(1 + (next() % stride as u64) as usize);
+                all
+            };
+            let unit = |r: u64| (r >> 40) as f32 / (1u64 << 24) as f32 * 2.0 - 1.0;
+            let deltas = units
+                .iter()
+                .map(|_| match next() % 3 {
+                    0 => 0.0,
+                    _ => unit(next()),
+                })
+                .collect();
+            let bias = (0..stride).map(|_| unit(next())).collect();
+            Self {
+                stride,
+                ids,
+                vals,
+                units,
+                deltas,
+                bias,
+            }
+        }
+
+        /// A unit-major `stride × IM_FAN_IN` matrix, one atomic row per
+        /// unit, and the same values input-major.
+        fn layouts(&self, f: f32, scale: f32) -> (Vec<Vec<AtomicU32>>, Vec<AtomicU32>) {
+            let values = wave(self.stride * IM_FAN_IN, f, scale);
+            let rows = values.chunks_exact(IM_FAN_IN).map(atomic_row).collect();
+            let mut transposed = vec![0.0; values.len()];
+            for (j, row) in values.chunks_exact(IM_FAN_IN).enumerate() {
+                for (i, &x) in row.iter().enumerate() {
+                    transposed[i * self.stride + j] = x;
+                }
+            }
+            (rows, atomic_row(&transposed))
+        }
+
+        /// Whether unit-major `rows` and input-major `cells` hold the same
+        /// bits in every cell.
+        fn same_bits(
+            &self,
+            rows: &[Vec<AtomicU32>],
+            cells: &[AtomicU32],
+            what: &str,
+        ) -> Result<(), String> {
+            for (j, row) in rows.iter().enumerate() {
+                for (i, cell) in row.iter().enumerate() {
+                    let (a, b) = (read(cell), read(&cells[i * self.stride + j]));
+                    if a.to_bits() != b.to_bits() {
+                        return Err(format!("{what}[unit {j}][input {i}]: {a} vs {b}"));
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        fn forward_matches(&self, mode: KernelMode) -> Result<(), String> {
+            let (rows, cells) = self.layouts(0.37, 1.5);
+            let mut out: Vec<f32> = self.units.iter().map(|&j| self.bias[j as usize]).collect();
+            gather_dot_input_major(
+                &cells,
+                self.stride,
+                &self.ids,
+                &self.vals,
+                &self.units,
+                &mut out,
+                mode,
+            );
+            for (&j, &got) in self.units.iter().zip(&out) {
+                let j = j as usize;
+                let want = gather_dot(&rows[j], &self.ids, &self.vals, self.bias[j], mode);
+                if want.to_bits() != got.to_bits() {
+                    return Err(format!(
+                        "{mode} forward, nnz {}, stride {}, unit {j}: {want} vs {got}",
+                        self.ids.len(),
+                        self.stride
+                    ));
+                }
+            }
+            Ok(())
+        }
+
+        fn adam_matches(&self, mode: KernelMode) -> Result<(), String> {
+            let adam = AdamParams::default();
+            let clr = adam.corrected_lr(7);
+            let (w_rows, w) = self.layouts(0.13, 1.0);
+            let (m_rows, m) = self.layouts(0.29, 0.1);
+            let (v_rows, v) = self.layouts(0.41, 0.01);
+            for cell in v_rows.iter().flatten().chain(&v) {
+                write(cell, read(cell) * read(cell));
+            }
+            for (&j, &delta) in self.units.iter().zip(&self.deltas) {
+                if delta != 0.0 {
+                    let j = j as usize;
+                    adam_step_gather(
+                        &w_rows[j], &m_rows[j], &v_rows[j], &self.ids, &self.vals, delta, None,
+                        &adam, clr, mode,
+                    );
+                }
+            }
+            adam_step_input_major(
+                &w,
+                &m,
+                &v,
+                self.stride,
+                &self.ids,
+                &self.vals,
+                &self.units,
+                &self.deltas,
+                &adam,
+                clr,
+                mode,
+            );
+            let what = format!(
+                "{mode} adam, nnz {}, stride {}",
+                self.ids.len(),
+                self.stride
+            );
+            self.same_bits(&w_rows, &w, &format!("{what}: w"))?;
+            self.same_bits(&m_rows, &m, &format!("{what}: m"))?;
+            self.same_bits(&v_rows, &v, &format!("{what}: v"))
+        }
+    }
+
+    #[test]
+    fn input_major_kernels_match_per_unit_kernels_on_every_nnz() {
+        // Every id count 0..=40 (below 16, exactly 16 and 32, and every
+        // tail), unit counts on and off multiples of 8, dense and sparse
+        // active sets, both modes.
+        let pairs: Vec<(u32, f32)> = (0..40u32)
+            .map(|p| {
+                (
+                    (p * 37 + 11) % IM_FAN_IN as u32,
+                    ((p as f32) * 0.71).sin() * 3.0,
+                )
+            })
+            .collect();
+        for nnz in 0..=40 {
+            for stride in [1, 5, 8, 13, 16, 37] {
+                for seed in 0..4 {
+                    let case = ImCase::new(&pairs[..nnz], stride, seed);
+                    for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+                        case.forward_matches(mode).unwrap();
+                        case.adam_matches(mode).unwrap();
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn input_major_kernels_validate_ids_before_touching_memory() {
+        let adam = AdamParams::default();
+        let (stride, fan_in) = (5, 7);
+        let bad = [
+            (vec![0u32, 3, fan_in as u32], vec![0u32, 1, 2]),
+            (vec![0u32, 3, 6], vec![0u32, stride as u32]),
+        ];
+        for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+            for (ids, units) in &bad {
+                let vals = vec![1.0f32; ids.len()];
+                let deltas = vec![1.0f32; units.len()];
+                let w = atomic_row(&wave(stride * fan_in, 0.3, 1.0));
+                let m = atomic_row(&vec![0.0; stride * fan_in]);
+                let v = atomic_row(&vec![0.0; stride * fan_in]);
+                let before = row_values(&w);
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    adam_step_input_major(
+                        &w, &m, &v, stride, ids, &vals, units, &deltas, &adam, 0.1, mode,
+                    )
+                }));
+                assert!(caught.is_err(), "{mode}: adam accepted {ids:?} / {units:?}");
+                assert_eq!(row_values(&w), before, "{mode}: w touched before the panic");
+                assert!(row_values(&m)
+                    .iter()
+                    .chain(&row_values(&v))
+                    .all(|&x| x == 0.0));
+                let mut out = vec![0.5f32; units.len()];
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    gather_dot_input_major(&w, stride, ids, &vals, units, &mut out, mode)
+                }));
+                assert!(
+                    caught.is_err(),
+                    "{mode}: forward accepted {ids:?} / {units:?}"
+                );
+                assert!(
+                    out.iter().all(|&z| z == 0.5),
+                    "{mode}: out written before the panic"
+                );
             }
         }
     }

@@ -17,9 +17,11 @@
 //!
 //! The [`fused`] module holds the slice-based hot-path kernels that
 //! operate directly on HOGWILD `&[AtomicU32]` rows: [`gather_dot`]
-//! (forward pre-activation), [`gather_dot_batch`] (batched serving) and
+//! (forward pre-activation), [`gather_dot_batch`] (batched serving),
 //! [`adam_step_gather`] (backward's fused gather + error-signal + Adam
-//! sweep).
+//! sweep) and the input-major pair [`gather_dot_input_major`] /
+//! [`adam_step_input_major`] (the first layer's forward and Adam, one
+//! contiguous row per input id, bit-identical to the per-unit kernels).
 //!
 //! The [`hash`] module holds the blocked signed-projection kernel behind
 //! SimHash-style LSH families ([`SignedPlanes`]), and [`quant`] the fused
@@ -33,7 +35,9 @@ pub mod ops;
 pub mod quant;
 
 pub use aligned::{AlignedVec, CachePadded, CACHE_LINE_BYTES};
-pub use fused::{adam_step_gather, gather_dot, gather_dot_batch};
+pub use fused::{
+    adam_step_gather, adam_step_input_major, gather_dot, gather_dot_batch, gather_dot_input_major,
+};
 pub use hash::{SignedPlanes, SignedPlanesBuilder, ROW_TILE};
 pub use ops::{
     adam_step, axpy, dispatched_isa, dot, relu_in_place, softmax_in_place, AdamParams, KernelMode,

@@ -28,7 +28,7 @@ fn reference_full_softmax_logits(
             .map(|j| {
                 let mut z = layer.biases().get(j);
                 for (&id, &v) in input_ids.iter().zip(&input_vals) {
-                    z += layer.weights().get(j, id as usize) * v;
+                    z += layer.weight(j, id as usize) * v;
                 }
                 z
             })
@@ -134,8 +134,8 @@ fn pooled_workspaces_match_fresh_workspaces() {
         for j in 0..a.units() {
             for i in 0..a.fan_in() {
                 assert_eq!(
-                    a.weights().get(j, i).to_bits(),
-                    b.weights().get(j, i).to_bits(),
+                    a.weight(j, i).to_bits(),
+                    b.weight(j, i).to_bits(),
                     "layer {l} weight ({j},{i}) differs"
                 );
             }

@@ -1,5 +1,6 @@
 //! Determinism guarantees: everything keyed by a seed reproduces exactly.
 
+use slide::kernels::{dispatched_isa, KernelMode};
 use slide::memsim::{MemoryHierarchy, PageSize};
 use slide::prelude::*;
 
@@ -23,11 +24,11 @@ fn network_initialization_is_deterministic() {
         .unwrap();
     let a = SlideTrainer::new(cfg.clone()).unwrap();
     let b = SlideTrainer::new(cfg).unwrap();
-    let wa = a.network().layers()[0].weights();
-    let wb = b.network().layers()[0].weights();
-    for j in 0..wa.rows() {
-        for i in 0..wa.cols() {
-            assert_eq!(wa.get(j, i), wb.get(j, i), "weight ({j},{i}) differs");
+    let wa = &a.network().layers()[0];
+    let wb = &b.network().layers()[0];
+    for j in 0..wa.units() {
+        for i in 0..wa.fan_in() {
+            assert_eq!(wa.weight(j, i), wb.weight(j, i), "weight ({j},{i}) differs");
         }
     }
 }
@@ -123,6 +124,51 @@ fn lsh_training_snapshot_bytes_are_pinned() {
         got, want,
         "rows: default buckets × (vanilla, topk, hard threshold), then 64 × 2 buckets"
     );
+}
+
+/// FNV-1a of the snapshot left by one single-threaded, unshuffled epoch
+/// of a 2-layer SimHash network in `mode`. Documents of ≈ 20 features
+/// cross the first-layer kernels' 16-id threshold both ways, and 20
+/// hidden units leave a partial 8-lane block.
+fn kernel_mode_snapshot_fnv(mode: KernelMode) -> u64 {
+    let mut synth = SyntheticConfig::tiny().with_seed(6).with_sizes(320, 10);
+    synth.doc_nnz = 20;
+    let data = generate(&synth);
+    let cfg = NetworkConfig::builder(data.train.feature_dim(), data.train.label_dim())
+        .hidden(20)
+        .output_lsh(LshLayerConfig::simhash(3, 8))
+        .kernel_mode(mode)
+        .seed(43)
+        .build()
+        .unwrap();
+    let mut trainer = SlideTrainer::new(cfg).unwrap();
+    let opts = TrainOptions::new(1)
+        .batch_size(32)
+        .threads(1)
+        .no_shuffle()
+        .seed(53);
+    trainer.train(&data.train, &opts);
+    slide::data::cache::fnv1a(&trainer.network().to_snapshot_bytes())
+}
+
+/// [`kernel_mode_snapshot_fnv`] in `Scalar` mode (ISA-independent).
+const SCALAR_FNV: u64 = 0x7939_f03c_9971_5546;
+/// [`kernel_mode_snapshot_fnv`] in `Vectorized` mode on an AVX2+FMA host.
+const AVX2_FMA_FNV: u64 = 0x9c2a_4e11_bcea_fb31;
+
+#[test]
+fn snapshot_bytes_are_pinned_in_both_kernel_modes() {
+    // Pins the trained bits of every kernel, the first layer's included,
+    // and the snapshot's unit-major byte order. The Vectorized bits
+    // depend on the dispatched ISA (FMA), so that constant is asserted
+    // only where it was captured.
+    assert_eq!(kernel_mode_snapshot_fnv(KernelMode::Scalar), SCALAR_FNV);
+    if dispatched_isa(KernelMode::Vectorized) == "avx2+fma" {
+        assert_eq!(
+            kernel_mode_snapshot_fnv(KernelMode::Vectorized),
+            AVX2_FMA_FNV
+        );
+    }
 }
 
 #[test]
