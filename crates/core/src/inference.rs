@@ -114,8 +114,6 @@ impl NeuronSelector for InferenceSelector {
 pub struct BatchScratch {
     /// Last-hidden activations, example-major (`batch × fan_in`).
     hidden: Vec<f32>,
-    /// Shared dense id list `0..fan_in` for the batched gather.
-    ids: Vec<u32>,
     /// Deduplicated union of every example's output candidates.
     union: Vec<u32>,
     /// Per-example candidate lists, concatenated (CSR values).
@@ -332,10 +330,8 @@ impl Network {
         // Phase 2: fused scoring of the union, candidate-major — one row
         // pass per candidate covers every example. Quantized rows stream
         // i16 codes (half the bytes) through `dot_batch_q16`; f32 rows go
-        // through the gather kernel.
+        // through `gather_dot_batch`.
         let mode = self.config().kernel_mode;
-        scratch.ids.clear();
-        scratch.ids.extend(0..h as u32);
         scratch.z.clear();
         scratch.z.resize(scratch.union.len() * b, 0.0);
         for (ci, &c) in scratch.union.iter().enumerate() {
@@ -353,7 +349,7 @@ impl Network {
                 ),
                 None => slide_kernels::gather_dot_batch(
                     out_layer.weights().row(c as usize),
-                    &scratch.ids,
+                    h,
                     &scratch.hidden,
                     bias,
                     z,
@@ -402,7 +398,7 @@ impl Network {
                     ),
                     None => slide_kernels::gather_dot_batch(
                         out_layer.weights().row(c),
-                        &scratch.ids,
+                        h,
                         hidden,
                         bias,
                         &mut z1,

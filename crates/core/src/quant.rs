@@ -10,8 +10,8 @@
 //! [`QuantizedRows`] is the in-memory decoded form: row-major i16 codes
 //! plus one f32 scale per row. Snapshots carry it as the `q16` per-layer
 //! encoding (see [`crate::snapshot`]); inference consumes it through the
-//! fused dequantize-dot kernels [`slide_kernels::gather_dot_q16`] and
-//! [`slide_kernels::dot_batch_q16`], which never materialize an f32 row.
+//! fused dequantize-dot kernel [`slide_kernels::dot_batch_q16`], which
+//! never materializes an f32 row.
 //!
 //! Biases are *not* duplicated here: they are per-unit f32 (tiny) and the
 //! restored [`crate::layer::Layer`] already holds them.

@@ -35,8 +35,8 @@
 //! i16 fixed-point with per-row scales ([`QuantizedRows`]): the reader
 //! dequantizes into the network weights (so selection tables are built
 //! from the same values serving dots against) and also hands back the
-//! quantized rows for the fused [`slide_kernels::gather_dot_q16`] /
-//! [`slide_kernels::dot_batch_q16`] inference path.
+//! quantized rows for the fused [`slide_kernels::dot_batch_q16`]
+//! inference path.
 //!
 //! ## Slices (slice version 1, little-endian)
 //!

@@ -1,148 +1,11 @@
-//! Cache-line-aligned allocations and padding.
+//! Cache-line padding against false sharing.
 //!
-//! Two false-sharing mitigations from the paper's Appendix D:
-//!
-//! * [`AlignedVec`] — an `f32` buffer whose base address is aligned to the
-//!   cache line, so SIMD loads are aligned and a buffer never straddles
-//!   another thread's line at its start;
-//! * [`CachePadded`] — wraps a value in a full cache line, used for
-//!   per-thread counters ("aligning them on cache line boundaries (e.g.,
-//!   by padding) significantly reduces the false sharing opportunities").
+//! [`CachePadded`] wraps a value in a full cache line, used for
+//! per-thread counters — the paper's Appendix D fix for false sharing
+//! between OpenMP threads ("aligning them on cache line boundaries (e.g.,
+//! by padding) significantly reduces the false sharing opportunities").
 
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};
-
-/// Cache line size assumed throughout (x86-64 and most aarch64).
-pub const CACHE_LINE_BYTES: usize = 64;
-
-/// A heap-allocated `f32` buffer aligned to [`CACHE_LINE_BYTES`] and
-/// zero-initialized.
-///
-/// # Example
-///
-/// ```
-/// use slide_kernels::AlignedVec;
-///
-/// let mut v = AlignedVec::zeroed(100);
-/// v[3] = 1.5;
-/// assert_eq!(v.as_ptr() as usize % 64, 0);
-/// assert_eq!(v[3], 1.5);
-/// assert_eq!(v.len(), 100);
-/// ```
-#[derive(Debug)]
-pub struct AlignedVec {
-    ptr: *mut f32,
-    len: usize,
-}
-
-// SAFETY: AlignedVec owns its allocation exclusively, like Vec<f32>.
-unsafe impl Send for AlignedVec {}
-// SAFETY: shared access is read-only (mutation requires &mut self), so
-// &AlignedVec across threads is as safe as &[f32].
-unsafe impl Sync for AlignedVec {}
-
-impl AlignedVec {
-    /// Allocates `len` zeroed floats on a cache-line boundary.
-    ///
-    /// Zero-length vectors allocate nothing and hold a dangling (but
-    /// aligned) pointer, mirroring `Vec`.
-    pub fn zeroed(len: usize) -> Self {
-        if len == 0 {
-            return Self {
-                ptr: std::ptr::NonNull::<f32>::dangling().as_ptr(),
-                len: 0,
-            };
-        }
-        let layout = Self::layout(len);
-        // SAFETY: layout has nonzero size (len > 0 checked above).
-        let ptr = unsafe { alloc_zeroed(layout) } as *mut f32;
-        if ptr.is_null() {
-            handle_alloc_error(layout);
-        }
-        Self { ptr, len }
-    }
-
-    fn layout(len: usize) -> Layout {
-        // Round the byte size up to whole cache lines so the allocation
-        // also *ends* on a line boundary (no trailing false sharing).
-        let bytes = len * std::mem::size_of::<f32>();
-        let padded = bytes.div_ceil(CACHE_LINE_BYTES) * CACHE_LINE_BYTES;
-        Layout::from_size_align(padded, CACHE_LINE_BYTES).expect("valid layout")
-    }
-
-    /// Number of elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the buffer is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Raw const pointer to the first element.
-    #[inline]
-    pub fn as_ptr(&self) -> *const f32 {
-        self.ptr
-    }
-
-    /// Raw mut pointer to the first element.
-    #[inline]
-    pub fn as_mut_ptr(&mut self) -> *mut f32 {
-        self.ptr
-    }
-}
-
-impl Deref for AlignedVec {
-    type Target = [f32];
-
-    #[inline]
-    fn deref(&self) -> &[f32] {
-        // SAFETY: ptr is valid for len floats (or dangling with len 0).
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-}
-
-impl DerefMut for AlignedVec {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut [f32] {
-        // SAFETY: exclusive access through &mut self.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
-    }
-}
-
-impl Drop for AlignedVec {
-    fn drop(&mut self) {
-        if self.len > 0 {
-            // SAFETY: allocated with the identical layout in `zeroed`.
-            unsafe { dealloc(self.ptr as *mut u8, Self::layout(self.len)) };
-        }
-    }
-}
-
-impl Clone for AlignedVec {
-    fn clone(&self) -> Self {
-        let mut new = Self::zeroed(self.len);
-        new.copy_from_slice(self);
-        new
-    }
-}
-
-impl PartialEq for AlignedVec {
-    fn eq(&self, other: &Self) -> bool {
-        self[..] == other[..]
-    }
-}
-
-impl From<&[f32]> for AlignedVec {
-    fn from(slice: &[f32]) -> Self {
-        let mut v = Self::zeroed(slice.len());
-        v.copy_from_slice(slice);
-        v
-    }
-}
 
 /// Pads a value to a full cache line so adjacent instances never share a
 /// line (the classic `crossbeam_utils::CachePadded`, reimplemented here to
@@ -196,51 +59,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn aligned_vec_is_aligned_and_zeroed() {
-        for len in [1, 7, 16, 63, 64, 65, 1000] {
-            let v = AlignedVec::zeroed(len);
-            assert_eq!(v.as_ptr() as usize % CACHE_LINE_BYTES, 0, "len {len}");
-            assert_eq!(v.len(), len);
-            assert!(v.iter().all(|&x| x == 0.0));
-        }
-    }
-
-    #[test]
-    fn empty_vec_is_fine() {
-        let v = AlignedVec::zeroed(0);
-        assert!(v.is_empty());
-        assert_eq!(&v[..], &[] as &[f32]);
-        let _ = v.clone();
-    }
-
-    #[test]
-    fn write_read_roundtrip() {
-        let mut v = AlignedVec::zeroed(10);
-        for i in 0..10 {
-            v[i] = i as f32 * 0.5;
-        }
-        assert_eq!(v[9], 4.5);
-        let total: f32 = v.iter().sum();
-        assert_eq!(total, 22.5);
-    }
-
-    #[test]
-    fn clone_is_deep() {
-        let mut a = AlignedVec::zeroed(5);
-        a[0] = 1.0;
-        let b = a.clone();
-        a[0] = 2.0;
-        assert_eq!(b[0], 1.0);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn from_slice() {
-        let v = AlignedVec::from(&[1.0f32, 2.0, 3.0][..]);
-        assert_eq!(&v[..], &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn cache_padded_layout() {
         assert_eq!(std::mem::size_of::<CachePadded<u8>>(), 64);
         assert_eq!(std::mem::align_of::<CachePadded<u64>>(), 64);
@@ -260,7 +78,6 @@ mod tests {
     #[test]
     fn send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<AlignedVec>();
         assert_send_sync::<CachePadded<u64>>();
     }
 }

@@ -35,8 +35,8 @@
 //!
 //! * [`gather_dot`] — `init + Σᵢ row[ids[i]]·vals[i]`, the per-neuron
 //!   pre-activation for sparse inputs (forward pass, candidate scoring);
-//! * [`gather_dot_batch`] — one weight row scored against several
-//!   examples that share an id list, loading each weight once per
+//! * [`gather_dot_batch`] — one contiguous weight row scored against
+//!   several examples over a dense basis, loading each weight once per
 //!   register block (batched serving);
 //! * [`adam_step_gather`] — backward's per-`(neuron, prev-active)` loop
 //!   fused into one pass: load `w/m/v` once per id, accumulate the
@@ -204,56 +204,55 @@ pub fn gather_dot(
     }
 }
 
-/// Scores **one** parameter row against several examples that share an id
-/// list: `out[e] = init + Σᵢ row[ids[i]] · vals[e·ids.len() + i]`.
+/// Scores the first `n` cells of **one** parameter row against several
+/// examples: `out[e] = init + Σᵢ row[i] · vals[e·n + i]` for `i < n`.
 ///
-/// `vals` is example-major: example `e`'s values for `ids` occupy
-/// `vals[e * ids.len() .. (e + 1) * ids.len()]`. This is the batched
-/// serving kernel — with `B` queued requests, a candidate neuron's row is
-/// loaded once per register block and reused across examples instead of
-/// re-gathered `B` times.
+/// `vals` is example-major: example `e`'s values occupy
+/// `vals[e * n .. (e + 1) * n]`. This is the batched serving kernel over a
+/// dense hidden basis — with `B` queued requests, a candidate neuron's
+/// row is loaded once per register block and reused across examples
+/// instead of re-read `B` times. [`crate::quant::dot_batch_q16`] is its
+/// quantized sibling.
 ///
-/// `Scalar` runs [`gather_dot`] per example (the reference); `Vectorized`
-/// blocks examples four at a time over shared row loads.
+/// `Scalar` is [`gather_dot`]'s strict sequential loop per example (the
+/// reference); `Vectorized` blocks examples four at a time over shared
+/// row loads. Each example's accumulation order is independent of the
+/// batch it rides in.
 ///
 /// # Panics
 ///
-/// Panics if `vals.len() != ids.len() * out.len()` or an id indexes past
-/// the row.
+/// Panics if `n > row.len()` or `vals.len() != n * out.len()`.
 pub fn gather_dot_batch(
     row: &[AtomicU32],
-    ids: &[u32],
+    n: usize,
     vals: &[f32],
     init: f32,
     out: &mut [f32],
     mode: KernelMode,
 ) {
+    assert!(n <= row.len(), "gather_dot_batch: n exceeds row length");
     assert_eq!(
         vals.len(),
-        ids.len() * out.len(),
-        "gather_dot_batch: vals must hold ids.len() values per example"
+        n * out.len(),
+        "gather_dot_batch: vals must hold n values per example"
     );
-    let n = ids.len();
+    let row = &row[..n];
     match mode {
         KernelMode::Scalar => {
             for (e, o) in out.iter_mut().enumerate() {
-                *o = gather_dot(
-                    row,
-                    ids,
-                    &vals[e * n..(e + 1) * n],
-                    init,
-                    KernelMode::Scalar,
-                );
+                let mut z = init;
+                for (cell, &v) in row.iter().zip(&vals[e * n..(e + 1) * n]) {
+                    z += read(cell) * v;
+                }
+                *o = z;
             }
         }
         KernelMode::Vectorized => {
-            let identity = validate_ids(ids, row.len());
-            let rp = raw(row) as *const f32;
-
             #[cfg(target_arch = "x86_64")]
-            if identity && n >= 16 && have_avx2_fma() {
-                // SAFETY: identity ids validated; AVX2+FMA checked.
-                unsafe { avx::dot_batch(rp, n, vals, init, out) };
+            if n >= 16 && have_avx2_fma() {
+                // SAFETY: the row holds n cells (sliced above); AVX2+FMA
+                // checked.
+                unsafe { avx::dot_batch(raw(row), n, vals, init, out) };
                 return;
             }
 
@@ -263,23 +262,19 @@ pub fn gather_dot_batch(
             let chunks = n / 4;
             for c in 0..chunks {
                 let i = c * 4;
-                // SAFETY: ids validated against row.len().
-                let w = unsafe {
-                    [
-                        *rp.add(ids[i] as usize),
-                        *rp.add(ids[i + 1] as usize),
-                        *rp.add(ids[i + 2] as usize),
-                        *rp.add(ids[i + 3] as usize),
-                    ]
-                };
+                let w = [
+                    read(&row[i]),
+                    read(&row[i + 1]),
+                    read(&row[i + 2]),
+                    read(&row[i + 3]),
+                ];
                 for (e, o) in out.iter_mut().enumerate() {
                     let ex = &vals[e * n + i..e * n + i + 4];
                     *o += w[0] * ex[0] + w[1] * ex[1] + w[2] * ex[2] + w[3] * ex[3];
                 }
             }
-            for i in chunks * 4..n {
-                // SAFETY: ids validated against row.len().
-                let w = unsafe { *rp.add(ids[i] as usize) };
+            for (i, cell) in row.iter().enumerate().skip(chunks * 4) {
+                let w = read(cell);
                 for (e, o) in out.iter_mut().enumerate() {
                     *o += w * vals[e * n + i];
                 }
@@ -1106,42 +1101,28 @@ mod tests {
 
     #[test]
     fn gather_dot_batch_matches_per_example() {
-        let row = atomic_row(&wave(64, 0.9, 1.0));
-        let ids: Vec<u32> = (0..64u32).collect();
-        let examples = 5;
-        let vals = wave(64 * examples, 0.21, 1.0);
-        let mut out = vec![0.0f32; examples];
-        for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
-            gather_dot_batch(&row, &ids, &vals, -0.25, &mut out, mode);
-            for (e, &o) in out.iter().enumerate() {
-                let single = gather_dot(
-                    &row,
-                    &ids,
-                    &vals[e * 64..(e + 1) * 64],
-                    -0.25,
-                    KernelMode::Scalar,
-                );
-                assert!(
-                    (o - single).abs() <= 1e-4 * (1.0 + single.abs()),
-                    "mode {mode}, example {e}: {o} vs {single}"
-                );
+        // Below 16 cells the vectorized mode takes the portable
+        // four-wide path; Scalar is gather_dot per example, bit for bit.
+        for n in [7usize, 13, 37, 64] {
+            let row = atomic_row(&wave(n + 3, 0.9, 1.0));
+            let ids: Vec<u32> = (0..n as u32).collect();
+            let examples = 5;
+            let vals = wave(n * examples, 0.21, 1.0);
+            let mut out = vec![0.0f32; examples];
+            for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+                gather_dot_batch(&row, n, &vals, -0.25, &mut out, mode);
+                for (e, &o) in out.iter().enumerate() {
+                    let ex = &vals[e * n..(e + 1) * n];
+                    let single = gather_dot(&row, &ids, ex, -0.25, KernelMode::Scalar);
+                    if mode == KernelMode::Scalar {
+                        assert_eq!(o.to_bits(), single.to_bits(), "n {n}, example {e}");
+                    }
+                    assert!(
+                        (o - single).abs() <= 1e-4 * (1.0 + single.abs()),
+                        "mode {mode}, n {n}, example {e}: {o} vs {single}"
+                    );
+                }
             }
-        }
-    }
-
-    #[test]
-    fn gather_dot_batch_scattered_ids_match_too() {
-        // Non-identity ids take the portable 4-at-a-time path.
-        let row = atomic_row(&wave(50, 0.33, 2.0));
-        let ids: Vec<u32> = (0..30u32).map(|i| (i * 7) % 50).collect();
-        let examples = 3;
-        let vals = wave(30 * examples, 0.19, 1.0);
-        let mut s_out = vec![0.0f32; examples];
-        let mut v_out = vec![0.0f32; examples];
-        gather_dot_batch(&row, &ids, &vals, 1.0, &mut s_out, KernelMode::Scalar);
-        gather_dot_batch(&row, &ids, &vals, 1.0, &mut v_out, KernelMode::Vectorized);
-        for (s, v) in s_out.iter().zip(&v_out) {
-            assert!((s - v).abs() <= 1e-4 * (1.0 + s.abs()));
         }
     }
 
@@ -1149,8 +1130,10 @@ mod tests {
     fn gather_dot_batch_empty_ids_yields_init() {
         let row = atomic_row(&[1.0]);
         let mut out = vec![9.0f32; 3];
-        gather_dot_batch(&row, &[], &[], 0.75, &mut out, KernelMode::Vectorized);
-        assert_eq!(out, vec![0.75; 3]);
+        for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+            gather_dot_batch(&row, 0, &[], 0.75, &mut out, mode);
+            assert_eq!(out, vec![0.75; 3]);
+        }
     }
 
     #[test]

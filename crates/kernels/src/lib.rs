@@ -10,14 +10,15 @@
 //!   hand-written Intel AVX kernels (§5.4, Appendix D), plus explicit
 //!   x86 prefetch hints where available (the paper's software pipelining).
 //!
-//! The [`aligned`] module provides cache-line-aligned, padded allocations
-//! — the paper's fix for false sharing between OpenMP threads
+//! The [`aligned`] module provides [`CachePadded`], the cache-line padding
+//! that is the paper's fix for false sharing between OpenMP threads
 //! ("carefully allocating data structures and aligning them on cache line
 //! boundaries"; Appendix D).
 //!
 //! The [`fused`] module holds the slice-based hot-path kernels that
 //! operate directly on HOGWILD `&[AtomicU32]` rows: [`gather_dot`]
-//! (forward pre-activation), [`gather_dot_batch`] (batched serving),
+//! (forward pre-activation), [`gather_dot_batch`] (batched serving: one
+//! contiguous row against a batch over a dense hidden basis),
 //! [`adam_step_gather`] (backward's fused gather + error-signal + Adam
 //! sweep) and the input-major pair [`gather_dot_input_major`] /
 //! [`adam_step_input_major`] (the first layer's forward and Adam, one
@@ -25,8 +26,8 @@
 //!
 //! The [`hash`] module holds the blocked signed-projection kernel behind
 //! SimHash-style LSH families ([`SignedPlanes`]), and [`quant`] the fused
-//! dequantize-dot kernels for i16 fixed-point serving rows
-//! ([`gather_dot_q16`], [`dot_batch_q16`]).
+//! dequantize-dot kernel for i16 fixed-point serving rows
+//! ([`dot_batch_q16`], the quantized sibling of [`gather_dot_batch`]).
 
 pub mod aligned;
 pub mod fused;
@@ -34,7 +35,7 @@ pub mod hash;
 pub mod ops;
 pub mod quant;
 
-pub use aligned::{AlignedVec, CachePadded, CACHE_LINE_BYTES};
+pub use aligned::CachePadded;
 pub use fused::{
     adam_step_gather, adam_step_input_major, gather_dot, gather_dot_batch, gather_dot_input_major,
 };
@@ -42,4 +43,4 @@ pub use hash::{SignedPlanes, SignedPlanesBuilder, ROW_TILE};
 pub use ops::{
     adam_step, axpy, dispatched_isa, dot, relu_in_place, softmax_in_place, AdamParams, KernelMode,
 };
-pub use quant::{dot_batch_q16, gather_dot_q16, quantize_row};
+pub use quant::{dot_batch_q16, quantize_row};

@@ -6,14 +6,14 @@
 //! candidate-scoring gather moves. These kernels fuse the dequantization
 //! into the dot product: the integer row is widened in registers and
 //! multiplied by the f32 activations, and the row scale is applied once
-//! to the final sum — `z = init + scale · Σᵢ q[idsᵢ] · valsᵢ`.
+//! to the final sum — `z = init + scale · Σᵢ q[i] · valsᵢ`.
 //!
 //! Mirrors [`crate::fused`]: `Scalar` is the strict sequential reference,
 //! `Vectorized` dispatches to AVX2/FMA at runtime with an unrolled
 //! portable fallback. Quantized rows are immutable (serving only), so
 //! unlike `fused` there is no atomic-cell protocol here — plain `&[i16]`.
 
-use crate::ops::{prefetch_read, KernelMode};
+use crate::ops::KernelMode;
 
 /// Quantizes one f32 row to i16, returning the per-row scale.
 ///
@@ -45,81 +45,15 @@ pub fn quantize_row(row: &[f32], q: &mut [i16]) -> f32 {
     scale
 }
 
-/// Fused dequantize-gather-dot against one quantized row:
-/// `init + scale · Σᵢ q[ids[i]] · vals[i]`.
+/// Scores the first `n` codes of one quantized row against `out.len()`
+/// examples: `out[e] = init + scale · Σᵢ q[i] · vals[e·n + i]`.
 ///
 /// The integer-to-float widening is exact (`|q| ≤ 32767 < 2²⁴`), so the
-/// only quantization error is the one introduced at encode time. As with
-/// [`crate::fused::gather_dot`], `Scalar` and `Vectorized` differ only in
+/// only quantization error is the one introduced at encode time. `vals`
+/// is example-major, exactly like [`crate::fused::gather_dot_batch`] —
+/// this is its drop-in quantized sibling for the batched serving scorer,
+/// moving half the row bytes. `Scalar` and `Vectorized` differ only in
 /// summation order.
-///
-/// # Panics
-///
-/// Panics if `ids` and `vals` lengths differ or an id indexes past the
-/// row.
-pub fn gather_dot_q16(
-    q: &[i16],
-    scale: f32,
-    ids: &[u32],
-    vals: &[f32],
-    init: f32,
-    mode: KernelMode,
-) -> f32 {
-    assert_eq!(ids.len(), vals.len(), "gather_dot_q16: length mismatch");
-    match mode {
-        KernelMode::Scalar => {
-            let mut acc = 0.0f32;
-            for (&id, &v) in ids.iter().zip(vals) {
-                acc += q[id as usize] as f32 * v;
-            }
-            init + scale * acc
-        }
-        KernelMode::Vectorized => {
-            for &id in ids {
-                assert!(
-                    (id as usize) < q.len(),
-                    "gather_dot_q16: id {id} out of range for row of {}",
-                    q.len()
-                );
-            }
-            let n = ids.len();
-            let qp = q.as_ptr();
-
-            #[cfg(target_arch = "x86_64")]
-            if n >= 16 && crate::fused::have_avx2_fma() {
-                // SAFETY: ids validated above; AVX2+FMA presence checked.
-                return init + scale * unsafe { avxq::gather_dot(qp, ids, vals) };
-            }
-
-            let mut acc = [0.0f32; 8];
-            let chunks = n / 8;
-            for c in 0..chunks {
-                let i = c * 8;
-                if i + 15 < n {
-                    prefetch_read(qp.wrapping_add(ids[i + 8] as usize));
-                }
-                for lane in 0..8 {
-                    // SAFETY: ids validated against q.len() above.
-                    acc[lane] += unsafe { *qp.add(ids[i + lane] as usize) } as f32 * vals[i + lane];
-                }
-            }
-            let mut z = acc.iter().sum::<f32>();
-            for i in chunks * 8..n {
-                // SAFETY: ids validated against q.len() above.
-                z += unsafe { *qp.add(ids[i] as usize) } as f32 * vals[i];
-            }
-            init + scale * z
-        }
-    }
-}
-
-/// Scores one quantized row against `out.len()` examples sharing the
-/// dense identity id list `0..n`:
-/// `out[e] = init + scale · Σᵢ q[i] · vals[e·n + i]`.
-///
-/// `vals` is example-major, exactly like
-/// [`crate::fused::gather_dot_batch`] — this is its drop-in quantized
-/// sibling for the batched serving scorer, moving half the row bytes.
 ///
 /// # Panics
 ///
@@ -179,7 +113,7 @@ pub fn dot_batch_q16(
     }
 }
 
-/// AVX2/FMA widening-dot kernels (x86-64 only). Eight i16 lanes are
+/// AVX2/FMA widening-dot kernel (x86-64 only). Eight i16 lanes are
 /// loaded per 128-bit read, widened to i32 then f32 — both exact — and
 /// FMA'd against the activations.
 #[cfg(target_arch = "x86_64")]
@@ -211,43 +145,6 @@ mod avxq {
     #[target_feature(enable = "avx2")]
     unsafe fn widen8(p: *const i16) -> __m256 {
         _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(_mm_loadu_si128(p as *const __m128i)))
-    }
-
-    /// `Σᵢ q[ids[i]] · vals[i]` with per-lane scalar gathers of the i16
-    /// row (no 16-bit hardware gather exists) batched eight at a time.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA; every id must index below the row length;
-    /// `ids.len() == vals.len()`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn gather_dot(qp: *const i16, ids: &[u32], vals: &[f32]) -> f32 {
-        let n = ids.len();
-        let mut acc = _mm256_setzero_ps();
-        let chunks = n / 8;
-        for c in 0..chunks {
-            let i = c * 8;
-            let g = [
-                *qp.add(ids[i] as usize),
-                *qp.add(ids[i + 1] as usize),
-                *qp.add(ids[i + 2] as usize),
-                *qp.add(ids[i + 3] as usize),
-                *qp.add(ids[i + 4] as usize),
-                *qp.add(ids[i + 5] as usize),
-                *qp.add(ids[i + 6] as usize),
-                *qp.add(ids[i + 7] as usize),
-            ];
-            acc = _mm256_fmadd_ps(
-                widen8(g.as_ptr()),
-                _mm256_loadu_ps(vals.as_ptr().add(i)),
-                acc,
-            );
-        }
-        let mut z = hsum(acc);
-        for i in chunks * 8..n {
-            z += *qp.add(ids[i] as usize) as f32 * vals[i];
-        }
-        z
     }
 
     /// One contiguous quantized row against `out.len()` examples
@@ -372,68 +269,13 @@ mod tests {
         assert!((scale - 3.0 / 32767.0).abs() < 1e-9);
     }
 
-    fn setup(n: usize, seed: u64) -> (Vec<i16>, f32, Vec<u32>, Vec<f32>) {
+    fn setup(n: usize, seed: u64) -> (Vec<i16>, f32, Vec<f32>) {
         let mut rng = TinyRng(seed | 1);
         let row: Vec<f32> = (0..n).map(|_| rng.f32()).collect();
         let mut q = vec![0i16; n];
         let scale = quantize_row(&row, &mut q);
-        let ids: Vec<u32> = (0..n as u32).collect();
         let vals: Vec<f32> = (0..n).map(|_| rng.f32()).collect();
-        (q, scale, ids, vals)
-    }
-
-    #[test]
-    fn gather_dot_modes_agree() {
-        for &n in &[3usize, 8, 16, 33, 129] {
-            let (q, scale, ids, vals) = setup(n, n as u64);
-            let a = gather_dot_q16(&q, scale, &ids, &vals, 0.25, KernelMode::Scalar);
-            let b = gather_dot_q16(&q, scale, &ids, &vals, 0.25, KernelMode::Vectorized);
-            assert!((a - b).abs() <= 1e-4 * (1.0 + a.abs()), "n={n}: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn gather_dot_scattered_ids() {
-        let (q, scale, _, _) = setup(64, 9);
-        let ids: Vec<u32> = (0..64u32).rev().step_by(3).collect();
-        let mut rng = TinyRng(77);
-        let vals: Vec<f32> = ids.iter().map(|_| rng.f32()).collect();
-        let a = gather_dot_q16(&q, scale, &ids, &vals, -1.0, KernelMode::Scalar);
-        let b = gather_dot_q16(&q, scale, &ids, &vals, -1.0, KernelMode::Vectorized);
-        assert!((a - b).abs() <= 1e-4 * (1.0 + a.abs()));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn gather_dot_rejects_bad_id() {
-        let (q, scale, _, _) = setup(8, 1);
-        gather_dot_q16(&q, scale, &[8], &[1.0], 0.0, KernelMode::Vectorized);
-    }
-
-    #[test]
-    fn dot_batch_matches_per_example_gather() {
-        for &(n, b) in &[(24usize, 5usize), (64, 4), (16, 9), (7, 3)] {
-            let (q, scale, ids, _) = setup(n, (n + b) as u64);
-            let mut rng = TinyRng(13 + n as u64);
-            let vals: Vec<f32> = (0..n * b).map(|_| rng.f32()).collect();
-            let mut out = vec![0.0f32; b];
-            dot_batch_q16(&q, scale, n, &vals, 0.5, &mut out, KernelMode::Vectorized);
-            for e in 0..b {
-                let want = gather_dot_q16(
-                    &q,
-                    scale,
-                    &ids,
-                    &vals[e * n..(e + 1) * n],
-                    0.5,
-                    KernelMode::Scalar,
-                );
-                assert!(
-                    (out[e] - want).abs() <= 1e-4 * (1.0 + want.abs()),
-                    "n={n} e={e}: {} vs {want}",
-                    out[e]
-                );
-            }
-        }
+        (q, scale, vals)
     }
 
     #[test]
@@ -446,27 +288,34 @@ mod tests {
         let vals: Vec<f32> = (0..n).map(|_| rng.f32()).collect();
         let mut q = vec![0i16; n];
         let scale = quantize_row(&row, &mut q);
-        let ids: Vec<u32> = (0..n as u32).collect();
         let exact: f32 = row.iter().zip(&vals).map(|(w, v)| w * v).sum();
-        let approx = gather_dot_q16(&q, scale, &ids, &vals, 0.0, KernelMode::Vectorized);
         let bound = 0.5 * scale * vals.iter().map(|v| v.abs()).sum::<f32>() + 1e-4;
-        assert!(
-            (exact - approx).abs() <= bound,
-            "{exact} vs {approx} (bound {bound})"
-        );
+        for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+            let mut approx = [0.0f32];
+            dot_batch_q16(&q, scale, n, &vals, 0.0, &mut approx, mode);
+            assert!(
+                (exact - approx[0]).abs() <= bound,
+                "{mode}: {exact} vs {} (bound {bound})",
+                approx[0]
+            );
+        }
     }
 
     proptest! {
+        /// One example (batch 1) with a nonzero `init`, over rows longer
+        /// than the batch proptest draws.
         #[test]
         fn prop_modes_agree(
             seed in 1u64..3000,
             n in 1usize..200,
             init in -2.0f32..2.0,
         ) {
-            let (q, scale, ids, vals) = setup(n, seed);
-            let a = gather_dot_q16(&q, scale, &ids, &vals, init, KernelMode::Scalar);
-            let b = gather_dot_q16(&q, scale, &ids, &vals, init, KernelMode::Vectorized);
-            prop_assert!((a - b).abs() <= 1e-3 * (1.0 + a.abs()));
+            let (q, scale, vals) = setup(n, seed);
+            let mut a = [0.0f32];
+            let mut b = [0.0f32];
+            dot_batch_q16(&q, scale, n, &vals, init, &mut a, KernelMode::Scalar);
+            dot_batch_q16(&q, scale, n, &vals, init, &mut b, KernelMode::Vectorized);
+            prop_assert!((a[0] - b[0]).abs() <= 1e-3 * (1.0 + a[0].abs()));
         }
 
         #[test]
@@ -475,7 +324,7 @@ mod tests {
             n in 1usize..80,
             b in 1usize..12,
         ) {
-            let (q, scale, _, _) = setup(n, seed);
+            let (q, scale, _) = setup(n, seed);
             let mut rng = TinyRng(seed.wrapping_mul(31) | 1);
             let vals: Vec<f32> = (0..n * b).map(|_| rng.f32()).collect();
             let mut s = vec![0.0f32; b];

@@ -10,11 +10,12 @@
 //! the distinct neuron ids, and stops early once a [`QueryBudget`] is
 //! exhausted.
 //!
-//! Retrieval is one branch-free counting pass over the probed buckets
-//! plus a second walk that zeroes exactly the counters it bumped, so a
-//! query costs O(ids visited) — never O(layer width) — and the same
-//! [`SamplerScratch`] used for training-time sampling carries the
-//! counters, so a workspace that trains can serve without new buffers.
+//! Retrieval is the same bucket walk training-time [`crate::sampling::sample`]
+//! runs — one branch-free counting pass over the probed buckets plus a
+//! second walk that zeroes exactly the counters it bumped — so a query
+//! costs O(ids visited), never O(layer width), and the same
+//! [`SamplerScratch`] carries the counters for both, so a workspace that
+//! trains can serve without new buffers.
 
 use crate::sampling::SamplerScratch;
 use crate::table::LshTables;
@@ -120,8 +121,10 @@ impl QueryBudget {
 /// data-dependent branch. The candidate cap is checked once per table
 /// (the table that reaches it is finished, then the output truncated),
 /// and a second walk over the probed buckets zeroes the counters.
-/// Counters are `u16` and saturate, as the sampler's do; thresholds
-/// above `u16::MAX` act as `u16::MAX`.
+/// This is [`crate::sampling::sample`]'s walk over tables `0..`, so
+/// HardThreshold sampling with `m` equals this with `min_collisions = m`
+/// and no caps. Counters are `u16` and saturate; thresholds above
+/// `u16::MAX` act as `u16::MAX`.
 ///
 /// # Panics
 ///
@@ -133,7 +136,6 @@ pub fn retrieve_union(
     scratch: &mut SamplerScratch,
     out: &mut Vec<u32>,
 ) {
-    out.clear();
     let l = tables.num_tables();
     let probe = if budget.max_tables == 0 {
         l
@@ -145,25 +147,8 @@ pub fn retrieve_union(
     } else {
         budget.max_candidates
     };
-    let threshold = u16::try_from(budget.min_collisions.max(1)).unwrap_or(u16::MAX);
-    let hits = scratch.hits();
-    let mut n = 0;
-    let mut probed = 0;
-    while probed < probe && n < cap {
-        let bucket = tables.bucket(probed, codes);
-        probed += 1;
-        // `out[n..]` is scratch space: a table emits at most its length.
-        if out.len() < n + bucket.len() {
-            out.resize(n + bucket.len(), 0);
-        }
-        for &id in bucket {
-            let c = &mut hits[id as usize];
-            *c = c.saturating_add(1);
-            out[n] = id;
-            n += usize::from(*c == threshold);
-        }
-    }
-    let mut keep = n.min(cap);
+    let probed = scratch.walk(tables, codes, 0..probe, budget.min_collisions, cap, out);
+    let mut keep = out.len().min(cap);
     for _ in 0..budget.shrink {
         if keep <= 3 {
             break;
@@ -171,11 +156,7 @@ pub fn retrieve_union(
         keep -= keep / 4;
     }
     out.truncate(keep);
-    for t in 0..probed {
-        for &id in tables.bucket(t, codes) {
-            hits[id as usize] = 0;
-        }
-    }
+    scratch.zero_tables(tables, codes, 0..probed);
 }
 
 #[cfg(test)]
@@ -313,7 +294,7 @@ mod tests {
     #[test]
     fn training_sampling_between_queries_does_not_leak_into_retrieval() {
         // One scratch serves both paths (a training workspace can serve):
-        // the sampler's stamped counts must not bleed into retrieval's.
+        // the sampler's counts must not bleed into retrieval's.
         let (tables, codes) = tables_with_multiplicity(&[4, 3, 1], 4);
         let mut scratch = SamplerScratch::new(3);
         let mut out = Vec::new();

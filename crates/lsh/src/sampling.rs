@@ -12,9 +12,12 @@
 //! * [`SamplingStrategy::HardThreshold`] — keep every neuron appearing in
 //!   at least `m` buckets; skips the sort, quality between the other two.
 //!
-//! All strategies use a reusable [`SamplerScratch`] so steady-state
-//! sampling performs no allocation (the "truly O(1) overhead" claim rests
-//! on this).
+//! All strategies are one walk over the probed buckets that counts how
+//! often each neuron collides — the same walk
+//! [`crate::retrieve::retrieve_union`] runs for serving — on a reusable
+//! [`SamplerScratch`] whose counters are all zero between calls, so
+//! steady-state sampling performs no allocation and costs O(ids visited),
+//! never O(layer width) (the "truly O(1) overhead" claim rests on this).
 //!
 //! In the training engine these strategies sit behind `slide-core`'s
 //! `NeuronSelector` abstraction: the LSH selector hashes a layer input,
@@ -80,78 +83,101 @@ impl std::fmt::Display for SamplingStrategy {
     }
 }
 
-/// Reusable per-thread scratch space for sampling.
-///
-/// Uses the *epoch stamping* trick: instead of clearing a counter array
-/// between queries, each query bumps an epoch and treats stale stamps as
-/// zero. Reset cost is O(1) per query regardless of the number of neurons.
+/// Reusable per-thread scratch space for [`sample`] and
+/// [`crate::retrieve::retrieve_union`]: one `u16` bucket-hit counter per
+/// neuron, all zero between calls (each call zeroes exactly the counters
+/// it bumped), plus Vanilla's table-order buffer.
 #[derive(Debug, Clone)]
 pub struct SamplerScratch {
-    /// Stamp of the query that last touched each neuron.
-    stamp: Vec<u32>,
-    /// Bucket frequency of each neuron within the current query.
-    counts: Vec<u16>,
-    /// Neurons touched by the current query.
-    touched: Vec<u32>,
-    /// Table visit order (for vanilla's random probing).
-    table_order: Vec<u32>,
-    epoch: u32,
-    /// Per-neuron bucket hits for [`crate::retrieve::retrieve_union`]:
-    /// all zero between calls (each call re-zeroes exactly the entries it
-    /// bumped), sized on first use so training-only scratch never pays.
-    /// `u16` like `counts`: half the cache footprint of `u32`.
     hits: Vec<u16>,
+    table_order: Vec<usize>,
 }
 
 impl SamplerScratch {
     /// Creates scratch for a layer of `num_items` neurons.
     pub fn new(num_items: usize) -> Self {
         Self {
-            stamp: vec![0; num_items],
-            counts: vec![0; num_items],
-            touched: Vec::new(),
+            hits: vec![0; num_items],
             table_order: Vec::new(),
-            epoch: 0,
-            hits: Vec::new(),
         }
     }
 
     /// Number of neurons this scratch was sized for.
     pub fn num_items(&self) -> usize {
-        self.stamp.len()
+        self.hits.len()
     }
 
-    pub(crate) fn begin(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Stamp wrap-around: invalidate everything once per 2^32
-            // queries.
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-        self.touched.clear();
+    /// The hit counters, one per neuron.
+    #[cfg(test)]
+    pub(crate) fn hits(&self) -> &[u16] {
+        &self.hits
     }
 
-    #[inline]
-    pub(crate) fn bump(&mut self, id: u32) -> u16 {
-        let i = id as usize;
-        if self.stamp[i] != self.epoch {
-            self.stamp[i] = self.epoch;
-            self.counts[i] = 1;
-            self.touched.push(id);
-            1
-        } else {
-            self.counts[i] = self.counts[i].saturating_add(1);
-            self.counts[i]
+    /// The bucket walk behind every strategy and
+    /// [`crate::retrieve::retrieve_union`]: visits the tables in `order`,
+    /// bumps each visited id's saturating counter and writes the id at an
+    /// output cursor that advances only on the visit whose count equals
+    /// `threshold` (at least 1; above `u16::MAX` acts as `u16::MAX`) — no
+    /// data-dependent branch. `out` (cleared first) ends holding each
+    /// crossing id once, in crossing order.
+    ///
+    /// `cap` is checked once per table: the table that reaches it is
+    /// finished, so `out` may run past `cap` by part of one bucket.
+    /// Returns the number of tables probed. The counters stay bumped for
+    /// the caller to read; it then zeroes them with [`Self::zero_ids`]
+    /// over the untruncated `out` when `threshold` is 1 (every bumped id
+    /// was emitted), or with [`Self::zero_tables`] over the probed tables.
+    pub(crate) fn walk(
+        &mut self,
+        tables: &LshTables,
+        codes: &[u32],
+        order: impl Iterator<Item = usize>,
+        threshold: usize,
+        cap: usize,
+        out: &mut Vec<u32>,
+    ) -> usize {
+        out.clear();
+        let threshold = u16::try_from(threshold.max(1)).unwrap_or(u16::MAX);
+        let mut n = 0;
+        let mut probed = 0;
+        for t in order {
+            if n >= cap {
+                break;
+            }
+            let bucket = tables.bucket(t, codes);
+            probed += 1;
+            // `out[n..]` is scratch space: a table emits at most its length.
+            if out.len() < n + bucket.len() {
+                out.resize(n + bucket.len(), 0);
+            }
+            for &id in bucket {
+                let c = &mut self.hits[id as usize];
+                *c = c.saturating_add(1);
+                out[n] = id;
+                n += usize::from(*c == threshold);
+            }
+        }
+        out.truncate(n);
+        probed
+    }
+
+    /// Zeroes the counters of `ids`.
+    pub(crate) fn zero_ids(&mut self, ids: &[u32]) {
+        for &id in ids {
+            self.hits[id as usize] = 0;
         }
     }
 
-    /// The all-zero hit counters, one per neuron.
-    pub(crate) fn hits(&mut self) -> &mut [u16] {
-        if self.hits.len() < self.stamp.len() {
-            self.hits.resize(self.stamp.len(), 0);
+    /// Zeroes the counters of every id in the tables of `order`.
+    pub(crate) fn zero_tables(
+        &mut self,
+        tables: &LshTables,
+        codes: &[u32],
+        order: impl Iterator<Item = usize>,
+    ) {
+        for t in order {
+            self.zero_ids(tables.bucket(t, codes));
         }
-        &mut self.hits
     }
 }
 
@@ -160,6 +186,12 @@ impl SamplerScratch {
 ///
 /// `out` is cleared first. The scratch must be sized for at least the
 /// largest neuron id ever inserted into `tables` plus one.
+///
+/// All three strategies are the bucket walk of
+/// [`crate::retrieve::retrieve_union`]: Vanilla over a shuffled table
+/// order with threshold 1 and the budget as cap, TopK over every table
+/// with threshold 1 followed by a partial selection on the counts, and
+/// HardThreshold over every table with threshold `m`.
 ///
 /// # Panics
 ///
@@ -173,7 +205,6 @@ pub fn sample<R: Rng>(
     out: &mut Vec<u32>,
 ) {
     out.clear();
-    scratch.begin();
     let l = tables.num_tables();
     match strategy {
         SamplingStrategy::Vanilla { budget } => {
@@ -183,53 +214,34 @@ pub fn sample<R: Rng>(
             // Paper: "randomly choose a table and only retrieve the
             // neurons in its corresponding bucket ... continue until βₗ
             // neurons are selected or all the tables have been looked up."
-            scratch.table_order.clear();
-            scratch.table_order.extend(0..l as u32);
-            // Reuse `touched` indirectly: shuffle the order buffer.
             let mut order = std::mem::take(&mut scratch.table_order);
+            order.clear();
+            order.extend(0..l);
             rng.shuffle(&mut order);
-            'tables: for &t in &order {
-                for &id in tables.bucket(t as usize, codes) {
-                    if scratch.bump(id) == 1 {
-                        out.push(id);
-                        if out.len() >= budget {
-                            break 'tables;
-                        }
-                    }
-                }
-            }
+            scratch.walk(tables, codes, order.iter().copied(), 1, budget, out);
             scratch.table_order = order;
+            scratch.zero_ids(out);
+            out.truncate(budget);
         }
         SamplingStrategy::TopK { budget } => {
             if budget == 0 {
                 return;
             }
-            for t in 0..l {
-                for &id in tables.bucket(t, codes) {
-                    scratch.bump(id);
-                }
-            }
-            out.extend_from_slice(&scratch.touched);
+            scratch.walk(tables, codes, 0..l, 1, usize::MAX, out);
             if out.len() > budget {
                 // Partial selection by descending frequency; id ties
                 // broken ascending for determinism.
-                let counts = &scratch.counts;
+                let counts = &scratch.hits;
                 out.select_nth_unstable_by(budget - 1, |&a, &b| {
                     counts[b as usize].cmp(&counts[a as usize]).then(a.cmp(&b))
                 });
-                out.truncate(budget);
             }
+            scratch.zero_ids(out);
+            out.truncate(budget);
         }
         SamplingStrategy::HardThreshold { min_count } => {
-            for t in 0..l {
-                for &id in tables.bucket(t, codes) {
-                    // Emit exactly when the count crosses the threshold so
-                    // each qualifying neuron appears once.
-                    if scratch.bump(id) as usize == min_count.max(1) {
-                        out.push(id);
-                    }
-                }
-            }
+            scratch.walk(tables, codes, 0..l, min_count, usize::MAX, out);
+            scratch.zero_tables(tables, codes, 0..l);
         }
     }
 }
@@ -427,5 +439,124 @@ mod tests {
             SamplingStrategy::HardThreshold { min_count: 2 }.budget(),
             None
         );
+    }
+
+    /// Map-of-counts reference for [`sample`], written for clarity over
+    /// speed: Vanilla replays the shuffle on a clone of the RNG and takes
+    /// first-seen ids until the budget; TopK keeps the `budget` ids with
+    /// the most hits, ties by ascending id; HardThreshold emits each id
+    /// on the visit whose count first equals `m`.
+    fn reference_sample(
+        tables: &LshTables,
+        codes: &[u32],
+        strategy: SamplingStrategy,
+        rng: &mut Xoshiro256PlusPlus,
+    ) -> Vec<u32> {
+        let l = tables.num_tables();
+        let mut counts = std::collections::BTreeMap::<u32, usize>::new();
+        let mut out = Vec::new();
+        match strategy {
+            SamplingStrategy::Vanilla { budget: 0 } | SamplingStrategy::TopK { budget: 0 } => {}
+            SamplingStrategy::Vanilla { budget } => {
+                let mut order: Vec<u32> = (0..l as u32).collect();
+                rng.shuffle(&mut order);
+                'tables: for t in order {
+                    for &id in tables.bucket(t as usize, codes) {
+                        if counts.insert(id, 1).is_none() {
+                            out.push(id);
+                            if out.len() == budget {
+                                break 'tables;
+                            }
+                        }
+                    }
+                }
+            }
+            SamplingStrategy::TopK { budget } => {
+                for t in 0..l {
+                    for &id in tables.bucket(t, codes) {
+                        *counts.entry(id).or_insert(0) += 1;
+                    }
+                }
+                let mut ranked: Vec<(usize, u32)> =
+                    counts.iter().map(|(&id, &c)| (c, id)).collect();
+                ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+                out.extend(ranked.iter().take(budget).map(|&(_, id)| id));
+            }
+            SamplingStrategy::HardThreshold { min_count } => {
+                for t in 0..l {
+                    for &id in tables.bucket(t, codes) {
+                        let c = counts.entry(id).or_insert(0);
+                        *c += 1;
+                        if *c == min_count.max(1) {
+                            out.push(id);
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    use crate::retrieve::{retrieve_union, QueryBudget};
+    use proptest::prelude::*;
+
+    proptest! {
+        /// `sample` equals the reference under every strategy on
+        /// arbitrary bucket contents — random multiplicities, duplicate
+        /// ids in a bucket, FIFO evictions from capacity-2 buckets — with
+        /// calls interleaved with `retrieve_union` on one scratch. Vanilla
+        /// matches in order and leaves the RNG where the replayed shuffle
+        /// does, TopK matches as a set, HardThreshold in crossing order —
+        /// as does `retrieve_union` without caps at the same threshold —
+        /// and every counter is zero after every call.
+        #[test]
+        fn prop_sample_matches_reference(
+            l in 1usize..7,
+            small_buckets in 0u32..2,
+            inserts in proptest::collection::vec((0u32..12, 0u32..10), 0..80),
+            calls in proptest::collection::vec(((0u32..4, 0usize..12), (0usize..2, 0u64..1000)), 1..8),
+        ) {
+            let k = 2;
+            let config = TableConfig::new(k, l)
+                .with_table_bits(4)
+                .with_bucket_capacity(if small_buckets == 1 { 2 } else { 64 })
+                .with_policy(InsertionPolicy::Fifo);
+            let mut tables = LshTables::new(config);
+            let queries = [vec![1u32; k * l], vec![2u32; k * l]];
+            let mut r = rng(3);
+            // `slot` picks the table and which query's bucket; a small id
+            // range makes duplicates and multi-table hits the norm.
+            for &(slot, id) in &inserts {
+                let (t, q) = (slot as usize % l, slot as usize / 6 % 2);
+                let group = &queries[q][t * k..(t + 1) * k];
+                tables.tables_mut()[t].insert(id, group, InsertionPolicy::Fifo, &mut r);
+            }
+            let mut scratch = SamplerScratch::new(10);
+            let mut out = Vec::new();
+            for &((kind, param), (q, seed)) in &calls {
+                let codes = &queries[q];
+                let strategy = match kind {
+                    0 => SamplingStrategy::Vanilla { budget: param },
+                    1 => SamplingStrategy::TopK { budget: param },
+                    _ => SamplingStrategy::HardThreshold { min_count: param % (l + 2) },
+                };
+                let mut want_rng = rng(seed);
+                let mut want = reference_sample(&tables, codes, strategy, &mut want_rng);
+                if kind == 3 {
+                    let budget = QueryBudget::all().with_min_collisions(param % (l + 2));
+                    retrieve_union(&tables, codes, budget, &mut scratch, &mut out);
+                } else {
+                    let mut got_rng = rng(seed);
+                    sample(&tables, codes, strategy, &mut scratch, &mut got_rng, &mut out);
+                    prop_assert!(got_rng == want_rng, "{strategy} drew differently");
+                }
+                if kind == 1 {
+                    out.sort_unstable();
+                    want.sort_unstable();
+                }
+                prop_assert!(out == want, "{strategy}: {out:?} != {want:?}");
+                prop_assert!(scratch.hits().iter().all(|&h| h == 0), "{strategy} left counters dirty");
+            }
+        }
     }
 }

@@ -6,10 +6,10 @@
 //! under load, one lock acquisition and one wakeup amortize over a whole
 //! batch, and the drained jobs score through the fused batch kernels
 //! (each candidate weight row streams through the cache once for the
-//! whole batch). Each caller receives its answer through a private reply
-//! — a channel for in-process callers, a callback for the event-driven
-//! HTTP front-end — so requests complete independently: a batch is an
-//! execution detail, not an API contract.
+//! whole batch). Each job carries a private reply callback — the
+//! event-driven HTTP front-end posts to its event loop, an in-process
+//! [`RequestHandle`] wraps a channel — so requests complete independently:
+//! a batch is an execution detail, not an API contract.
 //!
 //! The server runs over an [`EngineHandle`] ([`BatchServer::over_handle`];
 //! a pinned engine is [`EngineHandle::new`] at epoch 1, never reloaded).
@@ -215,31 +215,17 @@ impl BatchOptions {
 
 /// A completion callback: receives the result and the model epoch that
 /// answered. Runs on the worker thread —
-/// keep it cheap (the HTTP front-end just posts to an event-loop inbox).
+/// keep it cheap (the HTTP front-end just posts to an event-loop inbox;
+/// [`BatchServer::submit_k`] sends on its handle's channel). Dropping it
+/// unrun answers nothing: a channel reply then reads as
+/// [`ServeError::ServerShutdown`].
 pub(crate) type ReplyCallback = Box<dyn FnOnce(Result<Prediction, ServeError>, u64) + Send>;
-
-enum Reply {
-    Channel(mpsc::Sender<Result<Prediction, ServeError>>),
-    Callback(ReplyCallback),
-}
-
-impl Reply {
-    fn send(self, result: Result<Prediction, ServeError>, epoch: u64) {
-        match self {
-            // A dropped handle just discards the answer.
-            Reply::Channel(tx) => {
-                tx.send(result).ok();
-            }
-            Reply::Callback(f) => f(result, epoch),
-        }
-    }
-}
 
 struct Job {
     features: SparseVector,
     k: usize,
     enqueued: Instant,
-    reply: Reply,
+    reply: ReplyCallback,
 }
 
 #[derive(Default)]
@@ -537,8 +523,12 @@ impl BatchServer {
     /// [`ServeError::Overloaded`] if the queue bound is hit.
     pub fn submit_k(&self, features: SparseVector, k: usize) -> Result<RequestHandle, ServeError> {
         self.engine().validate_request(&features, k)?;
-        let (reply, rx) = mpsc::channel();
-        self.enqueue_all(vec![(features, k, Reply::Channel(reply))])?;
+        let (tx, rx) = mpsc::channel();
+        // A dropped handle just discards the answer.
+        let reply: ReplyCallback = Box::new(move |result, _epoch| {
+            tx.send(result).ok();
+        });
+        self.submit_callbacks(vec![(features, k, reply)])?;
         Ok(RequestHandle { rx })
     }
 
@@ -558,14 +548,6 @@ impl BatchServer {
         &self,
         jobs: Vec<(SparseVector, usize, ReplyCallback)>,
     ) -> Result<(), ServeError> {
-        self.enqueue_all(
-            jobs.into_iter()
-                .map(|(f, k, cb)| (f, k, Reply::Callback(cb)))
-                .collect(),
-        )
-    }
-
-    fn enqueue_all(&self, jobs: Vec<(SparseVector, usize, Reply)>) -> Result<(), ServeError> {
         let n = jobs.len();
         {
             let mut q = self
@@ -746,7 +728,7 @@ fn worker_loop(shared: &Shared, max_batch: usize) -> WorkerExit {
     let mut predictions: Vec<Prediction> = Vec::with_capacity(max_batch);
     let mut feats: Vec<SparseVector> = Vec::with_capacity(max_batch);
     let mut ks: Vec<usize> = Vec::with_capacity(max_batch);
-    let mut replies: Vec<Reply> = Vec::with_capacity(max_batch);
+    let mut replies: Vec<ReplyCallback> = Vec::with_capacity(max_batch);
     loop {
         // Drain up to max_batch jobs — and read the (engine, epoch) pair
         // — in one critical section. Drains are serialized by the queue
@@ -810,7 +792,7 @@ fn worker_loop(shared: &Shared, max_batch: usize) -> WorkerExit {
                 if batch[i].enqueued.elapsed() > limit {
                     let job = batch.remove(i);
                     c.shed.fetch_add(1, Ordering::Relaxed);
-                    job.reply.send(
+                    (job.reply)(
                         Err(ServeError::Overloaded {
                             retry_after_secs: RETRY_AFTER_SECS,
                         }),
@@ -877,7 +859,7 @@ fn worker_loop(shared: &Shared, max_batch: usize) -> WorkerExit {
                 // worker with one whose thread state is provably fresh.
                 c.worker_panics.fetch_add(1, Ordering::Relaxed);
                 for reply in replies.drain(..) {
-                    reply.send(Err(ServeError::WorkerPanicked), epoch);
+                    reply(Err(ServeError::WorkerPanicked), epoch);
                 }
                 return WorkerExit::Panicked;
             }
@@ -888,7 +870,7 @@ fn worker_loop(shared: &Shared, max_batch: usize) -> WorkerExit {
                         .fetch_add(feats.len() as u64, Ordering::Relaxed);
                 }
                 for (reply, prediction) in replies.drain(..).zip(predictions.drain(..)) {
-                    reply.send(Ok(prediction), epoch);
+                    reply(Ok(prediction), epoch);
                 }
             }
             Ok(Err(_)) => {
@@ -906,7 +888,7 @@ fn worker_loop(shared: &Shared, max_batch: usize) -> WorkerExit {
                     (feats.pop(), ks.pop(), replies.pop())
                 {
                     if panicked {
-                        reply.send(Err(ServeError::WorkerPanicked), epoch);
+                        reply(Err(ServeError::WorkerPanicked), epoch);
                         continue;
                     }
                     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -928,12 +910,12 @@ fn worker_loop(shared: &Shared, max_batch: usize) -> WorkerExit {
                             if level > 0 {
                                 c.degraded_requests.fetch_add(1, Ordering::Relaxed);
                             }
-                            reply.send(result, epoch);
+                            reply(result, epoch);
                         }
                         Err(_) => {
                             c.worker_panics.fetch_add(1, Ordering::Relaxed);
                             panicked = true;
-                            reply.send(Err(ServeError::WorkerPanicked), epoch);
+                            reply(Err(ServeError::WorkerPanicked), epoch);
                         }
                     }
                 }
