@@ -70,7 +70,9 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "one-transport",
         "`TcpListener` outside `#[cfg(test)]` only in crates/serve/src/http.rs, \
-         the one event-loop transport every server (single box or router) runs on",
+         the one event-loop transport every server (single box or router) runs on; \
+         outside tests crates/serve/src/router.rs names neither the blocking `Client` \
+         nor a `thread::` path, since its fan-out runs on that transport's event loop",
     ),
     (
         "no-panic-paths",
@@ -98,6 +100,10 @@ const FFI_FILES: &[&str] = &["crates/serve/src/net.rs", "crates/data/src/source.
 
 /// Files where a `TcpListener` may be bound outside tests.
 const TRANSPORT_FILES: &[&str] = &["crates/serve/src/http.rs"];
+
+/// Files whose network I/O runs on the transport's event loop: outside
+/// tests they may not name the blocking `Client` or a thread API.
+const EVENT_LOOP_FILES: &[&str] = &["crates/serve/src/router.rs"];
 
 /// Modules where panicking is an outage: the serve request path (a
 /// whole drain) and the snapshot decoder (the reload watcher thread and
@@ -440,23 +446,44 @@ fn ffi_confinement(path: &str, tokens: &[Token], diags: &mut Vec<Diagnostic>) {
 /// Rule `one-transport`: `TcpListener` only in the event-loop transport
 /// module. A listener elsewhere is a second HTTP stack, with its own
 /// parser, limits and timeouts drifting from the one clients were
-/// promised; tests may still bind throwaway listeners.
+/// promised; tests may still bind throwaway listeners. The router's
+/// outbound side is held to the same loop: naming the blocking `Client`
+/// or a `thread::` path (`std::thread::spawn`, `thread::scope`) there
+/// would bring back a thread per fan-out.
 fn one_transport(path: &str, tokens: &[Token], map: &FileMap, diags: &mut Vec<Diagnostic>) {
-    if path_is(path, TRANSPORT_FILES) {
-        return;
-    }
-    for t in tokens {
-        if t.ident() == Some("TcpListener") && !map.in_test_region(t.line) {
-            diags.push(Diagnostic {
-                rule: "one-transport",
-                file: path.to_string(),
-                line: t.line,
-                message: "`TcpListener` outside crates/serve/src/http.rs; serve \
-                          through its event-loop transport as another back-end \
-                          instead of a second HTTP stack"
-                    .into(),
-            });
+    let transport = path_is(path, TRANSPORT_FILES);
+    let on_loop = path_is(path, EVENT_LOOP_FILES);
+    let path_sep = |t: Option<&Token>| t.is_some_and(|t| t.kind == TokenKind::PathSep);
+    for (i, t) in tokens.iter().enumerate() {
+        if map.in_test_region(t.line) {
+            continue;
         }
+        let message = match t.ident() {
+            Some("TcpListener") if !transport => {
+                "`TcpListener` outside crates/serve/src/http.rs; serve \
+                 through its event-loop transport as another back-end \
+                 instead of a second HTTP stack"
+            }
+            Some("Client") if on_loop => {
+                "the blocking `Client` in the router; shard requests go \
+                 over the event loop's nonblocking shard links"
+            }
+            Some("thread")
+                if on_loop
+                    && (path_sep(tokens.get(i + 1))
+                        || path_sep(i.checked_sub(1).and_then(|j| tokens.get(j)))) =>
+            {
+                "a `thread::` path in the router; fan-outs run on the \
+                 transport's event loop, not on threads of their own"
+            }
+            _ => continue,
+        };
+        diags.push(Diagnostic {
+            rule: "one-transport",
+            file: path.to_string(),
+            line: t.line,
+            message: message.into(),
+        });
     }
 }
 

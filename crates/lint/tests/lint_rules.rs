@@ -15,6 +15,8 @@ const FFI_BAD: &str = include_str!("../fixtures/ffi_bad.rs");
 const FFI_CLEAN: &str = include_str!("../fixtures/ffi_clean.rs");
 const TRANSPORT_BAD: &str = include_str!("../fixtures/transport_bad.rs");
 const TRANSPORT_CLEAN: &str = include_str!("../fixtures/transport_clean.rs");
+const ROUTER_BAD: &str = include_str!("../fixtures/router_bad.rs");
+const ROUTER_CLEAN: &str = include_str!("../fixtures/router_clean.rs");
 const PANIC_BAD: &str = include_str!("../fixtures/panic_bad.rs");
 const PANIC_CLEAN: &str = include_str!("../fixtures/panic_clean.rs");
 const ALLOW_BAD: &str = include_str!("../fixtures/allow_bad.rs");
@@ -78,6 +80,29 @@ fn transport_bad_is_caught_outside_the_transport_module() {
     assert_eq!(lint_file("crates/serve/src/http.rs", TRANSPORT_BAD), []);
     // Test modules may bind throwaway listeners.
     assert_eq!(lint_file(NEUTRAL, TRANSPORT_CLEAN), [], "clean twin");
+}
+
+#[test]
+fn router_bad_is_caught_only_in_the_router() {
+    let bad = lint_file("crates/serve/src/router.rs", ROUTER_BAD);
+    assert_eq!(
+        rules_of(&bad),
+        ["one-transport", "one-transport", "one-transport"],
+        "import + scoped thread + connect: {bad:?}"
+    );
+    assert_eq!(
+        bad.iter().map(|d| d.line).collect::<Vec<_>>(),
+        [4, 7, 10],
+        "{bad:?}"
+    );
+    // The same source is no transport violation outside the router.
+    assert_eq!(lint_file(NEUTRAL, ROUTER_BAD), []);
+    // `ClientError`, a local named `thread`, and test modules: clean.
+    assert_eq!(
+        lint_file("crates/serve/src/router.rs", ROUTER_CLEAN),
+        [],
+        "clean twin"
+    );
 }
 
 #[test]

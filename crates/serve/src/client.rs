@@ -172,9 +172,6 @@ pub struct Client {
     addr: SocketAddr,
     conn: Option<Conn>,
     retry: Option<RetryPolicy>,
-    /// Socket read deadline applied to every connection (including
-    /// reconnects); `None` blocks forever.
-    read_timeout: Option<std::time::Duration>,
     /// xorshift64 state for the retry jitter.
     jitter_state: u64,
     retries_attempted: u64,
@@ -197,28 +194,11 @@ impl Client {
             addr,
             conn: None,
             retry: None,
-            read_timeout: None,
             jitter_state: 1,
             retries_attempted: 0,
         };
         c.reconnect()?;
         Ok(c)
-    }
-
-    /// Bounds every socket read with `timeout`: a peer that stops
-    /// answering surfaces as [`ClientError::Io`] with
-    /// `WouldBlock`/`TimedOut` instead of hanging the caller forever.
-    /// The scatter-gather router leans on this for its merge deadline —
-    /// the slowest shard bounds a merged answer, so an unbounded read
-    /// against one dead shard would stall every fan-out.
-    pub fn with_read_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.read_timeout = Some(timeout);
-        if let Some(conn) = &self.conn {
-            // SO_RCVTIMEO lives on the socket, so setting it through the
-            // writer half covers the cloned reader too.
-            conn.writer.set_read_timeout(self.read_timeout).ok();
-        }
-        self
     }
 
     /// Attaches a [`RetryPolicy`]: typed requests that come back
@@ -252,7 +232,6 @@ impl Client {
     fn reconnect(&mut self) -> std::io::Result<()> {
         let stream = TcpStream::connect(self.addr)?;
         stream.set_nodelay(true).ok();
-        stream.set_read_timeout(self.read_timeout).ok();
         let reader = BufReader::new(stream.try_clone()?);
         self.conn = Some(Conn {
             reader,

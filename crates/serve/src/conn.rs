@@ -22,6 +22,12 @@
 //! mapping an EOF to the right truncation error
 //! ([`RequestParser::eof_error`]) are the connection state machine's
 //! job ([`crate::http`]).
+//!
+//! `ResponseParser` is the same framing behind a status line
+//! (`HTTP/1.x NNN reason`, a three-digit code in `100..600`), for the
+//! connections the router dials to its shards ([`crate::router`]). Both
+//! parsers share one line, header and body implementation, so a limit or
+//! header rule cannot drift between the two directions.
 
 /// Longest accepted request line or header line, bytes, terminator
 /// included.
@@ -56,17 +62,30 @@ pub enum ParseStatus {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
-    RequestLine,
+    StartLine,
     Headers,
     Body,
 }
 
-/// Push-driven incremental parser for one connection. Emits any number
-/// of requests over its lifetime; after each [`ParseStatus::Request`] it
-/// is reset and ready for the next. A `Malformed`/`TooLarge` outcome is
-/// terminal — the connection closes, so the parser is never fed again.
+/// What [`Framing::advance`] produced.
+enum Framed {
+    /// All fed bytes consumed; the message is still incomplete.
+    NeedMore,
+    /// Start line, headers and body are complete.
+    Message { body: String, keep_alive: bool },
+    /// A terminal error: the bytes were not acceptable HTTP.
+    Malformed(&'static str),
+    /// A terminal error: the declared body exceeds the limit.
+    TooLarge,
+}
+
+/// The message framing requests and responses share: lines bounded by
+/// [`MAX_LINE_BYTES`], the `Content-Length` / `Connection` /
+/// `Transfer-Encoding` headers, and the UTF-8 body. The start line is
+/// the one thing that differs; each parser hands its own handler to
+/// [`Framing::advance`].
 #[derive(Debug)]
-pub struct RequestParser {
+struct Framing {
     max_body: usize,
     state: State,
     /// Accumulates the current line, terminator included (the line
@@ -74,26 +93,21 @@ pub struct RequestParser {
     line: Vec<u8>,
     /// Accumulates the body until `content_length` bytes arrived.
     body: Vec<u8>,
-    method: String,
-    path: String,
     keep_alive: bool,
     content_length: usize,
     too_large: bool,
-    /// Whether any byte of the current request has been consumed —
-    /// distinguishes a clean between-requests EOF from a truncation.
+    /// Whether any byte of the current message has been consumed —
+    /// distinguishes a clean between-messages EOF from a truncation.
     started: bool,
 }
 
-impl RequestParser {
-    /// A fresh parser enforcing `max_body` on declared body lengths.
-    pub fn new(max_body: usize) -> Self {
+impl Framing {
+    fn new(max_body: usize) -> Self {
         Self {
             max_body,
-            state: State::RequestLine,
+            state: State::StartLine,
             line: Vec::new(),
             body: Vec::new(),
-            method: String::new(),
-            path: String::new(),
             keep_alive: true,
             content_length: 0,
             too_large: false,
@@ -101,40 +115,17 @@ impl RequestParser {
         }
     }
 
-    /// Whether the parser sits between requests (nothing consumed since
-    /// the last emit). An EOF here is a clean close.
-    pub fn is_idle(&self) -> bool {
-        !self.started
-    }
-
-    /// The truncation error an EOF at this point maps to, or `None` for
-    /// a clean between-requests close. Mirrors the blocking parser: EOF
-    /// mid-line is a cut-off request, at a header boundary it is
-    /// "truncated headers", inside the body "truncated body".
-    pub fn eof_error(&self) -> Option<&'static str> {
-        match self.state {
-            State::RequestLine | State::Headers if !self.started => None,
-            State::RequestLine => Some("truncated request"),
-            State::Headers => {
-                if self.line.is_empty() {
-                    Some("truncated headers")
-                } else {
-                    Some("truncated request")
-                }
-            }
-            State::Body => Some("truncated body"),
-        }
-    }
-
-    /// Consumes a prefix of `input`, returning how many bytes were taken
-    /// and what they produced. On [`ParseStatus::Request`] the remainder
-    /// belongs to the next (pipelined) request — call again. On
-    /// `NeedMore` the whole input was consumed.
-    pub fn advance(&mut self, input: &[u8]) -> (usize, ParseStatus) {
+    /// Consumes a prefix of `input`. `start_line` parses the (stripped)
+    /// first line and returns the version's keep-alive default, or a
+    /// terminal error.
+    fn advance<F>(&mut self, input: &[u8], mut start_line: F) -> (usize, Framed)
+    where
+        F: FnMut(&str) -> Result<bool, &'static str>,
+    {
         let mut consumed = 0usize;
         while consumed < input.len() {
             match self.state {
-                State::RequestLine | State::Headers => {
+                State::StartLine | State::Headers => {
                     let rest = &input[consumed..];
                     let upto = rest.iter().position(|&b| b == b'\n');
                     let take = upto.map_or(rest.len(), |p| p + 1);
@@ -142,7 +133,7 @@ impl RequestParser {
                     consumed += take;
                     self.started = true;
                     if self.line.len() > MAX_LINE_BYTES {
-                        return (consumed, ParseStatus::Malformed("line too long"));
+                        return (consumed, Framed::Malformed("line too long"));
                     }
                     if upto.is_none() {
                         continue; // need the rest of the line
@@ -154,10 +145,15 @@ impl RequestParser {
                     // `&mut self`, and moves back to keep its capacity.
                     let line_buf = std::mem::take(&mut self.line);
                     let status = match std::str::from_utf8(&line_buf) {
-                        Err(_) => Some(ParseStatus::Malformed("non-utf8 line")),
-                        Ok(line) if self.state == State::RequestLine => {
-                            self.take_request_line(line)
-                        }
+                        Err(_) => Some(Framed::Malformed("non-utf8 line")),
+                        Ok(line) if self.state == State::StartLine => match start_line(line) {
+                            Ok(keep_alive) => {
+                                self.keep_alive = keep_alive;
+                                self.state = State::Headers;
+                                None
+                            }
+                            Err(what) => Some(Framed::Malformed(what)),
+                        },
                         Ok(line) => self.take_header_line(line),
                     };
                     self.line = line_buf;
@@ -184,36 +180,15 @@ impl RequestParser {
         if self.state == State::Body && self.body.len() == self.content_length {
             return (consumed, self.emit());
         }
-        (consumed, ParseStatus::NeedMore)
-    }
-
-    /// Parses the (already line-terminated, stripped) request line;
-    /// `Some` is a terminal error.
-    fn take_request_line(&mut self, line: &str) -> Option<ParseStatus> {
-        if line.is_empty() {
-            return Some(ParseStatus::Malformed("empty request line"));
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
-        else {
-            return Some(ParseStatus::Malformed("malformed request line"));
-        };
-        if !version.starts_with("HTTP/1.") {
-            return Some(ParseStatus::Malformed("unsupported protocol version"));
-        }
-        self.method = method.to_string();
-        self.path = path.to_string();
-        self.keep_alive = version == "HTTP/1.1";
-        self.state = State::Headers;
-        None
+        (consumed, Framed::NeedMore)
     }
 
     /// Parses one header line (empty = end of headers); `Some` is a
-    /// terminal error or a completed zero-body request.
-    fn take_header_line(&mut self, line: &str) -> Option<ParseStatus> {
+    /// terminal error or a completed zero-body message.
+    fn take_header_line(&mut self, line: &str) -> Option<Framed> {
         if line.is_empty() {
             if self.too_large {
-                return Some(ParseStatus::TooLarge);
+                return Some(Framed::TooLarge);
             }
             self.state = State::Body;
             if self.content_length == 0 {
@@ -222,7 +197,7 @@ impl RequestParser {
             return None;
         }
         let Some((name, value)) = line.split_once(':') else {
-            return Some(ParseStatus::Malformed("malformed header"));
+            return Some(Framed::Malformed("malformed header"));
         };
         let name = name.trim().to_ascii_lowercase();
         let value = value.trim();
@@ -230,7 +205,7 @@ impl RequestParser {
             "content-length" => match value.parse::<usize>() {
                 Ok(n) if n <= self.max_body => self.content_length = n,
                 Ok(_) => self.too_large = true,
-                Err(_) => return Some(ParseStatus::Malformed("bad content-length")),
+                Err(_) => return Some(Framed::Malformed("bad content-length")),
             },
             "connection" => {
                 let v = value.to_ascii_lowercase();
@@ -241,31 +216,191 @@ impl RequestParser {
                 }
             }
             "transfer-encoding" => {
-                return Some(ParseStatus::Malformed("transfer-encoding not supported"));
+                return Some(Framed::Malformed("transfer-encoding not supported"));
             }
             _ => {}
         }
         None
     }
 
-    /// Finishes the current request and resets for the next one.
-    fn emit(&mut self) -> ParseStatus {
+    /// Finishes the current message and resets for the next one.
+    fn emit(&mut self) -> Framed {
         let Ok(body) = String::from_utf8(std::mem::take(&mut self.body)) else {
-            return ParseStatus::Malformed("non-utf8 body");
+            return Framed::Malformed("non-utf8 body");
         };
-        let req = ParsedRequest {
-            method: std::mem::take(&mut self.method),
-            path: std::mem::take(&mut self.path),
-            body,
-            keep_alive: self.keep_alive,
-        };
-        self.state = State::RequestLine;
+        let keep_alive = self.keep_alive;
+        self.state = State::StartLine;
         self.keep_alive = true;
         self.content_length = 0;
         self.too_large = false;
         self.started = false;
-        ParseStatus::Request(Box::new(req))
+        Framed::Message { body, keep_alive }
     }
+}
+
+/// Push-driven incremental parser for one connection. Emits any number
+/// of requests over its lifetime; after each [`ParseStatus::Request`] it
+/// is reset and ready for the next. A `Malformed`/`TooLarge` outcome is
+/// terminal — the connection closes, so the parser is never fed again.
+#[derive(Debug)]
+pub struct RequestParser {
+    framing: Framing,
+    method: String,
+    path: String,
+}
+
+impl RequestParser {
+    /// A fresh parser enforcing `max_body` on declared body lengths.
+    pub fn new(max_body: usize) -> Self {
+        Self {
+            framing: Framing::new(max_body),
+            method: String::new(),
+            path: String::new(),
+        }
+    }
+
+    /// Whether the parser sits between requests (nothing consumed since
+    /// the last emit). An EOF here is a clean close.
+    pub fn is_idle(&self) -> bool {
+        !self.framing.started
+    }
+
+    /// The truncation error an EOF at this point maps to, or `None` for
+    /// a clean between-requests close. Mirrors the blocking parser: EOF
+    /// mid-line is a cut-off request, at a header boundary it is
+    /// "truncated headers", inside the body "truncated body".
+    pub fn eof_error(&self) -> Option<&'static str> {
+        let f = &self.framing;
+        match f.state {
+            State::StartLine | State::Headers if !f.started => None,
+            State::StartLine => Some("truncated request"),
+            State::Headers => {
+                if f.line.is_empty() {
+                    Some("truncated headers")
+                } else {
+                    Some("truncated request")
+                }
+            }
+            State::Body => Some("truncated body"),
+        }
+    }
+
+    /// Consumes a prefix of `input`, returning how many bytes were taken
+    /// and what they produced. On [`ParseStatus::Request`] the remainder
+    /// belongs to the next (pipelined) request — call again. On
+    /// `NeedMore` the whole input was consumed.
+    pub fn advance(&mut self, input: &[u8]) -> (usize, ParseStatus) {
+        let (method, path) = (&mut self.method, &mut self.path);
+        let (consumed, framed) = self
+            .framing
+            .advance(input, |line| take_request_line(line, method, path));
+        let status = match framed {
+            Framed::NeedMore => ParseStatus::NeedMore,
+            Framed::Message { body, keep_alive } => ParseStatus::Request(Box::new(ParsedRequest {
+                method: std::mem::take(&mut self.method),
+                path: std::mem::take(&mut self.path),
+                body,
+                keep_alive,
+            })),
+            Framed::Malformed(what) => ParseStatus::Malformed(what),
+            Framed::TooLarge => ParseStatus::TooLarge,
+        };
+        (consumed, status)
+    }
+}
+
+/// Parses a request line into `method` and `path`; returns the
+/// version's keep-alive default.
+fn take_request_line(
+    line: &str,
+    method: &mut String,
+    path: &mut String,
+) -> Result<bool, &'static str> {
+    if line.is_empty() {
+        return Err("empty request line");
+    }
+    let mut parts = line.split_whitespace();
+    let (Some(m), Some(p), Some(version)) = (parts.next(), parts.next(), parts.next()) else {
+        return Err("malformed request line");
+    };
+    if !version.starts_with("HTTP/1.") {
+        return Err("unsupported protocol version");
+    }
+    *method = m.to_string();
+    *path = p.to_string();
+    Ok(version == "HTTP/1.1")
+}
+
+/// One fully parsed response.
+#[derive(Debug)]
+pub(crate) struct ParsedResponse {
+    /// The status code.
+    pub(crate) status: u16,
+    /// The decoded body.
+    pub(crate) body: String,
+    /// Whether the peer keeps the connection open after this response.
+    pub(crate) keep_alive: bool,
+}
+
+/// The response-side twin of [`RequestParser`], for a connection this
+/// process dialed (the router's shard links): the same framing, behind a
+/// status line instead of a request line. Errors are terminal.
+#[derive(Debug)]
+pub(crate) struct ResponseParser {
+    framing: Framing,
+    status: u16,
+}
+
+impl ResponseParser {
+    /// A fresh parser enforcing `max_body` on declared body lengths.
+    pub(crate) fn new(max_body: usize) -> Self {
+        Self {
+            framing: Framing::new(max_body),
+            status: 0,
+        }
+    }
+
+    /// Consumes a prefix of `input`, like [`RequestParser::advance`]:
+    /// `Ok(None)` took every byte and wants more, `Ok(Some)` is a
+    /// complete response (the parser has reset for the next one), and
+    /// `Err` names what made the bytes unacceptable.
+    pub(crate) fn advance(
+        &mut self,
+        input: &[u8],
+    ) -> (usize, Result<Option<ParsedResponse>, &'static str>) {
+        let status = &mut self.status;
+        let (consumed, framed) = self
+            .framing
+            .advance(input, |line| take_status_line(line, status));
+        let out = match framed {
+            Framed::NeedMore => Ok(None),
+            Framed::Message { body, keep_alive } => Ok(Some(ParsedResponse {
+                status: self.status,
+                body,
+                keep_alive,
+            })),
+            Framed::Malformed(what) => Err(what),
+            Framed::TooLarge => Err("body too large"),
+        };
+        (consumed, out)
+    }
+}
+
+/// Parses a status line (`HTTP/1.x NNN reason`) into `status`; returns
+/// the version's keep-alive default.
+fn take_status_line(line: &str, status: &mut u16) -> Result<bool, &'static str> {
+    let mut parts = line.split_whitespace();
+    let (Some(version), Some(code)) = (parts.next(), parts.next()) else {
+        return Err("malformed status line");
+    };
+    if !version.starts_with("HTTP/1.") {
+        return Err("unsupported protocol version");
+    }
+    match code.parse::<u16>() {
+        Ok(n) if code.len() == 3 && (100..600).contains(&n) => *status = n,
+        _ => return Err("bad status code"),
+    }
+    Ok(version == "HTTP/1.1")
 }
 
 #[cfg(test)]
@@ -577,6 +712,144 @@ mod tests {
                 other => panic!("request {i}: {other:?}"),
             }
             assert!(parser.is_idle());
+        }
+    }
+
+    /// What a response byte stream must parse to, however it is split.
+    #[derive(Debug, PartialEq, Eq)]
+    enum WantResponse {
+        /// Complete responses as `(status, body, keep_alive)`, plus
+        /// whether the stream ends mid-response.
+        Responses(Vec<(u16, String, bool)>, bool),
+        /// A terminal parse error.
+        Error(&'static str),
+    }
+
+    fn run_response(input: &[u8], splits: &[usize]) -> WantResponse {
+        let mut parser = ResponseParser::new(MAX_BODY);
+        let mut responses = Vec::new();
+        let mut start = 0usize;
+        for &end in splits.iter().chain(std::iter::once(&input.len())) {
+            let mut chunk = &input[start..end];
+            start = end;
+            loop {
+                let (consumed, status) = parser.advance(chunk);
+                chunk = &chunk[consumed..];
+                match status {
+                    Ok(None) => {
+                        assert!(chunk.is_empty(), "NeedMore must consume the chunk");
+                        break;
+                    }
+                    Ok(Some(r)) => responses.push((r.status, r.body, r.keep_alive)),
+                    Err(m) => return WantResponse::Error(m),
+                }
+                if chunk.is_empty() {
+                    break;
+                }
+            }
+        }
+        WantResponse::Responses(responses, parser.framing.started)
+    }
+
+    /// [`check`] for responses: whole, byte-by-byte, every split point —
+    /// and every strict prefix of a stream that parses must still be
+    /// waiting for more, never an answer or an error.
+    fn check_response(name: &str, input: &[u8], want: &WantResponse) {
+        assert_eq!(&run_response(input, &[]), want, "{name}: unsplit");
+        let all_bytes: Vec<usize> = (1..input.len()).collect();
+        assert_eq!(
+            &run_response(input, &all_bytes),
+            want,
+            "{name}: byte-by-byte"
+        );
+        for split in 1..input.len() {
+            assert_eq!(
+                &run_response(input, &[split]),
+                want,
+                "{name}: split at {split}"
+            );
+        }
+        if matches!(want, WantResponse::Responses(..)) {
+            for cut in 1..input.len() {
+                assert_eq!(
+                    run_response(&input[..cut], &[]),
+                    WantResponse::Responses(Vec::new(), true),
+                    "{name}: truncated at {cut}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn response_table_is_split_and_truncation_invariant() {
+        let ok = |status: u16, body: &str, keep_alive: bool| {
+            WantResponse::Responses(vec![(status, body.to_string(), keep_alive)], false)
+        };
+        let error_body = r#"{"api_version":1,"error":{"code":"invalid_top_k","message":"k"}}"#;
+        let cases: Vec<(&str, String, WantResponse)> = vec![
+            (
+                "200 with a body",
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                 Content-Length: 11\r\nConnection: keep-alive\r\n\r\n{\"epoch\":1}"
+                    .into(),
+                ok(200, "{\"epoch\":1}", true),
+            ),
+            (
+                "422 error body",
+                format!(
+                    "HTTP/1.1 422 Unprocessable Entity\r\nContent-Length: {}\r\n\r\n{error_body}",
+                    error_body.len()
+                ),
+                ok(422, error_body, true),
+            ),
+            (
+                "429 with retry-after",
+                "HTTP/1.1 429 Too Many Requests\r\nContent-Length: 2\r\nRetry-After: 1\r\n\r\n{}"
+                    .into(),
+                ok(429, "{}", true),
+            ),
+            (
+                "connection close",
+                "HTTP/1.1 503 Service Unavailable\r\nConnection: close\r\nContent-Length: 4\r\n\r\ndown"
+                    .into(),
+                ok(503, "down", false),
+            ),
+            (
+                "bad status line",
+                "HTTP/1.1\r\n\r\n".into(),
+                WantResponse::Error("malformed status line"),
+            ),
+            (
+                "non-numeric status",
+                "HTTP/1.1 2OO OK\r\n\r\n".into(),
+                WantResponse::Error("bad status code"),
+            ),
+            (
+                "not http",
+                "SMTP/1.1 200 OK\r\n\r\n".into(),
+                WantResponse::Error("unsupported protocol version"),
+            ),
+            (
+                "bad content-length",
+                "HTTP/1.1 200 OK\r\nContent-Length: 1x\r\n\r\n".into(),
+                WantResponse::Error("bad content-length"),
+            ),
+            (
+                "transfer-encoding",
+                "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n".into(),
+                WantResponse::Error("transfer-encoding not supported"),
+            ),
+            (
+                "body past the limit",
+                format!(
+                    "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n",
+                    MAX_BODY + 1
+                ),
+                WantResponse::Error("body too large"),
+            ),
+        ];
+        for (name, input, want) in &cases {
+            check_response(name, input.as_bytes(), want);
         }
     }
 }

@@ -42,7 +42,10 @@
 //! The same transport core — acceptor, event loops, parser, sweeps,
 //! drain — also fronts the scatter-gather [`crate::router::Router`]:
 //! only the route table behind it differs, so a router enforces exactly
-//! the limits, timeouts and error answers of a single box.
+//! the limits, timeouts and error answers of a single box. A router's
+//! fan-outs run on the event loop too, over that loop's shard links:
+//! connections to the shards, registered on the same poller as the
+//! clients under their own token range and never counted as clients.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -61,7 +64,7 @@ use crate::fault::FaultPlan;
 use crate::handle::EngineHandle;
 use crate::json;
 use crate::net::{raw_fd, Event, Poller, WakeReceiver, Waker};
-use crate::router::Fleet;
+use crate::router::{Fleet, ShardCall, ShardLinks, LINK_TOKEN};
 use crate::wire;
 
 /// Transport limits and timeouts for an [`HttpServer`].
@@ -181,10 +184,11 @@ pub(crate) enum Backend {
 
 /// A router's answer to one request.
 pub(crate) enum Answer {
-    /// Answered on the event loop.
+    /// Answered at once.
     Now(u16, String),
-    /// Blocking work, run on a one-off thread (see [`Conn::defer`]).
-    Later(Box<dyn FnOnce() -> (u16, String) + Send>),
+    /// A fan-out over the shards, run on this event loop's
+    /// [`ShardLinks`]; its gather fills the request's slot.
+    FanOut(ShardCall),
 }
 
 struct Shared {
@@ -534,6 +538,12 @@ fn event_loop(ctx: &LoopCtx, mut poller: Poller, receiver: &WakeReceiver) {
         return;
     }
     let mut conns: HashMap<u64, Conn> = HashMap::new();
+    // A router's shard links share this poller; their tokens carry
+    // LINK_TOKEN, client connections count up from 1 below it.
+    let mut links = match &ctx.shared.backend {
+        Backend::Router(fleet) => Some(ShardLinks::new(Arc::clone(fleet))),
+        Backend::Engine { .. } => None,
+    };
     let mut next_token: u64 = WAKER_TOKEN + 1;
     let mut events: Vec<Event> = Vec::new();
     let mut msgs: Vec<Msg> = Vec::new();
@@ -584,7 +594,7 @@ fn event_loop(ctx: &LoopCtx, mut poller: Poller, receiver: &WakeReceiver) {
                     // flight; its answer just evaporates.
                     if let Some(c) = conns.get_mut(&conn) {
                         let keep = c.apply_done(req, index, *result, epoch, ctx);
-                        settle(&mut poller, &mut conns, &ctx.shared, conn, keep);
+                        settle(&mut poller, &mut conns, &mut links, &ctx.shared, conn, keep);
                     }
                 }
                 Msg::Deferred {
@@ -595,7 +605,7 @@ fn event_loop(ctx: &LoopCtx, mut poller: Poller, receiver: &WakeReceiver) {
                 } => {
                     if let Some(c) = conns.get_mut(&conn) {
                         let keep = c.apply_deferred(req, status, &body, ctx);
-                        settle(&mut poller, &mut conns, &ctx.shared, conn, keep);
+                        settle(&mut poller, &mut conns, &mut links, &ctx.shared, conn, keep);
                     }
                 }
             }
@@ -605,11 +615,23 @@ fn event_loop(ctx: &LoopCtx, mut poller: Poller, receiver: &WakeReceiver) {
             if ev.token == WAKER_TOKEN {
                 continue;
             }
-            if let Some(c) = conns.get_mut(&ev.token) {
+            if ev.token & LINK_TOKEN != 0 {
+                if let Some(l) = links.as_mut() {
+                    l.on_event(&mut poller, ev.token, ev.readable);
+                }
+            } else if let Some(c) = conns.get_mut(&ev.token) {
                 let keep = c.on_event(ev.readable, ev.writable, ctx);
-                settle(&mut poller, &mut conns, &ctx.shared, ev.token, keep);
+                settle(
+                    &mut poller,
+                    &mut conns,
+                    &mut links,
+                    &ctx.shared,
+                    ev.token,
+                    keep,
+                );
             }
         }
+        deliver(&mut poller, &mut conns, &mut links, ctx);
 
         // Timeout sweep.
         let now = Instant::now();
@@ -618,9 +640,13 @@ fn event_loop(ctx: &LoopCtx, mut poller: Poller, receiver: &WakeReceiver) {
         for &id in &ids {
             if let Some(c) = conns.get_mut(&id) {
                 let keep = c.sweep(now, ctx);
-                settle(&mut poller, &mut conns, &ctx.shared, id, keep);
+                settle(&mut poller, &mut conns, &mut links, &ctx.shared, id, keep);
             }
         }
+        if let Some(l) = links.as_mut() {
+            l.sweep(&mut poller, now);
+        }
+        deliver(&mut poller, &mut conns, &mut links, ctx);
 
         // Graceful drain: stop reading new requests, finish what's
         // pending, close as connections empty out, force-close at the
@@ -634,7 +660,7 @@ fn event_loop(ctx: &LoopCtx, mut poller: Poller, receiver: &WakeReceiver) {
                     if let Some(c) = conns.get_mut(&id) {
                         c.stop_reading = true;
                         let keep = !c.is_quiescent();
-                        settle(&mut poller, &mut conns, &ctx.shared, id, keep);
+                        settle(&mut poller, &mut conns, &mut links, &ctx.shared, id, keep);
                     }
                 }
             }
@@ -647,7 +673,8 @@ fn event_loop(ctx: &LoopCtx, mut poller: Poller, receiver: &WakeReceiver) {
         }
     }
     // Whatever is left (force-closed on drain timeout, or a poller
-    // failure) still decrements the gauge.
+    // failure) still decrements the gauge; shard links close as `links`
+    // drops.
     for (_, c) in conns.drain() {
         poller.deregister(raw_fd(&c.stream)).ok();
         ctx.shared
@@ -657,16 +684,25 @@ fn event_loop(ctx: &LoopCtx, mut poller: Poller, receiver: &WakeReceiver) {
     }
 }
 
-/// Applies a connection's post-event fate: close it, or sync its
-/// read/write interest with the poller.
+/// Applies a connection's post-event fate: close it, or start the
+/// fan-outs its new requests asked for and sync its read/write interest
+/// with the poller.
 fn settle(
     poller: &mut Poller,
     conns: &mut HashMap<u64, Conn>,
+    links: &mut Option<ShardLinks>,
     shared: &Shared,
     id: u64,
     keep: bool,
 ) {
     let Some(c) = conns.get_mut(&id) else { return };
+    if keep && !c.calls.is_empty() {
+        if let Some(l) = links.as_mut() {
+            for (req, call) in c.calls.drain(..) {
+                l.start(poller, id, req, call);
+            }
+        }
+    }
     if !keep {
         poller.deregister(raw_fd(&c.stream)).ok();
         // Decrement before the drop closes the socket, so a client that
@@ -685,6 +721,24 @@ fn settle(
     }
 }
 
+/// Hands every finished fan-out's answer to its connection's slot (a
+/// connection that died meanwhile just loses it). Filling a slot can
+/// flush pipelined requests into new fan-outs, whose shards may all
+/// fail at once; those finish here too.
+fn deliver(
+    poller: &mut Poller,
+    conns: &mut HashMap<u64, Conn>,
+    links: &mut Option<ShardLinks>,
+    ctx: &LoopCtx,
+) {
+    while let Some(f) = links.as_mut().and_then(ShardLinks::pop_finished) {
+        if let Some(c) = conns.get_mut(&f.conn) {
+            let keep = c.apply_deferred(f.req, f.status, &f.body, ctx);
+            settle(poller, conns, links, &ctx.shared, f.conn, keep);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Per-connection state machine.
 
@@ -695,8 +749,8 @@ enum Slot {
     /// A predict request waiting for its jobs to come back from the
     /// admission queue.
     Predict(PredictSlot),
-    /// A deferred answer (a reload, a router fan-out) being computed on
-    /// its one-off thread.
+    /// A deferred answer: a reload on its one-off thread, or a router
+    /// fan-out on this loop's shard links.
     Deferred { req: u64, keep_alive: bool },
     /// A rendered response ready to write.
     Ready {
@@ -731,6 +785,9 @@ struct Conn {
     out_pos: usize,
     pending: VecDeque<Slot>,
     next_req: u64,
+    /// Router fan-outs dispatched since the loop last looked, waiting
+    /// for [`settle`] to start them on the loop's shard links.
+    calls: Vec<(u64, ShardCall)>,
     last_activity: Instant,
     /// When the currently-arriving request started (slow-loris clock).
     req_started: Option<Instant>,
@@ -763,6 +820,7 @@ impl Conn {
             out_pos: 0,
             pending: VecDeque::new(),
             next_req: 0,
+            calls: Vec::new(),
             last_activity: Instant::now(),
             req_started: None,
             stop_reading: false,
@@ -959,7 +1017,12 @@ impl Conn {
             Backend::Router(fleet) => {
                 return match fleet.route(&req.method, &req.path, req.body, || ctx.shared.stats()) {
                     Answer::Now(status, body) => self.push_response(ctx, status, &body, keep_alive),
-                    Answer::Later(work) => self.defer(ctx, keep_alive, work),
+                    Answer::FanOut(call) => {
+                        let req = self.next_req;
+                        self.next_req += 1;
+                        self.pending.push_back(Slot::Deferred { req, keep_alive });
+                        self.calls.push((req, call));
+                    }
                 };
             }
         };
@@ -1098,11 +1161,11 @@ impl Conn {
         }
     }
 
-    /// Runs blocking `work` on a one-off thread and queues its slot; the
-    /// finished `(status, body)` posts back through the inbox (see
-    /// [`Conn::apply_deferred`]). A panic in `work` answers a typed
-    /// `500` rather than leaving the slot unanswered, and a thread that
-    /// cannot be spawned answers `429`.
+    /// Runs blocking `work` (a `/v1/reload`) on a one-off thread and
+    /// queues its slot; the finished `(status, body)` posts back through
+    /// the inbox (see [`Conn::apply_deferred`]). A panic in `work`
+    /// answers a typed `500` rather than leaving the slot unanswered,
+    /// and a thread that cannot be spawned answers `429`.
     fn defer<F>(&mut self, ctx: &LoopCtx, keep_alive: bool, work: F)
     where
         F: FnOnce() -> (u16, String) + Send + 'static,
@@ -1197,7 +1260,9 @@ impl Conn {
         self.try_flush(ctx)
     }
 
-    /// A deferred answer came back: its slot renders to a response.
+    /// A deferred answer came back (a reload through the inbox, a
+    /// fan-out's gather from the loop's shard links): its slot renders
+    /// to a response.
     fn apply_deferred(&mut self, req: u64, status: u16, body: &str, ctx: &LoopCtx) -> bool {
         for slot in &mut self.pending {
             if let Slot::Deferred { req: r, keep_alive } = *slot {

@@ -13,12 +13,18 @@
 //! the wakeup. A [`Waker`] lets other threads (the acceptor, the batch
 //! workers' completion callbacks) interrupt a blocked [`Poller::wait`]
 //! through a socketpair.
+//!
+//! [`connect_nonblocking`] is the outbound half: the router dials its
+//! shards from the event loop, so a dial must return at once and finish
+//! as a writable event — `std`'s `TcpStream::connect` blocks until the
+//! handshake ends, and a blackholed shard would stall the loop for the
+//! kernel's whole SYN retry schedule.
 
 #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
 compile_error!("slide-serve binds epoll(7) directly and supports only 64-bit Linux");
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::os::raw::c_int;
 use std::os::unix::net::UnixStream;
@@ -213,6 +219,118 @@ impl Poller {
         }
         Ok(())
     }
+}
+
+// ---------------------------------------------------------------------
+// Nonblocking connect.
+
+mod sock {
+    use std::os::raw::c_int;
+
+    pub const AF_INET: c_int = 2;
+    pub const AF_INET6: c_int = 10;
+    pub const SOCK_STREAM: c_int = 1;
+    pub const SOCK_NONBLOCK: c_int = 0o4000;
+    pub const SOCK_CLOEXEC: c_int = 0o2000000;
+    pub const EINPROGRESS: i32 = 115;
+
+    #[repr(C)]
+    pub struct SockaddrIn {
+        pub family: u16,
+        /// Network byte order.
+        pub port: u16,
+        /// The four octets in network order.
+        pub addr: [u8; 4],
+        pub zero: [u8; 8],
+    }
+
+    #[repr(C)]
+    pub struct SockaddrIn6 {
+        pub family: u16,
+        /// Network byte order.
+        pub port: u16,
+        /// Network byte order.
+        pub flowinfo: u32,
+        pub addr: [u8; 16],
+        pub scope_id: u32,
+    }
+
+    extern "C" {
+        pub fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
+        pub fn connect(fd: c_int, addr: *const u8, len: u32) -> c_int;
+    }
+}
+
+/// Opens a nonblocking TCP socket (`TCP_NODELAY` on) and starts
+/// connecting it to `addr` without waiting for the handshake. The
+/// stream is usable once a [`Poller`] reports it writable; then
+/// [`TcpStream::take_error`] says whether the connect failed.
+///
+/// # Errors
+///
+/// Returns the `socket` error, or a `connect` error the kernel reported
+/// at once (e.g. a refused loopback port) rather than in progress.
+pub fn connect_nonblocking(addr: SocketAddr) -> io::Result<TcpStream> {
+    let domain = match addr {
+        SocketAddr::V4(_) => sock::AF_INET,
+        SocketAddr::V6(_) => sock::AF_INET6,
+    };
+    let ty = sock::SOCK_STREAM | sock::SOCK_NONBLOCK | sock::SOCK_CLOEXEC;
+    // SAFETY: plain syscall, no pointers.
+    let fd = unsafe { sock::socket(domain, ty, 0) };
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    // SAFETY: fd was just returned by socket() and is owned by nobody
+    // else; the stream closes it on every path below.
+    let stream = unsafe { TcpStream::from_raw_fd(fd) };
+    let rc = match addr {
+        SocketAddr::V4(a) => {
+            let sa = sock::SockaddrIn {
+                family: sock::AF_INET as u16,
+                port: a.port().to_be(),
+                addr: a.ip().octets(),
+                zero: [0; 8],
+            };
+            // SAFETY: sa is a valid sockaddr_in that outlives the call,
+            // and the length passed is its size.
+            unsafe {
+                sock::connect(
+                    fd,
+                    (&sa as *const sock::SockaddrIn).cast(),
+                    std::mem::size_of::<sock::SockaddrIn>() as u32,
+                )
+            }
+        }
+        SocketAddr::V6(a) => {
+            let sa = sock::SockaddrIn6 {
+                family: sock::AF_INET6 as u16,
+                port: a.port().to_be(),
+                flowinfo: a.flowinfo().to_be(),
+                addr: a.ip().octets(),
+                scope_id: a.scope_id(),
+            };
+            // SAFETY: sa is a valid sockaddr_in6 that outlives the call,
+            // and the length passed is its size.
+            unsafe {
+                sock::connect(
+                    fd,
+                    (&sa as *const sock::SockaddrIn6).cast(),
+                    std::mem::size_of::<sock::SockaddrIn6>() as u32,
+                )
+            }
+        }
+    };
+    if rc < 0 {
+        let e = io::Error::last_os_error();
+        // An interrupted connect carries on asynchronously, like one in
+        // progress.
+        if e.raw_os_error() != Some(sock::EINPROGRESS) && e.kind() != io::ErrorKind::Interrupted {
+            return Err(e);
+        }
+    }
+    stream.set_nodelay(true).ok();
+    Ok(stream)
 }
 
 // ---------------------------------------------------------------------
@@ -449,6 +567,41 @@ mod tests {
             .wait(&mut events, Some(Duration::from_millis(10)))
             .unwrap();
         assert!(events.iter().all(|e| e.token != 0 || !e.readable));
+    }
+
+    #[test]
+    fn nonblocking_connect_finishes_as_a_writable_event() {
+        let mut poller = Poller::new().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut stream = connect_nonblocking(addr).unwrap();
+        poller.register(raw_fd(&stream), 9, true, true).unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 9 && e.writable));
+        assert!(stream.take_error().unwrap().is_none());
+        let (mut peer, _) = listener.accept().unwrap();
+        stream.write_all(b"ping").unwrap();
+        let mut got = [0u8; 4];
+        peer.read_exact(&mut got).unwrap();
+        assert_eq!(&got, b"ping");
+
+        // A port nobody listens on fails — at once, or as an error event.
+        drop(listener);
+        match connect_nonblocking(addr) {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::ConnectionRefused),
+            Ok(stream) => {
+                poller.register(raw_fd(&stream), 10, true, true).unwrap();
+                events.clear();
+                poller
+                    .wait(&mut events, Some(Duration::from_secs(5)))
+                    .unwrap();
+                assert!(events.iter().any(|e| e.token == 10 && e.writable));
+                assert!(stream.take_error().unwrap().is_some());
+            }
+        }
     }
 
     #[test]

@@ -21,35 +21,47 @@
 //! The router owns no transport of its own: it is a second back-end of
 //! [`crate::http`]'s event-loop server, so its limits, timeouts,
 //! pipelining and transport-level errors (`400`, `413`, `429`) are the
-//! single box's with [`HttpOptions::default`]. What lives here is only
-//! the route table, the all-or-nothing scatter over shard [`Client`]s,
-//! and the [`TopK`] merge.
+//! single box's with [`HttpOptions::default`]. The fan-out runs on that
+//! same loop, too. Each loop keeps its shard links: per shard, a stack of
+//! idle keep-alive nonblocking connections registered on the loop's
+//! poller, dialed with [`crate::net::connect_nonblocking`], each
+//! carrying at most one request. A fan-out renders its shard request
+//! once, writes it to one link per shard, and parses the replies with
+//! [`crate::conn`]'s response parser as readiness events arrive; when
+//! the last one lands the gather runs on the loop and fills the
+//! client's response slot. No step waits on a timer except the
+//! [`RouterOptions::merge_timeout`] deadline, which the loop's sweep
+//! enforces. What lives here is the route table, those links, and the
+//! all-or-nothing [`TopK`] merge.
 //!
 //! Failure policy is all-or-nothing: a partial merge would silently
-//! drop one shard's classes, so an unreachable (or 5xx) shard turns the
-//! whole request into a typed `503 shard_unavailable`, and a shard
-//! slower than [`RouterOptions::merge_timeout`] into `504
-//! merge_timeout`. A shard's own `4xx` (bad request, invalid `top_k`)
-//! is relayed verbatim — shard engines validate against the *full*
-//! model's class count, so their rejections read exactly like a single
-//! box's.
+//! drop one shard's classes, so an unreachable (or 5xx, or undecodable)
+//! shard turns the whole request into a typed `503 shard_unavailable`,
+//! and a shard slower than [`RouterOptions::merge_timeout`] into `504
+//! merge_timeout` (its link is closed, never reused). A shard's own
+//! `4xx` (bad request, invalid `top_k`) is relayed verbatim — shard
+//! engines validate against the *full* model's class count, so their
+//! rejections read exactly like a single box's.
 //!
 //! Endpoints mirror the single-box server's: `POST /v1/predict`,
 //! `GET /healthz` (min epoch over reachable shards), `GET /readyz`
 //! (ready only when *every* shard is), `GET /v1/stats` (router-role
-//! counters). [`crate::client::Client`] speaks to a router unchanged.
+//! counters). [`crate::client`] speaks to a router unchanged.
 
-use std::net::{SocketAddr, ToSocketAddrs};
+use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use slide_core::TopK;
 
-use crate::client::{Client, ClientError};
+use crate::conn::ResponseParser;
 use crate::engine::ServeOptions;
 use crate::error::ServeError;
 use crate::http::{Answer, Backend, HttpOptions, HttpStats, Transport};
+use crate::net::{connect_nonblocking, raw_fd, Poller};
 use crate::wire::{self, PredictRequest, PredictResponse, WirePrediction};
 
 /// Tuning for a [`Router`].
@@ -59,9 +71,11 @@ pub struct RouterOptions {
     /// Must match the shard engines' [`ServeOptions::top_k`] for merged
     /// defaults to equal a single box's.
     pub top_k: usize,
-    /// Deadline for any single shard's answer within one fan-out.
-    /// Scatter is parallel, so the slowest shard bounds the merge; past
-    /// this the request fails typed `504 merge_timeout`.
+    /// Deadline for every shard's answer within one fan-out. Scatter is
+    /// parallel, so the slowest shard bounds the merge; past this the
+    /// request fails typed `504 merge_timeout`. The event loop's sweep
+    /// enforces it, so the answer can trail the deadline by up to one
+    /// sweep tick.
     pub merge_timeout: Duration,
 }
 
@@ -81,7 +95,7 @@ impl RouterOptions {
         self
     }
 
-    /// Sets the per-shard merge deadline (builder style).
+    /// Sets the per-fan-out merge deadline (builder style).
     pub fn with_merge_timeout(mut self, timeout: Duration) -> Self {
         self.merge_timeout = timeout;
         self
@@ -95,7 +109,8 @@ pub struct RouterStats {
     pub requests: u64,
     /// `POST /v1/predict` fan-outs that merged successfully.
     pub merged: u64,
-    /// Shard round-trips that failed (transport, timeout, or 5xx).
+    /// Fan-outs that failed on a shard (unreachable, 5xx, undecodable
+    /// or past the merge deadline).
     pub shard_errors: u64,
     /// Responses by status class.
     pub responses_2xx: u64,
@@ -106,24 +121,10 @@ pub struct RouterStats {
     pub responses_5xx: u64,
 }
 
-/// A set of keep-alive shard clients: slot `i` talks to shard `i` and
-/// is dialed on first use.
-type ShardSet = Vec<Option<Client>>;
-
-/// How long a shard set may sit idle and still be reused: half a
-/// shard's default idle sweep ([`HttpOptions::read_timeout`]), so a
-/// reused connection has not been closed under the router.
-const SHARD_SET_MAX_IDLE: Duration = Duration::from_secs(15);
-
-/// The router's back-end state, shared by the transport's event loops
-/// and the one-off threads that run fan-outs.
+/// The router's back-end state, shared by the transport's event loops.
 pub(crate) struct Fleet {
     shards: Vec<SocketAddr>,
     options: RouterOptions,
-    /// Shard sets between requests, each stamped with when it came back.
-    /// A stack: the newest set is reused first, so a steady load keeps
-    /// re-using warm sockets and the stamps ascend bottom to top.
-    idle: Mutex<Vec<(Instant, ShardSet)>>,
     merged: AtomicU64,
     shard_errors: AtomicU64,
 }
@@ -131,9 +132,9 @@ pub(crate) struct Fleet {
 /// The scatter-gather front door over a fleet of shard servers.
 ///
 /// Served by the same event-loop transport as [`crate::http::HttpServer`];
-/// each blocking fan-out runs on a one-off thread, through a keep-alive
-/// shard connection set taken from a shared idle stack, so busy traffic
-/// re-uses warm sockets end to end.
+/// each fan-out runs on the loop that read the request, over that loop's
+/// keep-alive shard links, so busy traffic re-uses warm sockets end to
+/// end and no request costs a thread.
 pub struct Router {
     transport: Transport,
     fleet: Arc<Fleet>,
@@ -170,7 +171,6 @@ impl Router {
         let fleet = Arc::new(Fleet {
             shards,
             options,
-            idle: Mutex::new(Vec::new()),
             merged: AtomicU64::new(0),
             shard_errors: AtomicU64::new(0),
         });
@@ -197,35 +197,61 @@ impl Router {
     }
 
     /// Stops accepting, drains in-flight requests, closes every client
-    /// connection, and joins the transport's threads.
+    /// connection and shard link, and joins the transport's threads.
     pub fn shutdown(mut self) {
         self.transport.stop();
     }
 }
 
+/// A fan-out the route table hands to the event loop's [`ShardLinks`].
+pub(crate) struct ShardCall {
+    gather: Gather,
+    /// The shard request, rendered once and written to every shard.
+    request: Vec<u8>,
+}
+
+/// How a fan-out's replies become the client's answer.
+enum Gather {
+    Predict(PredictRequest),
+    Healthz,
+    Readyz,
+}
+
+/// What one shard contributed to a fan-out.
+enum ShardReply {
+    Answer(u16, String),
+    TimedOut,
+    Unreachable,
+}
+
 impl Fleet {
-    /// The router's route table. Fan-outs block on shard round trips, so
-    /// they come back as [`Answer::Later`] for the transport to run off
-    /// its event loop; everything else answers at once. `http` reads the
+    /// The router's route table. Fan-outs come back as
+    /// [`Answer::FanOut`] for the event loop to run over its shard
+    /// links; everything else answers at once. `http` reads the
     /// transport's counters for `/v1/stats`.
     pub(crate) fn route(
-        self: &Arc<Self>,
+        &self,
         method: &str,
         path: &str,
         body: String,
         http: impl FnOnce() -> HttpStats,
     ) -> Answer {
-        let fleet = Arc::clone(self);
+        let fan_out = |gather, path: &str, body: &str| {
+            Answer::FanOut(ShardCall {
+                gather,
+                request: shard_request(method, path, body),
+            })
+        };
         match (method, path.split('?').next().unwrap_or("")) {
             // Decode locally first so malformed bodies die here with the
             // same typed 400 a single box gives, without burning a
             // fan-out.
             ("POST", "/v1/predict") => match wire::decode_predict_request(&body) {
-                Ok(req) => Answer::Later(Box::new(move || fleet.predict(&req, &body))),
+                Ok(req) => fan_out(Gather::Predict(req), "/v1/predict", &body),
                 Err(e) => self.error_answer(&e),
             },
-            ("GET", "/healthz") => Answer::Later(Box::new(move || fleet.healthz())),
-            ("GET", "/readyz") => Answer::Later(Box::new(move || fleet.readyz())),
+            ("GET", "/healthz") => fan_out(Gather::Healthz, "/healthz", ""),
+            ("GET", "/readyz") => fan_out(Gather::Readyz, "/readyz", ""),
             ("GET", "/v1/stats") => Answer::Now(200, self.stats_body(&http())),
             (_, "/healthz" | "/readyz" | "/v1/stats" | "/v1/predict") => {
                 self.error_answer(&ServeError::MethodNotAllowed {
@@ -283,77 +309,28 @@ impl Fleet {
     }
 
     // -----------------------------------------------------------------
-    // Shard fan-out.
+    // Gathers: every shard's reply, in shard order, to one answer.
 
-    /// The newest idle shard set, or an undialed one. A stale top means
-    /// every set is stale (the stamps ascend), so all of them go.
-    fn checkout(&self) -> ShardSet {
-        let mut idle = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
-        match idle.pop() {
-            Some((returned, set)) if returned.elapsed() < SHARD_SET_MAX_IDLE => set,
-            stale => {
-                if stale.is_some() {
-                    idle.clear();
-                }
-                self.shards.iter().map(|_| None).collect()
-            }
+    fn gather(&self, gather: &Gather, replies: Vec<ShardReply>) -> (u16, String) {
+        match gather {
+            Gather::Predict(req) => self.predict(req, replies),
+            Gather::Healthz => self.healthz(replies),
+            Gather::Readyz => self.readyz(replies),
         }
     }
 
-    fn checkin(&self, set: ShardSet) {
-        self.idle
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push((Instant::now(), set));
-    }
-
-    /// Fans one request over every shard in parallel and collects the
-    /// replies in shard order. The calling thread runs shard 0's round
-    /// trip itself; every other shard gets one scoped thread.
-    fn scatter(&self, method: &str, path: &str, body: Option<&str>) -> Vec<ShardReply> {
-        let timeout = self.options.merge_timeout;
-        let mut set = self.checkout();
-        let replies = std::thread::scope(|s| {
-            let mut slots = set.iter_mut().zip(&self.shards);
-            let first = slots.next();
-            let handles: Vec<_> = slots
-                .map(|(slot, &addr)| {
-                    s.spawn(move || shard_roundtrip(slot, addr, timeout, method, path, body))
-                })
-                .collect();
-            let mut replies = Vec::with_capacity(self.shards.len());
-            if let Some((slot, &addr)) = first {
-                replies.push(shard_roundtrip(slot, addr, timeout, method, path, body));
-            }
-            replies.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or(ShardReply::Unreachable)),
-            );
-            replies
-        });
-        // Back on the stack before the answer posts, so a client's next
-        // request finds these warm sockets.
-        self.checkin(set);
-        replies
-    }
-
-    // -----------------------------------------------------------------
-    // Endpoints.
-
-    fn predict(&self, req: &PredictRequest, body: &str) -> (u16, String) {
-        let replies = self.scatter("POST", "/v1/predict", Some(body));
+    fn predict(&self, req: &PredictRequest, replies: Vec<ShardReply>) -> (u16, String) {
         // All-or-nothing gather: relay a shard's own 4xx verbatim (its
         // validation is the full model's), refuse to merge around any
         // missing or failed shard.
-        let mut bodies: Vec<&str> = Vec::with_capacity(replies.len());
-        for (i, reply) in replies.iter().enumerate() {
+        let mut bodies: Vec<String> = Vec::with_capacity(replies.len());
+        for (i, reply) in replies.into_iter().enumerate() {
             match reply {
                 ShardReply::Answer(status, shard_body) => {
-                    if (400..500).contains(status) {
-                        return (*status, shard_body.clone());
+                    if (400..500).contains(&status) {
+                        return (status, shard_body);
                     }
-                    if !(200..300).contains(status) {
+                    if !(200..300).contains(&status) {
                         return self.error_response(&ServeError::ShardUnavailable { shard: i });
                     }
                     bodies.push(shard_body);
@@ -369,7 +346,8 @@ impl Fleet {
             match wire::decode_predict_response(b) {
                 Ok(r) if r.predictions.len() == req.inputs.len() => shard_resps.push(r),
                 // A 2xx that does not parse (or answers the wrong batch
-                // size) is a broken shard, not a client error.
+                // size, or pairs classes with a different number of
+                // scores) is a broken shard, not a client error.
                 _ => return self.error_response(&ServeError::ShardUnavailable { shard: i }),
             }
         }
@@ -407,11 +385,10 @@ impl Fleet {
         (200, wire::encode_predict_response(&resp))
     }
 
-    fn healthz(&self) -> (u16, String) {
+    fn healthz(&self, replies: Vec<ShardReply>) -> (u16, String) {
         // Liveness: the router itself answers as long as it runs; the
         // epoch reported is the fleet's trailing edge (the smallest epoch
         // any reachable shard serves), 0 when no shard is reachable.
-        let replies = self.scatter("GET", "/healthz", None);
         let mut epoch: Option<u64> = None;
         for reply in &replies {
             if let ShardReply::Answer(status, body) = reply {
@@ -432,12 +409,11 @@ impl Fleet {
         (200, body)
     }
 
-    fn readyz(&self) -> (u16, String) {
+    fn readyz(&self, replies: Vec<ShardReply>) -> (u16, String) {
         // Readiness is strict: a merged answer needs EVERY shard, so one
         // not-ready (or unreachable) shard makes the whole router not
         // ready, typed with the shard index so operators know where to
         // look.
-        let replies = self.scatter("GET", "/readyz", None);
         for (i, reply) in replies.iter().enumerate() {
             let ready =
                 matches!(reply, ShardReply::Answer(status, _) if (200..300).contains(status));
@@ -454,48 +430,370 @@ impl Fleet {
     }
 }
 
-enum ShardReply {
-    Answer(u16, String),
-    TimedOut,
-    Unreachable,
+/// The bytes of one shard request.
+fn shard_request(method: &str, path: &str, body: &str) -> Vec<u8> {
+    format!(
+        "{method} {path} HTTP/1.1\r\nHost: slide\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
 }
 
-/// One blocking shard round-trip through a keep-alive slot, dialing on
-/// first use (and re-dialing after a transport error, which `Client`
-/// surfaces by dropping its broken connection).
-fn shard_roundtrip(
-    slot: &mut Option<Client>,
-    addr: SocketAddr,
-    timeout: Duration,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> ShardReply {
-    if slot.is_none() {
-        match Client::connect(addr) {
-            Ok(c) => *slot = Some(c.with_read_timeout(timeout)),
-            Err(_) => return ShardReply::Unreachable,
+// ---------------------------------------------------------------------
+// Shard links: the fan-out on the event loop.
+
+/// Set on every shard link's poller token; client connections count up
+/// from 1 below it.
+pub(crate) const LINK_TOKEN: u64 = 1 << 63;
+
+/// How long a link may sit idle and still be reused: half a shard's
+/// default idle sweep ([`HttpOptions::read_timeout`]), so a shard does
+/// not close a link under a fan-out.
+const LINK_MAX_IDLE: Duration = Duration::from_secs(15);
+
+/// A fan-out whose gather ran: the answer for slot `req` of client
+/// connection `conn`.
+pub(crate) struct Finished {
+    pub(crate) conn: u64,
+    pub(crate) req: u64,
+    pub(crate) status: u16,
+    pub(crate) body: String,
+}
+
+/// One fan-out waiting for its shards.
+struct FanOut {
+    conn: u64,
+    req: u64,
+    gather: Gather,
+    deadline: Instant,
+    /// Per shard, the reply once it is in.
+    replies: Vec<Option<ShardReply>>,
+}
+
+/// One keep-alive connection to a shard.
+struct Link {
+    stream: TcpStream,
+    shard: usize,
+    /// The fan-out whose request this link carries; `None` while idle.
+    fanout: Option<u64>,
+    /// The nonblocking connect has not reported back yet.
+    connecting: bool,
+    /// Request bytes the socket has not taken yet (connect in progress,
+    /// or a full send buffer). Reused from request to request.
+    out: Vec<u8>,
+    out_pos: usize,
+    parser: ResponseParser,
+    idle_since: Instant,
+    reg_write: bool,
+}
+
+/// One event loop's side of the router: its keep-alive links to every
+/// shard and the fan-outs in flight over them. Only its loop's thread
+/// touches it; links live on that loop's poller under [`LINK_TOKEN`]
+/// tokens and never count as client connections.
+pub(crate) struct ShardLinks {
+    fleet: Arc<Fleet>,
+    links: HashMap<u64, Link>,
+    /// Per shard, the idle links' tokens, newest last: a steady load
+    /// keeps re-using the warmest socket.
+    idle: Vec<Vec<u64>>,
+    fanouts: HashMap<u64, FanOut>,
+    next_link: u64,
+    next_fanout: u64,
+    /// Gathers that ran, for the loop to hand to their connections.
+    finished: Vec<Finished>,
+}
+
+impl ShardLinks {
+    pub(crate) fn new(fleet: Arc<Fleet>) -> Self {
+        let shards = fleet.shards.len();
+        Self {
+            fleet,
+            links: HashMap::new(),
+            idle: vec![Vec::new(); shards],
+            fanouts: HashMap::new(),
+            next_link: 0,
+            next_fanout: 0,
+            finished: Vec::new(),
         }
     }
-    let Some(client) = slot.as_mut() else {
-        return ShardReply::Unreachable;
-    };
-    match client.request(method, path, body) {
-        Ok((status, body)) => ShardReply::Answer(status, body),
-        Err(ClientError::Io(e))
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) =>
-        {
-            // The connection's read stream is now mid-response garbage;
-            // force a fresh dial next time.
-            *slot = None;
-            ShardReply::TimedOut
+
+    /// The next finished fan-out, if any.
+    pub(crate) fn pop_finished(&mut self) -> Option<Finished> {
+        self.finished.pop()
+    }
+
+    /// Writes `call`'s request to one link per shard. A shard that
+    /// cannot take it (dial or write failed) is unreachable at once; if
+    /// every shard is, the gather runs now.
+    pub(crate) fn start(&mut self, poller: &mut Poller, conn: u64, req: u64, call: ShardCall) {
+        let id = self.next_fanout;
+        self.next_fanout += 1;
+        let mut fanout = FanOut {
+            conn,
+            req,
+            gather: call.gather,
+            deadline: Instant::now() + self.fleet.options.merge_timeout,
+            replies: self.fleet.shards.iter().map(|_| None).collect(),
+        };
+        for shard in 0..fanout.replies.len() {
+            if self.send(poller, shard, id, &call.request).is_none() {
+                fanout.replies[shard] = Some(ShardReply::Unreachable);
+            }
         }
-        Err(_) => {
-            *slot = None;
-            ShardReply::Unreachable
+        if fanout.replies.iter().all(Option::is_some) {
+            self.finish(fanout);
+        } else {
+            self.fanouts.insert(id, fanout);
+        }
+    }
+
+    /// Puts `request` on a link to `shard` (the newest idle one, or a
+    /// fresh dial) for fan-out `id`; `None` if the shard is unreachable.
+    fn send(&mut self, poller: &mut Poller, shard: usize, id: u64, request: &[u8]) -> Option<()> {
+        let token = match self.idle[shard].pop() {
+            Some(token) => token,
+            None => self.dial(poller, shard)?,
+        };
+        let link = self.links.get_mut(&token)?;
+        link.fanout = Some(id);
+        link.out.clear();
+        link.out_pos = 0;
+        let sent = if link.connecting {
+            0
+        } else {
+            match write_some(&link.stream, request) {
+                Ok(n) => n,
+                Err(_) => {
+                    self.close(poller, token);
+                    return None;
+                }
+            }
+        };
+        link.out.extend_from_slice(&request[sent..]);
+        link.sync_interest(poller, token);
+        Some(())
+    }
+
+    fn dial(&mut self, poller: &mut Poller, shard: usize) -> Option<u64> {
+        let stream = connect_nonblocking(self.fleet.shards[shard]).ok()?;
+        let token = LINK_TOKEN | self.next_link;
+        self.next_link += 1;
+        // Write interest reports the connect's outcome.
+        poller.register(raw_fd(&stream), token, true, true).ok()?;
+        self.links.insert(
+            token,
+            Link {
+                stream,
+                shard,
+                fanout: None,
+                connecting: true,
+                out: Vec::new(),
+                out_pos: 0,
+                parser: ResponseParser::new(HttpOptions::default().max_body_bytes),
+                idle_since: Instant::now(),
+                reg_write: true,
+            },
+        );
+        Some(token)
+    }
+
+    /// Drives one link on a readiness event: finish its connect, flush
+    /// its request, parse its reply.
+    pub(crate) fn on_event(&mut self, poller: &mut Poller, token: u64, readable: bool) {
+        let Some(link) = self.links.get_mut(&token) else {
+            return;
+        };
+        if link.connecting {
+            match link.stream.take_error() {
+                Ok(None) => link.connecting = false,
+                _ => return self.fail(poller, token),
+            }
+        }
+        if link.out_pos < link.out.len() {
+            match write_some(&link.stream, &link.out[link.out_pos..]) {
+                Ok(n) => link.out_pos += n,
+                Err(_) => return self.fail(poller, token),
+            }
+        }
+        if readable {
+            match link.read_reply() {
+                Ok(None) => {}
+                Ok(Some((status, body, reusable))) => {
+                    return self.complete(poller, token, ShardReply::Answer(status, body), reusable)
+                }
+                Err(()) => return self.fail(poller, token),
+            }
+        }
+        link.sync_interest(poller, token);
+    }
+
+    /// A link delivered `reply` to its fan-out; it goes back on the idle
+    /// stack if `reusable`, else closes.
+    fn complete(&mut self, poller: &mut Poller, token: u64, reply: ShardReply, reusable: bool) {
+        let Some(link) = self.links.get_mut(&token) else {
+            return;
+        };
+        let Some(id) = link.fanout.take() else {
+            // Bytes nobody asked for: the link is out of step.
+            return self.close(poller, token);
+        };
+        let shard = link.shard;
+        if reusable {
+            link.idle_since = Instant::now();
+            link.sync_interest(poller, token);
+            self.idle[shard].push(token);
+        } else {
+            self.close(poller, token);
+        }
+        self.record(id, shard, reply);
+    }
+
+    /// A link broke (connect refused, reset, EOF, malformed reply): it
+    /// closes, and a request it carried counts its shard unreachable.
+    fn fail(&mut self, poller: &mut Poller, token: u64) {
+        let Some(link) = self.links.get(&token) else {
+            return;
+        };
+        let (fanout, shard) = (link.fanout, link.shard);
+        self.close(poller, token);
+        if let Some(id) = fanout {
+            self.record(id, shard, ShardReply::Unreachable);
+        }
+    }
+
+    fn close(&mut self, poller: &mut Poller, token: u64) {
+        if let Some(link) = self.links.remove(&token) {
+            poller.deregister(raw_fd(&link.stream)).ok();
+            if link.fanout.is_none() {
+                self.idle[link.shard].retain(|&t| t != token);
+            }
+        }
+    }
+
+    fn record(&mut self, id: u64, shard: usize, reply: ShardReply) {
+        let Some(fanout) = self.fanouts.get_mut(&id) else {
+            return;
+        };
+        fanout.replies[shard] = Some(reply);
+        if fanout.replies.iter().all(Option::is_some) {
+            if let Some(fanout) = self.fanouts.remove(&id) {
+                self.finish(fanout);
+            }
+        }
+    }
+
+    fn finish(&mut self, fanout: FanOut) {
+        let replies = fanout
+            .replies
+            .into_iter()
+            .map(|r| r.unwrap_or(ShardReply::TimedOut))
+            .collect();
+        let (status, body) = self.fleet.gather(&fanout.gather, replies);
+        self.finished.push(Finished {
+            conn: fanout.conn,
+            req: fanout.req,
+            status,
+            body,
+        });
+    }
+
+    /// Enforces the merge deadline — a shard still owing a reply times
+    /// out and its link closes, since a late reply would arrive out of
+    /// step — and retires links idle past [`LINK_MAX_IDLE`].
+    pub(crate) fn sweep(&mut self, poller: &mut Poller, now: Instant) {
+        let expired: Vec<u64> = self
+            .fanouts
+            .iter()
+            .filter(|(_, f)| now >= f.deadline)
+            .map(|(&id, _)| id)
+            .collect();
+        for id in expired {
+            let Some(fanout) = self.fanouts.remove(&id) else {
+                continue;
+            };
+            let stuck: Vec<u64> = self
+                .links
+                .iter()
+                .filter(|(_, l)| l.fanout == Some(id))
+                .map(|(&token, _)| token)
+                .collect();
+            for token in stuck {
+                self.close(poller, token);
+            }
+            self.finish(fanout);
+        }
+        for shard in 0..self.idle.len() {
+            // Newest last: the stale links sit at the bottom.
+            let stale = self.idle[shard]
+                .iter()
+                .take_while(|t| {
+                    self.links
+                        .get(t)
+                        .is_some_and(|l| now.duration_since(l.idle_since) > LINK_MAX_IDLE)
+                })
+                .count();
+            for token in self.idle[shard].drain(..stale).collect::<Vec<_>>() {
+                if let Some(link) = self.links.remove(&token) {
+                    poller.deregister(raw_fd(&link.stream)).ok();
+                }
+            }
+        }
+    }
+}
+
+impl Link {
+    /// Reads what the socket holds into the parser. `Ok(Some)` is a
+    /// complete reply `(status, body, reusable)`; `Err` means the link
+    /// is broken — EOF, a read error, a malformed reply, or bytes while
+    /// idle.
+    fn read_reply(&mut self) -> Result<Option<(u16, String, bool)>, ()> {
+        let mut buf = [0u8; 16 << 10];
+        loop {
+            let n = match self.stream.read(&mut buf) {
+                Ok(0) => return Err(()),
+                Ok(n) => n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return Err(()),
+            };
+            if self.fanout.is_none() {
+                return Err(());
+            }
+            match self.parser.advance(&buf[..n]) {
+                (_, Ok(None)) => {}
+                (used, Ok(Some(r))) => {
+                    // One request in flight, so trailing bytes mean the
+                    // link is out of step: answer, then close it.
+                    return Ok(Some((r.status, r.body, r.keep_alive && used == n)));
+                }
+                (_, Err(_)) => return Err(()),
+            }
+        }
+    }
+
+    /// Syncs write interest with what the link has to send (read
+    /// interest stays on: an idle link's EOF closes it promptly).
+    fn sync_interest(&mut self, poller: &mut Poller, token: u64) {
+        let want = self.connecting || self.out_pos < self.out.len();
+        if want != self.reg_write {
+            poller.modify(raw_fd(&self.stream), token, true, want).ok();
+            self.reg_write = want;
+        }
+    }
+}
+
+/// One nonblocking write: the bytes the socket took (0 when its buffer
+/// is full), or the error that broke it.
+fn write_some(mut stream: &TcpStream, bytes: &[u8]) -> std::io::Result<usize> {
+    loop {
+        match stream.write(bytes) {
+            Ok(0) if !bytes.is_empty() => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => return Ok(n),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(0),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
 }
@@ -503,15 +801,17 @@ fn shard_roundtrip(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufReader, Read, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::sync::Arc;
+    use std::io::BufReader;
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+    use std::thread::JoinHandle;
 
     use slide_core::config::{LshLayerConfig, NetworkConfig};
     use slide_core::Network;
     use slide_data::synth::{generate, SyntheticConfig, SyntheticData};
 
-    use crate::conn::MAX_LINE_BYTES;
+    use crate::client::{Client, ClientError};
+    use crate::conn::{ParseStatus, RequestParser, MAX_LINE_BYTES};
     use crate::http::tests::read_response;
     use crate::http::HttpServer;
     use crate::{EngineHandle, ServingEngine};
@@ -732,5 +1032,217 @@ mod tests {
         for s in servers {
             s.shutdown();
         }
+    }
+
+    /// A three-shard router answers three pipelined predicts, written in
+    /// one `write`, in request order — each bit-identical to the
+    /// unsliced engine.
+    #[test]
+    fn pipelined_predicts_answer_in_order_bit_for_bit() {
+        let (bytes, data) = tiny_snapshot();
+        let single = ServingEngine::from_snapshot_bytes(&bytes, shard_opts()).unwrap();
+        let (servers, router) = cluster(&bytes, 3);
+        let inputs: Vec<_> = data.test.iter().take(3).map(|ex| &ex.features).collect();
+        let mut burst = String::new();
+        for features in &inputs {
+            let body = wire::encode_predict_request(&PredictRequest {
+                inputs: vec![(*features).clone()],
+                top_k: None,
+            });
+            burst.push_str(&format!(
+                "POST /v1/predict HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            ));
+        }
+        let stream = TcpStream::connect(router.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        writer.write_all(burst.as_bytes()).unwrap();
+        for (i, features) in inputs.iter().enumerate() {
+            let (status, _, body) = read_response(&mut reader).expect("answer");
+            assert_eq!(status, 200, "request {i}: {body}");
+            let got = wire::decode_predict_response(&body).unwrap();
+            let want = single.predict(features).unwrap();
+            let want_items = want.topk.items();
+            let p = &got.predictions[0];
+            assert_eq!(
+                p.classes,
+                want_items.iter().map(|&(c, _)| c).collect::<Vec<_>>(),
+                "request {i}"
+            );
+            assert_eq!(
+                p.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                want_items
+                    .iter()
+                    .map(|&(_, s)| s.to_bits())
+                    .collect::<Vec<_>>(),
+                "request {i}"
+            );
+        }
+        // Shard links are the router's own, not clients.
+        assert_eq!(router.transport.stats().current_connections, 1);
+        drop(writer);
+        router.shutdown();
+        for s in servers {
+            s.shutdown();
+        }
+    }
+
+    /// What a stand-in shard did, in order.
+    #[derive(Debug, PartialEq, Eq)]
+    enum StubEvent {
+        Accepted,
+        Closed,
+    }
+
+    /// A stand-in shard: one thread that accepts `connections`
+    /// connections one after another, hands each request's stream to
+    /// `answer`, and reads on until the router closes the connection.
+    /// Reports accepts and closes; join it once the router is down.
+    fn stub_shard(
+        connections: usize,
+        answer: fn(&mut TcpStream),
+    ) -> (SocketAddr, mpsc::Receiver<StubEvent>, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            for stream in listener.incoming().take(connections) {
+                let mut stream = stream.unwrap();
+                tx.send(StubEvent::Accepted).unwrap();
+                let mut parser = RequestParser::new(1 << 20);
+                let mut buf = [0u8; 4096];
+                loop {
+                    let n = match stream.read(&mut buf) {
+                        Ok(0) | Err(_) => break,
+                        Ok(n) => n,
+                    };
+                    let mut rest = &buf[..n];
+                    while !rest.is_empty() {
+                        let (used, status) = parser.advance(rest);
+                        rest = &rest[used..];
+                        if let ParseStatus::Request(_) = status {
+                            answer(&mut stream);
+                        }
+                    }
+                }
+                tx.send(StubEvent::Closed).unwrap();
+            }
+        });
+        (addr, rx, thread)
+    }
+
+    fn stub_router(shard: SocketAddr, merge_timeout: Duration) -> Router {
+        let options = RouterOptions::default()
+            .with_top_k(3)
+            .with_merge_timeout(merge_timeout);
+        Router::serve("127.0.0.1:0", vec![shard], options).unwrap()
+    }
+
+    /// A raw keep-alive connection to `addr`: `(writer, reader)`.
+    fn raw(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        (stream.try_clone().unwrap(), BufReader::new(stream))
+    }
+
+    const PREDICT: &str = "POST /v1/predict HTTP/1.1\r\nContent-Length: 30\r\n\r\n\
+                           {\"indices\":[0],\"values\":[1.0]}";
+
+    /// A shard whose prediction pairs 3 classes with 2 scores is broken:
+    /// the router refuses to merge a truncated list and answers the
+    /// typed `503`.
+    #[test]
+    fn classes_and_scores_of_different_lengths_are_shard_unavailable() {
+        let (shard, _events, stub) = stub_shard(1, |stream| {
+            let body = "{\"api_version\":1,\"epoch\":1,\"predictions\":\
+                        [{\"classes\":[1,2,3],\"scores\":[0.5,0.25],\"latency_us\":1}]}";
+            let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", body.len());
+            stream.write_all(format!("{head}{body}").as_bytes()).ok();
+        });
+        let router = stub_router(shard, Duration::from_secs(5));
+        let (mut writer, mut reader) = raw(router.local_addr());
+        writer.write_all(PREDICT.as_bytes()).unwrap();
+        let (status, _, body) = read_response(&mut reader).expect("answer");
+        assert_eq!(
+            (status, wire::decode_error_body(&body).0.as_str()),
+            (503, "shard_unavailable"),
+            "{body}"
+        );
+        assert_eq!(router.stats().merged, 0);
+        assert_eq!(router.stats().shard_errors, 1);
+        router.shutdown();
+        stub.join().unwrap();
+    }
+
+    /// A shard that reads but never answers: `504 merge_timeout` no
+    /// sooner than the deadline and within a second of it, the stuck
+    /// link is closed rather than reused, and the client's connection
+    /// stays open.
+    #[test]
+    fn a_silent_shard_is_a_typed_merge_timeout() {
+        let deadline = Duration::from_millis(300);
+        let (shard, events, stub) = stub_shard(2, |_| {});
+        let router = stub_router(shard, deadline);
+        let (mut writer, mut reader) = raw(router.local_addr());
+        let wait = Duration::from_secs(5);
+        for round in 1..=2 {
+            let t0 = Instant::now();
+            writer.write_all(PREDICT.as_bytes()).unwrap();
+            let (status, _, body) = read_response(&mut reader).expect("answer");
+            let elapsed = t0.elapsed();
+            assert_eq!(
+                (status, wire::decode_error_body(&body).0.as_str()),
+                (504, "merge_timeout"),
+                "{body}"
+            );
+            assert!(
+                elapsed >= deadline && elapsed <= deadline + Duration::from_secs(1),
+                "answered after {elapsed:?}"
+            );
+            assert_eq!(router.stats().shard_errors, round);
+            // Each round dials a fresh link, and the stuck one closes.
+            assert_eq!(events.recv_timeout(wait), Ok(StubEvent::Accepted));
+            assert_eq!(events.recv_timeout(wait), Ok(StubEvent::Closed));
+        }
+        writer.write_all(b"GET /v1/stats HTTP/1.1\r\n\r\n").unwrap();
+        let (status, _, body) = read_response(&mut reader).expect("stats on the same connection");
+        assert_eq!(status, 200);
+        assert!(body.contains("\"shard_errors\":2"), "{body}");
+        router.shutdown();
+        stub.join().unwrap();
+    }
+
+    /// A shard that hangs up halfway through its answer is unavailable,
+    /// not a timeout and not a partial merge.
+    #[test]
+    fn a_shard_closing_mid_response_is_shard_unavailable() {
+        let (shard, _events, stub) = stub_shard(1, |stream| {
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"api_ver")
+                .ok();
+            stream.shutdown(std::net::Shutdown::Both).ok();
+        });
+        let router = stub_router(shard, Duration::from_secs(5));
+        let (mut writer, mut reader) = raw(router.local_addr());
+        let t0 = Instant::now();
+        writer.write_all(PREDICT.as_bytes()).unwrap();
+        let (status, _, body) = read_response(&mut reader).expect("answer");
+        assert_eq!(
+            (status, wire::decode_error_body(&body).0.as_str()),
+            (503, "shard_unavailable"),
+            "{body}"
+        );
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "no wait for the deadline"
+        );
+        router.shutdown();
+        stub.join().unwrap();
     }
 }

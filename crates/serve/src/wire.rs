@@ -245,7 +245,8 @@ pub fn encode_predict_response(resp: &PredictResponse) -> String {
 /// # Errors
 ///
 /// Returns [`ServeError::BadRequest`] on malformed JSON or a schema
-/// mismatch (including an unknown `api_version`).
+/// mismatch (including an unknown `api_version`, and a prediction whose
+/// `classes` and `scores` differ in length).
 pub fn decode_predict_response(body: &str) -> Result<PredictResponse, ServeError> {
     let v = json::parse(body).map_err(|e| bad(format!("invalid response json: {e}")))?;
     let version = v
@@ -289,6 +290,13 @@ pub fn decode_predict_response(body: &str) -> Result<PredictResponse, ServeError
                         .ok_or_else(|| bad(format!("predictions[{i}]: score must be a number")))
                 })
                 .collect::<Result<Vec<_>, _>>()?;
+            if scores.len() != classes.len() {
+                return Err(bad(format!(
+                    "predictions[{i}]: {} classes but {} scores",
+                    classes.len(),
+                    scores.len()
+                )));
+            }
             let latency_us = p.get("latency_us").and_then(Json::as_u64).unwrap_or(0);
             Ok(WirePrediction {
                 classes,
@@ -457,6 +465,17 @@ mod tests {
     fn unknown_api_version_rejected() {
         let body = r#"{"api_version":2,"epoch":1,"predictions":[]}"#;
         assert!(decode_predict_response(body).is_err());
+    }
+
+    #[test]
+    fn classes_and_scores_of_different_lengths_are_rejected() {
+        let body = r#"{"api_version":1,"epoch":1,"predictions":[{"classes":[1,2,3],"scores":[0.5,0.25]}]}"#;
+        match decode_predict_response(body) {
+            Err(ServeError::BadRequest { message }) => {
+                assert!(message.contains("3 classes but 2 scores"), "{message}")
+            }
+            other => panic!("expected a typed decode error, got {other:?}"),
+        }
     }
 
     #[test]
