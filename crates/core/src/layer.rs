@@ -78,7 +78,10 @@ impl LayerLsh {
         self.strategy
     }
 
-    /// Number of table rebuilds performed (including the initial build).
+    /// Number of table builds so far, the initial build included. A
+    /// restored layer counts the initial build it skipped (see
+    /// `Network::for_restore`), so its one build after the restore reads
+    /// 2, as for a network built and then rebuilt.
     pub fn rebuild_count(&self) -> u64 {
         self.rebuild_count
     }
@@ -98,11 +101,11 @@ impl LayerLsh {
         self.centered
     }
 
-    /// Seconds spent in the two phases of every table rebuild so far
-    /// (the initial build included): `(hash, insert)`. Hash covers the
-    /// centering mean, hashing every weight row and folding its codes to
-    /// bucket indices; insert covers clearing the tables and inserting
-    /// every id.
+    /// Seconds spent in the two phases of every table build this layer
+    /// performed (an initial build included): `(hash, insert)`. Hash
+    /// covers the centering mean, hashing every weight row and folding its
+    /// codes to bucket indices; insert covers clearing the tables and
+    /// inserting every id.
     pub fn rebuild_phase_seconds(&self) -> (f64, f64) {
         (
             self.hash_nanos as f64 * 1e-9,
@@ -156,47 +159,12 @@ impl Layer {
         rng: &mut Xoshiro256PlusPlus,
         input_major: bool,
     ) -> Self {
-        Self::new_with_init_draws(fan_in, config, kernel_mode, rng, config.units, input_major)
-    }
-
-    /// [`Layer::new`] advancing `rng` as if the layer had `init_units`
-    /// neurons: the full `init_units × fan_in` Glorot draws happen (the
-    /// surplus is discarded) before the hash family is built. A snapshot
-    /// *slice* restores only a shard's rows of a wider layer; its family
-    /// and `rng_base` must be seeded from the same RNG position as the
-    /// full network's or its hash codes would diverge. The initial
-    /// weights are irrelevant — the slice payload overwrites them.
-    pub(crate) fn new_with_init_draws(
-        fan_in: usize,
-        config: &LayerConfig,
-        kernel_mode: KernelMode,
-        rng: &mut Xoshiro256PlusPlus,
-        init_units: usize,
-        input_major: bool,
-    ) -> Self {
         let units = config.units;
-        assert!(init_units >= units, "init_units below layer units");
-        let (rows, cols) = if input_major {
-            (fan_in, units)
-        } else {
-            (units, fan_in)
-        };
-        let mut layer = Self {
-            units,
-            fan_in,
-            activation: config.activation,
-            input_major,
-            weights: HogwildMatrix::zeroed(rows, cols),
-            biases: HogwildArray::zeroed(units),
-            w_moments: OnceLock::new(),
-            b_m: HogwildArray::zeroed(units),
-            b_v: HogwildArray::zeroed(units),
-            lsh: None,
-            kernel_mode,
-        };
+        let layer = Self::zeroed(fan_in, config, kernel_mode, input_major);
         // Glorot draws in unit-major order whatever the orientation, so
-        // both store the same weights.
-        let bound = (6.0 / (fan_in + init_units) as f64).sqrt() as f32;
+        // both store the same weights. One `next_f32` (one `next_u64`)
+        // per weight: a snapshot restore skips exactly that many.
+        let bound = (6.0 / (fan_in + units) as f64).sqrt() as f32;
         let glorot = |rng: &mut Xoshiro256PlusPlus| (rng.next_f32() * 2.0 - 1.0) * bound;
         if input_major {
             // A unit's draws fill a column, one cell per cache line: draw
@@ -216,34 +184,71 @@ impl Layer {
                 }
             }
         }
-        for _ in units * fan_in..init_units * fan_in {
-            rng.next_f32();
+        let mut layer = layer.with_lsh(config, rng, 0);
+        layer.rebuild_tables();
+        layer
+    }
+
+    /// The layer with zeroed weights, biases and Adam state and no LSH.
+    pub(crate) fn zeroed(
+        fan_in: usize,
+        config: &LayerConfig,
+        kernel_mode: KernelMode,
+        input_major: bool,
+    ) -> Self {
+        let units = config.units;
+        let (rows, cols) = if input_major {
+            (fan_in, units)
+        } else {
+            (units, fan_in)
+        };
+        Self {
+            units,
+            fan_in,
+            activation: config.activation,
+            input_major,
+            weights: HogwildMatrix::zeroed(rows, cols),
+            biases: HogwildArray::zeroed(units),
+            w_moments: OnceLock::new(),
+            b_m: HogwildArray::zeroed(units),
+            b_v: HogwildArray::zeroed(units),
+            lsh: None,
+            kernel_mode,
         }
-        layer.lsh = config.lsh.as_ref().map(|cfg| {
-            let family = build_family(cfg, fan_in, rng);
+    }
+
+    /// Attaches the configured LSH state (none for a dense layer): draws
+    /// the hash family and the rebuild RNG base from `rng`, over empty
+    /// tables that count `rebuild_count` builds so far. The caller builds
+    /// the tables; the next build inserts from the stream of build
+    /// `rebuild_count + 1`.
+    pub(crate) fn with_lsh(
+        mut self,
+        config: &LayerConfig,
+        rng: &mut Xoshiro256PlusPlus,
+        rebuild_count: u64,
+    ) -> Self {
+        self.lsh = config.lsh.as_ref().map(|cfg| {
+            let family = build_family(cfg, self.fan_in, rng);
             let table_config = TableConfig::new(cfg.k, cfg.l)
                 .with_table_bits(cfg.table_bits)
                 .with_bucket_capacity(cfg.bucket_capacity)
                 .with_policy(cfg.policy);
-            let strategy = resolve_strategy(cfg.strategy, units);
             LayerLsh {
                 family,
                 tables: LshTables::new(table_config),
-                strategy,
+                strategy: resolve_strategy(cfg.strategy, self.units),
                 rebuild: cfg.rebuild.start(),
                 centered: cfg.center_rows,
                 center_override: None,
-                rebuild_count: 0,
+                rebuild_count,
                 rng_base: Xoshiro256PlusPlus::seed_from_u64(rng.next_u64()),
                 scratch: RebuildScratch::default(),
                 hash_nanos: 0,
                 insert_nanos: 0,
             }
         });
-        if layer.lsh.is_some() {
-            layer.rebuild_tables();
-        }
-        layer
+        self
     }
 
     /// Number of neurons.
@@ -762,6 +767,76 @@ fn build_family(
     }
 }
 
+/// A naive table-build oracle, shared by the layer and snapshot tests.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use std::ops::Range;
+
+    use super::*;
+
+    /// The tables `layer`'s latest build must hold over its rows `rows`,
+    /// recomputed naively: the centering mean taken over all of the
+    /// layer's rows, every row in `rows` hashed on its own by the scalar
+    /// reference, its K-code groups mapped with `Table::bucket_index`,
+    /// and each table filled with local ids `0..rows.len()` in ascending
+    /// order from the RNG stream of build number `rebuild_count`. With
+    /// `rows` a shard's range of the full layer, these are the tables of
+    /// that shard's slice.
+    pub(crate) fn reference_tables(layer: &Layer, rows: Range<usize>) -> LshTables {
+        let lsh = layer.lsh().unwrap();
+        let (units, fan_in) = (layer.units(), layer.fan_in());
+        let config = *lsh.tables().config();
+        let nc = lsh.family().num_codes();
+        let mut row = vec![0.0f32; fan_in];
+        let mut mean = Vec::new();
+        if lsh.centered() {
+            let mut acc = vec![0.0f64; fan_in];
+            for j in 0..units {
+                layer.read_unit_into(j, &mut row);
+                for (a, &x) in acc.iter_mut().zip(&row) {
+                    *a += x as f64;
+                }
+            }
+            mean = acc.iter().map(|&a| (a / units as f64) as f32).collect();
+        }
+        let mut codes = vec![0u32; rows.len() * nc];
+        for (j, out) in rows.zip(codes.chunks_exact_mut(nc)) {
+            layer.read_unit_into(j, &mut row);
+            for (x, &m) in row.iter_mut().zip(&mean) {
+                *x -= m;
+            }
+            lsh.family().hash_dense_mode(&row, out, KernelMode::Scalar);
+        }
+        let mut tables = LshTables::new(config);
+        for (t, table) in tables.tables_mut().iter_mut().enumerate() {
+            let mut rng = lsh
+                .rng_base
+                .stream(lsh.rebuild_count * 1_000_003 + t as u64);
+            for (j, row_codes) in codes.chunks_exact(nc).enumerate() {
+                let bucket = table.bucket_index(&row_codes[t * config.k..(t + 1) * config.k]);
+                table.insert_at(bucket, j as u32, config.policy, &mut rng);
+            }
+        }
+        tables
+    }
+
+    /// Asserts two table sets are equal bucket by bucket (ids in slot
+    /// order, and attempts); returns how many buckets overflowed.
+    pub(crate) fn assert_same_tables(got: &LshTables, want: &LshTables, case: &str) -> usize {
+        assert_eq!(got.num_tables(), want.num_tables(), "{case}: table count");
+        let mut overflowed = 0;
+        for (t, (a, b)) in got.tables().iter().zip(want.tables()).enumerate() {
+            assert_eq!(a.buckets().len(), b.buckets().len(), "{case}: table {t}");
+            for (i, (x, y)) in a.buckets().iter().zip(b.buckets()).enumerate() {
+                assert_eq!(x.items(), y.items(), "{case}: table {t} bucket {i}");
+                assert_eq!(x.attempts(), y.attempts(), "{case}: table {t} bucket {i}");
+                overflowed += (x.attempts() > x.capacity() as u64) as usize;
+            }
+        }
+        overflowed
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -917,63 +992,11 @@ mod tests {
         assert!(found_any >= 45, "only {found_any}/50 neurons self-retrieve");
     }
 
-    /// The tables `rebuild_tables` must build, recomputed naively: every
-    /// row hashed on its own by the scalar reference, its K-code groups
-    /// mapped with `Table::bucket_index`, and each table filled with the
-    /// ids in ascending order from the rebuild's RNG stream.
-    fn reference_tables(layer: &Layer) -> LshTables {
-        let lsh = layer.lsh().unwrap();
-        let (units, fan_in) = (layer.units(), layer.fan_in());
-        let config = *lsh.tables().config();
-        let nc = lsh.family().num_codes();
-        let mut row = vec![0.0f32; fan_in];
-        let mut mean = Vec::new();
-        if lsh.centered() {
-            let mut acc = vec![0.0f64; fan_in];
-            for j in 0..units {
-                layer.read_unit_into(j, &mut row);
-                for (a, &x) in acc.iter_mut().zip(&row) {
-                    *a += x as f64;
-                }
-            }
-            mean = acc.iter().map(|&a| (a / units as f64) as f32).collect();
-        }
-        let mut codes = vec![0u32; units * nc];
-        for (j, out) in codes.chunks_exact_mut(nc).enumerate() {
-            layer.read_unit_into(j, &mut row);
-            for (x, &m) in row.iter_mut().zip(&mean) {
-                *x -= m;
-            }
-            lsh.family().hash_dense_mode(&row, out, KernelMode::Scalar);
-        }
-        let mut tables = LshTables::new(config);
-        for (t, table) in tables.tables_mut().iter_mut().enumerate() {
-            let mut rng = lsh
-                .rng_base
-                .stream(lsh.rebuild_count * 1_000_003 + t as u64);
-            for (j, row_codes) in codes.chunks_exact(nc).enumerate() {
-                let bucket = table.bucket_index(&row_codes[t * config.k..(t + 1) * config.k]);
-                table.insert_at(bucket, j as u32, config.policy, &mut rng);
-            }
-        }
-        tables
-    }
-
     /// Asserts `layer`'s tables equal the naive reference bucket by
-    /// bucket (ids in slot order, and attempts); returns how many buckets
-    /// overflowed.
+    /// bucket; returns how many buckets overflowed.
     fn assert_matches_reference(layer: &Layer, case: &str) -> usize {
-        let want = reference_tables(layer);
-        let got = layer.lsh().unwrap().tables();
-        let mut overflowed = 0;
-        for (t, (a, b)) in got.tables().iter().zip(want.tables()).enumerate() {
-            for (i, (x, y)) in a.buckets().iter().zip(b.buckets()).enumerate() {
-                assert_eq!(x.items(), y.items(), "{case}: table {t} bucket {i}");
-                assert_eq!(x.attempts(), y.attempts(), "{case}: table {t} bucket {i}");
-                overflowed += (x.attempts() > x.capacity() as u64) as usize;
-            }
-        }
-        overflowed
+        let want = oracle::reference_tables(layer, 0..layer.units());
+        oracle::assert_same_tables(layer.lsh().unwrap().tables(), &want, case)
     }
 
     #[test]

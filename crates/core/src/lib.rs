@@ -29,7 +29,7 @@
 //!   [`inference::InferenceSelector`] retrieval and the in-place
 //!   [`inference::TopK`] reduction behind `Network::predict_topk`;
 //! * [`snapshot`] — versioned byte-format serialization of a trained
-//!   network (weights, biases, config), hash tables rebuilt on load,
+//!   network (weights, biases, config), hash tables built once on load,
 //!   with an optional i16 fixed-point output-layer encoding;
 //! * [`quant`] — [`quant::QuantizedRows`], the decoded per-row-scaled
 //!   i16 output layer consumed by the fused quantized dot kernels;

@@ -203,36 +203,47 @@ impl Network {
         })
     }
 
-    /// [`Network::new`] for a snapshot *slice*: the output layer in
-    /// `config` holds only a shard's `hi − lo` neurons, but the RNG is
-    /// advanced as if it had `init_output_units` (the full network's
-    /// output width), so the hash families — drawn *after* each layer's
-    /// weight init — land at exactly the positions the full network drew
-    /// them from. Without this the shard's codes would diverge from the
-    /// unsharded engine's and scatter-gather bit-identity would be lost.
-    pub(crate) fn new_output_sliced(
+    /// The network a snapshot restore fills in: every layer's weights
+    /// zeroed and its hash tables not yet built, with the hash families
+    /// drawn from exactly the RNG positions [`Network::new`] draws them
+    /// from. Each layer advances the RNG past the Glorot draws
+    /// [`Network::new`] would make (one per weight) in O(log n) instead
+    /// of making them, and its tables count that skipped initial build,
+    /// so the one build after the weights are installed inserts from the
+    /// RNG stream of [`Network::new`]'s second build.
+    ///
+    /// With `init_output_units` set, the output layer advances as if it
+    /// had that many neurons: a snapshot *slice* holds only a shard's rows
+    /// of a wider layer, and its family must land where the full
+    /// network's did, or the shard's codes would diverge from the
+    /// unsharded engine's.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] if the configuration is inconsistent.
+    pub(crate) fn for_restore(
         config: NetworkConfig,
-        init_output_units: usize,
+        init_output_units: Option<usize>,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
         let mut rng = slide_data::rng::Xoshiro256PlusPlus::seed_from_u64(config.seed);
-        let mut layers = Vec::with_capacity(config.layers.len());
+        let n = config.layers.len();
+        let mut layers = Vec::with_capacity(n);
         let mut fan_in = config.input_dim;
-        let last = config.layers.len() - 1;
         for (li, layer_cfg) in config.layers.iter().enumerate() {
-            let init_units = if li == last {
-                init_output_units
-            } else {
-                layer_cfg.units
+            let init_units = match init_output_units {
+                Some(units) if li + 1 == n => units,
+                _ => layer_cfg.units,
             };
-            layers.push(Layer::new_with_init_draws(
+            // Counted in u128: a crafted slice width cannot overflow it.
+            rng.advance(init_units as u128 * fan_in as u128);
+            let layer = Layer::zeroed(
                 fan_in,
                 layer_cfg,
                 config.kernel_mode,
-                &mut rng,
-                init_units,
-                stores_input_major(li, config.layers.len()),
-            ));
+                stores_input_major(li, n),
+            );
+            layers.push(layer.with_lsh(layer_cfg, &mut rng, 1));
             fan_in = layer_cfg.units;
         }
         Ok(Self {

@@ -5,9 +5,12 @@
 //! somewhere, freezes the model, and serves it elsewhere. A snapshot
 //! captures exactly what inference needs — the full [`NetworkConfig`]
 //! (architecture, LSH parameters, seed) plus every layer's weights and
-//! biases — and *rebuilds the hash tables on load* from the restored
+//! biases — and *builds the hash tables once on load* from the restored
 //! weights, because bucket contents are a pure function of the weights
-//! and the (seeded) hash family. Adam moments and the optimizer step are
+//! and the (seeded) hash family. The restore draws no initial weights:
+//! it advances the seeded RNG past them in O(log n)
+//! ([`slide_data::rng::Xoshiro256PlusPlus::advance`]) to where the hash
+//! families are drawn. Adam moments and the optimizer step are
 //! deliberately not captured: a snapshot is a frozen inference artifact,
 //! not a training checkpoint.
 //!
@@ -695,13 +698,16 @@ fn parse_snapshot(bytes: &[u8]) -> Result<Parsed<'_>, SnapshotError> {
     parse_payload(checked_payload(bytes, MAGIC.len() + 4 + 8)?, true)
 }
 
-/// Builds a network from parsed sections — the one restore path. When
-/// `center_rows` is `Some`, every LSH layer's centering mode is
-/// overridden before the network is built, so each table set is built
-/// once in the requested geometry. For a slice, `slice` carries the
-/// original output width (the network is built output-sliced, so hash
-/// families match the full network's draws) and the full output layer's
-/// centering vector, installed before the output tables are rebuilt.
+/// Builds a network from parsed sections — the one restore path. The
+/// network starts from [`Network::for_restore`]: zeroed weights, hash
+/// families drawn as [`Network::new`] draws them, no tables. Each layer's
+/// section is installed and its tables are then built once, from the
+/// restored weights. When `center_rows` is `Some`, every LSH layer's
+/// centering mode is overridden first, so that one build is in the
+/// requested geometry. For a slice, `slice` carries the original output
+/// width (the RNG skips the full layer's draws, so hash families match
+/// the full network's) and the full output layer's centering vector,
+/// installed before the output tables are built.
 fn restore(
     mut parsed: Parsed<'_>,
     center_rows: Option<bool>,
@@ -714,10 +720,7 @@ fn restore(
             }
         }
     }
-    let mut network = match slice {
-        None => Network::new(parsed.config)?,
-        Some((total, _)) => Network::new_output_sliced(parsed.config, total)?,
-    };
+    let mut network = Network::for_restore(parsed.config, slice.map(|(total, _)| total))?;
     if let (Some((_, center)), Some(out)) = (slice, network.layers_mut().last_mut()) {
         out.set_center_override((!center.is_empty()).then(|| f32s(center).collect()));
     }
@@ -961,9 +964,9 @@ pub fn assemble_slices(slices: &[Vec<u8>]) -> Result<Vec<u8>, SnapshotError> {
 
 /// The `(lo, hi, total)` output-neuron range of slice bytes, after the
 /// checksum and the full structural parse but without restoring
-/// anything. A restore costs `total × fan_in` RNG draws (see
-/// [`read_slice`]), so a caller that knows which range it expects — a
-/// shard reloading its own slice — checks it here first.
+/// anything. A caller that knows which range it expects — a shard
+/// reloading its own slice — checks it here first, so it never restores
+/// another shard's range.
 ///
 /// # Errors
 ///
@@ -1204,6 +1207,73 @@ mod tests {
         // copy.
         assert_eq!(lsh.rebuild_count(), 2);
         assert!(lsh.tables().stats().total_items > 0);
+    }
+
+    #[test]
+    fn restore_builds_the_tables_network_new_would_rebuild() {
+        // The reference restores the slow way: `Network::new` (Glorot
+        // draws, initial build), install, rebuild. Both LSH layers use
+        // small tables so buckets overflow and the insertion policy (and
+        // for Reservoir, the RNG stream) decides their contents; the
+        // hidden layer is input-major, the output layer unit-major.
+        use crate::layer::oracle::{assert_same_tables, reference_tables};
+        let policies = [InsertionPolicy::Fifo, InsertionPolicy::Reservoir];
+        for (policy, centered) in policies.into_iter().flat_map(|p| [(p, false), (p, true)]) {
+            let lsh = |l: LshLayerConfig| {
+                l.with_policy(policy)
+                    .with_tables(3, 2)
+                    .with_centered_rows(centered)
+            };
+            let cfg = NetworkConfig::builder(32, 60)
+                .hidden_lsh(24, lsh(LshLayerConfig::simhash(2, 3)))
+                .output_lsh(lsh(LshLayerConfig::dwta(2, 4)))
+                .seed(71)
+                .build()
+                .unwrap();
+            // Train-side hashing is raw; the restore overrides it.
+            let mut raw = cfg.clone();
+            for layer in &mut raw.layers {
+                layer.lsh.as_mut().unwrap().center_rows = false;
+            }
+            let net = Network::new(raw).unwrap();
+            net.layers()[0].set_weight(5, 7, 1.5);
+            net.layers()[1].set_weight(33, 2, -2.0);
+            for (enc, bytes) in [
+                ("f32", net.to_snapshot_bytes()),
+                ("q16", net.to_quantized_snapshot_bytes()),
+            ] {
+                let case = format!("{policy} centered={centered} {enc}");
+                let mut reference = Network::new(cfg.clone()).unwrap();
+                let parsed = parse_snapshot(&bytes).unwrap();
+                for (layer, section) in reference.layers_mut().iter_mut().zip(&parsed.sections) {
+                    section.install(layer).unwrap();
+                    layer.rebuild_tables();
+                }
+                let want = |li: usize| reference.layers()[li].lsh().unwrap().tables();
+
+                let full = read_snapshot_with_centering(&bytes, Some(centered)).unwrap();
+                let mut overflowed = 0;
+                for (li, layer) in full.network.layers().iter().enumerate() {
+                    let lsh = layer.lsh().unwrap();
+                    assert_eq!(lsh.rebuild_count(), 2, "{case}: layer {li}");
+                    assert_eq!(lsh.centered(), centered, "{case}: layer {li}");
+                    overflowed += assert_same_tables(lsh.tables(), want(li), &case);
+                }
+                assert!(overflowed > 0, "{case}: no bucket overflowed");
+
+                let ref_out = &reference.layers()[1];
+                for slice in slice_snapshot(&bytes, 3).unwrap() {
+                    let loaded = read_slice(&slice, Some(centered)).unwrap();
+                    let case = format!("{case} slice {}..{}", loaded.lo, loaded.hi);
+                    let layers = loaded.snapshot.network.layers();
+                    assert_same_tables(layers[0].lsh().unwrap().tables(), want(0), &case);
+                    let out = layers[1].lsh().unwrap();
+                    assert_eq!(out.rebuild_count(), 2, "{case}");
+                    let shard = reference_tables(ref_out, loaded.lo..loaded.hi);
+                    assert_same_tables(out.tables(), &shard, &case);
+                }
+            }
+        }
     }
 
     #[test]

@@ -164,8 +164,18 @@ impl Xoshiro256PlusPlus {
         Self { s }
     }
 
-    /// Equivalent to 2^128 calls to `next_u64`; used to split one seed into
-    /// many statistically independent parallel streams.
+    /// Applies a fixed jump polynomial to the state, moving it a fixed
+    /// distance along the stream; [`Xoshiro256PlusPlus::stream`] uses it
+    /// to decorrelate the streams it derives.
+    ///
+    /// The distance is **not** 2^128: words 2 and 3 of `JUMP` differ from
+    /// the reference xoshiro256 jump constant, which is x^(2^128) mod the
+    /// transition's characteristic polynomial (pinned by
+    /// `advance_by_two_to_the_128_is_the_reference_jump_not_jump`). Every
+    /// derived stream — and through them the Reservoir tables, the
+    /// synthetic corpora and the pinned snapshot bytes — depends on these
+    /// bits, so they are kept. For a jump by a known distance, use
+    /// [`Xoshiro256PlusPlus::advance`].
     pub fn jump(&mut self) {
         const JUMP: [u64; 4] = [
             0x180E_C6D3_3CFD_0ABA,
@@ -173,10 +183,27 @@ impl Xoshiro256PlusPlus {
             0xA958_6611_D871_5512,
             0x3982_0465_FFF0_2BE5,
         ];
+        self.apply(JUMP);
+    }
+
+    /// Moves the state exactly as `n` calls to `next_u64` would, in
+    /// O(log n) time.
+    ///
+    /// The state transition `A` is linear over GF(2), so `Aⁿ = r(A)` with
+    /// `r(x) = xⁿ mod p(x)`, `p` the transition's degree-256
+    /// characteristic polynomial. `r` is computed by square-and-multiply
+    /// and applied like a jump constant: 256 steps with XOR accumulation.
+    pub fn advance(&mut self, n: u128) {
+        self.apply(x_pow_mod(n));
+    }
+
+    /// Replaces the state `s` with `r(A)·s` for the polynomial `r`
+    /// (coefficient of xⁱ at bit `i % 64` of word `i / 64`).
+    fn apply(&mut self, r: [u64; 4]) {
         let mut t = [0u64; 4];
-        for j in JUMP {
+        for word in r {
             for b in 0..64 {
-                if (j >> b) & 1 == 1 {
+                if (word >> b) & 1 == 1 {
                     for (ti, si) in t.iter_mut().zip(self.s.iter()) {
                         *ti ^= si;
                     }
@@ -198,6 +225,74 @@ impl Xoshiro256PlusPlus {
         rng.jump();
         rng
     }
+}
+
+/// The characteristic polynomial of the xoshiro256 state transition over
+/// GF(2): `p(x) = x²⁵⁶ + Σ cᵢ xⁱ`, with `cᵢ` at bit `i % 64` of word
+/// `i / 64` and the x²⁵⁶ term implicit. Derived with Berlekamp–Massey from
+/// a 1024-step sequence of one state bit; the reference jump constants are
+/// x^(2^128) and x^(2^192) mod `p`, which the tests check.
+const CHAR_POLY: [u64; 4] = [
+    0x9D11_6F2B_B0F0_F001,
+    0x0280_002B_CEFD_1A5E,
+    0x04B4_EDCF_2625_9F85,
+    0x0003_C03C_3F3E_CB19,
+];
+
+/// `r · x mod p`.
+#[inline]
+fn times_x(r: [u64; 4]) -> [u64; 4] {
+    let carry = r[3] >> 63;
+    let mut out = [
+        r[0] << 1,
+        r[1] << 1 | r[0] >> 63,
+        r[2] << 1 | r[1] >> 63,
+        r[3] << 1 | r[2] >> 63,
+    ];
+    if carry == 1 {
+        for (o, c) in out.iter_mut().zip(CHAR_POLY) {
+            *o ^= c;
+        }
+    }
+    out
+}
+
+/// The 32 bits of `x` moved to the even bit positions of a `u64`.
+#[inline]
+fn spread(x: u64) -> u64 {
+    let mut x = x & 0xFFFF_FFFF;
+    x = (x | x << 16) & 0x0000_FFFF_0000_FFFF;
+    x = (x | x << 8) & 0x00FF_00FF_00FF_00FF;
+    x = (x | x << 4) & 0x0F0F_0F0F_0F0F_0F0F;
+    x = (x | x << 2) & 0x3333_3333_3333_3333;
+    (x | x << 1) & 0x5555_5555_5555_5555
+}
+
+/// `r² mod p`. Squaring over GF(2) spreads coefficient `i` to `2i`; the
+/// high half `h` of the square is folded back as `h · x²⁵⁶ mod p`.
+fn square_mod(r: [u64; 4]) -> [u64; 4] {
+    let mut sq = [0u64; 8];
+    for (i, w) in r.into_iter().enumerate() {
+        sq[2 * i] = spread(w);
+        sq[2 * i + 1] = spread(w >> 32);
+    }
+    let mut high = [sq[4], sq[5], sq[6], sq[7]];
+    for _ in 0..256 {
+        high = times_x(high);
+    }
+    std::array::from_fn(|i| sq[i] ^ high[i])
+}
+
+/// `xⁿ mod p` by left-to-right square-and-multiply.
+fn x_pow_mod(n: u128) -> [u64; 4] {
+    let mut r = [1, 0, 0, 0];
+    for bit in (0..128 - n.leading_zeros()).rev() {
+        r = square_mod(r);
+        if (n >> bit) & 1 == 1 {
+            r = times_x(r);
+        }
+    }
+    r
 }
 
 impl Default for Xoshiro256PlusPlus {
@@ -253,6 +348,80 @@ mod tests {
         let mut s1 = base.stream(1);
         let overlap = (0..64).filter(|_| s0.next_u64() == s1.next_u64()).count();
         assert_eq!(overlap, 0);
+    }
+
+    /// The reference xoshiro256 `JUMP` (2^128 steps) and `LONG_JUMP`
+    /// (2^192 steps) constants, as published by Vigna.
+    const REFERENCE_JUMP: [u64; 4] = [
+        0x180e_c6d3_3cfd_0aba,
+        0xd5a6_1266_f0c9_392c,
+        0xa958_2618_e03f_c9aa,
+        0x39ab_dc45_29b1_661c,
+    ];
+    const REFERENCE_LONG_JUMP: [u64; 4] = [
+        0x76e1_5d3e_fefd_cbbf,
+        0xc500_4e44_1c52_2fb3,
+        0x7771_0069_854e_e241,
+        0x3910_9bb0_2acb_e635,
+    ];
+
+    fn stepped(rng: &Xoshiro256PlusPlus, n: u64) -> Xoshiro256PlusPlus {
+        let mut rng = rng.clone();
+        for _ in 0..n {
+            rng.next_u64();
+        }
+        rng
+    }
+
+    #[test]
+    fn advance_equals_stepping() {
+        let start = Xoshiro256PlusPlus::seed_from_u64(31);
+        let mut picks = SplitMix64::new(37);
+        let random = (0..8).map(|_| picks.gen_range(0, 100_001) as u64);
+        for n in [0, 1, 255, 256, 257].into_iter().chain(random) {
+            let want = stepped(&start, n);
+            let mut got = start.clone();
+            got.advance(n as u128);
+            assert_eq!(got, want, "advance({n})");
+        }
+    }
+
+    #[test]
+    fn advances_compose() {
+        let start = Xoshiro256PlusPlus::seed_from_u64(41);
+        let mut picks = SplitMix64::new(43);
+        for _ in 0..6 {
+            let a = (picks.next_u64() as u128) << (picks.next_u64() % 64);
+            let b = picks.next_u64() as u128 | 1 << 100;
+            let mut split = start.clone();
+            split.advance(a);
+            split.advance(b);
+            let mut whole = start.clone();
+            whole.advance(a + b);
+            assert_eq!(split, whole, "advance({a}) + advance({b})");
+        }
+    }
+
+    #[test]
+    fn reference_jumps_are_powers_of_x_mod_the_characteristic_polynomial() {
+        // x^(2^128) = (x^(2^127))², and x^(2^192) is 64 squarings more.
+        assert_eq!(square_mod(x_pow_mod(1 << 127)), REFERENCE_JUMP);
+        let long = (0..64).fold(REFERENCE_JUMP, |r, _| square_mod(r));
+        assert_eq!(long, REFERENCE_LONG_JUMP);
+    }
+
+    #[test]
+    fn advance_by_two_to_the_128_is_the_reference_jump_not_jump() {
+        let start = Xoshiro256PlusPlus::seed_from_u64(47);
+        let mut advanced = start.clone();
+        advanced.advance(1 << 127);
+        advanced.advance(1 << 127);
+        let mut reference = start.clone();
+        reference.apply(REFERENCE_JUMP);
+        assert_eq!(advanced, reference);
+        let mut jumped = start.clone();
+        jumped.jump();
+        assert_ne!(advanced, jumped);
     }
 
     #[test]

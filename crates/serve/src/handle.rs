@@ -197,8 +197,7 @@ impl EngineHandle {
 
     /// The next engine for `bytes`: a full model for a full handle, a
     /// slice of the same range for a shard. A shard checks the slice's
-    /// range before restoring it: the restore costs `total × fan_in` RNG
-    /// draws, and `total` is whatever the slice header claims.
+    /// range before restoring it, so it only ever swaps in its own range.
     fn build(&self, bytes: &[u8]) -> Result<ServingEngine, ServeError> {
         let Some(range) = self.engine().slice_range() else {
             return ServingEngine::from_snapshot_bytes(bytes, self.options);
@@ -518,10 +517,50 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `slice` re-stamped as a shard of a `2^28`-wide output layer (its
+    /// rows unchanged), with a valid checksum.
+    fn huge_foreign_slice(slice: &[u8], units: u64) -> Vec<u8> {
+        // Slice header `total` at byte 32; the embedded config's output
+        // `units` at byte 59 of the snapshot prefix, which starts at 48.
+        let huge = 1u64 << 28;
+        let mut crafted = slice.to_vec();
+        for at in [32, 48 + 59] {
+            assert_eq!(crafted[at..at + 8], units.to_le_bytes(), "field at {at}");
+            crafted[at..at + 8].copy_from_slice(&huge.to_le_bytes());
+        }
+        let n = crafted.len();
+        let check = slide_data::cache::fnv1a(&crafted[..n - 8]).to_le_bytes();
+        crafted[n - 8..].copy_from_slice(&check);
+        crafted
+    }
+
+    #[test]
+    fn a_shard_starts_from_a_huge_foreign_slice_without_drawing_its_width() {
+        // The startup twin of the reload check below: a fresh shard has no
+        // range to expect, so it restores the slice. The restore skips the
+        // full layer's `total × fan_in` initial draws in O(log total)
+        // rather than making them, so it costs what the shard's own rows
+        // cost.
+        let (net, data) = tiny_network(18);
+        let slices = slide_core::snapshot::slice_snapshot(&net.to_snapshot_bytes(), 3).unwrap();
+        let crafted = huge_foreign_slice(&slices[1], data.train.label_dim() as u64);
+        let t0 = std::time::Instant::now();
+        let started = ServingEngine::from_slice_bytes(&crafted, ServeOptions::default());
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "startup took {took:?}");
+        let engine = started.unwrap();
+        let (lo, hi, total) = engine.slice_range().unwrap();
+        assert_eq!(total, 1 << 28);
+        for ex in data.test.iter().take(10) {
+            let ids = engine.predict(&ex.features).unwrap().topk.to_bits();
+            assert!(ids.iter().all(|&(id, _)| (lo..hi).contains(&(id as usize))));
+        }
+    }
+
     /// A checksummed slice whose header `total` and embedded output
-    /// width both claim 2^28 neurons is structurally valid, but restoring
-    /// it draws the RNG `total × fan_in` times. A shard must reject the
-    /// foreign range from the parse alone, before any restore.
+    /// width both claim 2^28 neurons is structurally valid but covers
+    /// another shard's range. A shard must reject it from the parse
+    /// alone, before any restore.
     #[test]
     fn a_shard_rejects_a_huge_foreign_slice_before_restoring_it() {
         let (net, data) = tiny_network(18);
@@ -538,19 +577,7 @@ mod tests {
                 .collect()
         };
         let before = answers(&handle);
-
-        // Slice header `total` at byte 32; the embedded config's output
-        // `units` at byte 59 of the snapshot prefix, which starts at 48.
-        let huge = 1u64 << 28;
-        let mut crafted = slices[1].clone();
-        let units = data.train.label_dim() as u64;
-        for at in [32, 48 + 59] {
-            assert_eq!(crafted[at..at + 8], units.to_le_bytes(), "field at {at}");
-            crafted[at..at + 8].copy_from_slice(&huge.to_le_bytes());
-        }
-        let n = crafted.len();
-        let check = slide_data::cache::fnv1a(&crafted[..n - 8]).to_le_bytes();
-        crafted[n - 8..].copy_from_slice(&check);
+        let crafted = huge_foreign_slice(&slices[1], data.train.label_dim() as u64);
 
         let t0 = std::time::Instant::now();
         let err = handle.reload_from_bytes(&crafted).unwrap_err();
