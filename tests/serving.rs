@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use slide::core::inference::{InferenceSelector, TopK};
+use slide::kernels::{dispatched_isa, KernelMode};
 use slide::prelude::*;
 use slide::serve::BatchOptions;
 
@@ -368,4 +369,128 @@ fn quantized_engine_matches_f32_engine_on_same_weights() {
         "only {agree}/{} top-1 answers agree",
         features.len()
     );
+}
+
+/// The serving selector, except that an input with no features takes the
+/// dense fallback at the output layer: a deterministic way to put one
+/// degenerate (every-class) retrieval at a chosen position in a batch.
+#[derive(Debug)]
+struct DenseOnEmptyInput(InferenceSelector);
+
+impl NeuronSelector for DenseOnEmptyInput {
+    fn name(&self) -> &'static str {
+        "dense-on-empty-input"
+    }
+
+    fn select(
+        &self,
+        ctx: &slide::core::selector::SelectionContext<'_>,
+        scratch: &mut slide::core::selector::SelectorScratch,
+        active: &mut ActiveSet,
+    ) {
+        if ctx.is_output && ctx.features.is_empty() {
+            active.fill_dense(ctx.layer.units());
+        } else {
+            self.0.select(ctx, scratch, active);
+        }
+    }
+
+    fn force_label_activation(&self) -> bool {
+        false
+    }
+}
+
+/// FNV-1a over `(class, score bits)` of every batched answer of a small
+/// network trained single-threaded in `mode`, served from its f32
+/// snapshot and again from its i16-quantized snapshot. Batches of 1, 32
+/// and 100 inputs (100 crosses a 64-input boundary); the 32- and
+/// 100-input batches each carry one empty input in the middle, which
+/// retrieves every class. 36 hidden units take the SIMD kernels and
+/// leave a 4-wide tail.
+fn batched_answers_fnv(mode: KernelMode) -> u64 {
+    let data = generate(&SyntheticConfig::tiny().with_seed(11).with_sizes(400, 140));
+    let cfg = NetworkConfig::builder(data.train.feature_dim(), data.train.label_dim())
+        .hidden(36)
+        .output_lsh(LshLayerConfig::simhash(3, 8))
+        .kernel_mode(mode)
+        .seed(17)
+        .build()
+        .unwrap();
+    let mut trainer = SlideTrainer::new(cfg).unwrap();
+    let opts = TrainOptions::new(1)
+        .batch_size(32)
+        .threads(1)
+        .no_shuffle()
+        .seed(5);
+    trainer.train(&data.train, &opts);
+
+    let mut inputs: Vec<SparseVector> = data.test.iter().map(|ex| ex.features.clone()).collect();
+    inputs.insert(1 + 16, SparseVector::default());
+    inputs.insert(1 + 32 + 50, SparseVector::default());
+    let batches = [&inputs[..1], &inputs[1..33], &inputs[33..133]];
+    let selector = DenseOnEmptyInput(InferenceSelector::default());
+    let mut bytes = Vec::new();
+    let snapshots = [
+        trainer.network().to_snapshot_bytes(),
+        trainer.network().to_quantized_snapshot_bytes(),
+    ];
+    for (i, snapshot) in snapshots.iter().enumerate() {
+        let loaded =
+            slide::core::snapshot::read_snapshot_with_centering(snapshot, Some(true)).unwrap();
+        assert_eq!(loaded.quantized.is_some(), i == 1);
+        let net = &loaded.network;
+        let mut ws = net.workspace(0);
+        let mut scratch = slide::core::inference::BatchScratch::default();
+        let mut dense = 0;
+        for batch in batches {
+            let mut outs = vec![TopK::new(5); batch.len()];
+            let report = match &loaded.quantized {
+                Some(q) => net.predict_topk_batch_quantized(
+                    &selector,
+                    &mut ws,
+                    &mut scratch,
+                    batch,
+                    &mut outs,
+                    q,
+                ),
+                None => net.predict_topk_batch(&selector, &mut ws, &mut scratch, batch, &mut outs),
+            };
+            assert!(report.shared);
+            dense += report.dense_examples;
+            for out in &outs {
+                assert_eq!(out.len(), 5);
+                for (class, bits) in out.to_bits() {
+                    bytes.extend_from_slice(&class.to_le_bytes());
+                    bytes.extend_from_slice(&bits.to_le_bytes());
+                }
+            }
+        }
+        assert_eq!(dense, 2, "one dense retrieval in each of two batches");
+    }
+    slide::data::cache::fnv1a(&bytes)
+}
+
+/// [`batched_answers_fnv`] in `Scalar` mode (ISA-independent).
+const SCALAR_ANSWERS_FNV: u64 = 0x344f_d65a_557e_90c1;
+/// [`batched_answers_fnv`] in `Vectorized` mode on an AVX2+FMA host.
+const AVX2_FMA_ANSWERS_FNV: u64 = 0xfa84_8a93_31b0_126a;
+
+#[test]
+fn batched_answers_are_pinned_in_both_kernel_modes() {
+    // Pins the served classes and score bits of the batched scorer, f32
+    // and quantized, across batch sizes and a degenerate retrieval. The
+    // Vectorized bits depend on the dispatched ISA (FMA), so that
+    // constant is asserted only where it was captured.
+    assert_eq!(
+        batched_answers_fnv(KernelMode::Scalar),
+        SCALAR_ANSWERS_FNV,
+        "scalar"
+    );
+    if dispatched_isa(KernelMode::Vectorized) == "avx2+fma" {
+        assert_eq!(
+            batched_answers_fnv(KernelMode::Vectorized),
+            AVX2_FMA_ANSWERS_FNV,
+            "vectorized"
+        );
+    }
 }
