@@ -106,72 +106,71 @@ impl NeuronSelector for InferenceSelector {
 }
 
 /// Reusable scratch for [`Network::predict_topk_batch`]: hidden
-/// activations of the whole batch, the candidate union with per-example
-/// membership, and the score matrix. All buffers keep their capacity
-/// across batches, so a long-lived caller (a serving worker) performs no
-/// steady-state allocation beyond occasional growth.
+/// activations of one group of at most 64 examples, and per output class
+/// the mask of the examples that retrieved it. All buffers keep their
+/// capacity across batches, so a long-lived caller (a serving worker)
+/// performs no steady-state allocation beyond occasional growth.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
-    /// Last-hidden activations, example-major (`batch × fan_in`).
+    /// Last-hidden activations, example-major (`group × fan_in`).
     hidden: Vec<f32>,
-    /// Deduplicated union of every example's output candidates.
-    union: Vec<u32>,
-    /// Per-example candidate lists, concatenated (CSR values).
-    cands: Vec<u32>,
-    /// Offsets into `cands`, one per example plus the tail (CSR offsets).
-    cand_offsets: Vec<usize>,
-    /// Last batch epoch that touched each class (union dedup).
-    stamp: Vec<u64>,
-    /// Each class's index into `union` (valid when `stamp` is current).
-    uidx: Vec<u32>,
-    /// Monotonic batch counter driving `stamp`.
-    epoch: u64,
-    /// Pre-activations, candidate-major (`union × batch`).
-    z: Vec<f32>,
-    /// Examples whose retrieval degenerated to the whole output layer;
-    /// they are routed through per-example scoring instead of inflating
-    /// the shared union.
-    dense: Vec<u32>,
+    /// Per output class, bit `e` set iff example `e` of the group owns
+    /// it. All zero between groups: scoring a row clears its mask.
+    owners: Vec<u64>,
+    /// One bit per class some example of the group owns: the rows the
+    /// fused pass visits, in id order (a degenerate retrieval sets whole
+    /// words, bits past the layer included). All zero between groups.
+    seen: Vec<u64>,
 }
+
+/// Examples per fused group: one bit each in a class's owner mask.
+const GROUP: usize = u64::BITS as usize;
 
 /// How [`Network::predict_topk_batch`] executed a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchReport {
-    /// Whether the shared-union fused scoring ran (`false`: the batch
+    /// Whether the fused owner-masked scoring ran (`false`: the batch
     /// fell back to per-example [`Network::predict_topk`], because the
     /// network has no hidden layer or a selector left the hidden basis
     /// non-dense).
     pub shared: bool,
-    /// Union candidates scored by the fused path (0 when not shared).
+    /// Distinct classes retrieved by the examples whose retrieval did
+    /// not degenerate, summed over the batch's 64-input groups (0 when
+    /// not shared): the rows the fused path scores, unless a group holds
+    /// a [`BatchReport::dense_examples`] example and scores every row.
     pub candidates: usize,
-    /// `(example, candidate)` pairs the fused path reads back: the sum
-    /// of every example's own candidate count (0 when not shared). The
-    /// fused pass scores `candidates × batch` pairs, so this over that is
-    /// the share of scoring work an answer actually uses.
+    /// `(example, candidate)` pairs of the examples whose retrieval did
+    /// not degenerate: the sum of their own candidate counts (0 when not
+    /// shared). The fused pass scores exactly these pairs, plus the
+    /// whole output layer once per [`BatchReport::dense_examples`]
+    /// example.
     pub own_pairs: usize,
     /// Examples whose own candidate set was the entire output layer
-    /// (retrieval fell back to dense scoring). On the shared path these
-    /// are scored per example so they cannot multiply the union's cost
-    /// by the batch size.
+    /// (retrieval fell back to dense scoring). They own every row, which
+    /// costs their own `classes` pairs and no other example's.
     pub dense_examples: usize,
 }
 
 impl Network {
     /// Batched inference over examples that share one workspace: runs the
     /// per-example hidden prefix and output-layer selection as usual,
-    /// then scores the **union** of all examples' output candidates with
-    /// one fused [`slide_kernels::gather_dot_batch`] row pass per
-    /// candidate — each weight row streams through the cache once for the
-    /// whole batch instead of once per example.
+    /// then scores each retrieved output row with one fused
+    /// [`slide_kernels::gather_dot_batch`] pass against **exactly the
+    /// examples that retrieved it** — each weight row streams through
+    /// the cache once for all its owners instead of once per example, and
+    /// no `(row, example)` pair an answer does not read is computed.
+    /// Batches of more than 64 inputs run as consecutive groups of at
+    /// most 64 (one bit per example in a row's owner mask).
     ///
-    /// Every example's top-k is still reduced over its **own** candidate
+    /// Every example's top-k is reduced over its **own** candidate
     /// set, scored as **raw pre-softmax logits** (the serving wire
     /// contract). Softmax is strictly monotone per example, so rankings
     /// match post-activation reduction exactly — but unlike softmax
     /// probabilities, a class's raw logit does not depend on which other
     /// candidates were retrieved, which is what lets a sharded deployment
     /// merge per-shard top-k results bit-identically to one engine.
-    /// Batching is an execution detail, not a semantic one.
+    /// Batching is an execution detail, not a semantic one: a score's
+    /// bits do not depend on which other examples share its row.
     ///
     /// Requires a dense hidden basis (every hidden layer fully active in
     /// id order — true for [`InferenceSelector`] and
@@ -180,9 +179,8 @@ impl Network {
     /// back to per-example prediction. See the returned [`BatchReport`].
     ///
     /// An example whose retrieval degenerates to the whole output layer
-    /// (the dense fallback) is scored per example instead — folding it
-    /// into the union would make every example in the batch pay the full
-    /// `O(classes)` scoring cost.
+    /// (the dense fallback) owns every row, so it pays its own
+    /// `O(classes)` scoring cost and no other example's.
     ///
     /// # Panics
     ///
@@ -211,8 +209,8 @@ impl Network {
     /// `qout` is typically the [`crate::snapshot::LoadedSnapshot::quantized`]
     /// rows of a quantized snapshot; the loader dequantizes the same
     /// codes into the network's f32 weights, so the per-example fallback
-    /// paths (no hidden layer, non-dense hidden basis, degenerate
-    /// retrieval) score identical values through the f32 kernels.
+    /// paths (no hidden layer, non-dense hidden basis) score identical
+    /// values through the f32 kernels.
     ///
     /// # Panics
     ///
@@ -256,14 +254,14 @@ impl Network {
         B: std::borrow::Borrow<slide_data::SparseVector>,
     {
         assert_eq!(batch.len(), outs.len(), "batch/outs length mismatch");
-        let b = batch.len();
-        if b == 0 {
-            return BatchReport {
-                shared: true,
-                candidates: 0,
-                own_pairs: 0,
-                dense_examples: 0,
-            };
+        let mut report = BatchReport {
+            shared: true,
+            candidates: 0,
+            own_pairs: 0,
+            dense_examples: 0,
+        };
+        if batch.is_empty() {
+            return report;
         }
         let last = self.layers().len() - 1;
         if last == 0 {
@@ -274,147 +272,120 @@ impl Network {
         let units = self.output_dim();
         let out_layer = &self.layers()[last];
         let h = out_layer.fan_in();
-
-        // Phase 1: per-example hidden prefix + output selection, building
-        // the candidate union and each example's membership list.
-        scratch.hidden.clear();
-        scratch.hidden.resize(b * h, 0.0);
-        scratch.union.clear();
-        scratch.cands.clear();
-        scratch.cand_offsets.clear();
-        scratch.cand_offsets.push(0);
-        if scratch.stamp.len() < units {
-            scratch.stamp.resize(units, 0);
-            scratch.uidx.resize(units, 0);
-        }
-        scratch.epoch += 1;
-        let epoch = scratch.epoch;
-        scratch.dense.clear();
-        for (e, x) in batch.iter().enumerate() {
-            let x = x.borrow();
-            self.forward_prefix(last, selector, ws, x, None);
-            let hidden_active = ws.active_set(last - 1);
-            let dense_identity = hidden_active.len() == h
-                && hidden_active
-                    .ids()
-                    .iter()
-                    .enumerate()
-                    .all(|(i, &id)| id as usize == i);
-            if !dense_identity {
-                return self.predict_topk_batch_fallback(selector, ws, batch, outs);
-            }
-            scratch.hidden[e * h..(e + 1) * h].copy_from_slice(ws.activations(last - 1));
-            self.select_layer(last, selector, ws, x, None);
-            let active = ws.active_set(last);
-            if active.len() == units {
-                // Degenerate retrieval: folding all `units` classes into
-                // the union would charge every example in the batch for
-                // them. Leave this example's candidate list empty and
-                // score it per example after the fused pass.
-                scratch.dense.push(e as u32);
-                scratch.cand_offsets.push(scratch.cands.len());
-                continue;
-            }
-            for &c in active.ids() {
-                let ci = c as usize;
-                if scratch.stamp[ci] != epoch {
-                    scratch.stamp[ci] = epoch;
-                    scratch.uidx[ci] = scratch.union.len() as u32;
-                    scratch.union.push(c);
-                }
-                scratch.cands.push(c);
-            }
-            scratch.cand_offsets.push(scratch.cands.len());
-        }
-
-        // Phase 2: fused scoring of the union, candidate-major — one row
-        // pass per candidate covers every example. Quantized rows stream
-        // i16 codes (half the bytes) through `dot_batch_q16`; f32 rows go
-        // through `gather_dot_batch`.
         let mode = self.config().kernel_mode;
-        scratch.z.clear();
-        scratch.z.resize(scratch.union.len() * b, 0.0);
-        for (ci, &c) in scratch.union.iter().enumerate() {
-            let z = &mut scratch.z[ci * b..(ci + 1) * b];
-            let bias = out_layer.biases().get(c as usize);
-            match qout {
-                Some(q) => slide_kernels::dot_batch_q16(
-                    q.row(c as usize),
-                    q.scale(c as usize),
-                    h,
-                    &scratch.hidden,
-                    bias,
-                    z,
-                    mode,
-                ),
-                None => slide_kernels::gather_dot_batch(
-                    out_layer.weights().row(c as usize),
-                    h,
-                    &scratch.hidden,
-                    bias,
-                    z,
-                    mode,
-                ),
-            }
+        let words = units.div_ceil(64);
+        if scratch.owners.len() < units {
+            scratch.owners.resize(units, 0);
+            scratch.seen.resize(words, 0);
         }
-
-        // Phase 3: per-example top-k reduction over its own candidates'
-        // raw pre-activations. No nonlinearity: serving scores are the
-        // raw logits (softmax is monotone per example, so rankings are
-        // unchanged, and raw logits — unlike softmax probabilities — do
-        // not depend on the candidate set, so shards merge exactly).
-        for (e, out) in outs.iter_mut().enumerate() {
-            let own = &scratch.cands[scratch.cand_offsets[e]..scratch.cand_offsets[e + 1]];
-            out.reset(out.k());
-            for &c in own {
-                out.offer(c, scratch.z[scratch.uidx[c as usize] as usize * b + e]);
-            }
-            out.finish();
-        }
-
-        // Degenerate-retrieval examples score every class through the
-        // SAME fused kernels at batch-of-1 against their own hidden row.
-        // The batch kernels accumulate each example independently of
-        // batch size, so a shard whose slice of the layer degenerates
-        // while the single-box reference does not still produces the
-        // exact score bits the reference computed in its fused phase.
-        for &e in &scratch.dense {
-            let e = e as usize;
-            let hidden = &scratch.hidden[e * h..(e + 1) * h];
-            let out = &mut outs[e];
-            out.reset(out.k());
-            let mut z1 = [0.0f32; 1];
-            for c in 0..units {
-                let bias = out_layer.biases().get(c);
-                match qout {
-                    Some(q) => slide_kernels::dot_batch_q16(
-                        q.row(c),
-                        q.scale(c),
-                        h,
-                        hidden,
-                        bias,
-                        &mut z1,
-                        mode,
-                    ),
-                    None => slide_kernels::gather_dot_batch(
-                        out_layer.weights().row(c),
-                        h,
-                        hidden,
-                        bias,
-                        &mut z1,
-                        mode,
-                    ),
+        let BatchScratch {
+            hidden,
+            owners,
+            seen,
+        } = scratch;
+        for start in (0..batch.len()).step_by(GROUP) {
+            let group = &batch[start..batch.len().min(start + GROUP)];
+            // Phase 1: per-example hidden prefix + output selection,
+            // setting the example's bit in the owner mask of every class
+            // it retrieved.
+            hidden.clear();
+            hidden.resize(group.len() * h, 0.0);
+            let mut dense = 0u64;
+            for (e, x) in group.iter().enumerate() {
+                let x = x.borrow();
+                self.forward_prefix(last, selector, ws, x, None);
+                let hidden_active = ws.active_set(last - 1);
+                let dense_identity = hidden_active.len() == h
+                    && hidden_active
+                        .ids()
+                        .iter()
+                        .enumerate()
+                        .all(|(i, &id)| id as usize == i);
+                if !dense_identity {
+                    owners[..units].fill(0);
+                    seen[..words].fill(0);
+                    return self.predict_topk_batch_fallback(selector, ws, batch, outs);
                 }
-                out.offer(c as u32, z1[0]);
+                hidden[e * h..(e + 1) * h].copy_from_slice(ws.activations(last - 1));
+                self.select_layer(last, selector, ws, x, None);
+                let active = ws.active_set(last);
+                let bit = 1u64 << e;
+                if active.len() == units {
+                    // Degenerate retrieval: the example owns every row.
+                    dense |= bit;
+                    owners[..units].iter_mut().for_each(|o| *o |= bit);
+                    seen[..words].fill(u64::MAX);
+                    continue;
+                }
+                report.own_pairs += active.len();
+                for &c in active.ids() {
+                    owners[c as usize] |= bit;
+                    seen[c as usize / 64] |= 1 << (c % 64);
+                }
             }
-            out.finish();
+            report.dense_examples += dense.count_ones() as usize;
+
+            // Phase 2: in id order, score each owned row against exactly
+            // its owners and offer each raw pre-activation straight to
+            // that owner's top-k, clearing the row's mask. No
+            // nonlinearity: serving scores are the raw logits (softmax is
+            // monotone per example, so rankings are unchanged, and raw
+            // logits — unlike softmax probabilities — do not depend on the
+            // candidate set, so shards merge exactly). `beats` is a strict
+            // total order, so offer order does not change any top-k.
+            // Quantized rows stream i16 codes (half the bytes) through
+            // `dot_batch_q16`; f32 rows go through `gather_dot_batch`.
+            let outs = &mut outs[start..start + group.len()];
+            for out in outs.iter_mut() {
+                out.reset(out.k());
+            }
+            let mut z = [0.0f32; GROUP];
+            let z = &mut z[..group.len()];
+            for (w, word) in seen[..words].iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let c = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if c >= units {
+                        break;
+                    }
+                    let mask = std::mem::take(&mut owners[c]);
+                    report.candidates += (mask & !dense != 0) as usize;
+                    let bias = out_layer.biases().get(c);
+                    match qout {
+                        Some(q) => slide_kernels::dot_batch_q16(
+                            q.row(c),
+                            q.scale(c),
+                            h,
+                            hidden,
+                            mask,
+                            bias,
+                            z,
+                            mode,
+                        ),
+                        None => slide_kernels::gather_dot_batch(
+                            out_layer.weights().row(c),
+                            h,
+                            hidden,
+                            mask,
+                            bias,
+                            z,
+                            mode,
+                        ),
+                    }
+                    let mut m = mask;
+                    while m != 0 {
+                        let e = m.trailing_zeros() as usize;
+                        outs[e].offer(c as u32, z[e]);
+                        m &= m - 1;
+                    }
+                }
+            }
+            for out in outs.iter_mut() {
+                out.finish();
+            }
         }
-        BatchReport {
-            shared: true,
-            candidates: scratch.union.len(),
-            own_pairs: scratch.cands.len(),
-            dense_examples: scratch.dense.len(),
-        }
+        report
     }
 
     /// Per-example serving fallback (no hidden layer, or a selector left

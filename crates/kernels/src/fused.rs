@@ -36,8 +36,8 @@
 //! * [`gather_dot`] — `init + Σᵢ row[ids[i]]·vals[i]`, the per-neuron
 //!   pre-activation for sparse inputs (forward pass, candidate scoring);
 //! * [`gather_dot_batch`] — one contiguous weight row scored against
-//!   several examples over a dense basis, loading each weight once per
-//!   register block (batched serving);
+//!   the examples an owner mask names over a dense basis, loading each
+//!   weight once per register block (batched serving);
 //! * [`adam_step_gather`] — backward's per-`(neuron, prev-active)` loop
 //!   fused into one pass: load `w/m/v` once per id, accumulate the
 //!   back-propagated error signal through the pre-update weight, apply
@@ -204,28 +204,34 @@ pub fn gather_dot(
     }
 }
 
-/// Scores the first `n` cells of **one** parameter row against several
-/// examples: `out[e] = init + Σᵢ row[i] · vals[e·n + i]` for `i < n`.
+/// Scores the first `n` cells of **one** parameter row against the
+/// examples an owner mask names: for every bit `e` set in `owners`,
+/// `out[e] = init + Σᵢ row[i] · vals[e·n + i]` for `i < n`. Entries of
+/// `out` whose bit is clear are left as they were.
 ///
-/// `vals` is example-major: example `e`'s values occupy
-/// `vals[e * n .. (e + 1) * n]`. This is the batched serving kernel over a
-/// dense hidden basis — with `B` queued requests, a candidate neuron's
-/// row is loaded once per register block and reused across examples
-/// instead of re-read `B` times. [`crate::quant::dot_batch_q16`] is its
-/// quantized sibling.
+/// `vals` is example-major over the `b = out.len()` examples: example
+/// `e`'s values occupy `vals[e * n .. (e + 1) * n]`. This is the batched
+/// serving kernel over a dense hidden basis — a candidate neuron's row is
+/// scored against exactly the examples that retrieved it, loaded once per
+/// register block and reused across them. [`crate::quant::dot_batch_q16`]
+/// is its quantized sibling.
 ///
 /// `Scalar` is [`gather_dot`]'s strict sequential loop per example (the
-/// reference); `Vectorized` blocks examples four at a time over shared
-/// row loads. Each example's accumulation order is independent of the
-/// batch it rides in.
+/// reference); `Vectorized` blocks owners eight at a time over shared row
+/// loads, the remainder as one narrower block. Each example's
+/// accumulation order is independent of which other examples ride along,
+/// so a score's bits do not depend on the owner set.
 ///
 /// # Panics
 ///
-/// Panics if `n > row.len()` or `vals.len() != n * out.len()`.
+/// Panics if `n > row.len()`, `vals.len() != n * out.len()`, or an owner
+/// bit names an example at or past `out.len()` — all checked before any
+/// memory is read.
 pub fn gather_dot_batch(
     row: &[AtomicU32],
     n: usize,
     vals: &[f32],
+    owners: u64,
     init: f32,
     out: &mut [f32],
     mode: KernelMode,
@@ -236,28 +242,30 @@ pub fn gather_dot_batch(
         n * out.len(),
         "gather_dot_batch: vals must hold n values per example"
     );
+    check_owners(owners, out.len());
     let row = &row[..n];
     match mode {
         KernelMode::Scalar => {
-            for (e, o) in out.iter_mut().enumerate() {
+            for e in owner_ids(owners) {
                 let mut z = init;
                 for (cell, &v) in row.iter().zip(&vals[e * n..(e + 1) * n]) {
                     z += read(cell) * v;
                 }
-                *o = z;
+                out[e] = z;
             }
         }
         KernelMode::Vectorized => {
             #[cfg(target_arch = "x86_64")]
             if n >= 16 && have_avx2_fma() {
-                // SAFETY: the row holds n cells (sliced above); AVX2+FMA
+                // SAFETY: the row holds n cells (sliced above), every owner
+                // indexes one of the out.len() examples in vals; AVX2+FMA
                 // checked.
-                unsafe { avx::dot_batch(raw(row), n, vals, init, out) };
+                unsafe { avx::dot_batch(raw(row), n, vals, owners, init, out) };
                 return;
             }
 
-            for o in out.iter_mut() {
-                *o = init;
+            for e in owner_ids(owners) {
+                out[e] = init;
             }
             let chunks = n / 4;
             for c in 0..chunks {
@@ -268,19 +276,48 @@ pub fn gather_dot_batch(
                     read(&row[i + 2]),
                     read(&row[i + 3]),
                 ];
-                for (e, o) in out.iter_mut().enumerate() {
+                for e in owner_ids(owners) {
                     let ex = &vals[e * n + i..e * n + i + 4];
-                    *o += w[0] * ex[0] + w[1] * ex[1] + w[2] * ex[2] + w[3] * ex[3];
+                    out[e] += w[0] * ex[0] + w[1] * ex[1] + w[2] * ex[2] + w[3] * ex[3];
                 }
             }
             for (i, cell) in row.iter().enumerate().skip(chunks * 4) {
                 let w = read(cell);
-                for (e, o) in out.iter_mut().enumerate() {
-                    *o += w * vals[e * n + i];
+                for e in owner_ids(owners) {
+                    out[e] += w * vals[e * n + i];
                 }
             }
         }
     }
+}
+
+/// Checks that an owner mask names only examples below `b`: one shift,
+/// since bits from 64 on cannot exist.
+///
+/// # Panics
+///
+/// Panics if a bit names an example at or past `b`.
+#[inline(always)]
+pub(crate) fn check_owners(owners: u64, b: usize) {
+    assert!(
+        owners.checked_shr(b as u32).unwrap_or(0) == 0,
+        "owner mask {owners:#x} names an example past the batch of {b}"
+    );
+}
+
+/// Removes the lowest set bit of `mask` and returns its index.
+#[inline(always)]
+pub(crate) fn pop_owner(mask: &mut u64) -> usize {
+    let e = mask.trailing_zeros() as usize;
+    *mask &= *mask - 1;
+    e
+}
+
+/// The examples an owner mask names, ascending. The mask is walked in a
+/// register: no owner list is ever stored.
+#[inline(always)]
+pub(crate) fn owner_ids(mut owners: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || (owners != 0).then(|| pop_owner(&mut owners)))
 }
 
 /// Fused HOGWILD Adam update of one neuron's row over the prev-active
@@ -653,7 +690,7 @@ pub fn adam_step_input_major(
 mod avx {
     use std::arch::x86_64::*;
 
-    use super::{prefetch_row_head, ROW_PREFETCH_AHEAD};
+    use super::{pop_owner, prefetch_row_head, ROW_PREFETCH_AHEAD};
     use crate::ops::AdamParams;
 
     /// Horizontal sum of a 256-bit accumulator.
@@ -723,58 +760,75 @@ mod avx {
         z
     }
 
-    /// One contiguous row against `out.len()` examples (example-major
-    /// `vals`), examples blocked four at a time over shared row loads.
+    /// One contiguous row against the examples `owners` names in the
+    /// example-major `vals`, owners blocked eight at a time over shared
+    /// row loads and the remainder run as one block of fewer chains (a
+    /// lone FMA chain is latency-bound).
     ///
     /// # Safety
     ///
-    /// Requires AVX2+FMA; the row must hold at least `n` elements;
-    /// `vals.len() == n * out.len()`.
+    /// Requires AVX2+FMA; the row must hold at least `n` elements; every
+    /// owner `e` must satisfy `(e + 1) * n <= vals.len()` and
+    /// `e < out.len()`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot_batch(rp: *const f32, n: usize, vals: &[f32], init: f32, out: &mut [f32]) {
-        let b = out.len();
-        let chunks = n / 8;
-        let mut e = 0;
-        while e + 4 <= b {
-            let mut acc = [_mm256_setzero_ps(); 4];
-            let base = [e * n, (e + 1) * n, (e + 2) * n, (e + 3) * n];
-            for c in 0..chunks {
-                let i = c * 8;
-                let w8 = _mm256_loadu_ps(rp.add(i));
-                for k in 0..4 {
-                    acc[k] = _mm256_fmadd_ps(
-                        w8,
-                        _mm256_loadu_ps(vals.as_ptr().add(base[k] + i)),
-                        acc[k],
-                    );
-                }
-            }
-            for k in 0..4 {
-                let mut z = init + hsum(acc[k]);
-                for i in chunks * 8..n {
-                    z += *rp.add(i) * vals[base[k] + i];
-                }
-                out[e + k] = z;
-            }
-            e += 4;
+    pub unsafe fn dot_batch(
+        rp: *const f32,
+        n: usize,
+        vals: &[f32],
+        mut owners: u64,
+        init: f32,
+        out: &mut [f32],
+    ) {
+        while owners.count_ones() >= 8 {
+            dot_block::<8>(rp, n, vals, &mut owners, init, out);
         }
-        while e < b {
-            let mut acc = _mm256_setzero_ps();
-            let base = e * n;
-            for c in 0..chunks {
-                let i = c * 8;
-                acc = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(rp.add(i)),
-                    _mm256_loadu_ps(vals.as_ptr().add(base + i)),
-                    acc,
-                );
+        let rest = &mut owners;
+        match rest.count_ones() {
+            0 => {}
+            1 => dot_block::<1>(rp, n, vals, rest, init, out),
+            2 => dot_block::<2>(rp, n, vals, rest, init, out),
+            3 => dot_block::<3>(rp, n, vals, rest, init, out),
+            4 => dot_block::<4>(rp, n, vals, rest, init, out),
+            5 => dot_block::<5>(rp, n, vals, rest, init, out),
+            6 => dot_block::<6>(rp, n, vals, rest, init, out),
+            _ => dot_block::<7>(rp, n, vals, rest, init, out),
+        }
+    }
+
+    /// [`dot_batch`] over the `N` lowest owners, which it pops from
+    /// `owners`: `N` independent FMA chains sharing each row load.
+    ///
+    /// # Safety
+    ///
+    /// As [`dot_batch`], with at least `N` bits set in `owners`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn dot_block<const N: usize>(
+        rp: *const f32,
+        n: usize,
+        vals: &[f32],
+        owners: &mut u64,
+        init: f32,
+        out: &mut [f32],
+    ) {
+        let chunks = n / 8;
+        let ids: [usize; N] = std::array::from_fn(|_| pop_owner(owners));
+        let base = ids.map(|e| e * n);
+        let mut acc = [_mm256_setzero_ps(); N];
+        for c in 0..chunks {
+            let i = c * 8;
+            let w8 = _mm256_loadu_ps(rp.add(i));
+            for k in 0..N {
+                acc[k] =
+                    _mm256_fmadd_ps(w8, _mm256_loadu_ps(vals.as_ptr().add(base[k] + i)), acc[k]);
             }
-            let mut z = init + hsum(acc);
+        }
+        for k in 0..N {
+            let mut z = init + hsum(acc[k]);
             for i in chunks * 8..n {
-                z += *rp.add(i) * vals[base + i];
+                z += *rp.add(i) * vals[base[k] + i];
             }
-            out[e] = z;
-            e += 1;
+            out[ids[k]] = z;
         }
     }
 
@@ -1110,7 +1164,7 @@ mod tests {
             let vals = wave(n * examples, 0.21, 1.0);
             let mut out = vec![0.0f32; examples];
             for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
-                gather_dot_batch(&row, n, &vals, -0.25, &mut out, mode);
+                gather_dot_batch(&row, n, &vals, 0b1_1111, -0.25, &mut out, mode);
                 for (e, &o) in out.iter().enumerate() {
                     let ex = &vals[e * n..(e + 1) * n];
                     let single = gather_dot(&row, &ids, ex, -0.25, KernelMode::Scalar);
@@ -1131,9 +1185,86 @@ mod tests {
         let row = atomic_row(&[1.0]);
         let mut out = vec![9.0f32; 3];
         for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
-            gather_dot_batch(&row, 0, &[], 0.75, &mut out, mode);
+            gather_dot_batch(&row, 0, &[], 0b111, 0.75, &mut out, mode);
             assert_eq!(out, vec![0.75; 3]);
         }
+    }
+
+    /// Scores the `owners` of a batch of `vals.len() / n` examples and
+    /// checks each owner's score against its one-example call to the
+    /// bit, and every other slot untouched.
+    fn check_owner_set(
+        row: &[AtomicU32],
+        n: usize,
+        vals: &[f32],
+        owners: u64,
+        mode: KernelMode,
+    ) -> Result<(), String> {
+        let untouched = f32::from_bits(0x7fc0_1234);
+        let mut out = vec![untouched; vals.len() / n];
+        gather_dot_batch(row, n, vals, owners, 0.375, &mut out, mode);
+        for (e, &z) in out.iter().enumerate() {
+            let want = if owners >> e & 1 == 1 {
+                let mut one = [0.0f32];
+                gather_dot_batch(row, n, &vals[e * n..(e + 1) * n], 1, 0.375, &mut one, mode);
+                one[0]
+            } else {
+                untouched
+            };
+            prop_assert!(
+                z.to_bits() == want.to_bits(),
+                "{mode}, n {n}, example {e}: {z} vs {want}"
+            );
+        }
+        Ok(())
+    }
+
+    /// `count` distinct example indices below 64, drawn from `seed`.
+    fn owner_subset(count: usize, seed: u64) -> u64 {
+        let mut ids: Vec<u64> = (0..64).collect();
+        let mut state = seed | 1;
+        for i in (1..64).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ids.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        ids[..count].iter().fold(0, |m, &e| m | 1 << e)
+    }
+
+    #[test]
+    fn gather_dot_batch_owner_sets_of_every_size_match_one_example_calls() {
+        // Every owner count 0..=64 covers each full 8-block and every
+        // remainder block width; n spans the portable path (< 16), the
+        // AVX2 path and 8-lane tails.
+        for n in [1usize, 7, 15, 16, 21, 64, 133] {
+            let row = atomic_row(&wave(n, 0.83, 1.5));
+            let vals = wave(n * 64, 0.19, 1.0);
+            for count in 0..=64 {
+                let owners = owner_subset(count, (n * 64 + count) as u64);
+                assert_eq!(owners.count_ones() as usize, count);
+                for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+                    check_owner_set(&row, n, &vals, owners, mode).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the batch")]
+    fn gather_dot_batch_rejects_an_owner_past_the_batch() {
+        let row = atomic_row(&wave(16, 0.5, 1.0));
+        let vals = wave(16 * 3, 0.3, 1.0);
+        let mut out = [0.0f32; 3];
+        gather_dot_batch(
+            &row,
+            16,
+            &vals,
+            0b1001,
+            0.0,
+            &mut out,
+            KernelMode::Vectorized,
+        );
     }
 
     #[test]
@@ -1299,6 +1430,19 @@ mod tests {
             }
             for i in 0..ids.len() {
                 prop_assert!((pds[i] - pdv[i]).abs() <= 1e-5 * (1.0 + pds[i].abs()), "pd[{}]", i);
+            }
+        }
+
+        #[test]
+        fn prop_gather_dot_batch_owner_subsets_match_one_example_calls(
+            n in 1usize..201,
+            shape in (1usize..65, 0u64..u64::MAX)
+        ) {
+            let (b, owners) = (shape.0, shape.1 & (u64::MAX >> (64 - shape.0)));
+            let row = atomic_row(&wave(n, 0.71, 2.0));
+            let vals = wave(n * b, 0.37, 1.0);
+            for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+                check_owner_set(&row, n, &vals, owners, mode)?;
             }
         }
 

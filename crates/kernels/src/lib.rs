@@ -18,7 +18,8 @@
 //! The [`fused`] module holds the slice-based hot-path kernels that
 //! operate directly on HOGWILD `&[AtomicU32]` rows: [`gather_dot`]
 //! (forward pre-activation), [`gather_dot_batch`] (batched serving: one
-//! contiguous row against a batch over a dense hidden basis),
+//! contiguous row against the examples of a batch that own it, over a
+//! dense hidden basis),
 //! [`adam_step_gather`] (backward's fused gather + error-signal + Adam
 //! sweep) and the input-major pair [`gather_dot_input_major`] /
 //! [`adam_step_input_major`] (the first layer's forward and Adam, one

@@ -13,6 +13,7 @@
 //! portable fallback. Quantized rows are immutable (serving only), so
 //! unlike `fused` there is no atomic-cell protocol here — plain `&[i16]`.
 
+use crate::fused::{check_owners, owner_ids};
 use crate::ops::KernelMode;
 
 /// Quantizes one f32 row to i16, returning the per-row scale.
@@ -45,24 +46,31 @@ pub fn quantize_row(row: &[f32], q: &mut [i16]) -> f32 {
     scale
 }
 
-/// Scores the first `n` codes of one quantized row against `out.len()`
-/// examples: `out[e] = init + scale · Σᵢ q[i] · vals[e·n + i]`.
+/// Scores the first `n` codes of one quantized row against the examples
+/// an owner mask names: for every bit `e` set in `owners`,
+/// `out[e] = init + scale · Σᵢ q[i] · vals[e·n + i]`. Entries of `out`
+/// whose bit is clear are left as they were.
 ///
 /// The integer-to-float widening is exact (`|q| ≤ 32767 < 2²⁴`), so the
 /// only quantization error is the one introduced at encode time. `vals`
-/// is example-major, exactly like [`crate::fused::gather_dot_batch`] —
-/// this is its drop-in quantized sibling for the batched serving scorer,
-/// moving half the row bytes. `Scalar` and `Vectorized` differ only in
-/// summation order.
+/// is example-major over the `b = out.len()` examples, exactly like
+/// [`crate::fused::gather_dot_batch`] — this is its quantized sibling for
+/// the batched serving scorer, moving half the row bytes. `Scalar` and
+/// `Vectorized` differ only in summation order; within a mode a score's
+/// bits do not depend on the owner set.
 ///
 /// # Panics
 ///
-/// Panics if `n > q.len()` or `vals.len() != n * out.len()`.
+/// Panics if `n > q.len()`, `vals.len() != n * out.len()`, or an owner
+/// bit names an example at or past `out.len()` — all checked before any
+/// memory is read.
+#[allow(clippy::too_many_arguments)]
 pub fn dot_batch_q16(
     q: &[i16],
     scale: f32,
     n: usize,
     vals: &[f32],
+    owners: u64,
     init: f32,
     out: &mut [f32],
     mode: KernelMode,
@@ -73,27 +81,29 @@ pub fn dot_batch_q16(
         n * out.len(),
         "dot_batch_q16: vals must hold n values per example"
     );
+    check_owners(owners, out.len());
     match mode {
         KernelMode::Scalar => {
-            for (e, o) in out.iter_mut().enumerate() {
+            for e in owner_ids(owners) {
                 let ex = &vals[e * n..(e + 1) * n];
                 let mut acc = 0.0f32;
                 for (i, &v) in ex.iter().enumerate() {
                     acc += q[i] as f32 * v;
                 }
-                *o = init + scale * acc;
+                out[e] = init + scale * acc;
             }
         }
         KernelMode::Vectorized => {
             #[cfg(target_arch = "x86_64")]
             if n >= 16 && crate::fused::have_avx2_fma() {
-                // SAFETY: n bounds-checked against the row; AVX2+FMA
+                // SAFETY: n bounds-checked against the row, every owner
+                // indexes one of the out.len() examples in vals; AVX2+FMA
                 // presence checked.
-                unsafe { avxq::dot_batch(q.as_ptr(), scale, n, vals, init, out) };
+                unsafe { avxq::dot_batch(q.as_ptr(), scale, n, vals, owners, init, out) };
                 return;
             }
 
-            for (e, o) in out.iter_mut().enumerate() {
+            for e in owner_ids(owners) {
                 let ex = &vals[e * n..(e + 1) * n];
                 let mut acc = [0.0f32; 4];
                 let chunks = n / 4;
@@ -107,7 +117,7 @@ pub fn dot_batch_q16(
                 for i in chunks * 4..n {
                     z += q[i] as f32 * ex[i];
                 }
-                *o = init + scale * z;
+                out[e] = init + scale * z;
             }
         }
     }
@@ -119,6 +129,8 @@ pub fn dot_batch_q16(
 #[cfg(target_arch = "x86_64")]
 mod avxq {
     use std::arch::x86_64::*;
+
+    use crate::fused::pop_owner;
 
     /// Horizontal sum of a 256-bit accumulator.
     ///
@@ -147,70 +159,81 @@ mod avxq {
         _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(_mm_loadu_si128(p as *const __m128i)))
     }
 
-    /// One contiguous quantized row against `out.len()` examples
-    /// (example-major `vals`), examples blocked eight at a time so each
+    /// One contiguous quantized row against the examples `owners` names
+    /// in the example-major `vals`, owners blocked eight at a time so each
     /// widened row block is reused across eight FMA chains — the widen
     /// (load + two converts) costs roughly triple an f32 row load, so it
-    /// needs wider amortization than [`crate::fused`]'s four-example
-    /// blocking to reach compute parity with the f32 kernel while moving
-    /// half the row bytes.
+    /// needs that much amortization to reach compute parity with the f32
+    /// kernel while moving half the row bytes. The remainder runs as one
+    /// block of fewer chains: a lone FMA chain is latency-bound.
     ///
     /// # Safety
     ///
-    /// Requires AVX2+FMA; the row must hold at least `n` elements;
-    /// `vals.len() == n * out.len()`.
+    /// Requires AVX2+FMA; the row must hold at least `n` elements; every
+    /// owner `e` must satisfy `(e + 1) * n <= vals.len()` and
+    /// `e < out.len()`.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn dot_batch(
         qp: *const i16,
         scale: f32,
         n: usize,
         vals: &[f32],
+        mut owners: u64,
         init: f32,
         out: &mut [f32],
     ) {
-        let b = out.len();
-        let chunks = n / 8;
-        let mut e = 0;
-        while e + 8 <= b {
-            let mut acc = [_mm256_setzero_ps(); 8];
-            let base = e * n;
-            for c in 0..chunks {
-                let i = c * 8;
-                let w8 = widen8(qp.add(i));
-                for (k, a) in acc.iter_mut().enumerate() {
-                    *a = _mm256_fmadd_ps(
-                        w8,
-                        _mm256_loadu_ps(vals.as_ptr().add(base + k * n + i)),
-                        *a,
-                    );
-                }
-            }
-            for (k, a) in acc.iter().enumerate() {
-                let mut z = hsum(*a);
-                for i in chunks * 8..n {
-                    z += *qp.add(i) as f32 * vals[base + k * n + i];
-                }
-                out[e + k] = init + scale * z;
-            }
-            e += 8;
+        while owners.count_ones() >= 8 {
+            dot_block::<8>(qp, scale, n, vals, &mut owners, init, out);
         }
-        while e < b {
-            let mut acc = _mm256_setzero_ps();
-            let base = e * n;
-            for c in 0..chunks {
-                let i = c * 8;
-                acc = _mm256_fmadd_ps(
-                    widen8(qp.add(i)),
-                    _mm256_loadu_ps(vals.as_ptr().add(base + i)),
-                    acc,
-                );
+        let rest = &mut owners;
+        match rest.count_ones() {
+            0 => {}
+            1 => dot_block::<1>(qp, scale, n, vals, rest, init, out),
+            2 => dot_block::<2>(qp, scale, n, vals, rest, init, out),
+            3 => dot_block::<3>(qp, scale, n, vals, rest, init, out),
+            4 => dot_block::<4>(qp, scale, n, vals, rest, init, out),
+            5 => dot_block::<5>(qp, scale, n, vals, rest, init, out),
+            6 => dot_block::<6>(qp, scale, n, vals, rest, init, out),
+            _ => dot_block::<7>(qp, scale, n, vals, rest, init, out),
+        }
+    }
+
+    /// [`dot_batch`] over the `N` lowest owners, which it pops from
+    /// `owners`: `N` independent FMA chains sharing each widened row
+    /// block.
+    ///
+    /// # Safety
+    ///
+    /// As [`dot_batch`], with at least `N` bits set in `owners`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn dot_block<const N: usize>(
+        qp: *const i16,
+        scale: f32,
+        n: usize,
+        vals: &[f32],
+        owners: &mut u64,
+        init: f32,
+        out: &mut [f32],
+    ) {
+        let chunks = n / 8;
+        let ids: [usize; N] = std::array::from_fn(|_| pop_owner(owners));
+        let base = ids.map(|e| e * n);
+        let mut acc = [_mm256_setzero_ps(); N];
+        for c in 0..chunks {
+            let i = c * 8;
+            let w8 = widen8(qp.add(i));
+            for k in 0..N {
+                acc[k] =
+                    _mm256_fmadd_ps(w8, _mm256_loadu_ps(vals.as_ptr().add(base[k] + i)), acc[k]);
             }
-            let mut z = hsum(acc);
+        }
+        for k in 0..N {
+            let mut z = hsum(acc[k]);
             for i in chunks * 8..n {
-                z += *qp.add(i) as f32 * vals[base + i];
+                z += *qp.add(i) as f32 * vals[base[k] + i];
             }
-            out[e] = init + scale * z;
-            e += 1;
+            out[ids[k]] = init + scale * z;
         }
     }
 }
@@ -292,7 +315,7 @@ mod tests {
         let bound = 0.5 * scale * vals.iter().map(|v| v.abs()).sum::<f32>() + 1e-4;
         for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
             let mut approx = [0.0f32];
-            dot_batch_q16(&q, scale, n, &vals, 0.0, &mut approx, mode);
+            dot_batch_q16(&q, scale, n, &vals, 1, 0.0, &mut approx, mode);
             assert!(
                 (exact - approx[0]).abs() <= bound,
                 "{mode}: {exact} vs {} (bound {bound})",
@@ -301,7 +324,94 @@ mod tests {
         }
     }
 
+    /// Scores the `owners` of a batch of `vals.len() / n` examples and
+    /// checks each owner's score against its one-example call to the
+    /// bit, and every other slot untouched.
+    fn check_owner_set(
+        q: &[i16],
+        scale: f32,
+        vals: &[f32],
+        owners: u64,
+        mode: KernelMode,
+    ) -> Result<(), String> {
+        let n = q.len();
+        let untouched = f32::from_bits(0x7fc0_1234);
+        let mut out = vec![untouched; vals.len() / n];
+        dot_batch_q16(q, scale, n, vals, owners, 0.375, &mut out, mode);
+        for (e, &z) in out.iter().enumerate() {
+            let want = if owners >> e & 1 == 1 {
+                let mut one = [0.0f32];
+                let ex = &vals[e * n..(e + 1) * n];
+                dot_batch_q16(q, scale, n, ex, 1, 0.375, &mut one, mode);
+                one[0]
+            } else {
+                untouched
+            };
+            prop_assert!(
+                z.to_bits() == want.to_bits(),
+                "{mode}, n {n}, example {e}: {z} vs {want}"
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn owner_sets_of_every_size_match_one_example_calls() {
+        // Every owner count 0..=64 covers each full 8-block and every
+        // remainder block width; n spans the portable path (< 16), the
+        // AVX2 path and 8-lane tails.
+        for n in [1usize, 7, 15, 16, 21, 64, 133] {
+            let (q, scale, _) = setup(n, n as u64);
+            let mut rng = TinyRng(n as u64 * 7 + 1);
+            let vals: Vec<f32> = (0..n * 64).map(|_| rng.f32()).collect();
+            for count in 0..=64 {
+                // A random `count`-subset of the 64 examples.
+                let mut ids: Vec<u32> = (0..64).collect();
+                for i in (1..64).rev() {
+                    ids.swap(i, (rng.next() % (i as u64 + 1)) as usize);
+                }
+                let owners = ids[..count].iter().fold(0u64, |m, &e| m | 1 << e);
+                for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+                    check_owner_set(&q, scale, &vals, owners, mode).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the batch")]
+    fn owner_past_the_batch_is_rejected() {
+        let (q, scale, _) = setup(16, 5);
+        let vals = vec![0.5f32; 16 * 3];
+        let mut out = [0.0f32; 3];
+        dot_batch_q16(
+            &q,
+            scale,
+            16,
+            &vals,
+            0b1001,
+            0.0,
+            &mut out,
+            KernelMode::Vectorized,
+        );
+    }
+
     proptest! {
+        #[test]
+        fn prop_owner_subsets_match_one_example_calls(
+            n in 1usize..201,
+            shape in (1usize..65, 0u64..u64::MAX),
+            seed in 1u64..3000,
+        ) {
+            let (b, owners) = (shape.0, shape.1 & (u64::MAX >> (64 - shape.0)));
+            let (q, scale, _) = setup(n, seed);
+            let mut rng = TinyRng(seed.wrapping_mul(31) | 1);
+            let vals: Vec<f32> = (0..n * b).map(|_| rng.f32()).collect();
+            for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+                check_owner_set(&q, scale, &vals, owners, mode)?;
+            }
+        }
+
         /// One example (batch 1) with a nonzero `init`, over rows longer
         /// than the batch proptest draws.
         #[test]
@@ -313,8 +423,8 @@ mod tests {
             let (q, scale, vals) = setup(n, seed);
             let mut a = [0.0f32];
             let mut b = [0.0f32];
-            dot_batch_q16(&q, scale, n, &vals, init, &mut a, KernelMode::Scalar);
-            dot_batch_q16(&q, scale, n, &vals, init, &mut b, KernelMode::Vectorized);
+            dot_batch_q16(&q, scale, n, &vals, 1, init, &mut a, KernelMode::Scalar);
+            dot_batch_q16(&q, scale, n, &vals, 1, init, &mut b, KernelMode::Vectorized);
             prop_assert!((a[0] - b[0]).abs() <= 1e-3 * (1.0 + a[0].abs()));
         }
 
@@ -327,10 +437,11 @@ mod tests {
             let (q, scale, _) = setup(n, seed);
             let mut rng = TinyRng(seed.wrapping_mul(31) | 1);
             let vals: Vec<f32> = (0..n * b).map(|_| rng.f32()).collect();
+            let all = u64::MAX >> (64 - b);
             let mut s = vec![0.0f32; b];
             let mut v = vec![0.0f32; b];
-            dot_batch_q16(&q, scale, n, &vals, 0.0, &mut s, KernelMode::Scalar);
-            dot_batch_q16(&q, scale, n, &vals, 0.0, &mut v, KernelMode::Vectorized);
+            dot_batch_q16(&q, scale, n, &vals, all, 0.0, &mut s, KernelMode::Scalar);
+            dot_batch_q16(&q, scale, n, &vals, all, 0.0, &mut v, KernelMode::Vectorized);
             for (x, y) in s.iter().zip(&v) {
                 prop_assert!((x - y).abs() <= 1e-3 * (1.0 + x.abs()));
             }

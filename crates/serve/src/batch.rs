@@ -720,9 +720,9 @@ enum WorkerExit {
 
 fn worker_loop(shared: &Shared, max_batch: usize) -> WorkerExit {
     let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
-    // Batched-scoring scratch is worker-lifetime (hidden activations,
-    // candidate union, score matrix — all engine-independent: cleared
-    // and refilled per drain), plus the per-batch staging buffers, so
+    // Batched-scoring scratch is worker-lifetime (hidden activations and
+    // per-class owner masks — all engine-independent: the masks are all
+    // zero between drains), plus the per-batch staging buffers, so
     // the hot loop's only steady-state allocation is the k-slot result.
     let mut scratch = slide_core::inference::BatchScratch::default();
     let mut predictions: Vec<Prediction> = Vec::with_capacity(max_batch);
@@ -832,7 +832,7 @@ fn worker_loop(shared: &Shared, max_batch: usize) -> WorkerExit {
         // The workspace is checked out per drain (it belongs to the
         // drain's engine — a reload swaps the pool too); one pool-mutex
         // acquisition amortized over the whole batch.
-        // Everything batch-sized routes through the fused shared-union
+        // Everything batch-sized routes through the fused owner-masked
         // path (a batch-of-1 is bit-identical to a solo predict).
         let mut ws = engine.checkout_workspace();
         predictions.clear();

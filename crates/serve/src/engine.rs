@@ -153,7 +153,8 @@ pub struct ServingEngine {
     network: Network,
     /// The snapshot's i16 output rows, when it carried them. Batched
     /// scoring runs the fused `dot_batch_q16` path over these instead of
-    /// gathering f32 rows.
+    /// gathering f32 rows: each retrieved row once, against only the
+    /// inputs of the batch that retrieved it.
     quantized: Option<slide_core::QuantizedRows>,
     options: ServeOptions,
     pool: WorkspacePool,
@@ -396,11 +397,12 @@ impl ServingEngine {
     }
 
     /// Answers a batch of requests with the configured `top_k` through
-    /// the fused shared-union scoring path (each candidate weight row
-    /// streams through the cache once for the whole batch). Results are
-    /// *bit-identical* to per-request [`ServingEngine::predict`] — the
-    /// kernels accumulate each example in a fixed order independent of
-    /// batch composition, and singles route through the same path as a
+    /// the fused owner-masked scoring path (each candidate weight row
+    /// streams through the cache once, scored against exactly the
+    /// requests that retrieved it). Results are *bit-identical* to
+    /// per-request [`ServingEngine::predict`] — the kernels accumulate
+    /// each example in a fixed order independent of which other examples
+    /// share a row, and singles route through the same path as a
     /// batch-of-1 — so batching is purely an execution detail.
     ///
     /// # Errors
