@@ -13,7 +13,9 @@
 //! former — forward is the remainder of the forward call, backward and
 //! scheduled table rebuilds are timed at their call sites, and each
 //! rebuild is split into its hash and insert phases by the layer's own
-//! phase clock (`LayerLsh::rebuild_phase_seconds`). The first
+//! phase clock (`LayerLsh::rebuild_phase_seconds`), beside the share of
+//! the rebuilt rows the hash phase rehashed (`LayerLsh::rows_hashed`:
+//! a rebuild rehashes only the rows written since the last one). The first
 //! epoch of each mode is warmup and is excluded from the timings. Each
 //! mode's row names the ISA its kernels actually dispatched to
 //! (`scalar`, `avx2+fma`, or `portable-unrolled`).
@@ -99,6 +101,8 @@ struct Phases {
     rebuild_s: f64,
     rebuild_hash_s: f64,
     rebuild_insert_s: f64,
+    /// Rows rehashed over rows the rebuilds covered.
+    rehashed_share: f64,
 }
 
 impl Phases {
@@ -192,13 +196,19 @@ impl BenchConfig {
     }
 }
 
-/// `(hash, insert)` rebuild seconds so far, summed over the LSH layers.
-fn rebuild_phase_seconds(net: &Network) -> (f64, f64) {
+/// Rebuild totals so far, summed over the LSH layers: `[hash seconds,
+/// insert seconds, rows rehashed, rows covered]` (a build covers every
+/// row of its layer).
+fn rebuild_totals(net: &Network) -> [f64; 4] {
     net.layers()
         .iter()
-        .filter_map(|layer| layer.lsh())
-        .map(|lsh| lsh.rebuild_phase_seconds())
-        .fold((0.0, 0.0), |(h, i), (dh, di)| (h + dh, i + di))
+        .filter_map(|layer| Some((layer.units(), layer.lsh()?)))
+        .map(|(units, lsh)| {
+            let (hash, insert) = lsh.rebuild_phase_seconds();
+            let covered = lsh.rebuild_count() * units as u64;
+            [hash, insert, lsh.rows_hashed() as f64, covered as f64]
+        })
+        .fold([0.0; 4], |acc, x| std::array::from_fn(|i| acc[i] + x[i]))
 }
 
 /// One single-threaded training run of `warmup + timed` epochs; phases
@@ -214,12 +224,12 @@ fn run_mode(bench: &BenchConfig, train: &Dataset, mode: KernelMode) -> ModeResul
     let mut examples = 0u64;
     let mut iteration = 0u64;
     let mut loss_acc = 0.0f64;
-    let mut rebuild_before = (0.0, 0.0);
+    let mut rebuild_before = [0.0; 4];
 
     for epoch in 0..bench.warmup_epochs + bench.timed_epochs {
         let timed = epoch >= bench.warmup_epochs;
         if epoch == bench.warmup_epochs {
-            rebuild_before = rebuild_phase_seconds(&net);
+            rebuild_before = rebuild_totals(&net);
         }
         let e0 = Instant::now();
         for chunk in order.chunks(bench.batch_size) {
@@ -259,9 +269,11 @@ fn run_mode(bench: &BenchConfig, train: &Dataset, mode: KernelMode) -> ModeResul
         }
     }
 
-    let rebuild_after = rebuild_phase_seconds(&net);
-    phases.rebuild_hash_s = rebuild_after.0 - rebuild_before.0;
-    phases.rebuild_insert_s = rebuild_after.1 - rebuild_before.1;
+    let [hash, insert, rehashed, covered] =
+        std::array::from_fn(|i| rebuild_totals(&net)[i] - rebuild_before[i]);
+    phases.rebuild_hash_s = hash;
+    phases.rebuild_insert_s = insert;
+    phases.rehashed_share = rehashed / covered.max(1.0);
 
     ModeResult {
         mode,
@@ -307,6 +319,7 @@ fn main() {
             "rebuild_s",
             "rebuild_hash_s",
             "rebuild_insert_s",
+            "rehashed",
             "loss",
         ],
         csv,
@@ -324,6 +337,7 @@ fn main() {
             format!("{:.3}", r.phases.rebuild_s),
             format!("{:.4}", r.phases.rebuild_hash_s),
             format!("{:.4}", r.phases.rebuild_insert_s),
+            format!("{:.3}", r.phases.rehashed_share),
             format!("{:.4}", r.mean_loss),
         ]);
     }

@@ -1,5 +1,6 @@
 //! One fully connected layer with optional LSH sampling machinery.
 
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -28,11 +29,14 @@ struct RebuildScratch {
     mean_acc: Vec<f64>,
     /// The centered-hashing mean vector `w̄` (empty when not centering).
     mean: Vec<f32>,
+    /// The center `buckets` was hashed with (empty when not centering).
+    center: Vec<f32>,
     /// Dense row buffer for the mean pass.
     row: Vec<f32>,
     /// Bucket index of every neuron in every table, `units × L`: row
     /// `j`'s index in table `t` at `j · L + t` (`table_bits ≤ 30`, so an
-    /// index fits a `u32`). Phase 1 writes it, phase 2 inserts from it.
+    /// index fits a `u32`). Kept between builds: phase 1 rewrites the
+    /// rows written since the last build, phase 2 inserts from all of it.
     buckets: Vec<u32>,
 }
 
@@ -54,6 +58,15 @@ pub struct LayerLsh {
     rebuild_count: u64,
     rng_base: Xoshiro256PlusPlus,
     scratch: RebuildScratch,
+    /// One flag per unit, set by every write to the unit's weights and
+    /// cleared by the build that rehashes it. HOGWILD workers set them
+    /// with a relaxed check-then-store (no locked read-modify-write on
+    /// shared lines). Relaxed suffices: builds run stop-the-world, and
+    /// the join of the workers orders their flag and weight stores
+    /// before the build's loads.
+    dirty: Box<[AtomicU8]>,
+    /// Rows hashed, summed over every build.
+    rows_hashed: u64,
     /// Wall nanoseconds spent in rebuild phase 1 (mean, hash, bucket
     /// fold) and phase 2 (insert), summed over every rebuild.
     hash_nanos: u64,
@@ -103,14 +116,31 @@ impl LayerLsh {
 
     /// Seconds spent in the two phases of every table build this layer
     /// performed (an initial build included): `(hash, insert)`. Hash
-    /// covers the centering mean, hashing every weight row and folding its
-    /// codes to bucket indices; insert covers clearing the tables and
-    /// inserting every id.
+    /// covers the centering mean, hashing the weight rows written since
+    /// the last build (every row on a full build, see
+    /// [`Layer::rebuild_tables`]) and folding their codes to bucket
+    /// indices; insert covers clearing the tables and inserting every id.
     pub fn rebuild_phase_seconds(&self) -> (f64, f64) {
         (
             self.hash_nanos as f64 * 1e-9,
             self.insert_nanos as f64 * 1e-9,
         )
+    }
+
+    /// Weight rows hashed, summed over every table build this layer
+    /// performed (an initial build included): `units` per full build,
+    /// the rows written since the last build otherwise.
+    pub fn rows_hashed(&self) -> u64 {
+        self.rows_hashed
+    }
+
+    /// Flags unit `j`'s row for the next build to rehash.
+    #[inline]
+    fn mark(&self, j: usize) {
+        let flag = &self.dirty[j];
+        if flag.load(Ordering::Relaxed) == 0 {
+            flag.store(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -134,7 +164,7 @@ pub struct Layer {
     activation: Activation,
     /// Whether `weights` and its moments are stored `fan_in × units`.
     input_major: bool,
-    pub(crate) weights: HogwildMatrix,
+    weights: HogwildMatrix,
     pub(crate) biases: HogwildArray,
     /// The weights' Adam moments `[m, v]`, in `weights`' orientation.
     /// Allocated by the first update, so a network that only serves
@@ -244,6 +274,8 @@ impl Layer {
                 rebuild_count,
                 rng_base: Xoshiro256PlusPlus::seed_from_u64(rng.next_u64()),
                 scratch: RebuildScratch::default(),
+                dirty: (0..self.units).map(|_| AtomicU8::new(0)).collect(),
+                rows_hashed: 0,
                 hash_nanos: 0,
                 insert_nanos: 0,
             }
@@ -293,7 +325,10 @@ impl Layer {
     /// input `i`'s weight into every unit) for an input-major one — check
     /// [`Layer::input_major`]. To address one unit's weights in either
     /// orientation use [`Layer::weight`], [`Layer::set_weight`] or
-    /// [`Layer::read_unit_into`].
+    /// [`Layer::read_unit_into`]. Write through [`Layer::set_weight`]:
+    /// it flags the unit for the next table build, and a cell write
+    /// through this matrix would not (slide-lint's `weight-writes-mark`
+    /// rule bars such writes outside this module).
     pub fn weights(&self) -> &HogwildMatrix {
         &self.weights
     }
@@ -341,6 +376,17 @@ impl Layer {
     #[inline]
     pub fn set_weight(&self, j: usize, i: usize, value: f32) {
         self.weights.flat().set(self.weight_index(j, i), value);
+        self.mark_written(j);
+    }
+
+    /// Flags unit `j` for the next table build to rehash (no-op for a
+    /// dense layer). Every write to a unit's weights calls it; bias
+    /// writes do not, since builds hash weights only.
+    #[inline]
+    fn mark_written(&self, j: usize) {
+        if let Some(lsh) = &self.lsh {
+            lsh.mark(j);
+        }
     }
 
     /// Stores the weights of units `first..first + n` from `n` unit-major
@@ -358,6 +404,9 @@ impl Layer {
         let n = rows.len() / self.fan_in.max(1);
         assert_eq!(n * self.fan_in, rows.len(), "rows must be whole units");
         assert!(first + n <= self.units, "units past the layer");
+        for j in first..first + n {
+            self.mark_written(j);
+        }
         if self.input_major {
             for i in 0..self.fan_in {
                 let cells = &self.weights.row(i)[first..first + n];
@@ -470,6 +519,7 @@ impl Layer {
             clr,
             mode,
         );
+        self.mark_written(j);
     }
 
     /// Pre-activations of the `units` of an input-major layer for the
@@ -529,6 +579,14 @@ impl Layer {
             clr,
             mode,
         );
+        // The kernel writes exactly the units whose delta is nonzero.
+        if let Some(lsh) = &self.lsh {
+            for (&j, &d) in units.iter().zip(deltas) {
+                if d != 0.0 {
+                    lsh.mark(j as usize);
+                }
+            }
+        }
     }
 
     /// One HOGWILD Adam update of weight `(j, i)` with gradient `g` —
@@ -544,6 +602,7 @@ impl Layer {
         let v = v_cells.flat().get(idx);
         let (w2, m2, v2) = adam_step(w, m, v, g, adam, clr);
         self.weights.flat().set(idx, w2);
+        self.mark_written(j as usize);
         m_cells.flat().set(idx, m2);
         v_cells.flat().set(idx, v2);
     }
@@ -565,10 +624,16 @@ impl Layer {
         self.b_v.set(j, v2);
     }
 
-    /// Recomputes every neuron's hash codes from the current weights and
-    /// rebuilds all tables (paper §3.1 "Update Hash Tables after Weight
-    /// Updates"; parallelized over neurons for hashing and over tables for
-    /// insertion, so no locks are needed).
+    /// Recomputes the hash codes of the neurons whose weights were
+    /// written since the last build and rebuilds all tables (paper §3.1
+    /// "Update Hash Tables after Weight Updates"; parallelized over
+    /// neurons for hashing and over tables for insertion, so no locks are
+    /// needed). The bucket indices of the other rows are kept from the
+    /// build that last hashed them, so the tables are exactly those a
+    /// rehash of every row would build. Every row is rehashed on the
+    /// first build and whenever the subtracted center differs bitwise
+    /// from the last build's: after a change of centering mode or
+    /// vector, or when a centered layer's rows moved its mean.
     ///
     /// No-op for dense layers.
     pub fn rebuild_tables(&mut self) {
@@ -618,52 +683,77 @@ impl Layer {
             }
         }
         let mean = &scratch.mean;
+        // A row's bucket indices are a function of its weights and the
+        // subtracted center, so a kept row stays valid only while the
+        // center is bitwise the one it was hashed with (which also covers
+        // a change of centering mode or vector). The first build keeps
+        // nothing.
+        let all = scratch.buckets.is_empty()
+            || mean
+                .iter()
+                .map(|x| x.to_bits())
+                .ne(scratch.center.iter().map(|x| x.to_bits()));
 
-        // Phase 1: hash ROW_TILE neurons' weight rows per task (parallel
-        // over row tiles) and fold each row's K-code groups into its
-        // bucket index in every table, so phase 2 reads 4 bytes per
-        // (row, table) instead of K codes.
+        // Phase 1: per chunk of HASH_CHUNK rows (parallel over chunks),
+        // take the rows to rehash, hash them ROW_TILE at a time and fold
+        // each row's K-code groups into its bucket index in every table,
+        // so phase 2 reads 4 bytes per (row, table) instead of K codes.
         let tables = lsh.tables.tables();
-        scratch.buckets.clear();
+        let dirty = &lsh.dirty;
+        let hashed_rows = AtomicUsize::new(0);
         scratch.buckets.resize(units * l, 0);
         scratch
             .buckets
-            .par_chunks_mut(ROW_TILE * l)
+            .par_chunks_mut(HASH_CHUNK * l)
             .enumerate()
             .for_each_init(
                 || {
                     (
                         vec![0.0f32; ROW_TILE * fan_in],
                         vec![0u32; ROW_TILE * num_codes],
+                        Vec::with_capacity(HASH_CHUNK),
                     )
                 },
-                |(rows, codes), (c, out)| {
-                    let n = out.len() / l;
-                    let rows = &mut rows[..n * fan_in];
-                    for (r, row) in rows.chunks_exact_mut(fan_in).enumerate() {
-                        read_unit(weights, input_major, c * ROW_TILE + r, row);
-                        if !mean.is_empty() {
-                            for (x, &m) in row.iter_mut().zip(mean) {
-                                *x -= m;
-                            }
+                |(rows, codes, picked), (c, out)| {
+                    let first = c * HASH_CHUNK;
+                    picked.clear();
+                    for (r, flag) in dirty[first..first + out.len() / l].iter().enumerate() {
+                        if all || flag.load(Ordering::Relaxed) != 0 {
+                            flag.store(0, Ordering::Relaxed);
+                            picked.push(r);
                         }
                     }
-                    // Codes bit-identical to `hash_dense_mode`, the entry
-                    // selection hashes queries through, so the tables and
-                    // the queries can never diverge.
-                    let codes = &mut codes[..n * num_codes];
-                    family.hash_dense_rows_mode(rows, codes, mode);
-                    for (ids, row_codes) in
-                        out.chunks_exact_mut(l).zip(codes.chunks_exact(num_codes))
-                    {
-                        for ((id, table), group) in
-                            ids.iter_mut().zip(tables).zip(row_codes.chunks_exact(k))
-                        {
-                            *id = table.bucket_index(group) as u32;
+                    hashed_rows.fetch_add(picked.len(), Ordering::Relaxed);
+                    // Dirty rows fill whole tiles wherever they sit in
+                    // the chunk, so the kernel runs at full tile width.
+                    for tile in picked.chunks(ROW_TILE) {
+                        let rows = &mut rows[..tile.len() * fan_in];
+                        for (&r, row) in tile.iter().zip(rows.chunks_exact_mut(fan_in)) {
+                            read_unit(weights, input_major, first + r, row);
+                            if !mean.is_empty() {
+                                for (x, &m) in row.iter_mut().zip(mean) {
+                                    *x -= m;
+                                }
+                            }
+                        }
+                        // Codes bit-identical to `hash_dense_mode`, the
+                        // entry selection hashes queries through, so the
+                        // tables and the queries can never diverge.
+                        let codes = &mut codes[..tile.len() * num_codes];
+                        family.hash_dense_rows_mode(rows, codes, mode);
+                        for (&r, row_codes) in tile.iter().zip(codes.chunks_exact(num_codes)) {
+                            let ids = &mut out[r * l..(r + 1) * l];
+                            for ((id, table), group) in
+                                ids.iter_mut().zip(tables).zip(row_codes.chunks_exact(k))
+                            {
+                                *id = table.bucket_index(group) as u32;
+                            }
                         }
                     }
                 },
             );
+        std::mem::swap(&mut scratch.mean, &mut scratch.center);
+        lsh.rows_hashed += hashed_rows.into_inner() as u64;
         let hashed = Instant::now();
 
         // Phase 2: insert ids (parallel over tables; each table is owned
@@ -723,6 +813,11 @@ impl Layer {
 /// Units an input-major layer writes together: one 64-byte cache line of
 /// `f32` cells in each of its rows.
 pub(crate) const UNIT_BLOCK: usize = 16;
+
+/// Rows per rebuild hashing task: enough that a chunk's dirty rows fill
+/// whole `ROW_TILE` tiles, few enough that the chunks spread over the
+/// workers.
+const HASH_CHUNK: usize = 256;
 
 /// Copies unit `j`'s fan-in weights out of `weights`, stored input-major
 /// (column `j`) or unit-major (row `j`).
@@ -841,6 +936,9 @@ pub(crate) mod oracle {
 mod tests {
     use super::*;
     use crate::config::Activation;
+    use crate::network::Network;
+    use crate::selector::LshSelector;
+    use slide_data::sparse::SparseVector;
     use slide_lsh::InsertionPolicy;
 
     fn relu_layer(fan_in: usize, units: usize, lsh: Option<LshLayerConfig>) -> Layer {
@@ -1042,6 +1140,147 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Trains `net` on `data` for `steps` batches of four examples on
+    /// `pool`'s HOGWILD workers, maintaining every layer after each batch
+    /// as the trainer does. After every rebuild the layer's tables must
+    /// equal the naive oracle's. Returns how many rebuilds hashed fewer
+    /// rows than the layer has.
+    fn train_checking_rebuilds(
+        net: &mut Network,
+        data: &[slide_data::dataset::Example],
+        pool: &rayon::ThreadPool,
+        steps: usize,
+        case: &str,
+    ) -> usize {
+        let mut partial = 0;
+        for (step, batch) in data.chunks(4).cycle().take(steps).enumerate() {
+            let clr = net.begin_step();
+            let net_ref = &*net;
+            pool.install(|| -> f32 {
+                batch
+                    .par_iter()
+                    .map_init(
+                        || net_ref.workspace(step as u64),
+                        |ws, ex| {
+                            net_ref.train_example(&LshSelector, ws, &ex.features, &ex.labels, clr)
+                        },
+                    )
+                    .sum()
+            });
+            for (l, layer) in net.layers_mut().iter_mut().enumerate() {
+                let before = layer.lsh().map_or(0, |lsh| lsh.rows_hashed());
+                if layer.maintain(step as u64 + 1) {
+                    let hashed = layer.lsh().unwrap().rows_hashed() - before;
+                    partial += (hashed < layer.units() as u64) as usize;
+                    assert_matches_reference(layer, &format!("{case}: step {step} layer {l}"));
+                }
+            }
+        }
+        partial
+    }
+
+    #[test]
+    fn partial_rehash_matches_a_full_rebuild_under_hogwild_training() {
+        // A window of two 4-example batches writes a few dozen of the
+        // 600 output rows and of the 256 hidden units, so most rebuilds
+        // rehash a fraction of a layer. Both policies, centered rows on
+        // and off (a moving mean rehashes every row), a unit-major output
+        // layer and an input-major hidden LSH layer, before and after a
+        // snapshot restore.
+        let data = slide_data::synth::generate(&slide_data::synth::SyntheticConfig {
+            label_dim: 600,
+            ..slide_data::synth::SyntheticConfig::tiny().with_seed(9)
+        });
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        for policy in [InsertionPolicy::Fifo, InsertionPolicy::Reservoir] {
+            for centered in [false, true] {
+                let lsh = |budget| {
+                    LshLayerConfig::simhash(4, 6)
+                        .with_strategy(SamplingStrategy::Vanilla { budget })
+                        .with_rebuild(crate::schedule::RebuildSchedule::fixed(2))
+                        .with_policy(policy)
+                        .with_centered_rows(centered)
+                };
+                let cfg = crate::config::NetworkConfig::builder(
+                    data.train.feature_dim(),
+                    data.train.label_dim(),
+                )
+                .hidden_lsh(256, lsh(24))
+                .output_lsh(lsh(8))
+                .seed(5)
+                .build()
+                .unwrap();
+                let case = format!("{policy} centered={centered}");
+                let mut net = Network::new(cfg).unwrap();
+                assert!(net.layers()[0].input_major() && !net.layers()[1].input_major());
+                let examples = data.train.examples();
+                let mut partial =
+                    train_checking_rebuilds(&mut net, &examples[..48], &pool, 12, &case);
+
+                // A block write into built tables (as a snapshot install
+                // does) flags its units: negated rows flip every sign.
+                for (l, layer) in net.layers_mut().iter_mut().enumerate() {
+                    let fan_in = layer.fan_in();
+                    let mut rows = vec![0.0f32; 21 * fan_in];
+                    for (b, row) in rows.chunks_exact_mut(fan_in).enumerate() {
+                        layer.read_unit_into(40 + b, row);
+                        row.iter_mut().for_each(|w| *w = -*w);
+                    }
+                    layer.set_units(40, &rows);
+                    layer.rebuild_tables();
+                    assert_matches_reference(layer, &format!("{case}: set_units layer {l}"));
+                }
+
+                let mut restored = Network::from_snapshot_bytes(&net.to_snapshot_bytes()).unwrap();
+                for (l, layer) in restored.layers().iter().enumerate() {
+                    assert_matches_reference(layer, &format!("{case}: restored layer {l}"));
+                }
+                let case = format!("{case} restored");
+                partial +=
+                    train_checking_rebuilds(&mut restored, &examples[48..96], &pool, 12, &case);
+                if !centered {
+                    assert!(partial >= 20, "{case}: {partial} partial rebuilds");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_hashed_counts_the_rows_a_backward_wrote() {
+        let cfg = crate::config::NetworkConfig::builder(64, 300)
+            .hidden(16)
+            .output_lsh(
+                LshLayerConfig::simhash(3, 8)
+                    .with_strategy(SamplingStrategy::Vanilla { budget: 12 }),
+            )
+            .seed(3)
+            .build()
+            .unwrap();
+        let mut net = Network::new(cfg).unwrap();
+        let hashed = |net: &Network| net.layers()[1].lsh().unwrap().rows_hashed();
+        assert_eq!(hashed(&net), 300, "the first build hashes every row");
+        let features = SparseVector::from_pairs((0..8u32).map(|i| (i * 7, 0.5)));
+        let labels = [17u32];
+        let mut ws = net.workspace(1);
+        let clr = net.begin_step();
+        net.train_example(&LshSelector, &mut ws, &features, &labels, clr);
+        let written = ws.active_set(1).ids().len();
+        assert!(written > 0 && written < 300, "{written} active rows");
+        net.layers_mut()[1].rebuild_tables();
+        assert_eq!(hashed(&net), 300 + written as u64);
+        net.layers_mut()[1].rebuild_tables();
+        assert_eq!(hashed(&net), 300 + written as u64, "nothing was written");
+        net.set_lsh_centering(true);
+        assert_eq!(
+            hashed(&net),
+            600 + written as u64,
+            "a new center rehashes all"
+        );
     }
 
     #[test]

@@ -1629,7 +1629,7 @@ mod tests {
             .unwrap();
         let net = Network::new(cfg).unwrap();
         net.layers()[0].set_weight(2, 9, -0.75);
-        net.layers()[1].weights().set(41, 3, 2.5);
+        net.layers()[1].set_weight(41, 3, 2.5);
         net.layers()[1].biases().set(17, 0.25);
         net
     }

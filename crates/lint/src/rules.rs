@@ -63,6 +63,13 @@ pub const RULES: &[(&str, &str)] = &[
          HOGWILD slice protocol",
     ),
     (
+        "weight-writes-mark",
+        "no cell write (`set`/`copy_from`/`add_racy`/`add_cas`) on a chain rooted \
+         at `.weights()` outside crates/core/src/layer.rs and \
+         crates/core/src/hogwild.rs: `Layer`'s own writers flag the unit for the \
+         next table build, a raw cell write would leave its row's buckets stale",
+    ),
+    (
         "ffi-confinement",
         "`extern \"C\"` declarations only in crates/serve/src/net.rs and \
          crates/data/src/source.rs, the designated OS-binding modules",
@@ -94,6 +101,14 @@ pub const RULES: &[(&str, &str)] = &[
 
 /// Files where the HOGWILD atomic row surface may be named.
 const HOGWILD_FILES: &[&str] = &["crates/core/src/hogwild.rs", "crates/kernels/src/fused.rs"];
+
+/// Files where weight cells may be written through `.weights()`: the
+/// layer, whose writers flag each written unit for the next table
+/// build, and the cell type itself.
+const WEIGHT_WRITE_FILES: &[&str] = &["crates/core/src/layer.rs", "crates/core/src/hogwild.rs"];
+
+/// The HOGWILD cell methods that store.
+const CELL_WRITES: &[&str] = &["set", "copy_from", "add_racy", "add_cas"];
 
 /// Files where `extern "C"` declarations may appear.
 const FFI_FILES: &[&str] = &["crates/serve/src/net.rs", "crates/data/src/source.rs"];
@@ -324,6 +339,7 @@ pub fn lint_file(path: &str, src: &str) -> Vec<Diagnostic> {
 
     unsafe_needs_safety(path, &tokens, &map, &mut diags);
     hogwild_confinement(path, &tokens, &mut diags);
+    weight_writes_mark(path, &tokens, &mut diags);
     ffi_confinement(path, &tokens, &mut diags);
     one_transport(path, &tokens, &map, &mut diags);
     no_panic_paths(path, &tokens, &map, &mut diags);
@@ -417,6 +433,65 @@ fn hogwild_confinement(path: &str, tokens: &[Token], diags: &mut Vec<Diagnostic>
                 }
             }
             _ => {}
+        }
+    }
+}
+
+/// Rule `weight-writes-mark`: a method chain hanging off `.weights()`
+/// (`layer.weights().set(..)`, `layer.weights().flat().add_racy(..)`)
+/// may not end in a cell write outside [`WEIGHT_WRITE_FILES`]. A table
+/// build rehashes only the units flagged since the last build, and
+/// only `Layer`'s writers (`set_weight`, `set_units`, the update
+/// sweeps) set the flag: a raw write would leave its row in stale
+/// buckets. Reads along such chains are fine. Token-level, so a
+/// `.weights()` bound to a local first is not followed.
+fn weight_writes_mark(path: &str, tokens: &[Token], diags: &mut Vec<Diagnostic>) {
+    if path_is(path, WEIGHT_WRITE_FILES) {
+        return;
+    }
+    let punct = |i: usize, c: char| tokens.get(i).is_some_and(|t| t.kind == TokenKind::Punct(c));
+    for i in 0..tokens.len() {
+        if !(punct(i, '.')
+            && tokens.get(i + 1).and_then(Token::ident) == Some("weights")
+            && punct(i + 2, '(')
+            && punct(i + 3, ')'))
+        {
+            continue;
+        }
+        // Walk the chain of `.name(args)` calls.
+        let mut p = i + 4;
+        while punct(p, '.') && punct(p + 2, '(') {
+            let Some(name) = tokens[p + 1].ident() else {
+                break;
+            };
+            if CELL_WRITES.contains(&name) {
+                diags.push(Diagnostic {
+                    rule: "weight-writes-mark",
+                    file: path.to_string(),
+                    line: tokens[p + 1].line,
+                    message: format!(
+                        "`.weights()...{name}(..)` writes weight cells without \
+                         flagging the unit for the next table build; use \
+                         `Layer::set_weight` or `Layer::set_units`"
+                    ),
+                });
+                break;
+            }
+            // Step past the call's balanced parentheses.
+            let mut depth = 0usize;
+            p += 2;
+            loop {
+                match tokens.get(p).map(|t| &t.kind) {
+                    Some(TokenKind::Punct('(')) => depth += 1,
+                    Some(TokenKind::Punct(')')) => depth -= 1,
+                    None => return,
+                    _ => {}
+                }
+                p += 1;
+                if depth == 0 {
+                    break;
+                }
+            }
         }
     }
 }
@@ -623,6 +698,36 @@ let r = r#"unsafe fn f()"#;
             rules_hit("crates/serve/src/lib.rs", counter),
             Vec::<&str>::new()
         );
+    }
+
+    #[test]
+    fn weight_writes_flagged_along_the_chain() {
+        for src in [
+            "fn f(l: &Layer) { l.weights().set(1, 2, 0.5); }",
+            "fn f(n: &Network) { n.layers()[1].weights().flat().add_racy(g(3), 0.5); }",
+            "fn f(l: &Layer) { l\n    .weights()\n    .flat()\n    .copy_from(&v); }",
+        ] {
+            assert_eq!(
+                rules_hit("crates/core/src/network.rs", src),
+                ["weight-writes-mark"],
+                "{src}"
+            );
+            assert_eq!(
+                rules_hit("crates/core/src/layer.rs", src),
+                Vec::<&str>::new()
+            );
+        }
+        for src in [
+            "fn f(l: &Layer) -> f32 { l.weights().get(1, 2) }",
+            "fn f(l: &Layer) { l.weights().read_row_into(0, &mut r); l.biases().set(0, 1.0); }",
+            "fn f(w: &M) { w.weights.set(0, 0, 1.0); weights().set(0, 0, 1.0); }",
+        ] {
+            assert_eq!(
+                rules_hit("crates/core/src/network.rs", src),
+                Vec::<&str>::new(),
+                "{src}"
+            );
+        }
     }
 
     #[test]

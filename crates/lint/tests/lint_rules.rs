@@ -11,6 +11,8 @@ const UNSAFE_BAD: &str = include_str!("../fixtures/unsafe_bad.rs");
 const UNSAFE_CLEAN: &str = include_str!("../fixtures/unsafe_clean.rs");
 const HOGWILD_BAD: &str = include_str!("../fixtures/hogwild_bad.rs");
 const HOGWILD_CLEAN: &str = include_str!("../fixtures/hogwild_clean.rs");
+const WEIGHTS_BAD: &str = include_str!("../fixtures/weights_bad.rs");
+const WEIGHTS_CLEAN: &str = include_str!("../fixtures/weights_clean.rs");
 const FFI_BAD: &str = include_str!("../fixtures/ffi_bad.rs");
 const FFI_CLEAN: &str = include_str!("../fixtures/ffi_clean.rs");
 const TRANSPORT_BAD: &str = include_str!("../fixtures/transport_bad.rs");
@@ -56,6 +58,25 @@ fn hogwild_bad_is_caught_outside_the_protocol_modules() {
     assert_eq!(lint_file("crates/core/src/hogwild.rs", HOGWILD_BAD), []);
     // A bare AtomicU32 counter is ordinary concurrency, not a row.
     assert_eq!(lint_file(NEUTRAL, HOGWILD_CLEAN), [], "clean twin");
+}
+
+#[test]
+fn weights_bad_is_caught_outside_the_layer() {
+    let bad = lint_file(NEUTRAL, WEIGHTS_BAD);
+    assert_eq!(
+        rules_of(&bad),
+        ["weight-writes-mark"; 3],
+        "set + flat add_racy + split-line copy_from: {bad:?}"
+    );
+    assert_eq!(
+        bad.iter().map(|d| d.line).collect::<Vec<_>>(),
+        [7, 8, 12],
+        "{bad:?}"
+    );
+    // The layer and the cell type may write cells directly.
+    assert_eq!(lint_file("crates/core/src/layer.rs", WEIGHTS_BAD), []);
+    assert_eq!(lint_file("crates/core/src/hogwild.rs", WEIGHTS_BAD), []);
+    assert_eq!(lint_file(NEUTRAL, WEIGHTS_CLEAN), [], "clean twin");
 }
 
 #[test]

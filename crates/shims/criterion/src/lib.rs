@@ -4,14 +4,20 @@
 //! Provides the same macro/builder surface (`criterion_group!`,
 //! `criterion_main!`, `Criterion`, `BenchmarkId`, benchmark groups,
 //! `Bencher::iter`) backed by a simple wall-clock harness: warm up for
-//! `warm_up_time`, then measure batches until `measurement_time` or
-//! `sample_size` iterations are exhausted, and print the mean per
-//! iteration. No statistics, plots or comparison with saved baselines.
+//! `warm_up_time`, then time samples until `measurement_time` or
+//! `sample_size` samples are exhausted, and print the median time per
+//! iteration. A sample is one call, or a batch of calls for a routine
+//! faster than [`MIN_SAMPLE`]. The median keeps one preempted sample
+//! from moving the row. No plots or comparison with saved baselines.
 
 use std::fmt;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
+
+/// Shortest span one sample times: a faster routine runs in batches of
+/// calls per sample, so the clock's own cost stays small against it.
+pub const MIN_SAMPLE: Duration = Duration::from_micros(10);
 
 /// Harness configuration and entry point, mirroring `criterion::Criterion`.
 #[derive(Debug, Clone)]
@@ -32,7 +38,7 @@ impl Default for Criterion {
 }
 
 impl Criterion {
-    /// Sets the target number of measured iterations.
+    /// Sets the target number of measured samples.
     pub fn sample_size(mut self, n: usize) -> Self {
         self.sample_size = n.max(1);
         self
@@ -152,36 +158,57 @@ impl fmt::Display for BenchmarkId {
 #[derive(Debug)]
 pub struct Bencher<'a> {
     cfg: &'a Criterion,
-    /// (total busy time, iterations) recorded by `iter`.
+    /// (median time per iteration, samples) recorded by `iter`.
     measured: Option<(Duration, u64)>,
 }
 
 impl Bencher<'_> {
-    /// Calls `routine` repeatedly: warm-up first, then measured
-    /// iterations until the time budget or sample size is reached.
+    /// Calls `routine` repeatedly: warm-up first (at least one call,
+    /// which sizes the batches), then timed samples until the time
+    /// budget or sample size is reached.
     pub fn iter<O, R>(&mut self, mut routine: R)
     where
         R: FnMut() -> O,
     {
-        let warm_end = Instant::now() + self.cfg.warm_up_time;
-        let mut warm_iters = 0u64;
-        while Instant::now() < warm_end && warm_iters < 10_000 {
-            black_box(routine());
-            warm_iters += 1;
-        }
-
-        let budget = self.cfg.measurement_time;
-        let max_iters = self.cfg.sample_size as u64;
-        let start = Instant::now();
-        let mut iters = 0u64;
+        let warm_start = Instant::now();
+        let mut warm_iters = 0u32;
         loop {
             black_box(routine());
-            iters += 1;
-            if iters >= max_iters || start.elapsed() >= budget {
+            warm_iters += 1;
+            if warm_start.elapsed() >= self.cfg.warm_up_time || warm_iters >= 10_000 {
                 break;
             }
         }
-        self.measured = Some((start.elapsed(), iters));
+        let per_call = warm_start.elapsed() / warm_iters;
+        let batch = MIN_SAMPLE.as_nanos().div_ceil(per_call.as_nanos().max(1)) as u64;
+
+        let budget = self.cfg.measurement_time;
+        let start = Instant::now();
+        let mut samples = Vec::new();
+        loop {
+            let t = Instant::now();
+            for _ in 0..batch {
+                black_box(routine());
+            }
+            samples.push(t.elapsed().as_secs_f64() / batch as f64);
+            if samples.len() >= self.cfg.sample_size || start.elapsed() >= budget {
+                break;
+            }
+        }
+        let n = samples.len() as u64;
+        self.measured = Some((Duration::from_secs_f64(median(&mut samples)), n));
+    }
+}
+
+/// The median of `samples` (the mean of the middle two for an even
+/// count); reorders them.
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    let n = samples.len();
+    if n % 2 == 1 {
+        samples[n / 2]
+    } else {
+        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
     }
 }
 
@@ -195,9 +222,12 @@ where
     };
     f(&mut bencher);
     match bencher.measured {
-        Some((total, iters)) if iters > 0 => {
-            let per = total.as_secs_f64() / iters as f64;
-            println!("{id:<56} time: {} ({iters} iterations)", format_time(per));
+        Some((median, samples)) if samples > 0 => {
+            let per = median.as_secs_f64();
+            println!(
+                "{id:<56} time: {} (median of {samples} samples)",
+                format_time(per)
+            );
         }
         _ => println!("{id:<56} (no measurement recorded)"),
     }
@@ -263,6 +293,45 @@ mod tests {
         let (_, iters) = b.measured.unwrap();
         assert!((1..=5).contains(&iters));
         assert!(count >= iters);
+    }
+
+    #[test]
+    fn median_ignores_one_slow_sample() {
+        let mut even = [3.0, 1.0, 4.0, 2.0];
+        assert_eq!(median(&mut even), 2.5);
+        let mut steady = [1.0, 1.1, 0.9, 1.0, 1.05];
+        let mut one_slow = [1.0, 1.1, 0.9, 1.0, 400.0];
+        assert_eq!(median(&mut steady), median(&mut one_slow));
+    }
+
+    #[test]
+    fn one_preempted_sample_leaves_the_median_unchanged() {
+        // Every call spins 200 µs except one that stalls 40 ms: the mean
+        // of 21 samples would read ≥ 2 ms, the median stays near 200 µs.
+        let cfg = Criterion::default()
+            .sample_size(21)
+            .warm_up_time(Duration::from_millis(1))
+            .measurement_time(Duration::from_secs(30));
+        let mut b = Bencher {
+            cfg: &cfg,
+            measured: None,
+        };
+        let mut calls = 0;
+        b.iter(|| {
+            calls += 1;
+            let spin = if calls == 15 { 40_000 } else { 200 };
+            let t = Instant::now();
+            while t.elapsed() < Duration::from_micros(spin) {}
+        });
+        let (median, samples) = b.measured.unwrap();
+        // At most 5 warm-up calls fit the 1 ms warm-up, so call 15 is a
+        // sample; calls over MIN_SAMPLE run one per sample.
+        assert_eq!(samples, 21);
+        assert!((22..=26).contains(&calls), "{calls} calls");
+        assert!(
+            median >= Duration::from_micros(200) && median < Duration::from_millis(1),
+            "{median:?}"
+        );
     }
 
     #[test]
