@@ -1,6 +1,4 @@
-//! Criterion micro-bench for the hash families (paper §3.2 / Appendix A)
-//! plus the §4.2(3) ablation: incremental SimHash code updates via
-//! memoized projections vs full re-hashing.
+//! Criterion micro-bench for the hash families (paper §3.2 / Appendix A).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use slide_data::rng::{Rng, Xoshiro256PlusPlus};
@@ -8,7 +6,7 @@ use slide_data::SparseVector;
 use slide_lsh::dwta::DwtaHash;
 use slide_lsh::family::HashFamily;
 use slide_lsh::minhash::DophHash;
-use slide_lsh::simhash::{ProjectionState, SimHash};
+use slide_lsh::simhash::SimHash;
 use slide_lsh::wta::WtaHash;
 
 const DIM: usize = 1024;
@@ -52,28 +50,6 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // Ablation: incremental SimHash re-hash after a 16-component weight
-    // delta vs full recompute (paper §4.2 heuristic 3).
-    let delta = SparseVector::from_pairs(
-        rng.sample_distinct(DIM, 16)
-            .into_iter()
-            .map(|i| (i as u32, 0.01f32)),
-    );
-    let mut out = vec![0u32; simhash.num_codes()];
-    group.bench_function("simhash_full_rehash", |b| {
-        b.iter(|| {
-            simhash.hash_dense(std::hint::black_box(&dense), &mut out);
-            out[0]
-        })
-    });
-    group.bench_function("simhash_incremental_16_of_1024", |b| {
-        let mut state = ProjectionState::new(&simhash, &dense);
-        b.iter(|| {
-            state.apply_delta(&simhash, std::hint::black_box(&delta));
-            state.codes(&simhash, &mut out);
-            out[0]
-        })
-    });
     group.finish();
 }
 

@@ -1,8 +1,8 @@
 //! **Figure 10** — impact of the platform optimizations: vectorized
 //! kernels + cache-line-aligned data (our stand-in for the paper's
 //! Hugepages + AVX work) against plain
-//! scalar SLIDE. The hugepage side of the paper's optimization is
-//! quantified separately by `table4_hugepages` through the simulator.
+//! scalar SLIDE. The hugepage side of the paper's optimization is not
+//! reproduced: it needs hugepage and PMU settings of the host kernel.
 //!
 //! Paper shape: optimized SLIDE ≈ 1.3× faster than plain SLIDE.
 //!
@@ -100,6 +100,5 @@ fn main() {
     println!("\npaper: optimized SLIDE ~1.3x over plain SLIDE end-to-end (SIMD + Hugepages).");
     println!("Here the SIMD effect shows in the micro-kernel; the end-to-end delta at small");
     println!("scale is within timing noise because the sparse gather dominates. The hugepage");
-    println!("half is quantified by table4_hugepages (simulated memory-bound 0.85 -> 0.72,");
-    println!("i.e. ~1.2x fewer stall cycles — the bulk of the paper's 1.3x).");
+    println!("half is not reproduced: it needs hugepage and PMU settings of the host kernel.");
 }

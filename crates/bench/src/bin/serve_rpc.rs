@@ -30,6 +30,7 @@ use slide_core::config::{LshLayerConfig, NetworkConfig};
 use slide_core::trainer::{SlideTrainer, TrainOptions};
 use slide_data::synth::{generate, SyntheticConfig};
 use slide_data::SparseVector;
+use slide_serve::conn::{read_response, ResponseParser};
 use slide_serve::http::{HttpOptions, HttpServer};
 use slide_serve::{EngineHandle, ServeOptions};
 
@@ -122,34 +123,6 @@ struct CoalescedPhase {
     largest_batch: u64,
 }
 
-/// Reads one HTTP response off a raw keep-alive socket; returns the
-/// status, or `None` on any transport/parse problem.
-fn read_raw_response(reader: &mut std::io::BufReader<std::net::TcpStream>) -> Option<u16> {
-    use std::io::{BufRead, Read};
-    let mut line = String::new();
-    if reader.read_line(&mut line).ok()? == 0 {
-        return None;
-    }
-    let status: u16 = line.split_whitespace().nth(1)?.parse().ok()?;
-    let mut content_length = 0usize;
-    loop {
-        let mut h = String::new();
-        reader.read_line(&mut h).ok()?;
-        let h = h.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = h.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().ok()?;
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).ok()?;
-    Some(status)
-}
-
 /// The client half of the coalescing drill, run in a CHILD process (the
 /// hidden `--coalesce-client` mode): this container caps every process
 /// at a hard `RLIMIT_NOFILE`, and 10K connections cost 2 fds each when
@@ -187,6 +160,7 @@ fn coalesce_client_main(args: &[String]) -> ! {
     // thread parks on the barrier once its share is connected, and the
     // clock starts when the whole fleet is up.
     let ready = Arc::new(std::sync::Barrier::new(threads + 1));
+    let body_limit = HttpOptions::default().max_body_bytes;
     let workers: Vec<_> = (0..threads)
         .map(|t| {
             let bodies = Arc::clone(&bodies);
@@ -249,8 +223,9 @@ fn coalesce_client_main(args: &[String]) -> ! {
                     // drain, not a per-request RTT.
                     for slot in fleet.iter_mut() {
                         if let Some(reader) = slot {
-                            match read_raw_response(reader) {
-                                Some(200) => {
+                            let mut parser = ResponseParser::new(body_limit);
+                            match read_response(&mut parser, reader) {
+                                Ok(r) if r.status == 200 => {
                                     lat_us.push(round_start.elapsed().as_secs_f64() * 1e6);
                                 }
                                 _ => {

@@ -1,11 +1,12 @@
 //! Training telemetry: the software substitute for the paper's VTune
-//! measurements (Table 2 core utilization, Figure 6 inputs).
+//! core-utilization measurement (Table 2).
 //!
 //! Every worker thread accumulates its busy nanoseconds into a
 //! cache-padded atomic slot; utilization is `Σ busy / (threads × wall)` —
-//! the same quantity VTune's "CPU utilization" reports. Memory-traffic
-//! counters (weights touched, activations computed) feed the memsim
-//! replay for Figure 6.
+//! the same quantity VTune's "CPU utilization" reports. Two work
+//! counters (weight elements touched, multiply-adds performed) count
+//! what an example costs independently of the clock; the benchmark
+//! reports them per example.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -105,9 +106,9 @@ pub struct TelemetryReport {
     /// Mean active output neurons per example (the paper's "≈ 1000 of
     /// 205K / ≈ 3000 of 670K" observation).
     pub avg_active_output: f64,
-    /// Weight elements read/written (memsim replay input).
+    /// Weight elements read or written: the memory work of the run.
     pub weight_touches: u64,
-    /// Multiply-add operations (Figure 6 compute denominator).
+    /// Multiply-add operations: the compute work of the run.
     pub compute_ops: u64,
 }
 

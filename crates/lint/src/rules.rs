@@ -82,6 +82,13 @@ pub const RULES: &[(&str, &str)] = &[
          nor a `thread::` path, since its fan-out runs on that transport's event loop",
     ),
     (
+        "one-http-parser",
+        "no `read_line` outside `#[cfg(test)]` under crates/serve/src or \
+         crates/bench/src: HTTP framing is read only by crates/serve/src/conn.rs \
+         (`RequestParser`, `ResponseParser`, `read_response`), so a second \
+         hand-rolled reader with its own limits cannot come back",
+    ),
+    (
         "no-panic-paths",
         "no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` \
          in serve request-handling modules (batch/http/conn/engine/wire/router), \
@@ -119,6 +126,9 @@ const TRANSPORT_FILES: &[&str] = &["crates/serve/src/http.rs"];
 /// Files whose network I/O runs on the transport's event loop: outside
 /// tests they may not name the blocking `Client` or a thread API.
 const EVENT_LOOP_FILES: &[&str] = &["crates/serve/src/router.rs"];
+
+/// Directories whose non-test code reads HTTP only through `conn.rs`.
+const ONE_PARSER_DIRS: &[&str] = &["crates/serve/src/", "crates/bench/src/"];
 
 /// Modules where panicking is an outage: the serve request path (a
 /// whole drain) and the snapshot decoder (the reload watcher thread and
@@ -160,8 +170,8 @@ struct FileMap {
     attr_start: Vec<bool>,
     /// First line of the file's `#[cfg(test)]` region, if any. Test
     /// modules sit at the bottom of every file in this workspace, so
-    /// everything from here down is exempt from `no-panic-paths` and
-    /// `one-transport`.
+    /// everything from here down is exempt from `no-panic-paths`,
+    /// `one-transport` and `one-http-parser`.
     cfg_test_line: Option<usize>,
 }
 
@@ -342,6 +352,7 @@ pub fn lint_file(path: &str, src: &str) -> Vec<Diagnostic> {
     weight_writes_mark(path, &tokens, &mut diags);
     ffi_confinement(path, &tokens, &mut diags);
     one_transport(path, &tokens, &map, &mut diags);
+    one_http_parser(path, &tokens, &map, &mut diags);
     no_panic_paths(path, &tokens, &map, &mut diags);
 
     diags.retain(|d| d.rule == "allow-syntax" || !allows.allowed(d.rule, d.line));
@@ -559,6 +570,34 @@ fn one_transport(path: &str, tokens: &[Token], map: &FileMap, diags: &mut Vec<Di
             line: t.line,
             message: message.into(),
         });
+    }
+}
+
+/// Rule `one-http-parser`: under [`ONE_PARSER_DIRS`], non-test code
+/// may not name `read_line`. Every response this workspace reads goes
+/// through `conn::ResponseParser` (the blocking client and drill via
+/// `conn::read_response`), sharing the server's line bound, body limit
+/// and header rules; a line-at-a-time reader is how a copy with none of
+/// them starts. Token-level, so mentions in comments and strings pass.
+fn one_http_parser(path: &str, tokens: &[Token], map: &FileMap, diags: &mut Vec<Diagnostic>) {
+    let under = ONE_PARSER_DIRS
+        .iter()
+        .any(|d| path.starts_with(d) || path.contains(&format!("/{d}")));
+    if !under {
+        return;
+    }
+    for t in tokens {
+        if t.ident() == Some("read_line") && !map.in_test_region(t.line) {
+            diags.push(Diagnostic {
+                rule: "one-http-parser",
+                file: path.to_string(),
+                line: t.line,
+                message: "`read_line` outside tests; read HTTP through \
+                          `slide_serve::conn::read_response` (or the parsers \
+                          in conn.rs) instead of a hand-rolled reader"
+                    .into(),
+            });
+        }
     }
 }
 

@@ -19,6 +19,8 @@ const TRANSPORT_BAD: &str = include_str!("../fixtures/transport_bad.rs");
 const TRANSPORT_CLEAN: &str = include_str!("../fixtures/transport_clean.rs");
 const ROUTER_BAD: &str = include_str!("../fixtures/router_bad.rs");
 const ROUTER_CLEAN: &str = include_str!("../fixtures/router_clean.rs");
+const HTTP_READER_BAD: &str = include_str!("../fixtures/http_reader_bad.rs");
+const HTTP_READER_CLEAN: &str = include_str!("../fixtures/http_reader_clean.rs");
 const PANIC_BAD: &str = include_str!("../fixtures/panic_bad.rs");
 const PANIC_CLEAN: &str = include_str!("../fixtures/panic_clean.rs");
 const ALLOW_BAD: &str = include_str!("../fixtures/allow_bad.rs");
@@ -124,6 +126,34 @@ fn router_bad_is_caught_only_in_the_router() {
         [],
         "clean twin"
     );
+}
+
+#[test]
+fn http_reader_bad_is_caught_in_serve_and_bench_sources() {
+    for path in [
+        "crates/serve/src/client.rs",
+        "crates/bench/src/bin/serve_rpc.rs",
+    ] {
+        let bad = lint_file(path, HTTP_READER_BAD);
+        assert_eq!(
+            rules_of(&bad),
+            ["one-http-parser", "one-http-parser"],
+            "method call + path call: {bad:?}"
+        );
+        assert_eq!(
+            bad.iter().map(|d| d.line).collect::<Vec<_>>(),
+            [9, 14],
+            "{bad:?}"
+        );
+        // Comments, strings and test modules: clean.
+        assert_eq!(lint_file(path, HTTP_READER_CLEAN), [], "clean twin");
+    }
+    // Line reading is no HTTP framing outside the two source trees.
+    assert_eq!(
+        lint_file("crates/data/src/svmlight.rs", HTTP_READER_BAD),
+        []
+    );
+    assert_eq!(lint_file("crates/bench/benches/x.rs", HTTP_READER_BAD), []);
 }
 
 #[test]

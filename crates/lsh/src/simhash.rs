@@ -17,11 +17,12 @@
 //! per-example selection ([`HashFamily::hash_dense_mode`]) use whichever
 //! is fastest.
 //!
-//! The module also implements the paper's §4.2(3) optimization: because
-//! backpropagation updates only the weights of *active* neurons, the
-//! projections `w·x` can be **memoized** per neuron and updated in
-//! `O(d′)` when only `d′ ≪ d` weight components changed, instead of
-//! recomputed in `O(d)`. See [`ProjectionState`].
+//! The paper's §4.2(3) optimization memoizes each neuron's projections
+//! and updates them in `O(d′)` after a sparse weight change. This crate
+//! does not keep such a memo: the layer's table build stands in for it
+//! by rehashing only the rows written since the last build (the dirty
+//! rows of `slide_core`'s `LayerLsh`), so an untouched neuron costs no
+//! projection work at all.
 
 use slide_data::rng::Rng;
 use slide_data::SparseVector;
@@ -97,16 +98,8 @@ impl SimHash {
         }
     }
 
-    /// Raw projections `w·x` for all planes (used by [`ProjectionState`]);
-    /// the scalar reference order. Identical bits in every kernel mode —
-    /// see [`slide_kernels::SignedPlanes::project_dense`].
-    pub fn project_dense(&self, input: &[f32], out: &mut [f32]) {
-        check_args(self.dim, input.len(), self.num_codes(), out.len());
-        self.planes.project_dense(input, out, KernelMode::Scalar);
-    }
-
-    /// Converts memoized projections into hash codes.
-    pub fn codes_from_projections(&self, projections: &[f32], out: &mut [u32]) {
+    /// Converts projections into hash codes: the sign bit of each.
+    fn codes_from_projections(&self, projections: &[f32], out: &mut [u32]) {
         assert_eq!(projections.len(), self.num_codes());
         assert_eq!(out.len(), self.num_codes());
         for (o, &p) in out.iter_mut().zip(projections) {
@@ -177,44 +170,6 @@ impl HashFamily for SimHash {
 
     fn dense_exact(&self) -> bool {
         true
-    }
-}
-
-/// Memoized projections of one vector under a [`SimHash`] family, with
-/// `O(d′ · K · L)` incremental updates after a sparse weight change
-/// (paper §4.2 heuristic 3).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProjectionState {
-    projections: Vec<f32>,
-}
-
-impl ProjectionState {
-    /// Computes the full projections of `input` (one-time `O(d)` cost).
-    pub fn new(family: &SimHash, input: &[f32]) -> Self {
-        let mut projections = vec![0.0; family.num_codes()];
-        family.project_dense(input, &mut projections);
-        Self { projections }
-    }
-
-    /// Applies a sparse delta `Δw` to the memoized projections:
-    /// `proj += plane · Δw` for every plane, touching only the planes'
-    /// coefficients at the delta's indices.
-    pub fn apply_delta(&mut self, family: &SimHash, delta: &SparseVector) {
-        for (p, proj) in self.projections.iter_mut().enumerate() {
-            for (i, v) in delta.iter() {
-                *proj += family.planes.coeff(p, i) * v;
-            }
-        }
-    }
-
-    /// Current hash codes from the memoized projections.
-    pub fn codes(&self, family: &SimHash, out: &mut [u32]) {
-        family.codes_from_projections(&self.projections, out);
-    }
-
-    /// The raw memoized projections.
-    pub fn projections(&self) -> &[f32] {
-        &self.projections
     }
 }
 
@@ -374,38 +329,6 @@ mod tests {
         h.hash_sparse_mode(&sv, &mut a, KernelMode::Scalar);
         h.hash_sparse_mode(&sv, &mut b, KernelMode::Vectorized);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn projection_state_delta_matches_recompute() {
-        let dim = 64;
-        let h = SimHash::new(dim, 4, 8, 0.5, &mut rng(10));
-        let mut r = rng(11);
-        let mut w = random_vec(&mut r, dim);
-        let mut state = ProjectionState::new(&h, &w);
-
-        // Sparse update: change 5 of 64 components.
-        let delta = SparseVector::from_pairs([
-            (3u32, 0.7f32),
-            (10, -1.2),
-            (31, 0.05),
-            (40, 2.0),
-            (63, -0.3),
-        ]);
-        for (i, v) in delta.iter() {
-            w[i as usize] += v;
-        }
-        state.apply_delta(&h, &delta);
-
-        let recomputed = ProjectionState::new(&h, &w);
-        for (a, b) in state.projections().iter().zip(recomputed.projections()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-        let mut c1 = vec![0u32; h.num_codes()];
-        let mut c2 = vec![0u32; h.num_codes()];
-        state.codes(&h, &mut c1);
-        h.hash_dense(&w, &mut c2);
-        assert_eq!(c1, c2);
     }
 
     proptest! {

@@ -5,12 +5,17 @@
 //! over a real socket with typed requests and responses. One [`Client`]
 //! holds one keep-alive connection and transparently reconnects once if
 //! the server closed it between requests (idle timeout, restart).
+//! Responses are read by the server's own framing
+//! ([`crate::conn::read_response`]), under the server's default body
+//! limit.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 
 use slide_data::SparseVector;
 
+use crate::conn::{self, ParsedResponse, ResponseParser};
+use crate::http::HttpOptions;
 use crate::json::{self, Json};
 use crate::wire::{self, PredictRequest, PredictResponse};
 
@@ -162,9 +167,11 @@ impl RetryPolicy {
     }
 }
 
+/// One keep-alive socket: requests are written through `reader`'s
+/// stream, responses parsed out of its buffer.
 struct Conn {
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    parser: ResponseParser,
 }
 
 /// One keep-alive connection to a serving front-end.
@@ -232,10 +239,9 @@ impl Client {
     fn reconnect(&mut self) -> std::io::Result<()> {
         let stream = TcpStream::connect(self.addr)?;
         stream.set_nodelay(true).ok();
-        let reader = BufReader::new(stream.try_clone()?);
         self.conn = Some(Conn {
-            reader,
-            writer: stream,
+            reader: BufReader::new(stream),
+            parser: ResponseParser::new(HttpOptions::default().max_body_bytes),
         });
         Ok(())
     }
@@ -271,7 +277,7 @@ impl Client {
         retry: bool,
     ) -> Result<(u16, String), ClientError> {
         self.request_full(method, path, body, retry)
-            .map(|(status, body, _)| (status, body))
+            .map(|r| (r.status, r.body))
     }
 
     fn request_full(
@@ -280,7 +286,7 @@ impl Client {
         path: &str,
         body: Option<&str>,
         retry: bool,
-    ) -> Result<(u16, String, Option<u64>), ClientError> {
+    ) -> Result<ParsedResponse, ClientError> {
         match self.try_request(method, path, body) {
             Ok(r) => Ok(r),
             Err(ClientError::Io(_)) | Err(ClientError::Protocol(_)) if retry => {
@@ -298,7 +304,7 @@ impl Client {
         method: &str,
         path: &str,
         body: Option<&str>,
-    ) -> Result<(u16, String, Option<u64>), ClientError> {
+    ) -> Result<ParsedResponse, ClientError> {
         if self.conn.is_none() {
             self.reconnect()?;
         }
@@ -307,11 +313,11 @@ impl Client {
             Self::roundtrip(conn, method, path, body)
         };
         match result {
-            Ok((status, body, keep_alive, retry_after)) => {
-                if !keep_alive {
+            Ok(response) => {
+                if !response.keep_alive {
                     self.conn = None;
                 }
-                Ok((status, body, retry_after))
+                Ok(response)
             }
             Err(e) => {
                 // A broken connection is stale state: drop it so the
@@ -327,61 +333,23 @@ impl Client {
         method: &str,
         path: &str,
         body: Option<&str>,
-    ) -> Result<(u16, String, bool, Option<u64>), ClientError> {
+    ) -> Result<ParsedResponse, ClientError> {
         let body = body.unwrap_or("");
         let head = format!(
             "{method} {path} HTTP/1.1\r\nHost: slide\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
             body.len()
         );
-        conn.writer.write_all(head.as_bytes())?;
-        conn.writer.write_all(body.as_bytes())?;
-        conn.writer.flush()?;
+        let mut stream = conn.reader.get_ref();
+        stream.write_all(head.as_bytes())?;
+        stream.write_all(body.as_bytes())?;
 
-        let status_line = read_line(&mut conn.reader)?;
-        let mut parts = status_line.split_whitespace();
-        let (Some(version), Some(status)) = (parts.next(), parts.next()) else {
-            return Err(ClientError::Protocol(format!(
-                "bad status line {status_line:?}"
-            )));
-        };
-        if !version.starts_with("HTTP/1.") {
-            return Err(ClientError::Protocol(format!(
-                "bad status line {status_line:?}"
-            )));
-        }
-        let status: u16 = status
-            .parse()
-            .map_err(|_| ClientError::Protocol(format!("bad status {status:?}")))?;
-        let mut content_length = 0usize;
-        let mut keep_alive = true;
-        let mut retry_after = None;
-        loop {
-            let header = read_line(&mut conn.reader)?;
-            if header.is_empty() {
-                break;
+        conn::read_response(&mut conn.parser, &mut conn.reader).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::InvalidData {
+                ClientError::Protocol(e.to_string())
+            } else {
+                ClientError::Io(e)
             }
-            let Some((name, value)) = header.split_once(':') else {
-                return Err(ClientError::Protocol(format!("bad header {header:?}")));
-            };
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim();
-            match name.as_str() {
-                "content-length" => {
-                    content_length = value
-                        .parse()
-                        .map_err(|_| ClientError::Protocol("bad content-length".into()))?;
-                }
-                "connection" if value.eq_ignore_ascii_case("close") => keep_alive = false,
-                // Delta-seconds form only (the API never sends a date).
-                "retry-after" => retry_after = value.parse().ok(),
-                _ => {}
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        conn.reader.read_exact(&mut body)?;
-        let body = String::from_utf8(body)
-            .map_err(|_| ClientError::Protocol("non-utf8 response body".into()))?;
-        Ok((status, body, keep_alive, retry_after))
+        })
     }
 
     fn expect_2xx(
@@ -430,19 +398,19 @@ impl Client {
         body: Option<&str>,
         retry: bool,
     ) -> Result<String, ClientError> {
-        let (status, body, retry_after) = self.request_full(method, path, body, retry)?;
-        if (200..300).contains(&status) {
-            Ok(body)
+        let response = self.request_full(method, path, body, retry)?;
+        if (200..300).contains(&response.status) {
+            Ok(response.body)
         } else {
-            let (code, message) = wire::decode_error_body(&body);
-            if status == 429 {
+            let (code, message) = wire::decode_error_body(&response.body);
+            if response.status == 429 {
                 return Err(ClientError::Overloaded {
-                    retry_after_secs: retry_after,
+                    retry_after_secs: response.retry_after,
                     message,
                 });
             }
             Err(ClientError::Api {
-                status,
+                status: response.status,
                 code,
                 message,
             })
@@ -544,24 +512,10 @@ impl Client {
     }
 }
 
-fn read_line(reader: &mut BufReader<TcpStream>) -> Result<String, ClientError> {
-    let mut line = String::new();
-    let n = reader.read_line(&mut line)?;
-    if n == 0 {
-        return Err(ClientError::Io(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "connection closed",
-        )));
-    }
-    while line.ends_with('\n') || line.ends_with('\r') {
-        line.pop();
-    }
-    Ok(line)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufRead;
     use std::net::TcpListener;
     use std::time::Duration;
 
@@ -605,6 +559,43 @@ mod tests {
                 assert_eq!(message, "queue full");
             }
             other => panic!("expected Overloaded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_declared_body_past_the_limit_is_refused_before_allocation() {
+        // The first declaration overflows any allocation; the second is
+        // one byte past the server's own body limit. Neither may panic
+        // or reserve the declared bytes: both are typed protocol errors.
+        let limit = HttpOptions::default().max_body_bytes;
+        let declared = [u64::MAX, limit as u64 + 1];
+        let addr = scripted_server(
+            declared
+                .iter()
+                .map(|n| format!("HTTP/1.1 200 OK\r\nContent-Length: {n}\r\n\r\n"))
+                .collect(),
+        );
+        let mut client = Client::connect(addr).unwrap();
+        for n in declared {
+            // A POST, so the failure is not replayed on a fresh socket.
+            match client.request("POST", "/v1/predict", Some("{}")) {
+                Err(ClientError::Protocol(m)) => assert_eq!(m, "body too large", "{n}"),
+                other => panic!("Content-Length {n}: expected Protocol, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_header_line_past_the_line_bound_is_a_protocol_error() {
+        let name = "X-Pad: ";
+        let pad = "x".repeat(conn::MAX_LINE_BYTES + 1 - name.len() - 2);
+        let addr = scripted_server(vec![format!(
+            "HTTP/1.1 200 OK\r\n{name}{pad}\r\nContent-Length: 2\r\n\r\n{{}}"
+        )]);
+        let mut client = Client::connect(addr).unwrap();
+        match client.request("POST", "/v1/predict", Some("{}")) {
+            Err(ClientError::Protocol(m)) => assert_eq!(m, "line too long"),
+            other => panic!("expected Protocol, got {other:?}"),
         }
     }
 

@@ -23,11 +23,17 @@
 //! ([`RequestParser::eof_error`]) are the connection state machine's
 //! job ([`crate::http`]).
 //!
-//! `ResponseParser` is the same framing behind a status line
-//! (`HTTP/1.x NNN reason`, a three-digit code in `100..600`), for the
-//! connections the router dials to its shards ([`crate::router`]). Both
-//! parsers share one line, header and body implementation, so a limit or
-//! header rule cannot drift between the two directions.
+//! [`ResponseParser`] is the same framing behind a status line
+//! (`HTTP/1.x NNN reason`, a three-digit code in `100..600`), plus the
+//! delta-seconds `Retry-After` header. It reads every response this
+//! workspace receives, through three callers: the router's nonblocking
+//! shard links ([`crate::router`]), the blocking [`crate::client::Client`]
+//! and the `serve_rpc` connection-fleet drill, the last two through
+//! [`read_response`]. Both parsers share one line, header and body
+//! implementation, so a limit or header rule cannot drift between the
+//! two directions.
+
+use std::io::{self, BufRead};
 
 /// Longest accepted request line or header line, bytes, terminator
 /// included.
@@ -72,7 +78,11 @@ enum Framed {
     /// All fed bytes consumed; the message is still incomplete.
     NeedMore,
     /// Start line, headers and body are complete.
-    Message { body: String, keep_alive: bool },
+    Message {
+        body: String,
+        keep_alive: bool,
+        retry_after: Option<u64>,
+    },
     /// A terminal error: the bytes were not acceptable HTTP.
     Malformed(&'static str),
     /// A terminal error: the declared body exceeds the limit.
@@ -95,6 +105,8 @@ struct Framing {
     body: Vec<u8>,
     keep_alive: bool,
     content_length: usize,
+    /// The last `Retry-After` header in delta-seconds form, if any.
+    retry_after: Option<u64>,
     too_large: bool,
     /// Whether any byte of the current message has been consumed —
     /// distinguishes a clean between-messages EOF from a truncation.
@@ -110,6 +122,7 @@ impl Framing {
             body: Vec::new(),
             keep_alive: true,
             content_length: 0,
+            retry_after: None,
             too_large: false,
             started: false,
         }
@@ -215,6 +228,8 @@ impl Framing {
                     self.keep_alive = true;
                 }
             }
+            // Delta-seconds form only (the API never sends a date).
+            "retry-after" => self.retry_after = value.parse().ok(),
             "transfer-encoding" => {
                 return Some(Framed::Malformed("transfer-encoding not supported"));
             }
@@ -234,7 +249,11 @@ impl Framing {
         self.content_length = 0;
         self.too_large = false;
         self.started = false;
-        Framed::Message { body, keep_alive }
+        Framed::Message {
+            body,
+            keep_alive,
+            retry_after: self.retry_after.take(),
+        }
     }
 }
 
@@ -296,7 +315,9 @@ impl RequestParser {
             .advance(input, |line| take_request_line(line, method, path));
         let status = match framed {
             Framed::NeedMore => ParseStatus::NeedMore,
-            Framed::Message { body, keep_alive } => ParseStatus::Request(Box::new(ParsedRequest {
+            Framed::Message {
+                body, keep_alive, ..
+            } => ParseStatus::Request(Box::new(ParsedRequest {
                 method: std::mem::take(&mut self.method),
                 path: std::mem::take(&mut self.path),
                 body,
@@ -333,27 +354,30 @@ fn take_request_line(
 
 /// One fully parsed response.
 #[derive(Debug)]
-pub(crate) struct ParsedResponse {
+pub struct ParsedResponse {
     /// The status code.
-    pub(crate) status: u16,
+    pub status: u16,
     /// The decoded body.
-    pub(crate) body: String,
+    pub body: String,
     /// Whether the peer keeps the connection open after this response.
-    pub(crate) keep_alive: bool,
+    pub keep_alive: bool,
+    /// Seconds a `Retry-After: <delta-seconds>` header asked the caller
+    /// to wait; `None` when absent or not in that form.
+    pub retry_after: Option<u64>,
 }
 
 /// The response-side twin of [`RequestParser`], for a connection this
-/// process dialed (the router's shard links): the same framing, behind a
-/// status line instead of a request line. Errors are terminal.
+/// process dialed: the same framing, behind a status line instead of a
+/// request line. Errors are terminal.
 #[derive(Debug)]
-pub(crate) struct ResponseParser {
+pub struct ResponseParser {
     framing: Framing,
     status: u16,
 }
 
 impl ResponseParser {
     /// A fresh parser enforcing `max_body` on declared body lengths.
-    pub(crate) fn new(max_body: usize) -> Self {
+    pub fn new(max_body: usize) -> Self {
         Self {
             framing: Framing::new(max_body),
             status: 0,
@@ -364,7 +388,7 @@ impl ResponseParser {
     /// `Ok(None)` took every byte and wants more, `Ok(Some)` is a
     /// complete response (the parser has reset for the next one), and
     /// `Err` names what made the bytes unacceptable.
-    pub(crate) fn advance(
+    pub fn advance(
         &mut self,
         input: &[u8],
     ) -> (usize, Result<Option<ParsedResponse>, &'static str>) {
@@ -374,15 +398,57 @@ impl ResponseParser {
             .advance(input, |line| take_status_line(line, status));
         let out = match framed {
             Framed::NeedMore => Ok(None),
-            Framed::Message { body, keep_alive } => Ok(Some(ParsedResponse {
+            Framed::Message {
+                body,
+                keep_alive,
+                retry_after,
+            } => Ok(Some(ParsedResponse {
                 status: self.status,
                 body,
                 keep_alive,
+                retry_after,
             })),
             Framed::Malformed(what) => Err(what),
             Framed::TooLarge => Err("body too large"),
         };
         (consumed, out)
+    }
+}
+
+/// Reads one response off a blocking `reader` through `parser`: fill,
+/// feed, consume what the parser took, until the response is complete.
+/// Bytes past it (a pipelined successor) stay in `reader`.
+///
+/// # Errors
+///
+/// A transport error as is; `UnexpectedEof` when the peer closes before
+/// the response is complete; `InvalidData`, carrying the parser's
+/// reason, when the bytes are not an acceptable response (a declared
+/// body over the parser's limit included, which is refused before any
+/// of it is buffered). Every error leaves `parser` unusable.
+pub fn read_response(
+    parser: &mut ResponseParser,
+    reader: &mut impl BufRead,
+) -> io::Result<ParsedResponse> {
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if buf.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed before a complete response",
+            ));
+        }
+        let (consumed, out) = parser.advance(buf);
+        reader.consume(consumed);
+        match out {
+            Ok(Some(response)) => return Ok(response),
+            Ok(None) => {}
+            Err(what) => return Err(io::Error::new(io::ErrorKind::InvalidData, what)),
+        }
     }
 }
 

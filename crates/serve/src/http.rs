@@ -1575,7 +1575,6 @@ pub(crate) mod tests {
     use slide_core::Network;
     use slide_data::synth::{generate, SyntheticConfig};
     use slide_data::SparseVector;
-    use std::io::BufRead;
 
     fn tiny_server() -> (HttpServer, slide_data::synth::SyntheticData) {
         tiny_server_with(HttpOptions::default())
@@ -1598,35 +1597,14 @@ pub(crate) mod tests {
         (server, data)
     }
 
-    /// Reads one full HTTP response off a raw socket: status, headers,
-    /// Content-Length-bounded body.
+    /// Reads one full HTTP response off a raw socket through the shared
+    /// response framing: status, delta-seconds `Retry-After`, body.
     pub(crate) fn read_response(
         reader: &mut std::io::BufReader<TcpStream>,
-    ) -> Option<(u16, Vec<String>, String)> {
-        let mut line = String::new();
-        if reader.read_line(&mut line).ok()? == 0 {
-            return None;
-        }
-        let status: u16 = line.split_whitespace().nth(1)?.parse().ok()?;
-        let mut headers = Vec::new();
-        let mut content_length = 0usize;
-        loop {
-            let mut h = String::new();
-            reader.read_line(&mut h).ok()?;
-            let h = h.trim_end().to_string();
-            if h.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = h.split_once(':') {
-                if name.trim().eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().ok()?;
-                }
-            }
-            headers.push(h);
-        }
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body).ok()?;
-        Some((status, headers, String::from_utf8(body).ok()?))
+    ) -> Option<(u16, Option<u64>, String)> {
+        let mut parser = crate::conn::ResponseParser::new(HttpOptions::default().max_body_bytes);
+        let r = crate::conn::read_response(&mut parser, reader).ok()?;
+        Some((r.status, r.retry_after, r.body))
     }
 
     #[test]
@@ -1850,15 +1828,10 @@ pub(crate) mod tests {
             body
         );
         writer.write_all(req.as_bytes()).unwrap();
-        let (status, headers, body) = read_response(&mut reader).unwrap();
+        let (status, retry_after, body) = read_response(&mut reader).unwrap();
         assert_eq!(status, 429);
         assert_eq!(wire::decode_error_body(&body).0, "overloaded");
-        assert!(
-            headers
-                .iter()
-                .any(|h| h.to_ascii_lowercase().starts_with("retry-after:")),
-            "{headers:?}"
-        );
+        assert!(retry_after.is_some(), "429 without a Retry-After");
 
         // The connection survived the rejection: a request that fits the
         // queue answers 200 on the same socket.

@@ -14,8 +14,6 @@
 //! * [`lsh`] — hash families (SimHash, WTA, DWTA, DOPH), (K, L) tables,
 //!   bucket policies and active-neuron sampling strategies;
 //! * [`kernels`] — scalar and vectorized numeric kernels;
-//! * [`memsim`] — TLB/cache simulator used for the paper's
-//!   micro-architecture experiments;
 //! * [`core`] — the selector-driven sparse execution engine: SLIDE and
 //!   the paper's baselines are one generic trainer under different
 //!   `NeuronSelector`s (LSH-adaptive, dense, static sampled); plus the
@@ -52,7 +50,6 @@ pub use slide_core as core;
 pub use slide_data as data;
 pub use slide_kernels as kernels;
 pub use slide_lsh as lsh;
-pub use slide_memsim as memsim;
 pub use slide_serve as serve;
 
 /// Commonly used items, re-exported for `use slide::prelude::*`.

@@ -1,7 +1,6 @@
 //! Determinism guarantees: everything keyed by a seed reproduces exactly.
 
 use slide::kernels::{dispatched_isa, KernelMode};
-use slide::memsim::{MemoryHierarchy, PageSize};
 use slide::prelude::*;
 
 #[test]
@@ -169,20 +168,6 @@ fn snapshot_bytes_are_pinned_in_both_kernel_modes() {
             AVX2_FMA_FNV
         );
     }
-}
-
-#[test]
-fn memsim_replay_is_deterministic() {
-    let mut trace = slide::memsim::AccessTrace::new();
-    for i in 0..50_000u64 {
-        trace.record(0, (i * 613) % (1 << 26));
-    }
-    trace.add_compute(100_000);
-    let mut s1 = MemoryHierarchy::typical_server(PageSize::Kb4);
-    let mut s2 = MemoryHierarchy::typical_server(PageSize::Kb4);
-    let r1 = trace.replay(&mut s1);
-    let r2 = trace.replay(&mut s2);
-    assert_eq!(r1, r2);
 }
 
 #[test]
