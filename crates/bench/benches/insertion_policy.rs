@@ -1,4 +1,4 @@
-//! Criterion micro-bench behind **Table 3**: bucket insertion under the
+//! Criterion micro-bench behind **Table 3**: filling the tables under the
 //! Reservoir vs FIFO replacement policies, and the full insertion
 //! including hash-code computation.
 
@@ -48,17 +48,16 @@ fn bench(c: &mut Criterion) {
                             .with_policy(policy),
                     );
                     let mut rng = Xoshiro256PlusPlus::seed_from_u64(11);
-                    for j in 0..NEURONS {
-                        tables.insert(j as u32, &codes[j * nc..(j + 1) * nc], &mut rng);
-                    }
+                    tables.fill(&codes, &mut rng);
                     tables.stats().total_items
                 })
             },
         );
     }
 
-    // "Full insertion": hash + insert (the paper's second column).
+    // "Full insertion": hash + fill (the paper's second column).
     group.bench_function("full_insertion_fifo", |b| {
+        let mut all = vec![0u32; NEURONS * nc];
         b.iter(|| {
             let mut tables = LshTables::new(
                 TableConfig::new(K, L)
@@ -67,14 +66,13 @@ fn bench(c: &mut Criterion) {
             );
             let mut rng = Xoshiro256PlusPlus::seed_from_u64(13);
             let mut w = vec![0.0f32; DIM];
-            let mut cs = vec![0u32; nc];
-            for j in 0..NEURONS {
+            for cs in all.chunks_exact_mut(nc) {
                 for x in w.iter_mut() {
                     *x = rng.next_normal() as f32;
                 }
-                family.hash_dense(&w, &mut cs);
-                tables.insert(j as u32, &cs, &mut rng);
+                family.hash_dense(&w, cs);
             }
+            tables.fill(&all, &mut rng);
             tables.stats().total_items
         })
     });

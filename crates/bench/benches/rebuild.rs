@@ -1,8 +1,9 @@
 //! Table rebuild cost at `train_select`'s output shape (50 000 rows ×
 //! 128 inputs, SimHash K = 9, L = 50): a full build, which rehashes
 //! every row, and a build after 29 % of the rows were written, the mean
-//! share one six-step window of that workload writes. Both insert every
-//! id, so the gap between the rows is the hash work a build saves.
+//! share one six-step window of that workload writes. Both fill every
+//! table with every id, so the gap between the rows is the hash work a
+//! build saves.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use slide_core::layer::Layer;

@@ -38,7 +38,7 @@ fn setup(neurons: usize, k: usize, l: usize, capacity: usize) -> Setup {
             .with_table_bits(12)
             .with_bucket_capacity(capacity),
     );
-    let mut codes = vec![0u32; family.num_codes()];
+    let nc = family.num_codes();
     let mut w = vec![0.0f32; DIM];
     let mut gaussian_codes = |rng: &mut Xoshiro256PlusPlus, codes: &mut [u32]| {
         for x in w.iter_mut() {
@@ -46,13 +46,14 @@ fn setup(neurons: usize, k: usize, l: usize, capacity: usize) -> Setup {
         }
         family.hash_dense(&w, codes);
     };
-    for id in 0..neurons as u32 {
-        gaussian_codes(&mut rng, &mut codes);
-        tables.insert(id, &codes, &mut rng);
+    let mut all = vec![0u32; neurons * nc];
+    for codes in all.chunks_exact_mut(nc) {
+        gaussian_codes(&mut rng, codes);
     }
+    tables.fill(&all, &mut rng);
     let queries = (0..QUERIES)
         .map(|_| {
-            let mut q = vec![0u32; codes.len()];
+            let mut q = vec![0u32; nc];
             gaussian_codes(&mut rng, &mut q);
             q
         })

@@ -39,15 +39,16 @@ fn main() {
             .with_bucket_capacity(512),
     );
     println!("building tables over {neurons} neurons (K={k}, L={l}) ...");
-    let mut codes = vec![0u32; family.num_codes()];
+    let nc = family.num_codes();
+    let mut all = vec![0u32; neurons * nc];
     let mut weights = vec![0.0f32; dim];
-    for id in 0..neurons as u32 {
+    for codes in all.chunks_exact_mut(nc) {
         for w in weights.iter_mut() {
             *w = rng.next_normal() as f32;
         }
-        family.hash_dense(&weights, &mut codes);
-        tables.insert(id, &codes, &mut rng);
+        family.hash_dense(&weights, codes);
     }
+    tables.fill(&all, &mut rng);
 
     // Pre-hash the query inputs.
     let query_codes: Vec<Vec<u32>> = (0..queries)

@@ -57,15 +57,7 @@ fn main() {
                 .with_policy(policy),
         );
         let mut ins_rng = Xoshiro256PlusPlus::seed_from_u64(args.seed ^ 0x7AB4);
-        let (_, insert_secs) = timed(|| {
-            for j in 0..neurons {
-                tables.insert(
-                    j as u32,
-                    &all_codes[j * num_codes..(j + 1) * num_codes],
-                    &mut ins_rng,
-                );
-            }
-        });
+        let (_, insert_secs) = timed(|| tables.fill(&all_codes, &mut ins_rng));
         table.row(vec![
             policy.to_string(),
             format!("{insert_secs:.3}"),

@@ -19,10 +19,11 @@ use crate::config::{Activation, FamilySpec, LayerConfig, LshLayerConfig};
 use crate::hogwild::{HogwildArray, HogwildMatrix};
 use crate::schedule::RebuildState;
 
-/// Per-layer scratch reused across table rebuilds so the scheduled
-/// rebuilds in the training loop are allocation-free: the centered-mean
+/// Per-layer scratch reused across table rebuilds: the centered-mean
 /// accumulator and row buffer, the resulting mean vector, and the
-/// all-neuron bucket-index matrix all keep their capacity between calls.
+/// all-neuron bucket-index matrix all keep their capacity between calls,
+/// as do the tables' own buffers. A scheduled rebuild allocates only
+/// each worker's hashing tiles and table column.
 #[derive(Debug, Default)]
 struct RebuildScratch {
     /// `f64` accumulator for the column means (centered hashing).
@@ -36,7 +37,7 @@ struct RebuildScratch {
     /// Bucket index of every neuron in every table, `units × L`: row
     /// `j`'s index in table `t` at `j · L + t` (`table_bits ≤ 30`, so an
     /// index fits a `u32`). Kept between builds: phase 1 rewrites the
-    /// rows written since the last build, phase 2 inserts from all of it.
+    /// rows written since the last build, phase 2 fills from all of it.
     buckets: Vec<u32>,
 }
 
@@ -68,7 +69,7 @@ pub struct LayerLsh {
     /// Rows hashed, summed over every build.
     rows_hashed: u64,
     /// Wall nanoseconds spent in rebuild phase 1 (mean, hash, bucket
-    /// fold) and phase 2 (insert), summed over every rebuild.
+    /// fold) and phase 2 (table fill), summed over every rebuild.
     hash_nanos: u64,
     insert_nanos: u64,
 }
@@ -119,7 +120,8 @@ impl LayerLsh {
     /// covers the centering mean, hashing the weight rows written since
     /// the last build (every row on a full build, see
     /// [`Layer::rebuild_tables`]) and folding their codes to bucket
-    /// indices; insert covers clearing the tables and inserting every id.
+    /// indices; insert covers filling every table from those indices (a
+    /// histogram, a prefix sum and a scatter per table).
     pub fn rebuild_phase_seconds(&self) -> (f64, f64) {
         (
             self.hash_nanos as f64 * 1e-9,
@@ -627,7 +629,7 @@ impl Layer {
     /// Recomputes the hash codes of the neurons whose weights were
     /// written since the last build and rebuilds all tables (paper §3.1
     /// "Update Hash Tables after Weight Updates"; parallelized over
-    /// neurons for hashing and over tables for insertion, so no locks are
+    /// neurons for hashing and over tables for the fill, so no locks are
     /// needed). The bucket indices of the other rows are kept from the
     /// build that last hashed them, so the tables are exactly those a
     /// rehash of every row would build. Every row is rehashed on the
@@ -756,23 +758,31 @@ impl Layer {
         lsh.rows_hashed += hashed_rows.into_inner() as u64;
         let hashed = Instant::now();
 
-        // Phase 2: insert ids (parallel over tables; each table is owned
-        // by exactly one task and takes its ids in ascending order).
+        // Phase 2: fill each table from its column of the matrix, ids in
+        // ascending order (parallel over tables; each table is owned by
+        // exactly one task). A column is strided and `fill` reads its
+        // entries twice, so each task copies the column out once.
         lsh.rebuild_count += 1;
         let rebuild_count = lsh.rebuild_count;
         let rng_base = lsh.rng_base.clone();
         let buckets = &scratch.buckets;
-        lsh.tables.clear();
         lsh.tables
             .tables_mut()
-            .par_iter_mut()
+            .par_chunks_mut(1)
             .enumerate()
-            .for_each(|(t, table)| {
-                let mut rng = rng_base.stream(rebuild_count * 1_000_003 + t as u64);
-                for (j, ids) in buckets.chunks_exact(l).enumerate() {
-                    table.insert_at(ids[t] as usize, j as u32, policy, &mut rng);
-                }
-            });
+            .for_each_init(
+                || Vec::with_capacity(units),
+                |column, (t, table)| {
+                    let mut rng = rng_base.stream(rebuild_count * 1_000_003 + t as u64);
+                    column.clear();
+                    column.extend(buckets.chunks_exact(l).map(|ids| ids[t]));
+                    table[0].fill(
+                        column.iter().map(|&b| b as usize).zip(0..),
+                        policy,
+                        &mut rng,
+                    );
+                },
+            );
         lsh.scratch = scratch;
         lsh.hash_nanos += (hashed - start).as_nanos() as u64;
         lsh.insert_nanos += hashed.elapsed().as_nanos() as u64;
@@ -867,17 +877,82 @@ fn build_family(
 pub(crate) mod oracle {
     use std::ops::Range;
 
+    use slide_lsh::InsertionPolicy;
+
     use super::*;
+
+    /// One bucket as the oracle compares it: the ids in slot order and
+    /// how many ids were inserted into it.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub(crate) struct Slots {
+        items: Vec<u32>,
+        attempts: u32,
+    }
+
+    impl Slots {
+        /// Inserts one id into a bucket of `capacity`: it grows to
+        /// capacity, then FIFO overwrites the oldest slot and Reservoir
+        /// keeps the `n`-th insert in a uniform slot with probability
+        /// `capacity / n`.
+        fn insert(
+            &mut self,
+            id: u32,
+            capacity: usize,
+            policy: InsertionPolicy,
+            rng: &mut impl Rng,
+        ) {
+            let i = self.attempts as usize;
+            self.attempts += 1;
+            if i < capacity {
+                self.items.push(id);
+                return;
+            }
+            let slot = match policy {
+                InsertionPolicy::Fifo => i % capacity,
+                InsertionPolicy::Reservoir => rng.gen_range(0, i + 1),
+            };
+            if slot < capacity {
+                self.items[slot] = id;
+            }
+        }
+    }
+
+    /// Every bucket of every table, as the comparison reads it.
+    pub(crate) trait Contents {
+        fn contents(&self) -> Vec<Vec<Slots>>;
+    }
+
+    impl Contents for LshTables {
+        fn contents(&self) -> Vec<Vec<Slots>> {
+            let table = |t: &slide_lsh::table::Table| {
+                let bucket = |b| Slots {
+                    items: t.items(b).to_vec(),
+                    attempts: t.count(b),
+                };
+                (0..t.num_buckets()).map(bucket).collect()
+            };
+            self.tables().iter().map(table).collect()
+        }
+    }
+
+    /// Tables built one id at a time.
+    pub(crate) struct Reference(Vec<Vec<Slots>>);
+
+    impl Contents for Reference {
+        fn contents(&self) -> Vec<Vec<Slots>> {
+            self.0.clone()
+        }
+    }
 
     /// The tables `layer`'s latest build must hold over its rows `rows`,
     /// recomputed naively: the centering mean taken over all of the
     /// layer's rows, every row in `rows` hashed on its own by the scalar
     /// reference, its K-code groups mapped with `Table::bucket_index`,
-    /// and each table filled with local ids `0..rows.len()` in ascending
-    /// order from the RNG stream of build number `rebuild_count`. With
-    /// `rows` a shard's range of the full layer, these are the tables of
-    /// that shard's slice.
-    pub(crate) fn reference_tables(layer: &Layer, rows: Range<usize>) -> LshTables {
+    /// and local ids `0..rows.len()` inserted one at a time in ascending
+    /// order into each table from the RNG stream of build number
+    /// `rebuild_count`. With `rows` a shard's range of the full layer,
+    /// these are the tables of that shard's slice.
+    pub(crate) fn reference_tables(layer: &Layer, rows: Range<usize>) -> Reference {
         let lsh = layer.lsh().unwrap();
         let (units, fan_in) = (layer.units(), layer.fan_in());
         let config = *lsh.tables().config();
@@ -902,30 +977,34 @@ pub(crate) mod oracle {
             }
             lsh.family().hash_dense_mode(&row, out, KernelMode::Scalar);
         }
-        let mut tables = LshTables::new(config);
-        for (t, table) in tables.tables_mut().iter_mut().enumerate() {
+        let mut tables = Vec::new();
+        for (t, table) in lsh.tables().tables().iter().enumerate() {
             let mut rng = lsh
                 .rng_base
                 .stream(lsh.rebuild_count * 1_000_003 + t as u64);
+            let mut buckets: Vec<Slots> = vec![Default::default(); config.num_buckets()];
             for (j, row_codes) in codes.chunks_exact(nc).enumerate() {
                 let bucket = table.bucket_index(&row_codes[t * config.k..(t + 1) * config.k]);
-                table.insert_at(bucket, j as u32, config.policy, &mut rng);
+                buckets[bucket].insert(j as u32, config.bucket_capacity, config.policy, &mut rng);
             }
+            tables.push(buckets);
         }
-        tables
+        Reference(tables)
     }
 
     /// Asserts two table sets are equal bucket by bucket (ids in slot
-    /// order, and attempts); returns how many buckets overflowed.
-    pub(crate) fn assert_same_tables(got: &LshTables, want: &LshTables, case: &str) -> usize {
-        assert_eq!(got.num_tables(), want.num_tables(), "{case}: table count");
+    /// order, and insert counts); returns how many buckets overflowed.
+    pub(crate) fn assert_same_tables(got: &LshTables, want: &impl Contents, case: &str) -> usize {
+        let capacity = got.config().bucket_capacity;
+        let (got, want) = (got.contents(), want.contents());
+        assert_eq!(got.len(), want.len(), "{case}: table count");
         let mut overflowed = 0;
-        for (t, (a, b)) in got.tables().iter().zip(want.tables()).enumerate() {
-            assert_eq!(a.buckets().len(), b.buckets().len(), "{case}: table {t}");
-            for (i, (x, y)) in a.buckets().iter().zip(b.buckets()).enumerate() {
-                assert_eq!(x.items(), y.items(), "{case}: table {t} bucket {i}");
-                assert_eq!(x.attempts(), y.attempts(), "{case}: table {t} bucket {i}");
-                overflowed += (x.attempts() > x.capacity() as u64) as usize;
+        for (t, (a, b)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(a.len(), b.len(), "{case}: table {t}");
+            for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                assert_eq!(x.items, y.items, "{case}: table {t} bucket {i}");
+                assert_eq!(x.attempts, y.attempts, "{case}: table {t} bucket {i}");
+                overflowed += (x.attempts as usize > capacity) as usize;
             }
         }
         overflowed
@@ -1007,8 +1086,8 @@ mod tests {
         }
         let (tu, ti) = (unit.lsh().unwrap().tables(), input.lsh().unwrap().tables());
         for (x, y) in tu.tables().iter().zip(ti.tables()) {
-            for (p, q) in x.buckets().iter().zip(y.buckets()) {
-                assert_eq!(p.items(), q.items());
+            for b in 0..x.num_buckets() {
+                assert_eq!(x.items(b), y.items(b));
             }
         }
         input.set_weight(12, 39, 2.5);
@@ -1056,6 +1135,31 @@ mod tests {
         // Every neuron is inserted into every table (capacity permitting).
         assert!(stats.total_items > 0);
         assert!(stats.total_items <= 100 * 6);
+    }
+
+    #[test]
+    fn a_rebuild_refills_the_table_buffers_in_place() {
+        // Capacity-128 buckets never overflow over 200 units, so every
+        // table holds all 200 ids after any build, and a rebuild after
+        // rows moved writes them into the same allocation.
+        let mut layer = relu_layer(16, 200, Some(LshLayerConfig::simhash(3, 4)));
+        let buffers = |layer: &Layer| -> Vec<(*const u32, usize)> {
+            let tables = layer.lsh().unwrap().tables().tables();
+            tables
+                .iter()
+                .map(|t| (t.ids().as_ptr(), t.ids().len()))
+                .collect()
+        };
+        let before = buffers(&layer);
+        assert!(before.iter().all(|&(_, n)| n == 200), "{before:?}");
+        for j in (0..200).step_by(3) {
+            for i in 0..16 {
+                layer.set_weight(j, i, -layer.weight(j, i));
+            }
+        }
+        layer.rebuild_tables();
+        assert_eq!(layer.lsh().unwrap().rebuild_count(), 2);
+        assert_eq!(buffers(&layer), before);
     }
 
     #[test]

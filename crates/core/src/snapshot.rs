@@ -1704,13 +1704,14 @@ mod tests {
                 let shard_tables = shard_out.lsh().unwrap().tables().tables();
                 assert_eq!(full_tables.len(), shard_tables.len());
                 for (t, (ft, st)) in full_tables.iter().zip(shard_tables).enumerate() {
-                    assert_eq!(ft.buckets().len(), st.buckets().len());
-                    for (b, (fb, sb)) in ft.buckets().iter().zip(st.buckets()).enumerate() {
-                        assert!(fb.attempts() <= fb.capacity() as u64, "bucket overflowed");
+                    assert_eq!(ft.num_buckets(), st.num_buckets());
+                    for b in 0..ft.num_buckets() {
+                        let (fb, sb) = (ft.items(b), st.items(b));
+                        assert!(ft.count(b) as usize <= ft.capacity(), "bucket overflowed");
                         for j in 0..hi - lo {
                             assert_eq!(
-                                fb.items().contains(&((lo + j) as u32)),
-                                sb.items().contains(&(j as u32)),
+                                fb.contains(&((lo + j) as u32)),
+                                sb.contains(&(j as u32)),
                                 "table {t} bucket {b}: id {} vs shard id {j}",
                                 lo + j
                             );

@@ -6,8 +6,8 @@
 //! * [`family`] — the [`family::HashFamily`] trait plus the four families
 //!   SLIDE supports: [`simhash::SimHash`], [`wta::WtaHash`],
 //!   [`dwta::DwtaHash`] and [`minhash::DophHash`];
-//! * [`table`] — (K, L)-parameterized hash tables over neuron ids with
-//!   fixed-capacity buckets;
+//! * [`table`] — (K, L)-parameterized hash tables over neuron ids, each
+//!   one flat array of fixed-capacity buckets built by one bulk fill;
 //! * [`policy`] — bucket replacement policies (Vitter reservoir sampling
 //!   and FIFO, paper §4.2 and Table 3);
 //! * [`sampling`] — the three active-neuron selection strategies
@@ -29,23 +29,24 @@
 //! let mut tables = LshTables::new(TableConfig::new(k, l));
 //! let mut rng = Xoshiro256PlusPlus::seed_from_u64(2);
 //!
-//! // Insert 100 random "neurons".
+//! // Hash 100 random "neurons" and fill the tables with ids 0..100.
 //! let weights: Vec<Vec<f32>> = (0..100)
 //!     .map(|_| (0..dim).map(|_| rng.next_f32() - 0.5).collect())
 //!     .collect();
-//! let mut codes = vec![0u32; family.num_codes()];
-//! for (id, w) in weights.iter().enumerate() {
-//!     family.hash_dense(w, &mut codes);
-//!     tables.insert(id as u32, &codes, &mut rng);
+//! let nc = family.num_codes();
+//! let mut all = vec![0u32; weights.len() * nc];
+//! for (w, codes) in weights.iter().zip(all.chunks_exact_mut(nc)) {
+//!     family.hash_dense(w, codes);
 //! }
+//! tables.fill(&all, &mut rng);
 //!
 //! // Query with one of the stored vectors: it must be in its own buckets.
+//! let mut codes = vec![0u32; nc];
 //! family.hash_dense(&weights[42], &mut codes);
 //! let found = (0..l).any(|t| tables.bucket(t, &codes).contains(&42));
 //! assert!(found);
 //! ```
 
-pub mod bucket;
 pub mod dwta;
 pub mod family;
 pub mod minhash;
@@ -57,7 +58,6 @@ pub mod simhash;
 pub mod table;
 pub mod wta;
 
-pub use bucket::Bucket;
 pub use family::{HashFamily, HashFamilyKind};
 pub use policy::InsertionPolicy;
 pub use retrieve::{retrieve_union, QueryBudget};

@@ -177,11 +177,10 @@ mod tests {
         let mut tables = LshTables::new(config);
         let query_codes: Vec<u32> = vec![1; k * l];
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(9);
-        for (id, &mult) in multiplicity.iter().enumerate() {
-            for (t, table) in tables.tables_mut().iter_mut().enumerate().take(mult) {
-                let group = &query_codes[t * k..(t + 1) * k];
-                table.insert(id as u32, group, InsertionPolicy::Fifo, &mut rng);
-            }
+        for (t, table) in tables.tables_mut().iter_mut().enumerate() {
+            let b = table.bucket_index(&query_codes[t * k..(t + 1) * k]);
+            let ids = (0..multiplicity.len() as u32).filter(|&id| multiplicity[id as usize] > t);
+            table.fill(ids.map(|id| (b, id)), InsertionPolicy::Fifo, &mut rng);
         }
         (tables, query_codes)
     }
@@ -369,10 +368,11 @@ mod tests {
             let mut rng = Xoshiro256PlusPlus::seed_from_u64(3);
             // `slot` picks the table and which query's bucket; a small id
             // range makes duplicates and multi-table hits the norm.
-            for &(slot, id) in &inserts {
-                let (t, q) = (slot as usize % l, slot as usize / 6 % 2);
-                let group = &queries[q][t * k..(t + 1) * k];
-                tables.tables_mut()[t].insert(id, group, InsertionPolicy::Fifo, &mut rng);
+            for (t, table) in tables.tables_mut().iter_mut().enumerate() {
+                let at = [0, 1].map(|q| table.bucket_index(&queries[q][t * k..(t + 1) * k]));
+                let mine = inserts.iter().filter(|&&(slot, _)| slot as usize % l == t);
+                let entries = mine.map(|&(slot, id)| (at[slot as usize / 6 % 2], id));
+                table.fill(entries, InsertionPolicy::Fifo, &mut rng);
             }
             let budget = QueryBudget {
                 max_tables: caps.0,

@@ -702,11 +702,12 @@ mod tests {
 
     fn any_bucket_overflowed(engine: &ServingEngine) -> bool {
         let out = engine.network().layers().last().unwrap();
-        out.lsh().unwrap().tables().tables().iter().any(|t| {
-            t.buckets()
-                .iter()
-                .any(|b| b.attempts() > b.capacity() as u64)
-        })
+        out.lsh()
+            .unwrap()
+            .tables()
+            .tables()
+            .iter()
+            .any(|t| (0..t.num_buckets()).any(|b| t.count(b) as usize > t.capacity()))
     }
 
     #[test]
