@@ -563,8 +563,15 @@ mod tests {
         }
         assert_eq!((table.items(3), table.count(3)), (&[7][..], 1));
         assert_eq!(table.ids(), &[7]);
+    }
+
+    #[test]
+    fn clear_empties_everything() {
+        // An empty fill leaves every table of an `LshTables` empty.
         let mut tables = LshTables::new(TableConfig::new(2, 2).with_table_bits(4));
+        let mut r = rng(4);
         tables.fill(&[0, 1, 1, 0], &mut r);
+        assert_eq!(tables.stats().total_items, 2);
         tables.fill(&[], &mut r);
         assert_eq!(tables.stats().total_items, 0);
     }
