@@ -1207,6 +1207,122 @@ mod tests {
     }
 
     #[test]
+    fn a_reload_mismatch_answers_each_queued_job_under_the_new_model() {
+        // Model A accepts every queued job; model B, swapped in while
+        // the jobs wait, has half A's input width and fewer classes, so
+        // the drain's batch no longer validates as a whole.
+        let data = generate(&SyntheticConfig::tiny().with_seed(8));
+        let network = |input_dim: usize, classes: usize| {
+            let config = NetworkConfig::builder(input_dim, classes)
+                .hidden(16)
+                .output_lsh(LshLayerConfig::simhash(3, 8))
+                .seed(9)
+                .build()
+                .unwrap();
+            Network::new(config).unwrap()
+        };
+        let (dim_a, classes_a) = (data.train.feature_dim(), data.train.label_dim());
+        let (dim_b, classes_b) = (dim_a / 2, 10);
+        let b_bytes = network(dim_b, classes_b).to_snapshot_bytes();
+        let options = ServeOptions::default().with_top_k(3);
+        let reference = ServingEngine::from_snapshot_bytes(&b_bytes, options).unwrap();
+        let handle = Arc::new(EngineHandle::new(ServingEngine::new(
+            network(dim_a, classes_a),
+            options,
+        )));
+        let server =
+            BatchServer::over_handle(Arc::clone(&handle), BatchOptions::default().with_workers(1));
+
+        // Park the only worker inside the first job's reply.
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let first: ReplyCallback = Box::new(move |result, epoch| {
+            entered_tx.send((result.is_ok(), epoch)).ok();
+            release_rx.recv().ok();
+        });
+        let narrow = |i: usize| {
+            SparseVector::from_pairs(
+                data.test.examples()[i]
+                    .features
+                    .iter()
+                    .filter(|&(j, _)| (j as usize) < dim_b),
+            )
+        };
+        server
+            .submit_callbacks(vec![(narrow(0), 3, first)])
+            .unwrap();
+        assert_eq!(
+            entered_rx.recv_timeout(Duration::from_secs(30)).unwrap(),
+            (true, 1)
+        );
+
+        // Queued under A: valid jobs interleaved with jobs that B rejects
+        // for a feature index past its input or a k past its classes.
+        let wide = SparseVector::from_pairs([(1, 0.5), (dim_a as u32 - 1, 1.0)]);
+        let jobs: Vec<(SparseVector, usize)> = vec![
+            (narrow(1), 3),
+            (wide.clone(), 3),
+            (narrow(2), classes_b + 1),
+            (narrow(3), 2),
+            (narrow(4), classes_a),
+            (wide, 1),
+            (narrow(5), classes_b),
+            (narrow(6), 3),
+        ];
+        let (tx, rx) = mpsc::channel();
+        let callbacks = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, (features, k))| {
+                let tx = tx.clone();
+                let reply: ReplyCallback = Box::new(move |result, epoch| {
+                    tx.send((i, result, epoch)).ok();
+                });
+                (features.clone(), *k, reply)
+            })
+            .collect();
+        server.submit_callbacks(callbacks).unwrap();
+        assert_eq!(handle.reload_from_bytes(&b_bytes).unwrap(), 2);
+        release_tx.send(()).unwrap();
+
+        let mut answered = vec![false; jobs.len()];
+        for _ in 0..jobs.len() {
+            let (i, result, epoch) = rx.recv_timeout(Duration::from_secs(30)).unwrap();
+            answered[i] = true;
+            assert_eq!(epoch, 2, "job {i}");
+            let (features, k) = &jobs[i];
+            if features.min_dim() > dim_b {
+                assert!(
+                    matches!(
+                        result,
+                        Err(ServeError::FeatureIndexOutOfRange { needed_dim, input_dim })
+                            if needed_dim == dim_a && input_dim == dim_b
+                    ),
+                    "job {i}: {result:?}"
+                );
+            } else if *k > classes_b {
+                assert!(
+                    matches!(
+                        result,
+                        Err(ServeError::InvalidTopK { k: got, max }) if got == *k && max == classes_b
+                    ),
+                    "job {i}: {result:?}"
+                );
+            } else {
+                let want = reference.predict_k(features, *k).unwrap();
+                assert_eq!(
+                    result.unwrap().topk.to_bits(),
+                    want.topk.to_bits(),
+                    "job {i}"
+                );
+            }
+        }
+        assert!(answered.iter().all(|&a| a));
+        assert_eq!(server.stats().worker_panics, 0);
+        server.shutdown();
+    }
+
+    #[test]
     fn degradation_steps_up_under_pressure_and_recovers() {
         // Drive the hysteresis directly: waits above the high watermark
         // step the level up after the streak, waits below the low
