@@ -8,9 +8,10 @@
 //!
 //! 1. **panics** — the fault plan injects worker panics under a live
 //!    client. Each poisoned drain must answer a *typed* `500
-//!    worker_panicked` (never a hang, never a wrong answer), the
-//!    supervisor must respawn every panicked worker, and the pool must
-//!    then answer a recovery burst flawlessly;
+//!    worker_panicked` (never a hang, never a wrong answer), every
+//!    panicked worker must recover in place (read with no wait: the
+//!    count lands before the typed 500 does), and the pool must then
+//!    answer a recovery burst flawlessly;
 //! 2. **rollback** — a corrupt snapshot is published (atomically — the
 //!    torn-write case is covered by unit tests) under a live
 //!    [`SnapshotWatcher`](slide_serve::SnapshotWatcher). The server must keep answering from the
@@ -53,8 +54,8 @@ use slide_data::synth::{generate, SyntheticConfig};
 use slide_data::{Dataset, SparseVector};
 use slide_serve::http::{HttpOptions, HttpServer};
 use slide_serve::{
-    Client, ClientError, DegradeOptions, EngineHandle, FaultPlan, RetryPolicy, ServeOptions,
-    ServingEngine,
+    BatchOptions, Client, ClientError, DegradeOptions, EngineHandle, FaultPlan, RetryPolicy,
+    ServeOptions, ServingEngine,
 };
 
 struct BenchConfig {
@@ -201,7 +202,8 @@ fn percentile(sorted_us: &[f64], p: f64) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Phase 1: injected worker panics → typed 500s, respawn, clean recovery.
+// Phase 1: injected worker panics → typed 500s, in-place recovery, clean
+// recovery burst.
 
 #[derive(Debug, Clone, Copy, Default)]
 struct PanicPhase {
@@ -260,16 +262,9 @@ fn run_panics(
             Err(_) => phase.recovery_failures += 1,
         }
     }
-    // Respawns are asynchronous; give the supervisor a beat.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let b = server.batch_stats();
-        phase.worker_respawns = b.worker_respawns;
-        if b.worker_respawns >= cfg.injected_panics || Instant::now() >= deadline {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    // A worker counts its recovery before the typed 500 goes out, so the
+    // count is exact once every armed panic has answered.
+    phase.worker_respawns = server.batch_stats().worker_respawns;
     phase
 }
 
@@ -460,10 +455,11 @@ fn run_degrade(
     let mut phase = DegradePhase::default();
     let failures = AtomicU64::new(0);
     let overload_opts = |degrade: DegradeOptions| HttpOptions {
-        workers: 1,
-        max_batch: cfg.degrade_batch,
-        queue_capacity: 1 << 16,
-        degrade,
+        batch: BatchOptions::default()
+            .with_workers(1)
+            .with_max_batch(cfg.degrade_batch)
+            .with_queue_cap(1 << 16)
+            .with_degrade(degrade),
         ..HttpOptions::default()
     };
 
@@ -804,9 +800,9 @@ fn main() {
             );
             failed = true;
         }
-        if panics.worker_respawns < cfg.injected_panics {
+        if panics.worker_respawns != cfg.injected_panics {
             eprintln!(
-                "FAIL: pool did not respawn every panicked worker ({} of {})",
+                "FAIL: {} in-place worker recoveries for {} injected panics",
                 panics.worker_respawns, cfg.injected_panics
             );
             failed = true;

@@ -32,7 +32,7 @@ use slide_data::synth::{generate, SyntheticConfig};
 use slide_data::SparseVector;
 use slide_serve::conn::{read_response, ResponseParser};
 use slide_serve::http::{HttpOptions, HttpServer};
-use slide_serve::{EngineHandle, ServeOptions};
+use slide_serve::{BatchOptions, EngineHandle, ServeOptions};
 
 struct BenchConfig {
     features: usize,
@@ -409,12 +409,13 @@ fn main() {
             // Sized for the burst: the whole connection fleet may have a
             // single in flight at once, and overflow here would turn the
             // drill's zero-failure gate into a tautology about 429s.
-            queue_capacity: 2 * fleet_cap,
             // 64-deep drains won this box's sweep: two workers (or
             // 256-deep drains) just trade event-loop time for worker
             // time on one core and lose ~20%.
-            max_batch: 64,
-            workers: 1,
+            batch: BatchOptions::default()
+                .with_queue_cap(2 * fleet_cap)
+                .with_max_batch(64)
+                .with_workers(1),
             ..HttpOptions::default()
         },
     )

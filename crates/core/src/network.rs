@@ -129,6 +129,15 @@ pub struct PooledWorkspace<'p> {
     pool: &'p WorkspacePool,
 }
 
+impl PooledWorkspace<'_> {
+    /// Drops the workspace instead of returning it to the pool, for a
+    /// caller that caught a panic mid-use and so cannot vouch for its
+    /// state; the pool's next checkout builds a fresh one.
+    pub fn discard(mut self) {
+        self.ws = None;
+    }
+}
+
 impl std::ops::Deref for PooledWorkspace<'_> {
     type Target = Workspace;
 
@@ -966,5 +975,16 @@ mod tests {
             let _a = fresh.acquire(&net);
         }
         assert_eq!(fresh.created(), 2, "unpooled mode must not reuse");
+    }
+
+    #[test]
+    fn a_discarded_workspace_is_not_reused() {
+        let net = tiny_network(false, 19);
+        let pool = WorkspacePool::new(0, true);
+        pool.acquire(&net).discard();
+        assert_eq!(pool.created(), 1);
+        drop(pool.acquire(&net));
+        drop(pool.acquire(&net));
+        assert_eq!(pool.created(), 2, "only the discarded one is rebuilt");
     }
 }

@@ -15,8 +15,9 @@
 //!   (`packed[block][index][lane]`, one `i8` each);
 //! * projecting broadcasts one input value and fused-multiply-adds the
 //!   eight-lane coefficient column into eight running projections, so a
-//!   pass over the input advances eight planes together — AVX2/FMA when
-//!   the CPU has it, an unrolled portable loop otherwise;
+//!   pass over the input advances eight planes together (AVX2/FMA; on a
+//!   CPU without them, `Vectorized` runs the scalar reference, whose
+//!   bits it equals anyway);
 //! * the row entry tiles [`ROW_TILE`] rows against each block, so every
 //!   widened coefficient column feeds [`ROW_TILE`] fused multiply-adds
 //!   instead of one (the widen, not the FMA, bounds the one-row pass).
@@ -179,9 +180,9 @@ impl SignedPlanes {
     /// Projects a dense input onto every plane: `out[p] = plane_p · input`.
     ///
     /// `Scalar` walks each plane's sparse entries sequentially (the
-    /// reference); `Vectorized` runs the blocked plane-per-lane kernel.
-    /// Both orders produce bit-identical projections (see the module
-    /// docs).
+    /// reference); `Vectorized` runs the blocked plane-per-lane kernel
+    /// where the CPU has AVX2+FMA, and the reference elsewhere. Both
+    /// orders produce bit-identical projections (see the module docs).
     ///
     /// # Panics
     ///
@@ -189,27 +190,20 @@ impl SignedPlanes {
     pub fn project_dense(&self, input: &[f32], out: &mut [f32], mode: KernelMode) {
         assert_eq!(input.len(), self.dim, "project_dense: input length");
         assert_eq!(out.len(), self.planes, "project_dense: output length");
-        match mode {
-            KernelMode::Scalar => {
-                for (p, o) in out.iter_mut().enumerate() {
-                    let (idx, sign) = self.plane_entries(p);
-                    let mut acc = 0.0f32;
-                    for (&i, &s) in idx.iter().zip(sign) {
-                        acc += s as f32 * input[i as usize];
-                    }
-                    *o = acc;
-                }
+        #[cfg(target_arch = "x86_64")]
+        if blocked(mode) {
+            // SAFETY: AVX2+FMA presence checked; packed holds
+            // ceil(planes/8) blocks of dim×8 coefficients.
+            unsafe { avxh::project_dense(&self.packed, self.dim, self.planes, input, out) };
+            return;
+        }
+        for (p, o) in out.iter_mut().enumerate() {
+            let (idx, sign) = self.plane_entries(p);
+            let mut acc = 0.0f32;
+            for (&i, &s) in idx.iter().zip(sign) {
+                acc += s as f32 * input[i as usize];
             }
-            KernelMode::Vectorized => {
-                #[cfg(target_arch = "x86_64")]
-                if crate::fused::have_avx2_fma() {
-                    // SAFETY: AVX2+FMA presence checked; packed holds
-                    // ceil(planes/8) blocks of dim×8 coefficients.
-                    unsafe { avxh::project_dense(&self.packed, self.dim, self.planes, input, out) };
-                    return;
-                }
-                self.portable_dense(input, out);
-            }
+            *o = acc;
         }
     }
 
@@ -232,41 +226,21 @@ impl SignedPlanes {
         assert_eq!(rows.len() % dim, 0, "project_dense_rows: input length");
         let n = rows.len() / dim;
         assert_eq!(out.len(), n * planes, "project_dense_rows: output length");
-        let tiled = match mode {
-            KernelMode::Scalar => 0,
-            KernelMode::Vectorized => n - n % ROW_TILE,
-        };
+        let tiled = if blocked(mode) { n - n % ROW_TILE } else { 0 };
         let (tiles, rest) = rows.split_at(tiled * dim);
         let (tiles_out, rest_out) = out.split_at_mut(tiled * planes);
-        self.project_tiles(tiles, tiles_out);
+        #[cfg(target_arch = "x86_64")]
+        if tiled > 0 {
+            // SAFETY: rows are tiled only when AVX2+FMA is present;
+            // `tiles` holds whole tiles of dim-long rows and `tiles_out`
+            // planes per row.
+            unsafe { avxh::project_rows(&self.packed, dim, planes, tiles, tiles_out) };
+        }
         for (row, o) in rest
             .chunks_exact(dim)
             .zip(rest_out.chunks_exact_mut(planes))
         {
             self.project_dense(row, o, mode);
-        }
-    }
-
-    /// The vectorized kernel over whole tiles of [`ROW_TILE`] rows.
-    fn project_tiles(&self, rows: &[f32], out: &mut [f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if crate::fused::have_avx2_fma() {
-            // SAFETY: AVX2+FMA presence checked; `rows` holds whole tiles
-            // of dim-long rows and `out` planes per row.
-            unsafe { avxh::project_rows(&self.packed, self.dim, self.planes, rows, out) };
-            return;
-        }
-        self.portable_tiles(rows, out);
-    }
-
-    /// Portable fallback of [`SignedPlanes::project_tiles`].
-    fn portable_tiles(&self, rows: &[f32], out: &mut [f32]) {
-        let (dim, planes) = (self.dim, self.planes);
-        for (t, o) in rows
-            .chunks_exact(ROW_TILE * dim)
-            .zip(out.chunks_exact_mut(ROW_TILE * planes))
-        {
-            self.portable_tile::<ROW_TILE>(t, o);
         }
     }
 
@@ -299,85 +273,34 @@ impl SignedPlanes {
                 self.dim
             );
         }
-        match mode {
-            KernelMode::Scalar => {
-                for (p, o) in out.iter_mut().enumerate() {
-                    let mut acc = 0.0f32;
-                    for (&i, &v) in indices.iter().zip(values) {
-                        acc += self.coeff(p, i) * v;
-                    }
-                    *o = acc;
-                }
+        #[cfg(target_arch = "x86_64")]
+        if blocked(mode) {
+            // SAFETY: AVX2+FMA presence checked; indices validated
+            // against dim above (ascending => last is max).
+            unsafe {
+                avxh::project_sparse(&self.packed, self.dim, self.planes, indices, values, out)
+            };
+            return;
+        }
+        for (p, o) in out.iter_mut().enumerate() {
+            let mut acc = 0.0f32;
+            for (&i, &v) in indices.iter().zip(values) {
+                acc += self.coeff(p, i) * v;
             }
-            KernelMode::Vectorized => {
-                #[cfg(target_arch = "x86_64")]
-                if crate::fused::have_avx2_fma() {
-                    // SAFETY: AVX2+FMA presence checked; indices validated
-                    // against dim above (ascending => last is max).
-                    unsafe {
-                        avxh::project_sparse(
-                            &self.packed,
-                            self.dim,
-                            self.planes,
-                            indices,
-                            values,
-                            out,
-                        )
-                    };
-                    return;
-                }
-                self.portable_sparse(indices, values, out);
-            }
+            *o = acc;
         }
     }
+}
 
-    /// Portable blocked fallback for one row.
-    fn portable_dense(&self, input: &[f32], out: &mut [f32]) {
-        self.portable_tile::<1>(input, out);
+/// Whether `mode` runs the blocked AVX2+FMA kernel: `Vectorized` on a
+/// CPU with both. Everywhere else the scalar reference runs, whose bits
+/// the blocked kernel equals (see the module docs).
+fn blocked(mode: KernelMode) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if mode == KernelMode::Vectorized {
+        return crate::fused::have_avx2_fma();
     }
-
-    /// Portable blocked fallback for `R` rows (`R × dim` in, `R × planes`
-    /// out): one 8-lane accumulator array per (row, block), same per-lane
-    /// ascending-index order as the AVX path.
-    fn portable_tile<const R: usize>(&self, rows: &[f32], out: &mut [f32]) {
-        let (dim, planes) = (self.dim, self.planes);
-        for b in 0..planes.div_ceil(8) {
-            let base = b * dim * 8;
-            let mut acc = [[0.0f32; 8]; R];
-            for i in 0..dim {
-                let col = &self.packed[base + i * 8..base + i * 8 + 8];
-                for (r, a) in acc.iter_mut().enumerate() {
-                    let x = rows[r * dim + i];
-                    for lane in 0..8 {
-                        a[lane] += col[lane] as f32 * x;
-                    }
-                }
-            }
-            let p0 = b * 8;
-            let n = (planes - p0).min(8);
-            for (r, a) in acc.iter().enumerate() {
-                out[r * planes + p0..r * planes + p0 + n].copy_from_slice(&a[..n]);
-            }
-        }
-    }
-
-    fn portable_sparse(&self, indices: &[u32], values: &[f32], out: &mut [f32]) {
-        let nblocks = self.planes.div_ceil(8);
-        for b in 0..nblocks {
-            let base = b * self.dim * 8;
-            let mut acc = [0.0f32; 8];
-            for (&i, &x) in indices.iter().zip(values) {
-                let off = base + i as usize * 8;
-                let col = &self.packed[off..off + 8];
-                for lane in 0..8 {
-                    acc[lane] += col[lane] as f32 * x;
-                }
-            }
-            let p0 = b * 8;
-            let n = (self.planes - p0).min(8);
-            out[p0..p0 + n].copy_from_slice(&acc[..n]);
-        }
-    }
+    false
 }
 
 /// AVX2/FMA blocked projection (x86-64 only); callers check
@@ -667,27 +590,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn portable_fallback_matches_scalar_exactly() {
-        let sp = random_planes(48, 21, 5);
-        let mut rng = TinyRng(99);
-        let input: Vec<f32> = (0..48).map(|_| rng.f32()).collect();
-        let mut a = vec![0.0f32; 21];
-        let mut b = vec![0.0f32; 21];
-        sp.project_dense(&input, &mut a, KernelMode::Scalar);
-        sp.portable_dense(&input, &mut b);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        let indices: Vec<u32> = (0..48u32).step_by(3).collect();
-        let values: Vec<f32> = indices.iter().map(|_| rng.f32()).collect();
-        sp.project_sparse(&indices, &values, &mut a, KernelMode::Scalar);
-        sp.portable_sparse(&indices, &values, &mut b);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
     /// `rows` projected one row at a time by the scalar reference.
     fn per_row(sp: &SignedPlanes, rows: &[f32]) -> Vec<f32> {
         let mut out = vec![0.0f32; rows.len() / sp.dim() * sp.planes()];
@@ -718,8 +620,8 @@ mod tests {
         rows
     }
 
-    /// Asserts the row kernel (both modes, and the portable tiles on the
-    /// tiled prefix) equals per-row `project_dense` to the bit.
+    /// Asserts the row kernel (both modes) equals per-row `project_dense`
+    /// to the bit.
     fn check_rows(sp: &SignedPlanes, rows: &[f32]) {
         let want = per_row(sp, rows);
         for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
@@ -728,13 +630,6 @@ mod tests {
             for (x, y) in want.iter().zip(&got) {
                 assert_eq!(x.to_bits(), y.to_bits(), "{mode}: {x} vs {y}");
             }
-        }
-        let n = rows.len() / sp.dim();
-        let tiled = n - n % ROW_TILE;
-        let mut got = vec![f32::NAN; tiled * sp.planes()];
-        sp.portable_tiles(&rows[..tiled * sp.dim()], &mut got);
-        for (x, y) in want.iter().zip(&got) {
-            assert_eq!(x.to_bits(), y.to_bits(), "portable: {x} vs {y}");
         }
     }
 

@@ -22,9 +22,6 @@ pub struct ServeOptions {
     /// Dense-score a layer whose retrieval found no candidates, so every
     /// request gets an answer (default on).
     pub dense_fallback: bool,
-    /// Seed for the workspace pool's RNG streams (inference itself is
-    /// deterministic; this only names the streams).
-    pub seed: u64,
 }
 
 impl Default for ServeOptions {
@@ -37,7 +34,6 @@ impl Default for ServeOptions {
             top_k: 5,
             budget: QueryBudget::all().with_min_collisions(2),
             dense_fallback: true,
-            seed: 0x5E4E,
         }
     }
 }
@@ -204,7 +200,9 @@ impl ServingEngine {
         network.set_lsh_centering(true);
         Self {
             quantized,
-            pool: WorkspacePool::new(options.seed, true),
+            // Inference draws no random number, so the streams the pool
+            // seeds its workspaces with are never read.
+            pool: WorkspacePool::new(0, true),
             counters: Counters::default(),
             network,
             options,
@@ -396,6 +394,12 @@ impl ServingEngine {
         self.pool.acquire(&self.network)
     }
 
+    /// Workspaces the engine's pool has built.
+    #[cfg(test)]
+    pub(crate) fn workspaces_created(&self) -> u64 {
+        self.pool.created()
+    }
+
     /// Answers a batch of requests with the configured `top_k` through
     /// the fused owner-masked scoring path (each candidate weight row
     /// streams through the cache once, scored against exactly the
@@ -427,12 +431,12 @@ impl ServingEngine {
         features: &[SparseVector],
         k: usize,
     ) -> Result<Vec<Prediction>, ServeError> {
-        // Batched-scoring scratch is reused per thread, mirroring what
-        // the batch server's workers do explicitly: HTTP connection
-        // threads are long-lived, so after the first batch the hot path
-        // allocates nothing but the results. (The scratch holds no
-        // network-specific state — it is cleared and refilled per call —
-        // so sharing one per thread across engines/epochs is sound.)
+        // Batched-scoring scratch is reused per calling thread, mirroring
+        // what the batch server's workers do explicitly: a thread that
+        // calls in repeatedly allocates nothing but the results after
+        // its first batch. (The scratch holds no network-specific state
+        // — it is cleared and refilled per call — so sharing one per
+        // thread across engines/epochs is sound.)
         thread_local! {
             static SCRATCH: std::cell::RefCell<BatchScratch> =
                 std::cell::RefCell::new(BatchScratch::default());

@@ -76,8 +76,9 @@ pub enum ServeError {
     ServerShutdown,
     /// A worker thread panicked while computing this request's batch →
     /// HTTP 500. Every job caught in the panicked drain gets this typed
-    /// answer instead of a hung reply channel, and the supervisor
-    /// respawns the worker, so the request is safe to retry immediately.
+    /// answer instead of a hung reply channel, and the worker recovers in
+    /// place on a fresh workspace before it answers, so the request is
+    /// safe to retry immediately.
     WorkerPanicked,
     /// A scatter-gather router could not reach (or got a server-side
     /// failure from) one of its shard back-ends → HTTP 503. A partial

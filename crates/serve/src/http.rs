@@ -54,9 +54,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::batch::{
-    BatchOptions, BatchServer, DegradeOptions, ReplyCallback, ServerStats, RETRY_AFTER_SECS,
-};
+use crate::batch::{BatchOptions, BatchServer, ReplyCallback, ServerStats, RETRY_AFTER_SECS};
 use crate::conn::{ParseStatus, ParsedRequest, RequestParser};
 use crate::engine::Prediction;
 use crate::error::ServeError;
@@ -86,21 +84,12 @@ pub struct HttpOptions {
     /// connections; raise it only on many-core machines where the loop
     /// itself saturates.
     pub event_loops: usize,
-    /// Worker threads draining the shared admission queue.
-    pub workers: usize,
-    /// Most jobs one worker drains into a single fused batch.
-    pub max_batch: usize,
-    /// Admission-queue bound: jobs beyond it are rejected with `429` +
-    /// `Retry-After` before any compute.
-    pub queue_capacity: usize,
     /// How long shutdown waits for in-flight requests to finish before
     /// force-closing connections.
     pub drain_timeout: Duration,
-    /// Load-adaptive degradation policy for the admission queue
-    /// (disabled by default — see [`DegradeOptions`]). When a request is
-    /// answered under a shrunken budget, the response carries an
-    /// `X-Slide-Degraded` header with the level.
-    pub degrade: DegradeOptions,
+    /// The shared admission queue every predict input drains through:
+    /// its workers, batch size, bound and degradation policy.
+    pub batch: BatchOptions,
 }
 
 impl Default for HttpOptions {
@@ -111,11 +100,8 @@ impl Default for HttpOptions {
             request_timeout: Duration::from_secs(10),
             max_connections: 16_384,
             event_loops: 1,
-            workers: 2,
-            max_batch: 32,
-            queue_capacity: 1024,
             drain_timeout: Duration::from_secs(5),
-            degrade: DegradeOptions::default(),
+            batch: BatchOptions::default(),
         }
     }
 }
@@ -315,16 +301,11 @@ impl HttpServer {
         options: HttpOptions,
         faults: Option<Arc<FaultPlan>>,
     ) -> std::io::Result<Self> {
-        let batch_options = BatchOptions::default()
-            .with_workers(options.workers)
-            .with_max_batch(options.max_batch)
-            .with_queue_cap(options.queue_capacity)
-            .with_degrade(options.degrade);
         let batch = Arc::new(match faults {
             Some(plan) => {
-                BatchServer::over_handle_with_faults(Arc::clone(&handle), batch_options, plan)
+                BatchServer::over_handle_with_faults(Arc::clone(&handle), options.batch, plan)
             }
-            None => BatchServer::over_handle(Arc::clone(&handle), batch_options),
+            None => BatchServer::over_handle(Arc::clone(&handle), options.batch),
         });
         let backend = Backend::Engine {
             handle: Arc::clone(&handle),
@@ -1550,7 +1531,7 @@ fn stats_body(shared: &Shared, handle: &EngineHandle, batch: &BatchServer) -> St
         c.responses_429.load(Ordering::Relaxed),
         c.timeouts.load(Ordering::Relaxed),
         b.queue_depth,
-        shared.options.queue_capacity,
+        shared.options.batch.queue_cap,
         b.rejected,
         b.shed,
         b.requests,
@@ -1799,13 +1780,14 @@ pub(crate) mod tests {
 
     #[test]
     fn overload_returns_429_with_retry_after_and_keeps_the_connection() {
-        // queue_capacity 2 with a 4-input batch request: admission is
+        // A queue bound of 2 with a 4-input batch request: admission is
         // all-or-nothing, so the request deterministically overflows the
         // bound and answers 429 — while the connection stays usable.
         let (server, data) = tiny_server_with(HttpOptions {
-            queue_capacity: 2,
-            workers: 1,
-            max_batch: 1,
+            batch: BatchOptions::default()
+                .with_queue_cap(2)
+                .with_workers(1)
+                .with_max_batch(1),
             ..HttpOptions::default()
         });
         let stream = TcpStream::connect(server.local_addr()).unwrap();

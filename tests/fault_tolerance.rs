@@ -5,8 +5,8 @@
 //!    keeps answering bit-identically, the bad file is quarantined, and
 //!    the next good publish hot-loads;
 //! 2. an injected worker panic surfaces as a typed `500
-//!    worker_panicked` answer (never a hang), the supervisor respawns
-//!    the worker, and the pool then serves flawlessly;
+//!    worker_panicked` answer (never a hang), the worker recovers in
+//!    place, and the pool then serves flawlessly;
 //! 3. the degraded [`QueryBudget`] trades accuracy for scoring work
 //!    *boundedly*: level 0 is the identity, and each deeper level's P@1
 //!    stays within a per-level tolerance of the full budget;
@@ -124,7 +124,7 @@ fn corrupt_publishes_roll_back_to_last_good_and_recover() {
 }
 
 /// An injected worker panic must answer a typed 500 over the wire, the
-/// supervisor must respawn the worker, and the pool must then heal.
+/// worker must recover in place, and the pool must then heal.
 #[test]
 fn worker_panic_answers_typed_500_over_http_and_self_heals() {
     let (bytes, data) = trained_snapshot(1);
